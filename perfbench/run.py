@@ -1,14 +1,17 @@
 """Benchmark of qespoly: fixed, seeded task lists run against its public API.
 
     env OPENBLAS_NUM_THREADS=1 OMP_NUM_THREADS=1 MKL_NUM_THREADS=1 \
-        python3 perfbench/run.py --workload chains --seed 1 --seconds 20 --trace 0
+        python3 perfbench/run.py --workload chains --seed 1 --seconds 12 --trace 0
 
 Run from the root of a source checkout; the program is imported from
 ./src.  A run sets up (imports, task list from the seed, one untimed
 warm-up), then executes whole passes over the task list until --seconds
 have passed, three passes are done and at least 100 tasks have run,
-checking every output of every pass.  Times are each task's best over the passes.  Set-up is
-timed in fresh interpreters, three times, and reported as the median.
+checking every output of every pass.  A task's time is the median of its
+passes.  On chains and levels, whose work is interpreted Python, each
+execution is first scaled to a nominal host speed measured by a reference
+loop run between the tasks (see host_scaled).  Set-up is timed in fresh
+interpreters, five times, and reported as the median.
 With --trace 0 it prints the end-to-end metrics; with --trace 1 it
 spends half the time untraced and half traced and prints the per-layer
 metrics, per traced pass, plus the tracing overhead.  The last line of
@@ -30,16 +33,30 @@ import sys
 import time
 from contextlib import nullcontext
 from dataclasses import dataclass, field
+from fractions import Fraction
 from pathlib import Path
 
 HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
 OUT_DIR = HERE / "out"
 BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
-SETUP_PROBES = 3
+SETUP_PROBES = 5
 MIN_TASKS = 100
 MIN_PASSES = 3
 PROBE_TIMEOUT_S = 120
+
+# The host this runs on is shared: the speed of interpreted code changes by
+# up to 2x within seconds and for minutes at a time, while LAPACK-bound code
+# changes by a few per cent.  So on the workloads whose work is interpreted
+# Python, each task's time is scaled by the speed of a fixed reference loop
+# measured around it: scaled = seconds * REFERENCE_S / (reference loop time),
+# the median of the REF_WINDOW reference times on each side of the task.
+# Scaled times are seconds on a host where the reference loop takes
+# REFERENCE_S.  oracle, and set-up on every workload, are timed by the
+# wall clock alone: scaling made them noisier.
+HOST_SCALED = {"chains": True, "levels": True, "oracle": False}
+REFERENCE_S = 0.0025
+REF_WINDOW = 5
 
 # per-layer metrics, each reported per traced pass
 PER_LAYER_CALLS = (
@@ -98,11 +115,39 @@ def setup(workload: str, seed: int):
 
     warmup, tasks = workloads.build(workload, seed)
     stats = RunStats()
-    outputs = run_pass(warmup, stats, None)
+    outputs = run_pass(warmup, stats, None, False)
     wrong = check_pass(warmup, outputs)
     if wrong or stats.failed:
         fail(f"warm-up failed: {wrong or stats.failures}")
     return tasks
+
+
+def _reference_loop():
+    """Fixed interpreted work, of the kind qespoly does: Fraction
+    arithmetic and dict updates.  It is the benchmark's own code, so no
+    change to the program changes its speed."""
+    total = Fraction(0)
+    table = {}
+    for i in range(1, 320):
+        total += Fraction(i, i + 7) * Fraction(3, 2 * i + 1)
+        table[i % 13] = table.get(i % 13, 0) + i * i
+    return total
+
+
+def reference_seconds() -> float:
+    start = time.perf_counter()
+    _reference_loop()
+    return time.perf_counter() - start
+
+
+def host_scaled(seconds: list, refs: list) -> list:
+    """Scale the i-th of `seconds`, timed between refs[i] and refs[i + 1],
+    to the nominal host speed."""
+    out = []
+    for i, t in enumerate(seconds):
+        window = refs[max(0, i - REF_WINDOW + 1):i + REF_WINDOW + 1]
+        out.append(t * REFERENCE_S / statistics.median(window))
+    return out
 
 
 @dataclass
@@ -114,35 +159,41 @@ class RunStats:
     failures: dict = field(default_factory=dict)  # task name -> first error
     wrong: list = field(default_factory=list)     # check failures
 
-    def best_times(self) -> dict:
-        """Each task's fastest run in this process: other tenants of the host
-        slow the CPU in bursts, and the fastest of a task's passes is the
-        run least disturbed by them."""
-        return {name: min(ts) for name, ts in self.times.items()}
+    def task_times(self) -> dict:
+        """Each task's median over the passes: a pass that the host slowed
+        in a way the scaling missed moves it less than it moves a mean or
+        a minimum."""
+        return {name: statistics.median(ts) for name, ts in self.times.items()}
 
     def pass_seconds(self) -> float:
-        """One pass over the task list, at each task's best time."""
-        return sum(self.best_times().values())
+        """One pass over the task list, at each task's time."""
+        return sum(self.task_times().values())
 
 
-def run_pass(tasks, stats: RunStats, tracer) -> dict:
+def run_pass(tasks, stats: RunStats, tracer, scaled: bool) -> dict:
     gc.collect()
-    outputs = {}
+    outputs, seconds, refs = {}, [], []
     for task in tasks:
+        if scaled:
+            refs.append(reference_seconds())
         scope = tracer.task(task.name) if tracer is not None else nullcontext()
         start = time.perf_counter()
         try:
             with scope:
                 out = task.run()
         except Exception as exc:  # noqa: BLE001 - a failing task is counted, not fatal
-            elapsed = time.perf_counter() - start
+            seconds.append(time.perf_counter() - start)
             stats.failed += 1
             stats.failures.setdefault(task.name, f"{type(exc).__name__}: {exc}")
         else:
-            elapsed = time.perf_counter() - start
+            seconds.append(time.perf_counter() - start)
             outputs[task.name] = out
         stats.attempted += 1
-        stats.times.setdefault(task.name, []).append(elapsed)
+    if scaled:
+        refs.append(reference_seconds())
+        seconds = host_scaled(seconds, refs)
+    for task, t in zip(tasks, seconds):
+        stats.times.setdefault(task.name, []).append(t)
     stats.passes += 1
     return outputs
 
@@ -163,13 +214,14 @@ def check_pass(tasks, outputs) -> list:
     return wrong
 
 
-def measure(tasks, seconds: float, min_passes: int, min_tasks: int, tracer=None) -> RunStats:
+def measure(tasks, scaled: bool, seconds: float, min_passes: int, min_tasks: int,
+            tracer=None) -> RunStats:
     """Whole passes until `seconds` have passed, at least `min_passes`
     passes are done and at least `min_tasks` tasks have run."""
     stats = RunStats()
     start = time.perf_counter()
     while True:
-        outputs = run_pass(tasks, stats, tracer)
+        outputs = run_pass(tasks, stats, tracer, scaled)
         stats.wrong += check_pass(tasks, outputs)
         if (time.perf_counter() - start >= seconds and stats.passes >= min_passes
                 and stats.attempted >= min_tasks):
@@ -204,10 +256,9 @@ def quantile(values, q: float) -> float:
 
 
 def end_to_end_metrics(stats: RunStats, setup_times) -> dict:
-    """Throughput and latency percentiles over the tasks' best times; a task
+    """Throughput and latency percentiles over the tasks' times; a task
     that fails costs its time but counts for no throughput and no latency."""
-    best = stats.best_times()
-    ok = [t for name, t in best.items() if name not in stats.failures]
+    ok = [t for name, t in stats.task_times().items() if name not in stats.failures]
     return {
         "tasks_per_s": (len(ok) / stats.pass_seconds(), "1/s"),
         "task_p50_ms": (1e3 * quantile(ok, 0.5), "ms"),
@@ -239,7 +290,7 @@ def per_layer_metrics(tracer, traced: RunStats, untraced: RunStats) -> dict:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("--workload", required=True, choices=("chains", "levels", "oracle"))
+    parser.add_argument("--workload", required=True, choices=sorted(HOST_SCALED))
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--seconds", type=float, required=True)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
@@ -260,20 +311,21 @@ def main(argv=None) -> int:
         fail(f"set {', '.join(missing)} (the BLAS thread count) in the command")
     setup_times = [probe_setup(args) for _ in range(SETUP_PROBES)]
     tasks = setup(args.workload, args.seed)
+    scaled = HOST_SCALED[args.workload]
 
     tracer = None
     if args.trace == 0:
-        stats = measure(tasks, args.seconds, MIN_PASSES, MIN_TASKS)
+        stats = measure(tasks, scaled, args.seconds, MIN_PASSES, MIN_TASKS)
         metrics = end_to_end_metrics(stats, setup_times)
         runs = [stats]
     else:
         import tracing
 
-        untraced = measure(tasks, args.seconds / 2, 1, 0)
+        untraced = measure(tasks, scaled, args.seconds / 2, 1, 0)
         tracer = tracing.Tracer()
         tracer.install()
         try:
-            stats = measure(tasks, args.seconds / 2, 1, 0, tracer)
+            stats = measure(tasks, scaled, args.seconds / 2, 1, 0, tracer)
         finally:
             tracer.uninstall()
         metrics = per_layer_metrics(tracer, stats, untraced)
