@@ -114,6 +114,14 @@ def _parse_rational(text: str) -> Fraction:
         raise UsageError(f"not a rational number: {text!r}") from exc
 
 
+def _parse_m(text: str, minimum: int = 1) -> int:
+    """--m as an integer of at least `minimum`; anything else is a domain error."""
+    m = _parse_rational(text)
+    if m.denominator != 1 or m < minimum:
+        raise QESDomainError(f"M must be an integer >= {minimum}, got {text!r}")
+    return int(m)
+
+
 def _parse_zeta(text: str | None, allow_symbolic: bool):
     if text is None or text == "symbolic":
         if allow_symbolic:
@@ -223,7 +231,7 @@ def _cmd_family(args) -> int:
 
 def _cmd_spectrum(args) -> int:
     zeta = _parse_zeta(args.zeta, allow_symbolic=False)
-    report = qes_energies(_parse_rational(args.m), zeta)
+    report = qes_energies(_parse_m(args.m), zeta)
     lines = [
         f"E={_fmt(lv.energy)} scriptE={_fmt(lv.script_energy)} nodes={lv.nodes} chain={lv.chain}"
         for lv in report.levels
@@ -235,7 +243,7 @@ def _cmd_spectrum(args) -> int:
 
 def _cmd_weights(args) -> int:
     zeta = _parse_zeta(args.zeta, allow_symbolic=False)
-    table = weights(_parse_rational(args.m), zeta, args.chain)
+    table = weights(_parse_m(args.m), zeta, args.chain)
     rows = [["E", "w"]] + [[repr(e), repr(w)] for e, w in table.support]
     lines = [f"E={_fmt(e)} w={_fmt(w)}" for e, w in table.support]
     lines.append(f"sum={_fmt(sum(table.weights()))} condition={table.condition:.6g}")
@@ -274,7 +282,7 @@ def _cmd_norms(args) -> int:
 
 def _cmd_moments(args) -> int:
     zeta = _parse_zeta(args.zeta, allow_symbolic=False)
-    seq = moments(_parse_rational(args.m), zeta, args.chain, args.order)
+    seq = moments(_parse_m(args.m), zeta, args.chain, args.order)
     rows = [["n", "mu", "growth"]]
     rows.append([0, repr(seq.values[0]), ""])
     for n in range(1, len(seq.values)):
@@ -289,7 +297,7 @@ def _cmd_moments(args) -> int:
 
 def _cmd_duality(args) -> int:
     zeta = _parse_zeta(args.zeta, allow_symbolic=False)
-    outcome = dsg_spectrum(int(_parse_rational(args.m)), zeta)
+    outcome = dsg_spectrum(_parse_m(args.m), zeta)
     if isinstance(outcome, DsgRejection):
         payload = outcome.to_json_dict()
         rows = [["rejected", "reason"], ["true", outcome.reason]]
@@ -308,7 +316,7 @@ def _cmd_duality(args) -> int:
 
 def _cmd_wavefunction(args) -> int:
     zeta = _parse_zeta(args.zeta, allow_symbolic=False)
-    state = build_qes_state(int(_parse_rational(args.m)), zeta, args.level)
+    state = build_qes_state(_parse_m(args.m), zeta, args.level)
     grid = np.linspace(-args.domain_l, args.domain_l, args.grid_n)
     values = state.eval(grid)
     payload = state.to_json_dict()
@@ -333,9 +341,9 @@ def _make_spec(args) -> PotentialSpec:
     if fam == "phi6_kink_dual":
         return phi6_kink_dual(args.epsilon_sq, args.mu)
     if fam == "sextic_plus":
-        return sextic_plus(int(_parse_rational(args.m)))
+        return sextic_plus(_parse_m(args.m, minimum=0))
     if fam == "sextic_minus":
-        return sextic_minus(int(_parse_rational(args.m)))
+        return sextic_minus(_parse_m(args.m, minimum=0))
     if fam == "harmonic":
         return harmonic()
     raise UsageError(f"unknown potential family {fam!r}")
@@ -362,7 +370,7 @@ def _cmd_oracle(args) -> int:
 
 def _cmd_verify_all(args) -> int:
     zeta = _parse_zeta(args.zeta, allow_symbolic=False)
-    m = int(_parse_rational(args.m))
+    m = _parse_m(args.m)
     rng = random.Random(args.seed)
     checks = []
 

@@ -120,6 +120,45 @@ class TestOtherCommands:
         assert doc["eigenvalues"][0] == pytest.approx(1.0, abs=1e-3)
 
 
+class TestIntegerM:
+    # a non-integer or too-small M is outside the domain: exit 1, never a
+    # silent run at a truncated M
+    @pytest.mark.parametrize("argv", [
+        ("duality", "--zeta", "1"),
+        ("wavefunction", "--zeta", "1", "--level", "0"),
+        ("verify-all", "--zeta", "1"),
+        ("oracle", "--family", "sextic_plus"),
+        ("oracle", "--family", "sextic_minus"),
+    ])
+    def test_fractional_m_is_domain_error(self, capsys, argv):
+        code, out, err = run(capsys, *argv, "--m", "2.5")
+        assert code == 1
+        assert out == ""
+        assert "integer" in err
+
+    @pytest.mark.parametrize("argv, m", [
+        (("duality", "--zeta", "1"), "0"),
+        (("wavefunction", "--zeta", "1", "--level", "0"), "0"),
+        (("verify-all", "--zeta", "1"), "0"),
+        (("oracle", "--family", "sextic_plus"), "-1"),
+    ])
+    def test_m_below_minimum_is_domain_error(self, capsys, argv, m):
+        code, out, _ = run(capsys, *argv, "--m", m)
+        assert code == 1
+        assert out == ""
+
+    def test_integer_valued_fraction_is_accepted(self, capsys):
+        code, out, _ = run(capsys, "duality", "--m", "6/2", "--zeta", "1",
+                           "--format", "json")
+        assert code == 0
+        assert len(json.loads(out)["levels"]) == 3
+
+    def test_sextic_m0_is_in_domain(self, capsys):
+        code, _, _ = run(capsys, "oracle", "--family", "sextic_plus", "--m", "0",
+                         "--domain-l", "8", "--grid-n", "512", "--count", "2")
+        assert code == 0
+
+
 class TestCliContract:
     def test_unknown_flag_usage_error(self, capsys):
         code, _, _ = run(capsys, "spectrum", "--m", "1", "--zeta", "1",

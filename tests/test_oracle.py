@@ -2,11 +2,14 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from qespoly.oracle import (
+    Discretization,
     OracleConfig,
     OracleError,
     analytic_qes_levels,
+    circle_eigenvalues,
     discretize,
     lowest_eigenvalues,
     match_levels,
@@ -119,6 +122,51 @@ class TestCircleOracle:
         assert all(e >= -((m + zeta) ** 2) - 1e-6 for e in res.eigenvalues)
 
 
+def _dense_periodic_levels(disc, k):
+    """The k lowest eigenvalues of the full n x n periodic matrix."""
+    n = len(disc.diag)
+    mat = np.diag(disc.diag)
+    idx = np.arange(n - 1)
+    mat[idx, idx + 1] = disc.offdiag
+    mat[idx + 1, idx] = disc.offdiag
+    mat[0, -1] += disc.corner
+    mat[-1, 0] += disc.corner
+    return scipy.linalg.eigh(mat, eigvals_only=True, subset_by_index=[0, k - 1])
+
+
+class TestReflectionSplit:
+    @pytest.mark.parametrize("n", [64, 65, 1000, 1001])
+    @pytest.mark.parametrize("spec, mult", [
+        (dsg(3, 1.0), 1),
+        (dsg(2, 1.0), 2),
+        (phi6_kink_dual(0.5, 1.0), 1),
+        (phi6_kink_dual(0.5, 1.0), 2),
+    ])
+    def test_matches_dense_periodic_solve(self, spec, mult, n):
+        cfg = OracleConfig(spec, n=n, count=10, period_multiplier=mult)
+        disc = discretize(cfg)
+        split = circle_eigenvalues(disc, 10)
+        dense = _dense_periodic_levels(disc, 10)
+        assert len(split) == 10
+        assert np.max(np.abs(split - dense)) <= 1e-13 * 4.0 / disc.h**2
+
+    def test_odd_grid_through_lowest_eigenvalues(self):
+        # n = 2002 puts the half-resolution grid at the odd size 1001
+        res = lowest_eigenvalues(OracleConfig(dsg(3, 1.0), n=2002, count=6))
+        coarse = discretize(OracleConfig(dsg(3, 1.0), n=1001, count=6))
+        assert res.richardson == pytest.approx(
+            _dense_periodic_levels(coarse, 6), abs=1e-13 * 4.0 / coarse.h**2)
+
+    def test_uneven_potential_is_rejected(self):
+        n = 64
+        h = 2.0 * math.pi / n
+        grid = h * np.arange(n)
+        diag = 2.0 / h**2 + np.sin(grid)   # odd in theta
+        disc = Discretization(diag, np.full(n - 1, -1.0 / h**2), -1.0 / h**2, grid, h)
+        with pytest.raises(OracleError, match="not even in theta"):
+            circle_eigenvalues(disc, 4)
+
+
 class TestKinkWells:
     def test_line_levels(self):
         spec = phi6_kink(0.5, 1.0)
@@ -158,6 +206,12 @@ class TestDualityPairs:
         rep = verify_duality_pair(dshg(3, 1.0), dsg(3, 1.0), 1e-4)
         assert not rep.rejected
         assert rep.pairs == ((0, 2), (1, 1), (2, 0))
+
+    @pytest.mark.parametrize("zeta", [1.0, 2.0])
+    def test_dshg_dsg_m7_default_grids(self, zeta):
+        # on a 1024-point circle the discretization error alone exceeds 1e-3
+        rep = verify_duality_pair(dshg(7, zeta), dsg(7, zeta))
+        assert not rep.rejected, rep.reason
 
     def test_sextic_m1(self):
         rep = verify_duality_pair(sextic_plus(1), sextic_minus(1), 1e-3)
