@@ -18,12 +18,10 @@ well whose ground state (at epsilon**2 = 1/2) and second excited state
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .families import ChainSpec, gen_family
 from .potentials import (
     PotentialSpec,
     dsg as dsg_potential,
@@ -36,15 +34,14 @@ from .potentials import (
     sextic_qes_levels,
 )
 from .spectrum import (
-    MomentSequence,
     QESDomainError,
     QESLevel,
     SpectrumReport,
-    WeightTable,
-    chain_plan,
-    chain_roots,
+    _moment_sequence,
     qes_energies,
+    weights,
 )
+from .wavefunctions import _state_from_report
 
 __all__ = [
     "PotentialSpec",
@@ -136,14 +133,12 @@ def periodicity_character(values, rel_tol: float = 1e-8) -> int:
     return MIXED
 
 
-def _dual_candidate_characters(m: int, zeta: float, samples: int = 512) -> tuple:
+def _dual_candidate_characters(source: SpectrumReport, samples: int = 512) -> tuple:
     """Characters of the transformed line states on the 2*pi circle."""
-    from .wavefunctions import build_qes_state
-
     theta = np.linspace(0.0, 2.0 * np.pi, samples, endpoint=False)
     chars = []
-    for level in range(m):
-        state = build_qes_state(m, zeta, level)
+    for level in range(source.m):
+        state = _state_from_report(source, level)
         chars.append(periodicity_character(state.eval_dual(theta)))
     return tuple(chars)
 
@@ -164,7 +159,7 @@ def dsg_spectrum(m: int, zeta: float):
         return DsgRejection(
             m,
             zeta,
-            _dual_candidate_characters(m, zeta),
+            _dual_candidate_characters(source),
             "candidate states change sign under a half turn (even M)",
         )
     shift = (m + zeta) ** 2
@@ -180,61 +175,16 @@ def dsg_weights_moments(m: int, zeta: float, chain: str = "P"):
     """Weights and moments on the sine-Gordon side, for odd M.
 
     The chain recursions keep their form with the energy negated, so the
-    weight system is solved on the negated, reversed support; the result is
-    the sinh-Gordon table with the entries interchanged end to end, and the
-    moments pick up a factor (-1)**n.
+    circle table is the sinh-Gordon table on the negated support with the
+    entries interchanged end to end, and the moments pick up a factor
+    (-1)**n.
     """
     if int(m) != m or m < 1 or m % 2 == 0:
         raise QESDomainError("sine-Gordon weights exist only for odd positive M")
     m = int(m)
-    entry = chain_plan(m).entry(chain)
-    if entry.level_count < 1:
-        raise QESDomainError("chain has no QES levels")
-    spec = ChainSpec(entry.chain_kind, Fraction(m), entry.s)
-    fam = gen_family(spec, max(entry.level_count - 1, 0))
-    shift = (m + zeta) ** 2
-    src_roots = chain_roots(m, zeta, entry)           # shifted energies, ascending
-    dual_e = sorted(-(r + shift) for r in src_roots)  # circle energies, ascending
-    count = entry.level_count
-    # chain polynomial at a circle energy ebar: evaluate at the source
-    # shifted energy -ebar - shift
-    a = np.array(
-        [
-            [fam[n].eval_numeric(zeta, -eb - shift) for eb in dual_e]
-            for n in range(count)
-        ]
-    )
-    rhs = np.zeros(count)
-    rhs[0] = 1.0
-    sol = np.linalg.solve(a, rhs)
-    residual = float(np.max(np.abs(a @ sol - rhs)))
-    if residual > 1e-10:
-        raise QESDomainError(f"weight system residual {residual} above tolerance")
-    table = WeightTable(
-        chain,
-        tuple((e, float(w)) for e, w in zip(dual_e, sol)),
-        condition=float(np.linalg.cond(a)),
-        residual=residual,
-    )
-    energies = np.array(dual_e)
-    w = np.array(table.weights())
-    n_max = 12
-    values = [1.0]
-    for n in range(1, n_max + 1):
-        values.append(float(np.dot(w, energies**n)))
-    growth = tuple(
-        abs(values[n]) ** (1.0 / n) if values[n] != 0 else 0.0
-        for n in range(1, n_max + 1)
-    )
-    momseq = MomentSequence(
-        chain,
-        zeta,
-        tuple(values),
-        growth,
-        float(np.max(np.abs(energies))),
-        (m + zeta) ** 2,
-    )
-    return table, momseq
+    source = weights(m, zeta, chain)
+    table = replace(source, support=tuple((-e, w) for e, w in reversed(source.support)))
+    return table, _moment_sequence(table, m, zeta, 12)
 
 
 # ----------------------------------------------------------------------

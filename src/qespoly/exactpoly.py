@@ -7,10 +7,13 @@ whose coefficients are ParamPoly.  Both are immutable and canonical
 (trailing zeros stripped; the zero polynomial has an empty coefficient
 tuple), so generated families can be compared coefficient for coefficient.
 
-Binary floats enter in exactly two places: numeric evaluation (Horner in E
-after Horner in zeta) and the real-root finder, which polishes
-companion-matrix eigenvalues with Newton steps and certifies the number of
-distinct real roots against an exact Sturm chain.
+Binary floats enter in exactly two places: numeric evaluation (eval_float;
+eval_numeric is Horner in E after Horner in zeta) and the real-root finder,
+which polishes companion-matrix eigenvalues with Newton steps and certifies
+the number of distinct real roots against an exact Sturm chain.  The numeric
+pipelines (levels, weights, states, duality) never expand a bivariate chain:
+they run the three-term recursion at the given zeta (families.specialize_family
+and families.family_values) and hand the exact critical member to real_roots.
 """
 
 from __future__ import annotations
@@ -398,15 +401,17 @@ def sturm_real_root_count(coeffs) -> int:
     return sign_changes(False) - sign_changes(True)
 
 
-def real_roots(p: EnergyPoly, zeta) -> list:
+def real_roots(p, zeta=None) -> list:
     """All real roots of p at fixed zeta, ascending, as (root, multiplicity).
 
-    Companion-matrix eigenvalues of the float-specialized polynomial are
-    polished by Newton iteration on the exactly specialized coefficients,
-    clustered into multiplicities, and the number of distinct real roots is
-    certified against a Sturm count of the exact integerized polynomial.
+    p is an EnergyPoly, specialized here at zeta, or (zeta omitted) the
+    exact coefficient list of an already specialized polynomial, p[k]
+    multiplying E**k.  Companion-matrix eigenvalues of the float polynomial
+    are polished by Newton iteration on the exact coefficients, clustered
+    into multiplicities, and the number of distinct real roots is certified
+    against a Sturm count of the exact polynomial.
     """
-    exact = p.specialize(as_rational(zeta))
+    exact = _uni_strip(p) if zeta is None else p.specialize(as_rational(zeta))
     if not exact:
         raise ValueError("polynomial vanishes identically at this zeta")
     deg = len(exact) - 1

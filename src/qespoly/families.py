@@ -22,7 +22,6 @@ from fractions import Fraction
 
 from .exactpoly import (
     ENERGY_ONE,
-    PARAM_ZERO,
     EnergyPoly,
     ParamPoly,
     as_rational,
@@ -165,6 +164,46 @@ def recursion_coeffs(spec: ChainSpec, n: int):
     raise ChainSpecError(f"chain {spec.kind!r} has no adjacent three-term step")
 
 
+def specialize_family(spec: ChainSpec, order: int, zeta) -> list:
+    """Members 0..order at one exact rational zeta, as Fraction coefficient
+    lists in E (index k multiplies E**k).
+
+    The three-term recursion runs on the specialised coefficients, so entry
+    n equals gen_family(spec, order)[n].specialize(zeta) without building
+    the bivariate chain.
+    """
+    z = as_rational(zeta)
+    members = [[Fraction(1)]]
+    for n in range(1, order + 1):
+        b, c = recursion_coeffs(spec, n)
+        bz, cz = b.eval_exact(z), c.eval_exact(z)
+        prev = members[-1]
+        new = [Fraction(0)] + prev
+        for k, p in enumerate(prev):
+            new[k] += bz * p
+        if n >= 2 and cz:
+            for k, p in enumerate(members[-2]):
+                new[k] += cz * p
+        members.append(new)
+    return members
+
+
+def family_values(spec: ChainSpec, order: int, zeta: float, eps) -> list:
+    """p_0..p_order at float (zeta, shifted energy eps) by forward recursion.
+
+    eps may be a float or a numpy array of shifted energies; the values
+    then have its shape.
+    """
+    values = [eps * 0.0 + 1.0]
+    for n in range(1, order + 1):
+        b, c = recursion_coeffs(spec, n)
+        new = (eps + b.eval_float(zeta)) * values[-1]
+        if n >= 2:
+            new = new + c.eval_float(zeta) * values[-2]
+        values.append(new)
+    return values
+
+
 def _termination(spec: ChainSpec) -> int | None:
     """Smallest n >= 2 with C_n identically zero, for integer M; else None."""
     kind, m, s = spec.kind, spec.m, spec.s
@@ -176,34 +215,31 @@ def _termination(spec: ChainSpec) -> int | None:
     return None
 
 
+def _generate(spec: ChainSpec, order: int) -> tuple:
+    members = [ENERGY_ONE]
+    for n in range(1, order + 1):
+        b, c = recursion_coeffs(spec, n)
+        new = EnergyPoly.linear(b) * members[n - 1]
+        if n >= 2 and not c.is_zero():
+            new = new + members[n - 2].scale(c)
+        members.append(new)
+    return tuple(members)
+
+
 def gen_family(spec: ChainSpec, order: int) -> PolyFamily:
     """Generate members 0..order of a main chain (P or Q) exactly."""
     if spec.kind not in MAIN_KINDS:
         raise ChainSpecError("gen_family handles the P and Q chains")
     if order < 0:
         raise ValueError("order must be nonnegative")
-    members = [ENERGY_ONE]
-    for n in range(1, order + 1):
-        b, c = recursion_coeffs(spec, n)
-        new = EnergyPoly.linear(b) * members[n - 1]
-        if n >= 2 and not c.is_zero():
-            new = new + members[n - 2].scale(c)
-        members.append(new)
-    return PolyFamily(spec, tuple(members), _termination(spec))
+    return PolyFamily(spec, _generate(spec, order), _termination(spec))
 
 
 def gen_quotient(spec: ChainSpec, order: int) -> PolyFamily:
     """Generate members 0..order of a quotient chain (Pbar/Qbar/Rbar/Sbar)."""
     if spec.kind not in QUOTIENT_KINDS:
         raise ChainSpecError("gen_quotient handles the quotient chains")
-    members = [ENERGY_ONE]
-    for n in range(1, order + 1):
-        b, c = recursion_coeffs(spec, n)
-        new = EnergyPoly.linear(b) * members[n - 1]
-        if n >= 2 and not c.is_zero():
-            new = new + members[n - 2].scale(c)
-        members.append(new)
-    return PolyFamily(spec, tuple(members), None)
+    return PolyFamily(spec, _generate(spec, order), None)
 
 
 def gen_R(spec: ChainSpec, order: int) -> PolyFamily:

@@ -14,6 +14,11 @@ on the parity of M:
 The discrete weight function supported on a chain's own levels makes that
 chain an orthogonal set; weights are generically indefinite here, which the
 sign pattern of the recursion (all a_k < 0 before termination) predicts.
+
+Levels, weights, moments and the crosscheck run the three-term recursion at
+the given zeta: exactly (families.specialize_family) for the critical member
+whose roots are isolated, in floats (families.family_values) for the chain
+values at the levels.  Only the factorization check builds bivariate chains.
 """
 
 from __future__ import annotations
@@ -25,7 +30,6 @@ from fractions import Fraction
 import numpy as np
 
 from .exactpoly import (
-    EnergyPoly,
     ParamPoly,
     as_rational,
     poly_divide_exact,
@@ -35,8 +39,10 @@ from .families import (
     ChainSpec,
     ThreeTermForm,
     critical_index,
+    family_values,
     gen_family,
     gen_quotient,
+    specialize_family,
 )
 
 
@@ -183,16 +189,14 @@ def chain_plan(m) -> ChainPlan:
     return ChainPlan(m, tuple(entries))
 
 
-def critical_polynomial(m: int, entry: ChainPlanEntry) -> EnergyPoly:
-    spec = ChainSpec(entry.chain_kind, Fraction(m), entry.s)
-    fam = gen_family(spec, entry.critical_index)
-    return fam[entry.critical_index]
+def _chain_spec(m: int, entry: ChainPlanEntry) -> ChainSpec:
+    return ChainSpec(entry.chain_kind, Fraction(m), entry.s)
 
 
-def chain_roots(m: int, zeta: float, entry: ChainPlanEntry) -> list:
-    """Simple real roots (shifted energy) of a chain's critical member."""
-    poly = critical_polynomial(m, entry)
-    roots = real_roots(poly, zeta)
+def chain_roots(critical: list, entry: ChainPlanEntry) -> list:
+    """Simple real roots (shifted energy) of a chain's critical member, given
+    by its exact coefficients at one zeta."""
+    roots = real_roots(critical)
     if sum(mult for _, mult in roots) != entry.level_count:
         raise QESDomainError("non-real QES root")
     if any(mult > 1 for _, mult in roots):
@@ -209,7 +213,8 @@ def qes_energies(m, zeta: float) -> SpectrumReport:
     levels = []
     for entry in chain_plan(m).entries:
         base = 0 if entry.node_parity == "even" else 1
-        for rank, root in enumerate(chain_roots(m, zeta, entry)):
+        critical = specialize_family(_chain_spec(m, entry), entry.critical_index, zeta)[-1]
+        for rank, root in enumerate(chain_roots(critical, entry)):
             levels.append(
                 QESLevel(root + shift, root, base + 2 * rank, entry.chain_kind)
             )
@@ -419,32 +424,26 @@ def weights(m, zeta: float, chain: str) -> WeightTable:
     entry = chain_plan(m).entry(chain)
     if entry.level_count < 1:
         raise QESDomainError("chain has no QES levels")
-    spec = ChainSpec(entry.chain_kind, Fraction(m), entry.s)
-    fam = gen_family(spec, max(entry.level_count - 1, 0))
-    poly = critical_polynomial(m, entry)
+    count = entry.level_count
     shift = (m + zeta) ** 2
+    spec = _chain_spec(m, entry)
+    members = specialize_family(spec, entry.critical_index, zeta)
 
-    zr = as_rational(zeta)
-    exact_roots = _exact_rational_roots(poly.specialize(zr))
+    exact_roots = _exact_rational_roots(members[-1])
     if exact_roots is not None:
         if len(set(exact_roots)) != len(exact_roots):
             raise QESDomainError("degenerate support")
-        rows = []
-        for n in range(entry.level_count):
-            uni = fam[n].specialize(zr)
-            rows.append([_eval_uni(uni, rk) for rk in exact_roots])
-        rhs = [Fraction(1)] + [Fraction(0)] * (entry.level_count - 1)
+        rows = [[_eval_uni(members[n], rk) for rk in exact_roots] for n in range(count)]
+        rhs = [Fraction(1)] + [Fraction(0)] * (count - 1)
         sol = _exact_solve(rows, rhs)
         support = tuple(
             (float(r) + shift, float(w)) for r, w in zip(exact_roots, sol)
         )
         return WeightTable(chain, support, condition=1.0, residual=0.0, exact=True)
 
-    roots = chain_roots(m, zeta, entry)
-    a = np.array(
-        [[fam[n].eval_numeric(zeta, r) for r in roots] for n in range(entry.level_count)]
-    )
-    rhs = np.zeros(entry.level_count)
+    roots = chain_roots(members[-1], entry)
+    a = np.array(family_values(spec, count - 1, zeta, np.array(roots)))
+    rhs = np.zeros(count)
     rhs[0] = 1.0
     try:
         sol = np.linalg.solve(a, rhs)
@@ -475,19 +474,19 @@ class CrosscheckReport:
 
 
 def norm_weight_crosscheck(m, zeta: float, chain: str) -> CrosscheckReport:
-    """Verify sum_k w_k p_n(E_k)^2 = gamma_n and the off-diagonal vanishing."""
+    """Verify sum_k w_k p_n(E_k)^2 = gamma_n and the off-diagonal vanishing.
+
+    An orthogonality sum passes within 1e-9 of the sum of its terms'
+    magnitudes (its rounding scale); orthogonality_max is the largest sum.
+    """
     m = _require_positive_int(m)
     entry = chain_plan(m).entry(chain)
     table = weights(m, zeta, chain)
     count = entry.level_count
-    spec = ChainSpec(entry.chain_kind, Fraction(m), entry.s)
-    fam = gen_family(spec, count)
     shift = (m + zeta) ** 2
-    script = [e - shift for e, _ in table.support]
+    script = np.array([e - shift for e, _ in table.support])
     w = np.array(table.weights())
-    values = np.array(
-        [[fam[n].eval_numeric(zeta, r) for r in script] for n in range(count + 1)]
-    )
+    values = np.array(family_values(_chain_spec(m, entry), count, zeta, script))
     devs = []
     ok = True
     for n in range(count + 1):
@@ -500,9 +499,11 @@ def norm_weight_crosscheck(m, zeta: float, chain: str) -> CrosscheckReport:
     ortho = 0.0
     for i in range(count):
         for j in range(i + 1, count):
-            ortho = max(ortho, abs(float(np.dot(w, values[i] * values[j]))))
-    if ortho > 1e-9:
-        ok = False
+            terms = w * values[i] * values[j]
+            total = abs(float(np.sum(terms)))
+            ortho = max(ortho, total)
+            if total > 1e-9 * float(np.sum(np.abs(terms))):
+                ok = False
     return CrosscheckReport(chain, zeta, tuple(devs), ortho, ok)
 
 
@@ -514,7 +515,11 @@ def moments(m, zeta: float, chain: str, n_max: int) -> MomentSequence:
     alongside, not asserted.
     """
     m = _require_positive_int(m)
-    table = weights(m, zeta, chain)
+    return _moment_sequence(weights(m, zeta, chain), m, zeta, n_max)
+
+
+def _moment_sequence(table: WeightTable, m: int, zeta: float, n_max: int) -> MomentSequence:
+    """mu_0..mu_n_max of a weight table, with growth and comparators."""
     energies = np.array([e for e, _ in table.support])
     w = np.array(table.weights())
     values = [1.0]
@@ -525,7 +530,7 @@ def moments(m, zeta: float, chain: str, n_max: int) -> MomentSequence:
         for n in range(1, n_max + 1)
     )
     return MomentSequence(
-        chain,
+        table.chain,
         zeta,
         tuple(values),
         growth,

@@ -24,9 +24,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .families import ChainSpec, gen_family
+from .families import ChainSpec, family_values
 from .potentials import PotentialSpec, potential_eval
-from .spectrum import QESDomainError, chain_plan, qes_energies
+from .spectrum import QESDomainError, SpectrumReport, chain_plan, qes_energies
 
 
 @dataclass(frozen=True)
@@ -101,17 +101,19 @@ def build_qes_state(m: int, zeta: float, level: int) -> QESState:
     to vanish (relative 1e-9), making the truncation exact rather than
     approximate.
     """
-    report = qes_energies(m, zeta)
+    return _state_from_report(qes_energies(m, zeta), level)
+
+
+def _state_from_report(report: SpectrumReport, level: int) -> QESState:
+    """build_qes_state on a spectrum that is already solved."""
     if not 0 <= level < report.m:
         raise QESDomainError(f"level must be in 0..{report.m - 1}")
     lv = report.levels[level]
     entry = chain_plan(report.m).entry(lv.chain)
     spec = ChainSpec(lv.chain, Fraction(report.m), entry.s)
-    fam = gen_family(spec, entry.critical_index + 2)
-    coeffs = []
-    for j in range(entry.critical_index + 3):
-        e = 2 * j if lv.chain == "P" else 2 * j + 1
-        coeffs.append(fam[j].eval_numeric(zeta, lv.script_energy) / math.factorial(e))
+    values = family_values(spec, entry.critical_index + 2, report.zeta, lv.script_energy)
+    odd = lv.chain == "Q"
+    coeffs = [value / math.factorial(2 * j + odd) for j, value in enumerate(values)]
     scale = max(abs(c) for c in coeffs)
     for j in range(entry.critical_index, entry.critical_index + 3):
         if abs(coeffs[j]) > 1e-9 * scale:
@@ -121,7 +123,7 @@ def build_qes_state(m: int, zeta: float, level: int) -> QESState:
         coeffs[j] = 0.0
     return QESState(
         m=report.m,
-        zeta=zeta,
+        zeta=report.zeta,
         level=level,
         chain=lv.chain,
         s=entry.s,

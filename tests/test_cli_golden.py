@@ -1,0 +1,109 @@
+"""Golden CLI outputs for M = 1..5 at zeta in {0.5, 1, 2}.
+
+Every subcommand's JSON output (stdout, stderr and exit code) is compared
+with the recorded file byte for byte.  The floats of `weights`, `moments`
+and `wavefunction` are the one exception: they are evaluated by float
+recursion, so they are compared at 1e-11 relative.
+
+Regenerate the file, after a change that is meant to alter outputs, with
+
+    PYTHONPATH=src python tests/test_cli_golden.py
+"""
+
+import contextlib
+import io
+import json
+from pathlib import Path
+
+import pytest
+
+from qespoly.cli import main
+
+GOLDEN = Path(__file__).parent / "golden" / "cli_m1_5.json"
+ZETAS = ("0.5", "1", "2")
+FLOAT_COMMANDS = ("weights", "moments", "wavefunction")
+FLOAT_REL = 1e-11
+
+
+def _cases() -> list:
+    cases = []
+    for m in range(1, 6):
+        quotient, qs = ("Pbar", "0") if m % 2 else ("Rbar", "1/2")
+        cases.append(["family", "--chain", "P", "--m", str(m), "--order", "4",
+                      "--format", "json"])
+        for z in ZETAS:
+            common = ["--m", str(m), "--zeta", z, "--format", "json"]
+            for chain, s in (("P", "0"), ("Q", "1/2"), ("R", "0"), (quotient, qs)):
+                cases.append(["family", "--chain", chain, "--s", s, "--order", "4"] + common)
+                if chain != "R":
+                    cases.append(["norms", "--chain", chain, "--s", s, "--order", "4"] + common)
+            cases.append(["spectrum"] + common)
+            for chain in ("P", "Q"):
+                cases.append(["weights", "--chain", chain] + common)
+                cases.append(["moments", "--chain", chain] + common)
+            cases.append(["duality"] + common)
+            for level in range(m):
+                cases.append(["wavefunction", "--level", str(level)] + common)
+            for family in ("dshg", "dsg"):
+                cases.append(["oracle", "--family", family, "--count", "4"] + common)
+            cases.append(["verify-all"] + common)
+    return cases
+
+
+def _run(argv) -> dict:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    return {"argv": list(argv), "exit": code, "stdout": out.getvalue(),
+            "stderr": err.getvalue()}
+
+
+def _close(got, want, path) -> None:
+    """Equal structure, floats within FLOAT_REL of each other.
+
+    A weight table's `residual` is the rounding residual of a solve whose
+    right-hand side is the unit vector, so it is compared on that unit
+    scale, not relative to itself.
+    """
+    if isinstance(want, float) and isinstance(got, float):
+        scale = 1.0 if path == "$.residual" else max(abs(got), abs(want))
+        assert abs(got - want) <= FLOAT_REL * scale, f"{path}: {got!r} != {want!r}"
+    elif isinstance(want, dict):
+        assert isinstance(got, dict) and sorted(got) == sorted(want), path
+        for key in want:
+            _close(got[key], want[key], f"{path}.{key}")
+    elif isinstance(want, list):
+        assert isinstance(got, list) and len(got) == len(want), path
+        for i, (a, b) in enumerate(zip(got, want)):
+            _close(a, b, f"{path}[{i}]")
+    else:
+        assert got == want, f"{path}: {got!r} != {want!r}"
+
+
+@pytest.fixture(scope="module")
+def golden() -> dict:
+    records = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    return {tuple(rec["argv"]): rec for rec in records}
+
+
+def test_cases_match_recorded_file(golden):
+    assert list(golden) == [tuple(argv) for argv in _cases()]
+
+
+@pytest.mark.parametrize("argv", _cases(), ids=" ".join)
+def test_cli_output_matches_golden(golden, argv):
+    rec = golden[tuple(argv)]
+    got = _run(argv)
+    assert (got["exit"], got["stderr"]) == (rec["exit"], rec["stderr"])
+    if argv[0] in FLOAT_COMMANDS and rec["exit"] == 0:
+        _close(json.loads(got["stdout"]), json.loads(rec["stdout"]), "$")
+    else:
+        assert got["stdout"] == rec["stdout"]
+
+
+if __name__ == "__main__":
+    GOLDEN.parent.mkdir(exist_ok=True)
+    records = [_run(argv) for argv in _cases()]
+    GOLDEN.write_text(json.dumps(records, indent=1, ensure_ascii=False) + "\n",
+                      encoding="utf-8")
+    print(f"wrote {len(records)} cases to {GOLDEN}")

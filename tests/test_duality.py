@@ -125,7 +125,39 @@ class TestPeriodicityCharacter:
             periodicity_character(np.ones(63))
 
 
+class TestEvenMSolvesOnce:
+    def test_dsg_spectrum_solves_the_spectrum_once(self, monkeypatch):
+        import qespoly.duality as duality
+        import qespoly.spectrum as spectrum
+        import qespoly.wavefunctions as wavefunctions
+
+        calls = []
+
+        def counting(m, zeta):
+            calls.append((m, zeta))
+            return spectrum.qes_energies(m, zeta)
+
+        monkeypatch.setattr(duality, "qes_energies", counting)
+        monkeypatch.setattr(wavefunctions, "qes_energies", counting)
+        outcome = dsg_spectrum(6, 1.0)
+        assert isinstance(outcome, DsgRejection)
+        assert outcome.characters == (ANTIPERIODIC,) * 6
+        assert calls == [(6, 1.0)]
+
+
 class TestDsgWeightsMoments:
+    @pytest.mark.parametrize("m,zeta", [(3, 1.0), (5, 0.7), (9, 2.0), (7, 1.3)])
+    def test_negate_and_reverse_of_sinh_gordon(self, m, zeta):
+        for chain in ("P", "Q"):
+            table, seq = dsg_weights_moments(m, zeta, chain)
+            src = weights(m, zeta, chain)
+            assert table.support == tuple((-e, w) for e, w in reversed(src.support))
+            src_mom = moments(m, zeta, chain, 12)
+            for n in range(13):
+                scale = sum(abs(w * e**n) for e, w in src.support)
+                assert abs(seq.values[n] - (-1) ** n * src_mom.values[n]) <= 1e-13 * scale
+
+
     def test_interchange_m3(self):
         for zeta in (0.5, 1.0, 2.0):
             table, _ = dsg_weights_moments(3, zeta, "P")

@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from qespoly.exactpoly import ENERGY_ONE, EnergyPoly, ParamPoly, poly_divide_exact
@@ -7,10 +8,12 @@ from qespoly.families import (
     ChainSpec,
     ChainSpecError,
     critical_index,
+    family_values,
     finkel_form,
     gen_R,
     gen_family,
     gen_quotient,
+    specialize_family,
     three_term_form,
 )
 
@@ -252,3 +255,44 @@ class TestFinkel:
         assert all(a > 0 for a in fin.a[1:])
         # |a_1| = 4*zeta*(M+3)(M+2)(2) = 240 at M=3, zeta=1
         assert fin.a[1] == pytest.approx(240.0)
+
+
+class TestRecursionAtZeta:
+    """The numeric core: the recursion run at one zeta, no bivariate chain."""
+
+    @pytest.mark.parametrize("kind", ["P", "Q"])
+    @pytest.mark.parametrize("s", [Fraction(0), HALF])
+    @pytest.mark.parametrize("m", [3, 4, 9, 10, 17])
+    @pytest.mark.parametrize("zr", [HALF, Fraction(3, 8), Fraction(0.7)])
+    def test_exact_specialisation_equals_specialized_chain(self, kind, s, m, zr):
+        spec = ChainSpec(kind, Fraction(m), s)
+        order = m // 2 + 2
+        fam = gen_family(spec, order)
+        got = specialize_family(spec, order, zr)
+        assert len(got) == order + 1
+        for n in range(order + 1):
+            assert got[n] == fam[n].specialize(zr)
+
+    def test_quotient_chain_specialisation(self):
+        spec = ChainSpec("Qbar", Fraction(5), HALF)
+        fam = gen_quotient(spec, 4)
+        got = specialize_family(spec, 4, Fraction(3, 8))
+        assert got == [p.specialize(Fraction(3, 8)) for p in fam.members]
+
+    @pytest.mark.parametrize("kind,m,s", [("P", 9, Fraction(0)), ("Q", 10, Fraction(0)),
+                                          ("P", 17, HALF), ("Q", 4, HALF)])
+    @pytest.mark.parametrize("zeta", [0.5, 0.7, 2.0])
+    def test_float_values_agree_with_horner(self, kind, m, s, zeta):
+        spec = ChainSpec(kind, Fraction(m), s)
+        order = m // 2 + 2
+        fam = gen_family(spec, order)
+        eps = np.array([-61.3, -7.25, -0.4, 0.0, 3.1, 48.0])
+        values = family_values(spec, order, zeta, eps)
+        assert len(values) == order + 1
+        for n, p in enumerate(fam.members):
+            for k, x in enumerate(eps):
+                # rounding scale of the expanded polynomial at x
+                scale = sum(abs(c.eval_float(zeta)) * abs(x) ** j
+                            for j, c in enumerate(p.coeffs))
+                assert abs(values[n][k] - p.eval_numeric(zeta, x)) <= 1e-13 * scale
+                assert family_values(spec, n, zeta, float(x))[n] == values[n][k]

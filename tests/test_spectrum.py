@@ -8,6 +8,7 @@ from qespoly.exactpoly import ParamPoly
 from qespoly.families import ChainSpec, gen_family, gen_quotient, three_term_form
 from qespoly.spectrum import (
     QESDomainError,
+    WeightTable,
     chain_plan,
     factorization_check,
     moments,
@@ -244,6 +245,30 @@ class TestCrosscheck:
                 continue
             rep = norm_weight_crosscheck(m, zeta, entry.chain_kind)
             assert rep.ok, rep
+
+
+class TestCrosscheckScale:
+    """The orthogonality sums are held to the rounding scale of their terms."""
+
+    def test_large_terms_pass(self):
+        # terms of order 1e11 cancel to rounding; an absolute bound rejects this
+        rep = norm_weight_crosscheck(8, 1.0, "Q")
+        assert rep.ok, rep
+        assert rep.orthogonality_max > 1e-9
+
+    def test_one_perturbed_weight_fails(self, monkeypatch):
+        import qespoly.spectrum as spectrum
+
+        true_weights = spectrum.weights
+
+        def perturbed(m, zeta, chain):
+            table = true_weights(m, zeta, chain)
+            (e0, w0), *rest = table.support
+            return WeightTable(table.chain, ((e0, w0 * (1 + 1e-6)), *rest),
+                               table.condition, table.residual)
+
+        monkeypatch.setattr(spectrum, "weights", perturbed)
+        assert not norm_weight_crosscheck(8, 1.0, "Q").ok
 
 
 class TestMoments:
