@@ -203,7 +203,7 @@ def _cmd_family(args) -> int:
     elif args.chain in QUOTIENT_KINDS:
         fam = gen_quotient(spec, args.order)
     else:
-        fam = gen_R(spec, max(args.order, 1))
+        fam = gen_R(spec, args.order)
     if zeta is None:
         rendered = [p.render() for p in fam.members]
         coeff_payload = rendered
@@ -256,6 +256,8 @@ def _cmd_norms(args) -> int:
     zeta = _parse_zeta(args.zeta, allow_symbolic=True)
     m = _parse_rational(args.m)
     s = _parse_rational(args.s)
+    if args.order < 0:
+        raise ValueError("order must be nonnegative")
     closed = [norms_closed(args.chain, m, s, n) for n in range(args.order + 1)]
     spec = ChainSpec(args.chain, m, s)
     fam = (gen_family if args.chain in MAIN_KINDS else gen_quotient)(spec, args.order + 1)

@@ -7,6 +7,13 @@ whose coefficients are ParamPoly.  Both are immutable and canonical
 (trailing zeros stripped; the zero polynomial has an empty coefficient
 tuple), so generated families can be compared coefficient for coefficient.
 
+Chains are not built by EnergyPoly products.  They are built on coefficient
+rows, rows[k][j] multiplying E**k zeta**j, whose entries are plain ints for
+integer M (Fractions otherwise, by the same code): step_rows makes one
+recursion step (E + b0 + b1*zeta)*p + c1*zeta*q as a shift, scalings and
+additions, and poly_divide_exact runs long division on rows.  Each result
+is wrapped as an EnergyPoly, with Fraction coefficients, once.
+
 Binary floats enter in exactly two places: numeric evaluation (eval_float;
 eval_numeric is Horner in E after Horner in zeta) and the real-root finder,
 which polishes companion-matrix eigenvalues with Newton steps and certifies
@@ -20,6 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import zip_longest
 
 import numpy as np
 
@@ -36,10 +44,11 @@ class RootCountMismatch(RuntimeError):
 
 def as_rational(x) -> Fraction:
     """Coerce ints, Fractions and binary floats to an exact Fraction."""
-    if isinstance(x, Fraction):
-        return x
+    # int first: an isinstance test against Fraction, an ABC, is slow for ints
     if isinstance(x, int):
         return Fraction(x)
+    if isinstance(x, Fraction):
+        return x
     if isinstance(x, float):
         return Fraction(x)
     raise TypeError(f"cannot represent {type(x).__name__} exactly")
@@ -192,11 +201,6 @@ class EnergyPoly:
         """The monic degree-one polynomial E."""
         return EnergyPoly((PARAM_ZERO, PARAM_ONE))
 
-    @staticmethod
-    def linear(constant: ParamPoly) -> "EnergyPoly":
-        """E + constant, for recursion steps."""
-        return EnergyPoly((constant, PARAM_ONE))
-
     def is_zero(self) -> bool:
         return not self.coeffs
 
@@ -297,6 +301,63 @@ ENERGY_ONE = EnergyPoly.const(1)
 ENERGY_ZERO = EnergyPoly.zero()
 
 
+# ----------------------------------------------------------------------
+# Coefficient rows
+# ----------------------------------------------------------------------
+#
+# rows[k][j] multiplies E**k zeta**j and is a plain number: an int when it
+# is integral (every entry of a chain at integer M), otherwise a Fraction.
+# Neither a row nor the list of rows ends in a zero, so the zero polynomial
+# is [].  Chains are generated and divided on rows and wrapped as
+# EnergyPoly once per result.
+
+def plain(x):
+    """x as an int when it is integral, otherwise unchanged."""
+    return x.numerator if x.denominator == 1 else x
+
+
+def to_rows(p: EnergyPoly) -> list:
+    return [[plain(c) for c in pc.coeffs] for pc in p.coeffs]
+
+
+def from_rows(rows) -> EnergyPoly:
+    return EnergyPoly(tuple(ParamPoly(row) for row in rows))
+
+
+def _trim(xs: list) -> list:
+    """Drop trailing zeros (0 in a row, [] in a list of rows) in place."""
+    while xs and not xs[-1]:
+        xs.pop()
+    return xs
+
+
+def step_rows(p: list, q: list, b0, b1, c1) -> list:
+    """Rows of (E + b0 + b1*zeta)*p + c1*zeta*q.
+
+    One shift in E, one shift in zeta, three scalings and the sums: no
+    general product and no normalisation for integer entries.
+    """
+    out = []
+    below = []
+    for k in range(max(len(p) + 1, len(q))):
+        cur = p[k] if k < len(p) else []
+        lag = q[k] if c1 and k < len(q) else []
+        shifted = [0] + [b1 * x + c1 * y for x, y in zip_longest(cur, lag, fillvalue=0)]
+        out.append(_trim([x + b0 * y + z for x, y, z
+                          in zip_longest(below, cur, shifted, fillvalue=0)]))
+        below = cur
+    return _trim(out)
+
+
+def _row_sub_product(acc: list, f: list, g: list) -> list:
+    """acc - f*g, for polynomials in zeta given as rows."""
+    out = acc + [0] * (len(f) + len(g) - 1 - len(acc))
+    for i, x in enumerate(f):
+        for j, y in enumerate(g):
+            out[i + j] -= x * y
+    return _trim(out)
+
+
 def poly_arith(a: EnergyPoly, b: EnergyPoly, op: str) -> EnergyPoly:
     """Exact add/sub/mul on energy polynomials."""
     if op == "add":
@@ -313,23 +374,27 @@ def poly_divide_exact(a: EnergyPoly, b: EnergyPoly):
 
     The divisor's leading coefficient must be a nonzero rational constant
     (in practice every divisor here is monic); a zeta-dependent leading
-    coefficient is not invertible in Q[zeta] and is rejected.
+    coefficient is not invertible in Q[zeta] and is rejected.  The division
+    runs on coefficient rows, and q and r are wrapped as EnergyPoly once.
     """
     if b.is_zero():
         raise ZeroDivisionError("division by the zero polynomial")
     lead = b.leading()
     if lead.degree() > 0:
         raise ExactDivisionError("non-divisible leading coefficient")
-    inv = 1 / lead.coeffs[0]
-    quo = EnergyPoly.zero()
-    rem = a
-    while not rem.is_zero() and rem.degree() >= b.degree():
-        shift = rem.degree() - b.degree()
-        factor = rem.leading().scale(inv)
-        term = EnergyPoly((PARAM_ZERO,) * shift + (factor,))
-        quo = quo + term
-        rem = rem - term * b
-    return quo, rem
+    inv = plain(1 / lead.coeffs[0])
+    divisor, rem = to_rows(b), to_rows(a)
+    db = len(divisor) - 1
+    quo = [[] for _ in range(len(rem) - db)]
+    for shift in range(len(rem) - 1 - db, -1, -1):
+        top = rem[shift + db]
+        if not top:
+            continue
+        quo[shift] = factor = [c * inv for c in top]
+        for i in range(db):
+            rem[shift + i] = _row_sub_product(rem[shift + i], factor, divisor[i])
+        rem[shift + db] = []
+    return from_rows(quo), from_rows(rem)
 
 
 def eval_numeric(p: EnergyPoly, zeta: float, eps: float) -> float:

@@ -13,6 +13,11 @@ terminates, and every later member factors through the critical member; the
 four quotient chains (Pbar, Qbar for odd M; Rbar, Sbar for even M) are the
 cofactors of that factorization and are generated here by the same
 recursion with the index shifted past the critical member.
+
+Every chain is generated on exactpoly coefficient rows, one step_rows call
+per member (integers throughout for integer M), and each member is wrapped
+as an EnergyPoly once, after the recursion.  The numeric recursions at one
+zeta (specialize_family, family_values) read the same step coefficients.
 """
 
 from __future__ import annotations
@@ -21,10 +26,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .exactpoly import (
-    ENERGY_ONE,
     EnergyPoly,
     ParamPoly,
     as_rational,
+    from_rows,
+    plain,
+    step_rows,
 )
 
 MAIN_KINDS = ("P", "Q")
@@ -116,22 +123,14 @@ class FinkelForm:
     a_signs_before_termination: tuple
 
 
-def _b_p(m: Fraction, s: Fraction, n: int) -> ParamPoly:
-    const = 4 * n * n + 8 * n * (s - 1) + 4 * s * s - 8 * s + 4
-    return ParamPoly((const, 8 * n - 6))
+def _p_step(m: Fraction, s: Fraction, n: int) -> tuple:
+    b0 = 4 * n * n + 8 * n * (s - 1) + 4 * s * s - 8 * s + 4
+    return b0, 8 * n - 6, 8 * (n - 1) * (2 * n - 3) * (m + 3 - 2 * s - 2 * n)
 
 
-def _c_p(m: Fraction, s: Fraction, n: int) -> ParamPoly:
-    return ParamPoly.monomial(8 * (n - 1) * (2 * n - 3) * (m + 3 - 2 * s - 2 * n), 1)
-
-
-def _b_q(m: Fraction, s: Fraction, n: int) -> ParamPoly:
-    const = 4 * n * n + 4 * n * (2 * s - 1) + 4 * s * s - 4 * s + 1
-    return ParamPoly((const, 8 * n - 2))
-
-
-def _c_q(m: Fraction, s: Fraction, n: int) -> ParamPoly:
-    return ParamPoly.monomial(8 * (n - 1) * (2 * n - 1) * (m + 2 - 2 * s - 2 * n), 1)
+def _q_step(m: Fraction, s: Fraction, n: int) -> tuple:
+    b0 = 4 * n * n + 4 * n * (2 * s - 1) + 4 * s * s - 4 * s + 1
+    return b0, 8 * n - 2, 8 * (n - 1) * (2 * n - 1) * (m + 2 - 2 * s - 2 * n)
 
 
 def critical_index(kind: str, m: Fraction, s: Fraction) -> Fraction:
@@ -143,13 +142,9 @@ def critical_index(kind: str, m: Fraction, s: Fraction) -> Fraction:
     raise ChainSpecError(f"no critical index for chain {kind!r}")
 
 
-def recursion_coeffs(spec: ChainSpec, n: int):
-    """(B_n, C_n) of the monic step at index n >= 1; C_1 is identically zero.
-
-    Quotient chains reuse the parent recursion with the index offset past
-    the critical member, which is exactly what long division of the parent
-    chain produces (the offset lands index 1 on the vanished lag term).
-    """
+def _step(spec: ChainSpec, n: int) -> tuple:
+    """(b0, b1, c1) with B_n = b0 + b1*zeta and C_n = c1*zeta, as plain
+    numbers (ints for integer M)."""
     if n < 1:
         raise ValueError("recursion index starts at 1")
     kind, m, s = spec.kind, spec.m, spec.s
@@ -158,10 +153,23 @@ def recursion_coeffs(spec: ChainSpec, n: int):
         offset = critical_index(base, m, s)
         kind, n = base, n + int(offset)
     if kind == "P":
-        return _b_p(m, s, n), _c_p(m, s, n)
-    if kind == "Q":
-        return _b_q(m, s, n), _c_q(m, s, n)
-    raise ChainSpecError(f"chain {spec.kind!r} has no adjacent three-term step")
+        step = _p_step(m, s, n)
+    elif kind == "Q":
+        step = _q_step(m, s, n)
+    else:
+        raise ChainSpecError(f"chain {spec.kind!r} has no adjacent three-term step")
+    return tuple(plain(x) for x in step)
+
+
+def recursion_coeffs(spec: ChainSpec, n: int):
+    """(B_n, C_n) of the monic step at index n >= 1; C_1 is identically zero.
+
+    Quotient chains reuse the parent recursion with the index offset past
+    the critical member, which is exactly what long division of the parent
+    chain produces (the offset lands index 1 on the vanished lag term).
+    """
+    b0, b1, c1 = _step(spec, n)
+    return ParamPoly((b0, b1)), ParamPoly.monomial(c1, 1)
 
 
 def specialize_family(spec: ChainSpec, order: int, zeta) -> list:
@@ -175,8 +183,8 @@ def specialize_family(spec: ChainSpec, order: int, zeta) -> list:
     z = as_rational(zeta)
     members = [[Fraction(1)]]
     for n in range(1, order + 1):
-        b, c = recursion_coeffs(spec, n)
-        bz, cz = b.eval_exact(z), c.eval_exact(z)
+        b0, b1, c1 = _step(spec, n)
+        bz, cz = b0 + b1 * z, c1 * z
         prev = members[-1]
         new = [Fraction(0)] + prev
         for k, p in enumerate(prev):
@@ -196,10 +204,10 @@ def family_values(spec: ChainSpec, order: int, zeta: float, eps) -> list:
     """
     values = [eps * 0.0 + 1.0]
     for n in range(1, order + 1):
-        b, c = recursion_coeffs(spec, n)
-        new = (eps + b.eval_float(zeta)) * values[-1]
+        b0, b1, c1 = _step(spec, n)
+        new = (eps + (float(b1) * zeta + float(b0))) * values[-1]
         if n >= 2:
-            new = new + c.eval_float(zeta) * values[-2]
+            new = new + float(c1) * zeta * values[-2]
         values.append(new)
     return values
 
@@ -215,23 +223,23 @@ def _termination(spec: ChainSpec) -> int | None:
     return None
 
 
+def _check_order(order: int) -> None:
+    if order < 0:
+        raise ValueError("order must be nonnegative")
+
+
 def _generate(spec: ChainSpec, order: int) -> tuple:
-    members = [ENERGY_ONE]
+    _check_order(order)
+    rows = [[[1]]]
     for n in range(1, order + 1):
-        b, c = recursion_coeffs(spec, n)
-        new = EnergyPoly.linear(b) * members[n - 1]
-        if n >= 2 and not c.is_zero():
-            new = new + members[n - 2].scale(c)
-        members.append(new)
-    return tuple(members)
+        rows.append(step_rows(rows[n - 1], rows[n - 2] if n >= 2 else [], *_step(spec, n)))
+    return tuple(from_rows(r) for r in rows)
 
 
 def gen_family(spec: ChainSpec, order: int) -> PolyFamily:
     """Generate members 0..order of a main chain (P or Q) exactly."""
     if spec.kind not in MAIN_KINDS:
         raise ChainSpecError("gen_family handles the P and Q chains")
-    if order < 0:
-        raise ValueError("order must be nonnegative")
     return PolyFamily(spec, _generate(spec, order), _termination(spec))
 
 
@@ -253,20 +261,17 @@ def gen_R(spec: ChainSpec, order: int) -> PolyFamily:
     """
     if spec.kind != "R":
         raise ChainSpecError("gen_R handles the combined chain")
-    if order < 1:
-        raise ValueError("need at least the two seed members")
+    _check_order(order)
     m, s = spec.m, spec.s
-    members = [ENERGY_ONE, ENERGY_ONE]
+    rows = [[[1]], [[1]]]
     for n in range(0, order - 1):
-        b = ParamPoly((n * n + 4 * s * n + 4 * s * s, 4 * n + 2))
-        c = ParamPoly.monomial(4 * (m + 1 - 2 * s - n) * n * (n - 1), 1)
-        new = EnergyPoly.linear(b) * members[n]
-        if n >= 2 and not c.is_zero():
-            new = new + members[n - 2].scale(c)
-        members.append(new)
+        b0 = plain((n + 2 * s) ** 2)
+        c1 = plain(4 * (m + 1 - 2 * s - n) * n * (n - 1))
+        rows.append(step_rows(rows[n], rows[n - 2] if n >= 2 else [], b0, 4 * n + 2, c1))
+    members = tuple(from_rows(r) for r in rows[: order + 1])
     term = m + 3 - 2 * s
     termination = int(term) if term.denominator == 1 and term >= 4 else None
-    return PolyFamily(spec, tuple(members[: order + 1]), termination)
+    return PolyFamily(spec, members, termination)
 
 
 def three_term_form(family: PolyFamily) -> ThreeTermForm:

@@ -26,6 +26,26 @@ class TestFamilyCommand:
         assert code == 0
         assert out.strip().splitlines()[-1] == "1"
 
+    def test_r_order_zero_prints_r0_only(self, capsys):
+        code, out, _ = run(capsys, "family", "--chain", "R", "--order", "0",
+                           "--format", "json")
+        assert code == 0
+        assert json.loads(out)["family"]["members"] == ["1"]
+
+    @pytest.mark.parametrize("argv", [
+        ("family", "--chain", "P", "--order", "-1"),
+        ("family", "--chain", "Pbar", "--m", "3", "--s", "0", "--order", "-1"),
+        ("family", "--chain", "R", "--order", "-1"),
+        ("family", "--chain", "R", "--order", "-3"),
+        ("norms", "--order", "-1"),
+        ("norms", "--chain", "Pbar", "--m", "3", "--s", "0", "--order", "-1"),
+    ])
+    def test_negative_order_is_domain_error(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert "order must be nonnegative" in err
+
     def test_numeric_zeta(self, capsys):
         code, out, _ = run(capsys, "family", "--m", "3", "--s", "0",
                            "--order", "2", "--zeta", "1", "--format", "json")

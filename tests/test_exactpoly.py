@@ -8,10 +8,13 @@ from qespoly.exactpoly import (
     EnergyPoly,
     ExactDivisionError,
     ParamPoly,
+    from_rows,
     poly_arith,
     poly_divide_exact,
     real_roots,
+    step_rows,
     sturm_real_root_count,
+    to_rows,
 )
 
 
@@ -104,6 +107,67 @@ class TestDivision:
         bad = EnergyPoly((ParamPoly.const(1), ParamPoly((0, 1))))  # zE + 1
         with pytest.raises(ExactDivisionError, match="non-divisible leading coefficient"):
             poly_divide_exact(E_PLUS_2Z * E_PLUS_2Z, bad)
+
+    def test_zeta_constant_divisor_rejected(self):
+        with pytest.raises(ExactDivisionError, match="non-divisible leading coefficient"):
+            poly_divide_exact(E_PLUS_2Z, EnergyPoly((ParamPoly((0, 1)),)))  # z
+
+    def test_zero_divisor_rejected(self):
+        with pytest.raises(ZeroDivisionError):
+            poly_divide_exact(E_PLUS_2Z, EnergyPoly.zero())
+
+    def test_monic_divisor_with_remainder(self):
+        # E^2 + 3 = (E - 2z)(E + 2z) + 4z^2 + 3
+        q, r = poly_divide_exact(e_poly(3, 0, 1), E_PLUS_2Z)
+        assert q == e_poly((0, -2), 1)
+        assert r == e_poly((3, 0, 4))
+
+    def test_non_monic_constant_lead_is_inverted_exactly(self):
+        # E^2 + z = (E/3 - z/9)(3E + z) + z^2/9 + z
+        b = e_poly((0, 1), 3)
+        q, r = poly_divide_exact(e_poly((0, 1), 0, 1), b)
+        assert q == e_poly((0, Fraction(-1, 9)), Fraction(1, 3))
+        assert r == e_poly((0, 1, Fraction(1, 9)))
+        assert q * b + r == e_poly((0, 1), 0, 1)
+        for p in (q, r):
+            assert all(type(x) is Fraction for c in p.coeffs for x in c.coeffs)
+
+    def test_constant_divisor(self):
+        q, r = poly_divide_exact(E_PLUS_18Z_16, EnergyPoly.const(2))
+        assert q == e_poly((8, 9), Fraction(1, 2)) and r.is_zero()
+
+    def test_lower_degree_dividend(self):
+        q, r = poly_divide_exact(E_PLUS_2Z, E_PLUS_2Z * E_PLUS_18Z_16)
+        assert q.is_zero() and r == E_PLUS_2Z
+
+
+class TestRows:
+    def test_step_matches_general_product(self):
+        rng = random.Random(5)
+
+        def rand_rows(deg, rational):
+            rows = []
+            for _ in range(deg):
+                rows.append([Fraction(rng.randint(-9, 9), rng.randint(1, 4)) if rational
+                             else rng.randint(-9, 9) for _ in range(rng.randint(1, 4))])
+            return rows + [[1]]
+
+        for rational in (False, True):
+            for _ in range(30):
+                p, q = rand_rows(rng.randint(0, 4), rational), rand_rows(rng.randint(0, 3), rational)
+                b0, b1 = rng.randint(-5, 5), rng.randint(-5, 5)
+                c1 = Fraction(rng.randint(-5, 5), 3) if rational else rng.randint(-5, 5)
+                got = from_rows(step_rows(p, q, b0, b1, c1))
+                pp, qq = from_rows(p), from_rows(q)
+                want = EnergyPoly((ParamPoly((b0, b1)), ParamPoly.const(1))) * pp \
+                    + qq.scale(ParamPoly.monomial(c1, 1))
+                assert got == want
+                assert to_rows(got) == step_rows(p, q, b0, b1, c1)
+
+    def test_integer_rows_hold_ints(self):
+        rows = to_rows(E_PLUS_2Z * E_PLUS_18Z_16)
+        assert rows == [[0, 32, 36], [16, 20], [1]]
+        assert all(type(x) is int for row in rows for x in row)
 
 
 class TestEval:

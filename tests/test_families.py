@@ -13,6 +13,7 @@ from qespoly.families import (
     gen_R,
     gen_family,
     gen_quotient,
+    recursion_coeffs,
     specialize_family,
     three_term_form,
 )
@@ -174,9 +175,79 @@ class TestThreeTerm:
         fam = gen_family(spec, 6)
         form = three_term_form(fam)
         for n in range(2, 7):
-            want = EnergyPoly.linear(form.b[n - 1]) * fam[n - 1] \
+            want = _linear(form.b[n - 1]) * fam[n - 1] \
                 + fam[n - 2].scale(form.c[n - 1])
             assert fam[n] == want
+
+
+def _linear(b: ParamPoly) -> EnergyPoly:
+    """E + b, as a general EnergyPoly."""
+    return EnergyPoly((b, ParamPoly.const(1)))
+
+
+def _reference_chain(spec: ChainSpec, order: int) -> list:
+    """Members 0..order by general bivariate products, independent of the
+    coefficient rows: (E + B_n) * member_{n-1} + C_n * member_{n-2}, and
+    for R the combined recursion written out from its docstring."""
+    if spec.kind != "R":
+        members = [ENERGY_ONE]
+        for n in range(1, order + 1):
+            b, c = recursion_coeffs(spec, n)
+            new = _linear(b) * members[n - 1]
+            if n >= 2:
+                new = new + members[n - 2].scale(c)
+            members.append(new)
+        return members
+    m, s = spec.m, spec.s
+    members = [ENERGY_ONE, ENERGY_ONE]
+    for n in range(order - 1):
+        b = ParamPoly((n * n + 4 * s * n + 4 * s * s, 4 * n + 2))
+        c = ParamPoly.monomial(4 * (m + 1 - 2 * s - n) * n * (n - 1), 1)
+        new = _linear(b) * members[n]
+        if n >= 2:
+            new = new + members[n - 2].scale(c)
+        members.append(new)
+    return members[: order + 1]
+
+
+_GENERATORS = {"P": gen_family, "Q": gen_family, "R": gen_R, "Pbar": gen_quotient,
+               "Qbar": gen_quotient, "Rbar": gen_quotient, "Sbar": gen_quotient}
+
+_ROW_KERNEL_CASES = [
+    (kind, m, s)
+    for kind in ("P", "Q", "R")
+    for m in (Fraction(3), Fraction(4), Fraction(5, 2), Fraction(7, 3))
+    for s in (Fraction(0), HALF)
+] + [
+    ("Pbar", Fraction(3), Fraction(0)), ("Pbar", Fraction(5), Fraction(0)),
+    ("Qbar", Fraction(3), HALF), ("Qbar", Fraction(5), HALF),
+    ("Rbar", Fraction(4), HALF), ("Rbar", Fraction(6), HALF),
+    ("Sbar", Fraction(4), Fraction(0)), ("Sbar", Fraction(6), Fraction(0)),
+]
+
+
+class TestRowKernel:
+    """Chains built on coefficient rows equal the general-product recursion."""
+
+    @pytest.mark.parametrize("kind,m,s", _ROW_KERNEL_CASES)
+    def test_rows_match_general_product(self, kind, m, s):
+        spec = ChainSpec(kind, m, s)
+        fam = _GENERATORS[kind](spec, 9)
+        assert list(fam.members) == _reference_chain(spec, 9)
+        for p in fam.members:
+            for c in p.coeffs:
+                assert all(type(x) is Fraction for x in c.coeffs), p.render()
+
+    @pytest.mark.parametrize("kind", sorted(_GENERATORS))
+    def test_order_zero_is_the_seed(self, kind):
+        spec = next(ChainSpec(*case) for case in _ROW_KERNEL_CASES if case[0] == kind)
+        assert _GENERATORS[kind](spec, 0).members == (ENERGY_ONE,)
+
+    @pytest.mark.parametrize("kind", sorted(_GENERATORS))
+    def test_negative_order_rejected(self, kind):
+        spec = next(ChainSpec(*case) for case in _ROW_KERNEL_CASES if case[0] == kind)
+        with pytest.raises(ValueError, match="order must be nonnegative"):
+            _GENERATORS[kind](spec, -1)
 
 
 class TestQuotients:
