@@ -22,17 +22,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .potentials import (
-    PotentialSpec,
-    dsg as dsg_potential,
-    dshg as dshg_potential,
-    phi6_kink,
-    phi6_kink_dual,
-    potential_eval,
-    sextic_minus,
-    sextic_plus,
-    sextic_qes_levels,
-)
 from .spectrum import (
     QESDomainError,
     QESLevel,
@@ -44,15 +33,6 @@ from .spectrum import (
 from .wavefunctions import _state_from_report
 
 __all__ = [
-    "PotentialSpec",
-    "potential_eval",
-    "dshg_potential",
-    "dsg_potential",
-    "phi6_kink",
-    "phi6_kink_dual",
-    "sextic_plus",
-    "sextic_minus",
-    "sextic_qes_levels",
     "DualReport",
     "DsgRejection",
     "dual_energies",

@@ -54,11 +54,12 @@ def as_rational(x) -> Fraction:
     raise TypeError(f"cannot represent {type(x).__name__} exactly")
 
 
-def _strip(coeffs):
-    end = len(coeffs)
-    while end > 0 and not coeffs[end - 1]:
-        end -= 1
-    return tuple(coeffs[:end])
+def _trim(xs: list) -> list:
+    """Drop trailing zeros (0, a zero polynomial, [] in a list of rows) in
+    place and return xs; pass a copy where the caller's list must stay."""
+    while xs and not xs[-1]:
+        xs.pop()
+    return xs
 
 
 @dataclass(frozen=True)
@@ -71,7 +72,9 @@ class ParamPoly:
     coeffs: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "coeffs", _strip([as_rational(c) for c in self.coeffs]))
+        object.__setattr__(
+            self, "coeffs", tuple(_trim([as_rational(c) for c in self.coeffs]))
+        )
 
     @staticmethod
     def const(value) -> "ParamPoly":
@@ -185,7 +188,7 @@ class EnergyPoly:
 
     def __post_init__(self):
         object.__setattr__(
-            self, "coeffs", _strip([_coerce_param(c) for c in self.coeffs])
+            self, "coeffs", tuple(_trim([_coerce_param(c) for c in self.coeffs]))
         )
 
     @staticmethod
@@ -254,7 +257,7 @@ class EnergyPoly:
     def specialize(self, zeta) -> list:
         """Exact univariate coefficients in E at a rational zeta value."""
         z = as_rational(zeta)
-        return list(_strip([c.eval_exact(z) for c in self.coeffs]))
+        return _trim([c.eval_exact(z) for c in self.coeffs])
 
     def eval_numeric(self, zeta: float, eps: float) -> float:
         """Float value at (zeta, shifted energy eps) by nested Horner."""
@@ -322,13 +325,6 @@ def to_rows(p: EnergyPoly) -> list:
 
 def from_rows(rows) -> EnergyPoly:
     return EnergyPoly(tuple(ParamPoly(row) for row in rows))
-
-
-def _trim(xs: list) -> list:
-    """Drop trailing zeros (0 in a row, [] in a list of rows) in place."""
-    while xs and not xs[-1]:
-        xs.pop()
-    return xs
 
 
 def step_rows(p: list, q: list, b0, b1, c1) -> list:
@@ -405,13 +401,6 @@ def eval_numeric(p: EnergyPoly, zeta: float, eps: float) -> float:
 # Sturm chains and real roots
 # ----------------------------------------------------------------------
 
-def _uni_strip(c):
-    c = list(c)
-    while c and not c[-1]:
-        c.pop()
-    return c
-
-
 def _uni_deriv(c):
     return [k * c[k] for k in range(1, len(c))]
 
@@ -422,17 +411,17 @@ def _uni_rem(a, b):
     db = len(b) - 1
     lb = b[-1]
     while len(a) - 1 >= db and any(a):
-        a = _uni_strip(a)
+        _trim(a)
         if len(a) - 1 < db:
             break
         f = a[-1] / lb
         shift = len(a) - 1 - db
         for i, bc in enumerate(b):
             a[shift + i] -= f * bc
-        a = _uni_strip(a)
+        _trim(a)
         if not a:
             break
-    return _uni_strip(a)
+    return _trim(a)
 
 
 def sturm_real_root_count(coeffs) -> int:
@@ -441,10 +430,10 @@ def sturm_real_root_count(coeffs) -> int:
     coeffs[k] is the Fraction coefficient of x**k; chain signs are taken at
     both infinities from leading terms.
     """
-    c = _uni_strip([as_rational(x) for x in coeffs])
+    c = _trim([as_rational(x) for x in coeffs])
     if len(c) <= 1:
         return 0
-    chain = [c, _uni_strip(_uni_deriv(c))]
+    chain = [c, _trim(_uni_deriv(c))]
     while chain[-1]:
         r = _uni_rem(chain[-2], chain[-1])
         if not r:
@@ -476,7 +465,7 @@ def real_roots(p, zeta=None) -> list:
     into multiplicities, and the number of distinct real roots is certified
     against a Sturm count of the exact polynomial.
     """
-    exact = _uni_strip(p) if zeta is None else p.specialize(as_rational(zeta))
+    exact = _trim(list(p)) if zeta is None else p.specialize(as_rational(zeta))
     if not exact:
         raise ValueError("polynomial vanishes identically at this zeta")
     deg = len(exact) - 1

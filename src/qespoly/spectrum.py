@@ -14,6 +14,10 @@ on the parity of M:
 The discrete weight function supported on a chain's own levels makes that
 chain an orthogonal set; weights are generically indefinite here, which the
 sign pattern of the recursion (all a_k < 0 before termination) predicts.
+They have one solve path: the float linear system sum_k p_n(E_k) w_k =
+delta_n0 at the isolated roots, with its residual bounded and its condition
+number reported.  Moments, the norm crosscheck and the sine-Gordon weights
+all take their tables from it.
 
 Levels, weights, moments and the crosscheck run the three-term recursion at
 the given zeta: exactly (families.specialize_family) for the critical member
@@ -23,7 +27,6 @@ values at the levels.  Only the factorization check builds bivariate chains.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -116,7 +119,7 @@ class WeightTable:
     support: tuple            # ((E_k, w_k), ...) ascending in E
     condition: float
     residual: float
-    exact: bool = False
+    exact: bool = False       # kept for the JSON schema; the solve is float
 
     def weights(self) -> list:
         return [w for _, w in self.support]
@@ -331,117 +334,23 @@ def norms_from_recursion(form: ThreeTermForm, zeta: float | None = None) -> Norm
 # Weights
 # ----------------------------------------------------------------------
 
-def _divisors(n: int, budget: int = 200000):
-    n = abs(n)
-    if n == 0 or n > 10**12:
-        return None
-    out = []
-    d = 1
-    steps = 0
-    while d * d <= n:
-        steps += 1
-        if steps > budget:
-            return None
-        if n % d == 0:
-            out.append(d)
-            if d != n // d:
-                out.append(n // d)
-        d += 1
-    return sorted(out)
-
-
-def _exact_rational_roots(uni: list) -> list | None:
-    """All roots as Fractions if every root is rational, else None."""
-    coeffs = list(uni)
-    roots = []
-    while coeffs and coeffs[0] == 0:
-        roots.append(Fraction(0))
-        coeffs = coeffs[1:]
-    while len(coeffs) > 1:
-        den = 1
-        for c in coeffs:
-            den = den * c.denominator // math.gcd(den, c.denominator)
-        ints = [int(c * den) for c in coeffs]
-        ps = _divisors(ints[0])
-        qs = _divisors(ints[-1])
-        if ps is None or qs is None:
-            return None
-        found = None
-        for p in ps:
-            for q in qs:
-                for cand in (Fraction(p, q), Fraction(-p, q)):
-                    acc = Fraction(0)
-                    for c in reversed(coeffs):
-                        acc = acc * cand + c
-                    if acc == 0:
-                        found = cand
-                        break
-                if found is not None:
-                    break
-            if found is not None:
-                break
-        if found is None:
-            return None
-        roots.append(found)
-        # synthetic deflation by (x - found)
-        new = []
-        acc = Fraction(0)
-        for c in reversed(coeffs):
-            acc = acc * found + c
-            new.append(acc)
-        coeffs = list(reversed(new[:-1]))
-    return sorted(roots)
-
-
-def _exact_solve(a, rhs):
-    """Gaussian elimination over Fractions; a is a list of rows."""
-    n = len(a)
-    m = [row[:] + [rhs[i]] for i, row in enumerate(a)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if piv is None:
-            raise QESDomainError("degenerate support")
-        m[col], m[piv] = m[piv], m[col]
-        inv = 1 / m[col][col]
-        m[col] = [x * inv for x in m[col]]
-        for r in range(n):
-            if r != col and m[r][col] != 0:
-                f = m[r][col]
-                m[r] = [x - f * y for x, y in zip(m[r], m[col])]
-    return [m[r][n] for r in range(n)]
-
-
 def weights(m, zeta: float, chain: str) -> WeightTable:
     """Discrete weights on a chain's own levels from sum_k p_n(E_k) w_k = delta_n0.
 
-    The square system runs over n = 0 .. (level count - 1).  The float path
-    uses a partial-pivot solve with the condition number recorded; when
-    every critical root is rational at this zeta (detected by the rational
-    root theorem on the integerized polynomial) the system is solved in
-    exact arithmetic instead.
+    The square system runs over n = 0 .. (level count - 1): the chain is
+    specialised once at zeta, its critical member's roots are isolated
+    (chain_roots), the members are evaluated there in floats
+    (family_values), and the system is solved by partial pivoting.  The
+    residual must stay within 1e-10 and the condition number is recorded.
+    Every table comes from this float solve, so its `exact` flag is False.
     """
     m = _require_positive_int(m)
     entry = chain_plan(m).entry(chain)
-    if entry.level_count < 1:
-        raise QESDomainError("chain has no QES levels")
     count = entry.level_count
     shift = (m + zeta) ** 2
     spec = _chain_spec(m, entry)
-    members = specialize_family(spec, entry.critical_index, zeta)
-
-    exact_roots = _exact_rational_roots(members[-1])
-    if exact_roots is not None:
-        if len(set(exact_roots)) != len(exact_roots):
-            raise QESDomainError("degenerate support")
-        rows = [[_eval_uni(members[n], rk) for rk in exact_roots] for n in range(count)]
-        rhs = [Fraction(1)] + [Fraction(0)] * (count - 1)
-        sol = _exact_solve(rows, rhs)
-        support = tuple(
-            (float(r) + shift, float(w)) for r, w in zip(exact_roots, sol)
-        )
-        return WeightTable(chain, support, condition=1.0, residual=0.0, exact=True)
-
-    roots = chain_roots(members[-1], entry)
+    critical = specialize_family(spec, entry.critical_index, zeta)[-1]
+    roots = chain_roots(critical, entry)
     a = np.array(family_values(spec, count - 1, zeta, np.array(roots)))
     rhs = np.zeros(count)
     rhs[0] = 1.0
@@ -455,13 +364,6 @@ def weights(m, zeta: float, chain: str) -> WeightTable:
     cond = float(np.linalg.cond(a))
     support = tuple((r + shift, float(w)) for r, w in zip(roots, sol))
     return WeightTable(chain, support, condition=cond, residual=residual)
-
-
-def _eval_uni(coeffs, x: Fraction) -> Fraction:
-    acc = Fraction(0)
-    for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc
 
 
 @dataclass(frozen=True)
@@ -515,6 +417,8 @@ def moments(m, zeta: float, chain: str, n_max: int) -> MomentSequence:
     alongside, not asserted.
     """
     m = _require_positive_int(m)
+    if n_max < 0:
+        raise ValueError("order must be nonnegative")
     return _moment_sequence(weights(m, zeta, chain), m, zeta, n_max)
 
 

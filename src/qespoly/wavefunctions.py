@@ -51,17 +51,7 @@ class QESState:
 
     def eval(self, x):
         """State value on the line; accepts scalars or arrays."""
-        x = np.asarray(x, dtype=float)
-        u = np.cosh(x)
-        series = np.zeros_like(u)
-        for j, c in enumerate(self.coeffs):
-            if c:
-                series = series + c * u ** self.series_exponent(j)
-        pref = np.exp(-0.5 * self.zeta * np.cosh(2.0 * x))
-        if self.s:
-            pref = pref * np.sqrt(2.0) * np.sinh(x)
-        v = pref * series
-        return v if v.shape else float(v)
+        return self._series(x, np.cosh, np.sinh)
 
     def eval_dual(self, theta):
         """Circle image of the state under x -> i*theta (cosh -> cos).
@@ -70,15 +60,19 @@ class QESState:
         comparisons against closed circle states are made after projecting
         out scale and global sign anyway.
         """
-        theta = np.asarray(theta, dtype=float)
-        u = np.cos(theta)
+        return self._series(theta, np.cos, np.sin)
+
+    def _series(self, x, even, odd):
+        """Prefactor times series with u = even(x); odd(x) is the odd branch."""
+        x = np.asarray(x, dtype=float)
+        u = even(x)
         series = np.zeros_like(u)
         for j, c in enumerate(self.coeffs):
             if c:
                 series = series + c * u ** self.series_exponent(j)
-        pref = np.exp(-0.5 * self.zeta * np.cos(2.0 * theta))
+        pref = np.exp(-0.5 * self.zeta * even(2.0 * x))
         if self.s:
-            pref = pref * np.sqrt(2.0) * np.sin(theta)
+            pref = pref * np.sqrt(2.0) * odd(x)
         v = pref * series
         return v if v.shape else float(v)
 

@@ -39,6 +39,7 @@ class TestFamilyCommand:
         ("family", "--chain", "R", "--order", "-3"),
         ("norms", "--order", "-1"),
         ("norms", "--chain", "Pbar", "--m", "3", "--s", "0", "--order", "-1"),
+        ("moments", "--m", "3", "--zeta", "1", "--order", "-1"),
     ])
     def test_negative_order_is_domain_error(self, capsys, argv):
         code, out, err = run(capsys, *argv)

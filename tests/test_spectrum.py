@@ -210,10 +210,9 @@ class TestWeights:
     def test_m4_q_at_unit_zeta(self):
         assert weights(4, 1.0, "Q").weights() == pytest.approx([-0.5, 1.5], abs=1e-12)
 
-    def test_exact_path_at_rational_point(self):
+    def test_float_solve_at_rational_point(self):
         # 1 + 4 zeta^2 = (5/4)^2 at zeta = 3/8: all roots rational
         table = weights(3, 0.375, "P")
-        assert table.exact
         assert table.weights() == pytest.approx([-0.2, 1.2], abs=1e-15)
 
     def test_support_is_spectrum(self):
