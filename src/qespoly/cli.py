@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import random
 import sys
 from fractions import Fraction
@@ -129,9 +130,12 @@ def _parse_zeta(text: str | None, allow_symbolic: bool):
             return None
         raise UsageError("this command needs --zeta <real>")
     try:
-        return float(text)
+        zeta = float(text)
     except ValueError as exc:
         raise UsageError(f"not a number: --zeta {text!r}") from exc
+    if not math.isfinite(zeta):
+        raise QESDomainError(f"zeta must be finite, got {text!r}")
+    return zeta
 
 
 def _fmt(x: float) -> str:

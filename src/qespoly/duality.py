@@ -28,6 +28,7 @@ from .spectrum import (
     SpectrumReport,
     _moment_sequence,
     qes_energies,
+    require_qes_domain,
     weights,
 )
 from .wavefunctions import _state_from_report
@@ -131,9 +132,7 @@ def dsg_spectrum(m: int, zeta: float):
     level.  Even M: every candidate state is odd under a half turn, so no
     pi-periodic eigenstate exists at the mapped energies.
     """
-    if int(m) != m or m < 1:
-        raise QESDomainError("QES requires positive integer M")
-    m = int(m)
+    m = require_qes_domain(m, zeta)
     source = qes_energies(m, zeta)
     if m % 2 == 0:
         return DsgRejection(
@@ -159,9 +158,9 @@ def dsg_weights_moments(m: int, zeta: float, chain: str = "P"):
     entries interchanged end to end, and the moments pick up a factor
     (-1)**n.
     """
-    if int(m) != m or m < 1 or m % 2 == 0:
+    m = require_qes_domain(m, zeta)
+    if m % 2 == 0:
         raise QESDomainError("sine-Gordon weights exist only for odd positive M")
-    m = int(m)
     source = weights(m, zeta, chain)
     table = replace(source, support=tuple((-e, w) for e, w in reversed(source.support)))
     return table, _moment_sequence(table, m, zeta, 12)

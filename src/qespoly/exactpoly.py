@@ -1,18 +1,20 @@
 """Exact arithmetic layer: rational polynomials in the coupling and energy.
 
-Everything symbolic in this package lives in Q[zeta][E]: a ParamPoly is a
-dense univariate polynomial over the rationals in the coupling zeta, and an
-EnergyPoly is a dense univariate polynomial in the shifted energy variable
-whose coefficients are ParamPoly.  Both are immutable and canonical
-(trailing zeros stripped; the zero polynomial has an empty coefficient
-tuple), so generated families can be compared coefficient for coefficient.
+Everything symbolic in this package lives in Q[zeta][E], and an exact
+polynomial has one stored form: an EnergyPoly holds coefficient rows,
+rows[k][j] multiplying E**k zeta**j, whose entries are plain ints when
+integral (every entry of a chain at integer M) and Fractions otherwise.
+A ParamPoly is a polynomial in zeta with Fraction coefficients; an
+EnergyPoly hands out its rows as ParamPoly views (coeffs, coeff) only when
+a caller reads them.  Both are immutable and canonical (trailing zeros
+stripped; the zero polynomial is empty), so generated families compare
+coefficient for coefficient.
 
-Chains are not built by EnergyPoly products.  They are built on coefficient
-rows, rows[k][j] multiplying E**k zeta**j, whose entries are plain ints for
-integer M (Fractions otherwise, by the same code): step_rows makes one
-recursion step (E + b0 + b1*zeta)*p + c1*zeta*q as a shift, scalings and
-additions, and poly_divide_exact runs long division on rows.  Each result
-is wrapped as an EnergyPoly, with Fraction coefficients, once.
+One set of row helpers (_add, _mul, _horner) does the arithmetic of both
+classes, exact long division (poly_divide_exact), exact specialization and
+numeric evaluation.  Chains are built by step_rows, one recursion step
+(E + b0 + b1*zeta)*p + c1*zeta*q as a shift, scalings and additions, and
+from_rows wraps the result without touching its entries.
 
 Binary floats enter in exactly two places: numeric evaluation (eval_float;
 eval_numeric is Horner in E after Horner in zeta) and the real-root finder,
@@ -54,12 +56,46 @@ def as_rational(x) -> Fraction:
     raise TypeError(f"cannot represent {type(x).__name__} exactly")
 
 
+def plain(x):
+    """x as an int when it is integral, otherwise unchanged."""
+    return x.numerator if x.denominator == 1 else x
+
+
+# ----------------------------------------------------------------------
+# Row helpers
+# ----------------------------------------------------------------------
+#
+# A row is a tuple of coefficients, index j multiplying zeta**j (or, in
+# Horner evaluation, any variable's j-th power).  The helpers take ints,
+# Fractions or a mix and return canonical rows: no trailing zero, and the
+# zero polynomial is ().
+
 def _trim(xs: list) -> list:
-    """Drop trailing zeros (0, a zero polynomial, [] in a list of rows) in
+    """Drop trailing zeros (0, a zero polynomial, () in a list of rows) in
     place and return xs; pass a copy where the caller's list must stay."""
     while xs and not xs[-1]:
         xs.pop()
     return xs
+
+
+def _add(a, b) -> tuple:
+    return tuple(_trim([x + y for x, y in zip_longest(a, b, fillvalue=0)]))
+
+
+def _mul(a, b) -> tuple:
+    out = [0] * max(len(a) + len(b) - 1, 0)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return tuple(_trim(out))
+
+
+def _horner(coeffs, x):
+    """sum_k coeffs[k] * x**k: exact at a rational x, a float at a float x."""
+    acc = x * 0
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc
 
 
 @dataclass(frozen=True)
@@ -99,12 +135,7 @@ class ParamPoly:
         return not self.is_zero()
 
     def __add__(self, other):
-        other = _coerce_param(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        a = list(self.coeffs) + [Fraction(0)] * (n - len(self.coeffs))
-        for i, c in enumerate(other.coeffs):
-            a[i] += c
-        return ParamPoly(a)
+        return ParamPoly(_add(self.coeffs, _coerce_param(other).coeffs))
 
     def __sub__(self, other):
         return self + (-_coerce_param(other))
@@ -113,34 +144,16 @@ class ParamPoly:
         return ParamPoly(tuple(-c for c in self.coeffs))
 
     def __mul__(self, other):
-        other = _coerce_param(other)
-        if self.is_zero() or other.is_zero():
-            return ParamPoly(())
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return ParamPoly(out)
+        return ParamPoly(_mul(self.coeffs, _coerce_param(other).coeffs))
 
     __radd__ = __add__
     __rmul__ = __mul__
 
     def scale(self, factor) -> "ParamPoly":
-        f = as_rational(factor)
-        return ParamPoly(tuple(c * f for c in self.coeffs))
-
-    def eval_exact(self, zeta) -> Fraction:
-        z = as_rational(zeta)
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * z + c
-        return acc
+        return self * factor
 
     def eval_float(self, zeta: float) -> float:
-        acc = 0.0
-        for c in reversed(self.coeffs):
-            acc = acc * zeta + float(c)
-        return acc
+        return _horner(self.coeffs, float(zeta))
 
     def render(self) -> str:
         """Canonical text form, descending zeta powers, e.g. '20ζ^2+24ζ'."""
@@ -172,99 +185,86 @@ def _coerce_param(x) -> ParamPoly:
     return ParamPoly.const(x)
 
 
-PARAM_ONE = ParamPoly.const(1)
-PARAM_ZERO = ParamPoly.zero()
+def _row(c) -> tuple:
+    """c as a row: a tuple is taken as one; a ParamPoly or a number is
+    converted, with its integral coefficients as ints."""
+    if isinstance(c, tuple):
+        return c
+    return tuple(map(plain, _coerce_param(c).coeffs))
 
 
 @dataclass(frozen=True)
 class EnergyPoly:
-    """Polynomial in the shifted energy variable with ParamPoly coefficients.
+    """Polynomial in the shifted energy variable E, stored as coefficient rows.
 
-    coeffs[k] (a ParamPoly) multiplies E**k where E here denotes the shifted
-    energy; families generated elsewhere are monic in this variable.
+    rows[k][j] multiplies E**k zeta**j.  The constructor takes one entry per
+    power of E: a ParamPoly, a number, or a canonical row tuple, which it
+    keeps as it is.  coeffs[k] hands out row k as a ParamPoly.  Families
+    generated elsewhere are monic in E.
     """
 
-    coeffs: tuple
+    rows: tuple
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "coeffs", tuple(_trim([_coerce_param(c) for c in self.coeffs]))
-        )
+        object.__setattr__(self, "rows", tuple(_trim([_row(c) for c in self.rows])))
 
     @staticmethod
     def const(value) -> "EnergyPoly":
-        return EnergyPoly((_coerce_param(value),))
+        return EnergyPoly((value,))
 
     @staticmethod
     def zero() -> "EnergyPoly":
         return EnergyPoly(())
 
-    @staticmethod
-    def variable() -> "EnergyPoly":
-        """The monic degree-one polynomial E."""
-        return EnergyPoly((PARAM_ZERO, PARAM_ONE))
+    @property
+    def coeffs(self) -> tuple:
+        return tuple(ParamPoly(row) for row in self.rows)
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.rows
 
     def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    def leading(self) -> ParamPoly:
-        if self.is_zero():
-            return PARAM_ZERO
-        return self.coeffs[-1]
+        return len(self.rows) - 1
 
     def is_monic(self) -> bool:
-        return not self.is_zero() and self.leading() == PARAM_ONE
+        return self.rows[-1:] == ((1,),)
 
     def coeff(self, k: int) -> ParamPoly:
-        if 0 <= k < len(self.coeffs):
-            return self.coeffs[k]
-        return PARAM_ZERO
+        return ParamPoly(self.rows[k] if 0 <= k < len(self.rows) else ())
 
     def __add__(self, other):
-        other = _coerce_energy(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        out = [self.coeff(i) + other.coeff(i) for i in range(n)]
-        return EnergyPoly(out)
+        pairs = zip_longest(self.rows, _coerce_energy(other).rows, fillvalue=())
+        return EnergyPoly(tuple(_add(a, b) for a, b in pairs))
 
     def __sub__(self, other):
         return self + (-_coerce_energy(other))
 
     def __neg__(self):
-        return EnergyPoly(tuple(-c for c in self.coeffs))
+        return EnergyPoly(tuple(tuple(-x for x in row) for row in self.rows))
 
     def __mul__(self, other):
         other = _coerce_energy(other)
-        if self.is_zero() or other.is_zero():
-            return EnergyPoly(())
-        out = [PARAM_ZERO] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a.is_zero():
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] = out[i + j] + a * b
-        return EnergyPoly(out)
+        out = [()] * max(len(self.rows) + len(other.rows) - 1, 0)
+        for i, a in enumerate(self.rows):
+            for j, b in enumerate(other.rows):
+                out[i + j] = _add(out[i + j], _mul(a, b))
+        return EnergyPoly(tuple(out))
 
     __radd__ = __add__
     __rmul__ = __mul__
 
     def scale(self, factor) -> "EnergyPoly":
-        p = _coerce_param(factor)
-        return EnergyPoly(tuple(c * p for c in self.coeffs))
+        f = _row(factor)
+        return EnergyPoly(tuple(_mul(row, f) for row in self.rows))
 
     def specialize(self, zeta) -> list:
         """Exact univariate coefficients in E at a rational zeta value."""
         z = as_rational(zeta)
-        return _trim([c.eval_exact(z) for c in self.coeffs])
+        return _trim([_horner(row, z) for row in self.rows])
 
     def eval_numeric(self, zeta: float, eps: float) -> float:
         """Float value at (zeta, shifted energy eps) by nested Horner."""
-        acc = 0.0
-        for c in reversed(self.coeffs):
-            acc = acc * eps + c.eval_float(zeta)
-        return acc
+        return _horner([_horner(row, float(zeta)) for row in self.rows], eps)
 
     def render(self) -> str:
         """Canonical text, descending E powers: 'E^2 + (12ζ+4)E + (20ζ^2+24ζ)'."""
@@ -272,16 +272,13 @@ class EnergyPoly:
             return "0"
         deg = self.degree()
         if deg == 0:
-            return self.coeffs[0].render()
+            return self.coeff(0).render()
         parts = []
         for k in range(deg, -1, -1):
             c = self.coeff(k)
             if c.is_zero():
                 continue
-            if k == deg and c == PARAM_ONE:
-                head = ""
-            else:
-                head = f"({c.render()})"
+            head = "" if k == deg and self.is_monic() else f"({c.render()})"
             if k == 0:
                 term = head if head else "(1)"
             elif k == 1:
@@ -293,65 +290,33 @@ class EnergyPoly:
 
 
 def _coerce_energy(x) -> EnergyPoly:
-    if isinstance(x, EnergyPoly):
-        return x
-    if isinstance(x, ParamPoly):
-        return EnergyPoly((x,))
-    return EnergyPoly.const(x)
+    return x if isinstance(x, EnergyPoly) else EnergyPoly((x,))
 
 
 ENERGY_ONE = EnergyPoly.const(1)
-ENERGY_ZERO = EnergyPoly.zero()
-
-
-# ----------------------------------------------------------------------
-# Coefficient rows
-# ----------------------------------------------------------------------
-#
-# rows[k][j] multiplies E**k zeta**j and is a plain number: an int when it
-# is integral (every entry of a chain at integer M), otherwise a Fraction.
-# Neither a row nor the list of rows ends in a zero, so the zero polynomial
-# is [].  Chains are generated and divided on rows and wrapped as
-# EnergyPoly once per result.
-
-def plain(x):
-    """x as an int when it is integral, otherwise unchanged."""
-    return x.numerator if x.denominator == 1 else x
-
-
-def to_rows(p: EnergyPoly) -> list:
-    return [[plain(c) for c in pc.coeffs] for pc in p.coeffs]
 
 
 def from_rows(rows) -> EnergyPoly:
-    return EnergyPoly(tuple(ParamPoly(row) for row in rows))
+    """Wrap canonical rows, as lists or tuples, without converting entries."""
+    return EnergyPoly(tuple(map(tuple, rows)))
 
 
-def step_rows(p: list, q: list, b0, b1, c1) -> list:
+def step_rows(p, q, b0, b1, c1) -> tuple:
     """Rows of (E + b0 + b1*zeta)*p + c1*zeta*q.
 
     One shift in E, one shift in zeta, three scalings and the sums: no
     general product and no normalisation for integer entries.
     """
     out = []
-    below = []
+    below = ()
     for k in range(max(len(p) + 1, len(q))):
-        cur = p[k] if k < len(p) else []
-        lag = q[k] if c1 and k < len(q) else []
+        cur = p[k] if k < len(p) else ()
+        lag = q[k] if c1 and k < len(q) else ()
         shifted = [0] + [b1 * x + c1 * y for x, y in zip_longest(cur, lag, fillvalue=0)]
-        out.append(_trim([x + b0 * y + z for x, y, z
-                          in zip_longest(below, cur, shifted, fillvalue=0)]))
+        out.append(tuple(_trim([x + b0 * y + z for x, y, z
+                                in zip_longest(below, cur, shifted, fillvalue=0)])))
         below = cur
-    return _trim(out)
-
-
-def _row_sub_product(acc: list, f: list, g: list) -> list:
-    """acc - f*g, for polynomials in zeta given as rows."""
-    out = acc + [0] * (len(f) + len(g) - 1 - len(acc))
-    for i, x in enumerate(f):
-        for j, y in enumerate(g):
-            out[i + j] -= x * y
-    return _trim(out)
+    return tuple(_trim(out))
 
 
 def poly_arith(a: EnergyPoly, b: EnergyPoly, op: str) -> EnergyPoly:
@@ -371,25 +336,25 @@ def poly_divide_exact(a: EnergyPoly, b: EnergyPoly):
     The divisor's leading coefficient must be a nonzero rational constant
     (in practice every divisor here is monic); a zeta-dependent leading
     coefficient is not invertible in Q[zeta] and is rejected.  The division
-    runs on coefficient rows, and q and r are wrapped as EnergyPoly once.
+    runs on the rows of a and b.
     """
     if b.is_zero():
         raise ZeroDivisionError("division by the zero polynomial")
-    lead = b.leading()
-    if lead.degree() > 0:
+    if len(b.rows[-1]) > 1:
         raise ExactDivisionError("non-divisible leading coefficient")
-    inv = plain(1 / lead.coeffs[0])
-    divisor, rem = to_rows(b), to_rows(a)
-    db = len(divisor) - 1
-    quo = [[] for _ in range(len(rem) - db)]
+    inv = plain(Fraction(1, b.rows[-1][0]))
+    minus_divisor = [tuple(-x for x in row) for row in b.rows]
+    rem = list(a.rows)
+    db = len(b.rows) - 1
+    quo = [()] * max(len(rem) - db, 0)
     for shift in range(len(rem) - 1 - db, -1, -1):
         top = rem[shift + db]
         if not top:
             continue
-        quo[shift] = factor = [c * inv for c in top]
+        quo[shift] = factor = tuple(c * inv for c in top)
         for i in range(db):
-            rem[shift + i] = _row_sub_product(rem[shift + i], factor, divisor[i])
-        rem[shift + db] = []
+            rem[shift + i] = _add(rem[shift + i], _mul(factor, minus_divisor[i]))
+        rem[shift + db] = ()
     return from_rows(quo), from_rows(rem)
 
 

@@ -15,9 +15,10 @@ cofactors of that factorization and are generated here by the same
 recursion with the index shifted past the critical member.
 
 Every chain is generated on exactpoly coefficient rows, one step_rows call
-per member (integers throughout for integer M), and each member is wrapped
-as an EnergyPoly once, after the recursion.  The numeric recursions at one
-zeta (specialize_family, family_values) read the same step coefficients.
+per member (integers throughout for integer M), and those rows are what each
+member stores: from_rows wraps them as an EnergyPoly without converting an
+entry.  The numeric recursions at one zeta (specialize_family,
+family_values) read the same step coefficients.
 """
 
 from __future__ import annotations

@@ -120,9 +120,6 @@ def discretize(config: OracleConfig) -> Discretization:
         h = 2.0 * config.l / (config.n + 1)
         grid = -config.l + h * (1.0 + np.arange(config.n))
         corner = None
-        if config.e_max_hint is not None and not _line_domain_ok(
-                spec, config.l, config.e_max_hint):
-            raise OracleError("domain too small")
     v = potential_eval(spec, grid)
     diag = 2.0 / (h * h) + v
     offdiag = np.full(config.n - 1, -1.0 / (h * h))

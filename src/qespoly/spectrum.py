@@ -176,6 +176,14 @@ def _require_positive_int(m) -> int:
     return int(mr)
 
 
+def require_qes_domain(m, zeta: float) -> int:
+    """M as an int, after checking the QES domain: integer M >= 1, zeta > 0."""
+    m = _require_positive_int(m)
+    if not zeta > 0:
+        raise QESDomainError("zeta must be positive")
+    return m
+
+
 def chain_plan(m) -> ChainPlan:
     """Which chains carry the M algebraic levels, and where they terminate."""
     m = _require_positive_int(m)
@@ -209,9 +217,7 @@ def chain_roots(critical: list, entry: ChainPlanEntry) -> list:
 
 def qes_energies(m, zeta: float) -> SpectrumReport:
     """The M algebraic levels, sorted, with node counts and chain labels."""
-    m = _require_positive_int(m)
-    if zeta <= 0:
-        raise QESDomainError("zeta must be positive")
+    m = require_qes_domain(m, zeta)
     shift = (m + zeta) ** 2
     levels = []
     for entry in chain_plan(m).entries:
@@ -344,7 +350,7 @@ def weights(m, zeta: float, chain: str) -> WeightTable:
     residual must stay within 1e-10 and the condition number is recorded.
     Every table comes from this float solve, so its `exact` flag is False.
     """
-    m = _require_positive_int(m)
+    m = require_qes_domain(m, zeta)
     entry = chain_plan(m).entry(chain)
     count = entry.level_count
     shift = (m + zeta) ** 2
@@ -381,7 +387,7 @@ def norm_weight_crosscheck(m, zeta: float, chain: str) -> CrosscheckReport:
     An orthogonality sum passes within 1e-9 of the sum of its terms'
     magnitudes (its rounding scale); orthogonality_max is the largest sum.
     """
-    m = _require_positive_int(m)
+    m = require_qes_domain(m, zeta)
     entry = chain_plan(m).entry(chain)
     table = weights(m, zeta, chain)
     count = entry.level_count
@@ -416,7 +422,7 @@ def moments(m, zeta: float, chain: str, n_max: int) -> MomentSequence:
     atomic measure; the coarser comparator (M + zeta)**2 is reported
     alongside, not asserted.
     """
-    m = _require_positive_int(m)
+    m = require_qes_domain(m, zeta)
     if n_max < 0:
         raise ValueError("order must be nonnegative")
     return _moment_sequence(weights(m, zeta, chain), m, zeta, n_max)

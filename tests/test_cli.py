@@ -180,6 +180,35 @@ class TestIntegerM:
         assert code == 0
 
 
+class TestZetaDomain:
+    @pytest.mark.parametrize("argv", [
+        ("weights", "--m", "3", "--zeta", "-1"),
+        ("weights", "--m", "3", "--zeta", "0"),
+        ("moments", "--m", "3", "--zeta", "-0.5"),
+    ])
+    def test_nonpositive_zeta_is_domain_error(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert err == "error: zeta must be positive\n"
+
+    @pytest.mark.parametrize("argv", [
+        ("spectrum", "--m", "3"),
+        ("weights", "--m", "3"),
+        ("moments", "--m", "3"),
+        ("duality", "--m", "3"),
+        ("wavefunction", "--m", "3", "--level", "0"),
+        ("family", "--m", "3"),
+        ("norms", "--m", "3"),
+    ])
+    @pytest.mark.parametrize("zeta", ["inf", "nan"])
+    def test_non_finite_zeta_is_domain_error(self, capsys, argv, zeta):
+        code, out, err = run(capsys, *argv, "--zeta", zeta)
+        assert code == 1
+        assert out == ""
+        assert err == f"error: zeta must be finite, got {zeta!r}\n"
+
+
 class TestCliContract:
     def test_unknown_flag_usage_error(self, capsys):
         code, _, _ = run(capsys, "spectrum", "--m", "1", "--zeta", "1",

@@ -23,7 +23,7 @@ from qespoly.potentials import (
     sextic_plus,
     sextic_qes_levels,
 )
-from qespoly.spectrum import moments, qes_energies, weights
+from qespoly.spectrum import QESDomainError, moments, qes_energies, weights
 
 
 class TestPotentials:
@@ -183,6 +183,17 @@ class TestDsgWeightsMoments:
     def test_even_m_rejected(self):
         with pytest.raises(Exception):
             dsg_weights_moments(2, 1.0)
+
+    @pytest.mark.parametrize("zeta", [-1.0, 0.0])
+    def test_nonpositive_zeta_rejected(self, zeta):
+        for call in (dsg_weights_moments, dsg_spectrum):
+            with pytest.raises(QESDomainError, match="zeta must be positive"):
+                call(3, zeta)
+
+    def test_fractional_m_rejected(self):
+        for call in (dsg_weights_moments, dsg_spectrum):
+            with pytest.raises(QESDomainError, match="positive integer M"):
+                call(2.5, 1.0)
 
 
 class TestNewPotentialStates:

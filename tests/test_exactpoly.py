@@ -14,7 +14,6 @@ from qespoly.exactpoly import (
     real_roots,
     step_rows,
     sturm_real_root_count,
-    to_rows,
 )
 
 
@@ -162,12 +161,29 @@ class TestRows:
                 want = EnergyPoly((ParamPoly((b0, b1)), ParamPoly.const(1))) * pp \
                     + qq.scale(ParamPoly.monomial(c1, 1))
                 assert got == want
-                assert to_rows(got) == step_rows(p, q, b0, b1, c1)
+                assert got.rows == step_rows(p, q, b0, b1, c1)
 
     def test_integer_rows_hold_ints(self):
-        rows = to_rows(E_PLUS_2Z * E_PLUS_18Z_16)
-        assert rows == [[0, 32, 36], [16, 20], [1]]
+        rows = (E_PLUS_2Z * E_PLUS_18Z_16).rows
+        assert rows == ((0, 32, 36), (16, 20), (1,))
         assert all(type(x) is int for row in rows for x in row)
+
+    @pytest.mark.parametrize("rows", [((0, 32, 36), (16, 20), (1,)),
+                                      ((Fraction(1, 3), 0, -2), (), (Fraction(5, 2), 1))])
+    def test_fraction_built_equals_row_built(self, rows):
+        built = EnergyPoly(tuple(ParamPoly(tuple(Fraction(x) for x in row)) for row in rows))
+        wrapped = from_rows(rows)
+        assert built == wrapped and hash(built) == hash(wrapped)
+        assert built.rows == rows
+        assert [type(x) for row in built.rows for x in row] == \
+            [type(x) for row in rows for x in row]
+
+    def test_coefficient_views_are_fractions(self):
+        p = from_rows(((0, 32, 36), (16, 20), (1,)))
+        assert p.coeffs == (ParamPoly((0, 32, 36)), ParamPoly((16, 20)), ParamPoly.const(1))
+        assert all(type(x) is Fraction for c in p.coeffs for x in c.coeffs)
+        assert p.coeff(1) == ParamPoly((16, 20)) and p.coeff(3).is_zero()
+        assert repr(ENERGY_ONE) == "EnergyPoly(rows=((1,),))"
 
 
 class TestEval:

@@ -250,6 +250,28 @@ class TestRowKernel:
             _GENERATORS[kind](spec, -1)
 
 
+class TestOneRepresentation:
+    """A chain member stores its coefficient rows and nothing else: ints for
+    integer M, Fractions only where M makes them."""
+
+    @pytest.mark.parametrize("kind,m,s,order", [("P", 40, 0, 40), ("Qbar", 9, HALF, 12)])
+    def test_integer_m_rows_hold_only_ints(self, kind, m, s, order):
+        fam = _GENERATORS[kind](ChainSpec(kind, Fraction(m), Fraction(s)), order)
+        assert all(type(x) is int for p in fam.members for row in p.rows for x in row)
+
+    @pytest.mark.parametrize("m", [Fraction(5, 2), Fraction(5, 3)])
+    def test_rational_m_division_reconstructs(self, m):
+        fam = gen_family(ChainSpec("P", m, Fraction(0)), 8)
+        # C_n carries 8*M, an integer for half-integer M
+        has_fractions = any(type(x) is Fraction for row in fam[8].rows for x in row)
+        assert has_fractions == (m.denominator == 3)
+        for k in (1, 2, 3):
+            for n in range(k, 9):
+                q, r = poly_divide_exact(fam[n], fam[k])
+                assert q * fam[k] + r == fam[n]
+                assert r.degree() < k
+
+
 class TestQuotients:
     def test_pbar1_m3(self):
         quot = gen_quotient(ChainSpec("Pbar", Fraction(3), Fraction(0)), 1)

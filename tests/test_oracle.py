@@ -54,10 +54,10 @@ class TestDiscretize:
         assert disc.corner == pytest.approx(-1.0 / disc.h**2)
         assert disc.h == pytest.approx(math.pi / 256)
 
-    def test_domain_too_small_with_hint(self):
+    def test_hint_leaves_domain_check_to_the_solve(self):
+        # the domain rule belongs to lowest_eigenvalues, which can enlarge
         cfg = OracleConfig(harmonic(), l=1.0, n=128, e_max_hint=100.0)
-        with pytest.raises(OracleError, match="domain too small"):
-            discretize(cfg)
+        assert len(discretize(cfg).diag) == 128
 
 
 class TestHarmonicSanity:
@@ -199,6 +199,10 @@ class TestKinkWells:
         spec = phi6_kink(0.5, 1.0)
         res = lowest_eigenvalues(OracleConfig(spec, l=12.0, n=4000, count=3))
         assert len(res.eigenvalues) == 3
+
+    def test_hinted_domain_is_enlarged(self):
+        cfg = OracleConfig(phi6_kink(0.5, 0.5), l=12.0, n=6000, count=2, e_max_hint=0.1875)
+        assert lowest_eigenvalues(cfg).config.l > 12.0
 
 
 class TestDualityPairs:

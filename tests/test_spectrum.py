@@ -299,3 +299,16 @@ class TestMoments:
     def test_comparator_reported(self):
         seq = moments(3, 1.0, "P", 2)
         assert seq.leading_order_comparator == pytest.approx(16.0)
+
+
+class TestZetaDomain:
+    @pytest.mark.parametrize("zeta", [-1.0, 0.0, -0.5, float("nan")])
+    @pytest.mark.parametrize("call", [
+        lambda zeta: qes_energies(3, zeta),
+        lambda zeta: weights(3, zeta, "P"),
+        lambda zeta: moments(3, zeta, "P", 4),
+        lambda zeta: norm_weight_crosscheck(3, zeta, "P"),
+    ], ids=["qes_energies", "weights", "moments", "norm_weight_crosscheck"])
+    def test_nonpositive_zeta_rejected(self, call, zeta):
+        with pytest.raises(QESDomainError, match="zeta must be positive"):
+            call(zeta)
