@@ -562,8 +562,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
+    joined = []  # "--zeta -inf" as "--zeta=-inf": argparse takes "-inf" for a flag
+    for arg in sys.argv[1:] if argv is None else argv:
+        if joined and joined[-1] in ("--m", "--zeta"):
+            joined[-1] += "=" + arg
+        else:
+            joined.append(arg)
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(joined)
     except SystemExit as exc:
         return exc.code if exc.code is not None else 2
     try:

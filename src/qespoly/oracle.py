@@ -1,16 +1,16 @@
 """Independent finite-difference Schroedinger eigensolver.
 
 Second-order three-point discretization of -psi'' + V psi on either a
-truncated line with Dirichlet ends or a circle with periodic wrap.  Line
-problems are tridiagonal and solved by bisection on the Sturm sequence of
-the tridiagonal matrix (LAPACK stebz).  Circle problems pick up corner
-couplings, but every circle potential is even in theta, so the reflection
-i -> n - i of the periodic grid commutes with the stencil: the circle
-matrix splits exactly into an even (Neumann-type) and an odd (Dirichlet)
-symmetric tridiagonal block, each solved the same way, at O(n) memory and
-time per level.  Every solve is repeated on the half-resolution grid so
-convergence can be judged from the Richardson pair, and analytic levels
-are matched to oracle levels injectively, nearest first.
+truncated line with Dirichlet ends or a circle with periodic wrap.  Every
+potential is even (in x or theta) on a grid symmetric about 0, so the
+reflection commutes with the stencil and splits the matrix exactly into
+an even and an odd symmetric tridiagonal block, each solved by bisection
+on its Sturm sequence (LAPACK stebz) at O(n) memory and time per level.
+On the line the discrete node theorem makes the parities alternate, even
+first, so the lowest k levels are the lowest ceil(k/2) even and floor(k/2)
+odd ones, and `verify_qes` matches the level with k nodes to line level k.
+Every solve is repeated on the half-resolution grid so convergence can be
+judged from the Richardson pair.
 
 This solver shares nothing with the polynomial route except the potential
 evaluators, which is what makes the comparison a genuine cross-check.
@@ -118,7 +118,7 @@ def discretize(config: OracleConfig) -> Discretization:
         corner = -1.0 / (h * h)
     else:
         h = 2.0 * config.l / (config.n + 1)
-        grid = -config.l + h * (1.0 + np.arange(config.n))
+        grid = h * (np.arange(config.n) - 0.5 * (config.n - 1))
         corner = None
     v = potential_eval(spec, grid)
     diag = 2.0 / (h * h) + v
@@ -129,46 +129,58 @@ def discretize(config: OracleConfig) -> Discretization:
 def _solve(config: OracleConfig) -> np.ndarray:
     disc = discretize(config)
     k = min(config.count, config.n - 1)
-    if disc.corner is None:
-        return _lowest_tridiagonal(disc.diag, disc.offdiag, k)
-    return circle_eigenvalues(disc, k)
+    if disc.corner is not None:
+        return circle_eigenvalues(disc, k)
+    even, odd = _reflection_blocks(disc.diag, disc.offdiag, "x")
+    return _merged_lowest(even, odd, (k + 1) // 2, k // 2)
 
 
 def _lowest_tridiagonal(diag, offdiag, k: int) -> np.ndarray:
     k = min(k, len(diag))
+    if k < 1:
+        return np.empty(0)
     return scipy.linalg.eigvalsh_tridiagonal(
         diag, offdiag, select="i", select_range=(0, k - 1))
+
+
+def _merged_lowest(even, odd, k_even: int, k_odd: int) -> np.ndarray:
+    return np.sort(np.concatenate([_lowest_tridiagonal(*even, k_even),
+                                   _lowest_tridiagonal(*odd, k_odd)]))
+
+
+def _reflection_blocks(diag, offdiag, variable: str):
+    """Even and odd tridiagonal blocks of a chain symmetric under i -> n-1-i.
+
+    For even n both blocks hold the first n/2 points, and the coupling of
+    the middle pair adds to the even block's last diagonal entry and
+    subtracts from the odd one's.  For odd n the even block ends at the
+    centre with that coupling scaled by sqrt(2); the odd block stops before.
+    """
+    n, half = len(diag), (len(diag) + 1) // 2
+    if np.abs(diag - diag[::-1]).max() > 4.0 * np.finfo(float).eps * np.abs(diag).max():
+        raise OracleError(f"potential is not even in {variable}")
+    even_diag, even_off = diag[:half].copy(), offdiag[:half - 1].copy()
+    odd_diag, odd_off = diag[:n // 2].copy(), offdiag[:n // 2 - 1]
+    if n % 2:
+        even_off[-1] *= np.sqrt(2.0)
+    else:
+        even_diag[-1] += offdiag[half - 1]
+        odd_diag[-1] -= offdiag[half - 1]
+    return (even_diag, even_off), (odd_diag, odd_off)
 
 
 def circle_eigenvalues(disc: Discretization, k: int) -> np.ndarray:
     """The k lowest eigenvalues of a periodic stencil with an even potential.
 
-    The reflection i -> n - i maps the grid onto itself and commutes with
-    the stencil when diag[i] = diag[n - i].  Its even eigenvectors live on
-    the points 0..n//2, with the couplings to the fixed points 0 and n/2
-    scaled by sqrt(2); its odd eigenvectors vanish at the fixed points and
-    live on the interior points.  For odd n the pair (n//2, n//2 + 1)
-    replaces the second fixed point, and their coupling adds to the last
-    diagonal entry of the even block and subtracts from the odd one.
+    The reflection i -> n - i fixes the point 0 and splits the chain of
+    points 1..n-1; the even block adds the point 0, coupled with a factor
+    sqrt(2).  Either parity may come first, so each block gives k levels.
     """
-    diag, off = disc.diag, np.append(disc.offdiag, disc.corner)
-    n, half = len(diag), len(diag) // 2
-    mirror = np.abs(diag[1:] - diag[:0:-1])
-    if mirror.max() > 4.0 * np.finfo(float).eps * np.abs(diag).max():
-        raise OracleError("circle potential is not even in theta")
-    even_diag = diag[:half + 1].copy()
-    even_off = off[:half].copy()
-    even_off[0] *= np.sqrt(2.0)
-    odd_diag = diag[1:(n + 1) // 2].copy()
-    odd_off = off[1:(n + 1) // 2 - 1]
-    if n % 2:
-        even_diag[-1] += off[half]
-        odd_diag[-1] -= off[half]
-    else:
-        even_off[-1] *= np.sqrt(2.0)
-    vals = np.concatenate([_lowest_tridiagonal(even_diag, even_off, k),
-                           _lowest_tridiagonal(odd_diag, odd_off, k)])
-    return np.sort(vals)[:k]
+    (even_diag, even_off), odd = _reflection_blocks(
+        disc.diag[1:], disc.offdiag[1:], "theta")
+    even = (np.concatenate([disc.diag[:1], even_diag]),
+            np.concatenate([[disc.offdiag[0] * np.sqrt(2.0)], even_off]))
+    return _merged_lowest(even, odd, k, k)[:k]
 
 
 def _line_domain_ok(spec: PotentialSpec, l: float, e_max: float) -> bool:
@@ -215,7 +227,8 @@ def lowest_eigenvalues(config: OracleConfig) -> OracleResult:
 
 
 def match_levels(analytic, eigenvalues) -> tuple:
-    """Nearest-neighbor matching with injectivity enforced."""
+    """Nearest-neighbor matching with injectivity enforced, for level sets
+    that are not a contiguous lowest set (the duality pairs)."""
     eigenvalues = list(eigenvalues)
     used = {}
     matches = []
@@ -233,7 +246,7 @@ def match_levels(analytic, eigenvalues) -> tuple:
 
 def verify_qes(m: int, zeta: float, tolerance: float = 1e-4,
                l: float = 5.0, n: int = 8000) -> OracleResult:
-    """Match every algebraic sinh-Gordon level to an oracle level."""
+    """Match the algebraic sinh-Gordon level with k nodes to line level k."""
     from .spectrum import qes_energies
 
     report = qes_energies(m, zeta)
@@ -242,7 +255,8 @@ def verify_qes(m: int, zeta: float, tolerance: float = 1e-4,
         l=l, n=n, count=m + 3,
     )
     result = lowest_eigenvalues(config)
-    matches = match_levels(report.energies(), result.eigenvalues)
+    matches = tuple(LevelMatch(lv.energy, result.eigenvalues[lv.nodes], lv.nodes)
+                    for lv in report.levels)
     worst = max(mt.deviation for mt in matches)
     if worst > tolerance:
         raise OracleError(f"QES level deviates by {worst} > {tolerance}")

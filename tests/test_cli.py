@@ -208,6 +208,28 @@ class TestZetaDomain:
         assert out == ""
         assert err == f"error: zeta must be finite, got {zeta!r}\n"
 
+    @pytest.mark.parametrize("argv, zeta", [
+        (("--zeta=-inf",), "-inf"),
+        (("--zeta", "-inf"), "-inf"),
+        (("--zeta", "-1e400"), "-1e400"),
+    ])
+    def test_dash_led_zeta_is_a_value(self, capsys, argv, zeta):
+        code, out, err = run(capsys, "spectrum", "--m", "3", *argv)
+        assert code == 1
+        assert out == ""
+        assert err == f"error: zeta must be finite, got {zeta!r}\n"
+
+    def test_dash_led_m_is_a_value(self, capsys):
+        code, out, err = run(capsys, "spectrum", "--m", "-1/2", "--zeta", "1")
+        assert code == 1
+        assert out == ""
+        assert err == "error: M must be an integer >= 1, got '-1/2'\n"
+
+    def test_missing_zeta_value_is_usage_error(self, capsys):
+        code, out, _ = run(capsys, "spectrum", "--m", "3", "--zeta")
+        assert code == 2
+        assert out == ""
+
 
 class TestCliContract:
     def test_unknown_flag_usage_error(self, capsys):

@@ -1,9 +1,13 @@
+import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 import scipy.linalg
 
+from qespoly import oracle
+from qespoly.cli import main
 from qespoly.oracle import (
     Discretization,
     OracleConfig,
@@ -91,6 +95,16 @@ class TestVerifyQes:
         res = verify_qes(3, 1.0, 1e-4)
         assert sorted(mt.oracle_index for mt in res.matches) == [0, 1, 2]
 
+    def test_doublet_is_matched_by_node_rank(self):
+        # M = 9 at zeta 1 holds near-degenerate tunnelling doublets, which
+        # nearest-neighbour matching rejected as ambiguous
+        res = verify_qes(9, 1.0, 1e-3)
+        report = qes_energies(9, 1.0)
+        assert [mt.oracle_index for mt in res.matches] == [lv.nodes for lv in report.levels]
+        assert [mt.oracle for mt in res.matches] == list(res.eigenvalues[:9])
+        with pytest.raises(OracleError, match="QES level deviates"):
+            verify_qes(9, 1.0, 1e-4)
+
     def test_match_injectivity_guard(self):
         with pytest.raises(OracleError, match="ambiguous"):
             match_levels([1.0, 1.001], [1.0005, 25.0])
@@ -165,6 +179,66 @@ class TestReflectionSplit:
         disc = Discretization(diag, np.full(n - 1, -1.0 / h**2), -1.0 / h**2, grid, h)
         with pytest.raises(OracleError, match="not even in theta"):
             circle_eigenvalues(disc, 4)
+
+
+def _unsplit_line_levels(disc, k):
+    """The k lowest eigenvalues of the full line matrix, and the bisection
+    accuracy eps * ||T||_1 that both solves are held to."""
+    levels = scipy.linalg.eigvalsh_tridiagonal(
+        disc.diag, disc.offdiag, select="i", select_range=(0, k - 1))
+    off = np.abs(disc.offdiag)
+    norm1 = np.max(np.abs(disc.diag) + np.append(off, 0.0) + np.append(0.0, off))
+    return levels, np.finfo(float).eps * norm1
+
+
+# (spec, half-width, e_max_hint); the kink well is bounded by mu^2 = 1, so its
+# upper levels are box states and its domain rule needs the hint
+LINE_SPECS = [
+    pytest.param(dshg(3, 1.0), 5.0, None, id="dshg-m3"),
+    pytest.param(dshg(9, 1.0), 5.0, None, id="dshg-m9"),
+    pytest.param(sextic_plus(2), 8.0, None, id="sextic_plus-m2"),
+    pytest.param(sextic_minus(3), 8.0, None, id="sextic_minus-m3"),
+    pytest.param(phi6_kink(0.5, 1.0), 12.0, 0.75, id="phi6_kink"),
+    pytest.param(harmonic(), 10.0, None, id="harmonic"),
+]
+
+
+class TestLineReflectionSplit:
+    @pytest.mark.parametrize("n", [64, 65, 1000, 1001])
+    @pytest.mark.parametrize("count", [9, 10])
+    @pytest.mark.parametrize("spec, l, hint", LINE_SPECS)
+    def test_matches_unsplit_solve(self, spec, l, hint, n, count):
+        # split and unsplit bisection each land within eps * ||T||_1 of the
+        # true eigenvalue, so they agree to a few times that
+        res = lowest_eigenvalues(
+            OracleConfig(spec, l=l, n=n, count=count, e_max_hint=hint))
+        for size, got in ((n, res.eigenvalues), (n // 2, res.richardson)):
+            disc = discretize(replace(res.config, n=size))
+            want, accuracy = _unsplit_line_levels(disc, count)
+            assert len(got) == count
+            assert np.max(np.abs(np.array(got) - want)) <= 4.0 * accuracy
+
+    @pytest.mark.parametrize("n", [64, 65, 1000, 1001])
+    @pytest.mark.parametrize("l", [0.7, 5.0, 8.0, 12.0])
+    def test_grid_is_exactly_antisymmetric(self, n, l):
+        grid = discretize(OracleConfig(harmonic(), l=l, n=n)).grid
+        assert np.array_equal(grid, -grid[::-1])
+        assert grid[-1] - grid[0] == pytest.approx(2.0 * l * (n - 1) / (n + 1), rel=1e-14)
+
+    def test_uneven_potential_is_rejected(self, monkeypatch):
+        monkeypatch.setattr(oracle, "potential_eval", lambda spec, x: x * x + 0.1 * x)
+        with pytest.raises(OracleError, match="not even in x"):
+            lowest_eigenvalues(OracleConfig(harmonic(), l=10.0, n=200, count=3))
+
+    def test_odd_grid_n_through_the_cli(self, capsys):
+        code = main(["oracle", "--family", "dshg", "--m", "3", "--zeta", "1",
+                     "--grid-n", "2001", "--count", "5", "--format", "json"])
+        doc = json.loads(capsys.readouterr().out)
+        assert code == 0
+        for size, key in ((2001, "eigenvalues"), (1000, "richardson")):
+            disc = discretize(OracleConfig(dshg(3, 1.0), l=5.0, n=size))
+            want, accuracy = _unsplit_line_levels(disc, 5)
+            assert np.max(np.abs(np.array(doc[key]) - want)) <= 4.0 * accuracy
 
 
 class TestKinkWells:
