@@ -20,7 +20,7 @@ import numpy as np
 
 from . import __version__
 from .duality import DsgRejection, dsg_spectrum
-from .exactpoly import ExactDivisionError
+from .exactpoly import ExactDivisionError, RootCountMismatch
 from .families import (
     ChainSpec,
     ChainSpecError,
@@ -578,7 +578,7 @@ def main(argv=None) -> int:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
     except (QESDomainError, ChainSpecError, OracleError, ExactDivisionError,
-            ValueError) as exc:
+            RootCountMismatch, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

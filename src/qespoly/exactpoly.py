@@ -16,17 +16,22 @@ numeric evaluation.  Chains are built by step_rows, one recursion step
 (E + b0 + b1*zeta)*p + c1*zeta*q as a shift, scalings and additions, and
 from_rows wraps the result without touching its entries.
 
-Binary floats enter in exactly two places: numeric evaluation (eval_float;
-eval_numeric is Horner in E after Horner in zeta) and the real-root finder,
-which polishes companion-matrix eigenvalues with Newton steps and certifies
-the number of distinct real roots against an exact Sturm chain.  The numeric
-pipelines (levels, weights, states, duality) never expand a bivariate chain:
-they run the three-term recursion at the given zeta (families.specialize_family
-and families.family_values) and hand the exact critical member to real_roots.
+Binary floats enter in two places: numeric evaluation (eval_float;
+eval_numeric is Horner in E after Horner in zeta) and root finding, where
+companion-matrix eigenvalues are polished with Newton steps
+(polished_real_roots) and then certified exactly.  The general finder
+real_roots clusters them into multiplicities and checks the count of
+distinct real roots against an exact Sturm chain.  The numeric pipelines
+(levels, weights, states, duality) never expand a bivariate chain: they run
+the three-term recursion at the given zeta on integers
+(families.scaled_members) or floats (families.family_values), and certify
+the roots of a critical member by exact signs (exact_sign) at the float
+midpoints between them (spectrum.chain_roots), with no Sturm chain.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import zip_longest
@@ -41,7 +46,8 @@ class ExactDivisionError(ValueError):
 
 
 class RootCountMismatch(RuntimeError):
-    """Numeric real roots disagree with the exact Sturm count."""
+    """Numeric real roots fail their exact certificate (a Sturm count or
+    sign changes) or their residual bound."""
 
 
 def as_rational(x) -> Fraction:
@@ -420,6 +426,70 @@ def sturm_real_root_count(coeffs) -> int:
     return sign_changes(False) - sign_changes(True)
 
 
+def _val_dval(coeffs, x: float):
+    """Float value and derivative of sum_k coeffs[k] * x**k by Horner."""
+    v = 0.0
+    d = 0.0
+    for c in reversed(coeffs):
+        d = d * x + v
+        v = v * x + c
+    return v, d
+
+
+def polished_real_roots(coeffs) -> list:
+    """Real candidates for the roots of a float polynomial, ascending.
+
+    coeffs[k] multiplies x**k.  Companion-matrix eigenvalues within 1e-5
+    (relative) of the real axis are polished by Newton iteration; nothing
+    is certified here.
+    """
+    raw = np.roots(list(reversed(coeffs)))
+    # multiple roots scatter the companion eigenvalues by ~eps**(1/m), so
+    # admit candidates generously and let the caller's certificate decide
+    candidates = [z for z in raw if abs(z.imag) <= 1e-5 * (1.0 + abs(z))]
+    polished = []
+    for z in candidates:
+        x = float(z.real)
+        for _ in range(60):
+            v, d = _val_dval(coeffs, x)
+            if d == 0.0:
+                break
+            step = v / d
+            x -= step
+            if abs(step) <= 1e-15 * (1.0 + abs(x)):
+                break
+        polished.append(x)
+    polished.sort()
+    return polished
+
+
+def check_root_residuals(coeffs, roots) -> None:
+    """Raise RootCountMismatch if a simple root of (root, multiplicity)
+    pairs leaves a residual above 1e-10 * (1 + max|root|**degree)."""
+    scale = 1e-10 * (1.0 + max(abs(r) for r, _ in roots) ** (len(coeffs) - 1))
+    for r, mult in roots:
+        v, _ = _val_dval(coeffs, r)
+        if mult == 1 and abs(v) > scale:
+            raise RootCountMismatch(f"root {r} residual {v} above tolerance")
+
+
+def exact_sign(q, t: float) -> int:
+    """Exact sign of sum_k q[k] * t**k at a float t, -inf and inf included.
+
+    q holds ints (or Fractions); a finite t = u/v is a dyadic rational, and
+    the sign is that of the homogeneous form sum_k q[k] u**k v**(N-k).
+    """
+    if math.isinf(t):
+        value = -q[-1] if t < 0 and len(q) % 2 == 0 else q[-1]
+    else:
+        u, v = t.as_integer_ratio()
+        value, vpow = 0, 1
+        for c in reversed(q):
+            value = value * u + c * vpow
+            vpow *= v
+    return (value > 0) - (value < 0)
+
+
 def real_roots(p, zeta=None) -> list:
     """All real roots of p at fixed zeta, ascending, as (root, multiplicity).
 
@@ -438,34 +508,8 @@ def real_roots(p, zeta=None) -> list:
         raise ValueError("no roots")
 
     coeffs = [float(c) for c in exact]
-
-    def val_dval(x: float):
-        v = 0.0
-        d = 0.0
-        for c in reversed(coeffs):
-            d = d * x + v
-            v = v * x + c
-        return v, d
-
     n_exact = sturm_real_root_count(exact)
-
-    raw = np.roots(list(reversed(coeffs)))
-    # multiple roots scatter the companion eigenvalues by ~eps**(1/m), so
-    # admit candidates generously and let the Sturm count settle clustering
-    candidates = [z for z in raw if abs(z.imag) <= 1e-5 * (1.0 + abs(z))]
-    polished = []
-    for z in candidates:
-        x = float(z.real)
-        for _ in range(60):
-            v, d = val_dval(x)
-            if d == 0.0:
-                break
-            step = v / d
-            x -= step
-            if abs(step) <= 1e-15 * (1.0 + abs(x)):
-                break
-        polished.append(x)
-    polished.sort()
+    polished = polished_real_roots(coeffs)
 
     def cluster(radius: float):
         groups = []
@@ -497,7 +541,7 @@ def real_roots(p, zeta=None) -> list:
         if mult > 1:
             # multiplicity-aware Newton to sharpen the cluster center
             for _ in range(30):
-                v, d = val_dval(x)
+                v, d = _val_dval(coeffs, x)
                 if d == 0.0:
                     break
                 step = mult * v / d
@@ -506,9 +550,5 @@ def real_roots(p, zeta=None) -> list:
                     break
         roots.append((x, mult))
 
-    scale = 1e-10 * (1.0 + max(abs(r) for r, _ in roots) ** deg)
-    for r, mult in roots:
-        v, _ = val_dval(r)
-        if mult == 1 and abs(v) > scale:
-            raise RootCountMismatch(f"root {r} residual {v} above tolerance")
+    check_root_residuals(coeffs, roots)
     return roots

@@ -17,8 +17,9 @@ recursion with the index shifted past the critical member.
 Every chain is generated on exactpoly coefficient rows, one step_rows call
 per member (integers throughout for integer M), and those rows are what each
 member stores: from_rows wraps them as an EnergyPoly without converting an
-entry.  The numeric recursions at one zeta (specialize_family,
-family_values) read the same step coefficients.
+entry.  The numeric recursions at one zeta read the same step coefficients:
+scaled_members runs it on integers, with zeta's denominator cleared, and
+family_values in floats.
 """
 
 from __future__ import annotations
@@ -124,16 +125,6 @@ class FinkelForm:
     a_signs_before_termination: tuple
 
 
-def _p_step(m: Fraction, s: Fraction, n: int) -> tuple:
-    b0 = 4 * n * n + 8 * n * (s - 1) + 4 * s * s - 8 * s + 4
-    return b0, 8 * n - 6, 8 * (n - 1) * (2 * n - 3) * (m + 3 - 2 * s - 2 * n)
-
-
-def _q_step(m: Fraction, s: Fraction, n: int) -> tuple:
-    b0 = 4 * n * n + 4 * n * (2 * s - 1) + 4 * s * s - 4 * s + 1
-    return b0, 8 * n - 2, 8 * (n - 1) * (2 * n - 1) * (m + 2 - 2 * s - 2 * n)
-
-
 def critical_index(kind: str, m: Fraction, s: Fraction) -> Fraction:
     """Index of the critical (terminating) member: P: (M+1-2s)/2, Q: (M-2s)/2."""
     if kind == "P":
@@ -145,21 +136,26 @@ def critical_index(kind: str, m: Fraction, s: Fraction) -> Fraction:
 
 def _step(spec: ChainSpec, n: int) -> tuple:
     """(b0, b1, c1) with B_n = b0 + b1*zeta and C_n = c1*zeta, as plain
-    numbers (ints for integer M)."""
+    numbers: ints throughout for integer M, a Fraction c1 for rational M.
+
+    With t = 2s, b0 = (2n+t-2)**2 for P and (2n+t-1)**2 for Q.
+    """
     if n < 1:
         raise ValueError("recursion index starts at 1")
-    kind, m, s = spec.kind, spec.m, spec.s
+    # s is 0 or 1/2, so t = 2s is its numerator
+    kind, m, t = spec.kind, plain(spec.m), spec.s.numerator
     if kind in QUOTIENT_KINDS:
-        base, _, _ = _QUOTIENT_TABLE[kind]
-        offset = critical_index(base, m, s)
-        kind, n = base, n + int(offset)
+        # the quotient table admits only integer M of the parity that makes
+        # the critical index an integer
+        kind = _QUOTIENT_TABLE[kind][0]
+        n += (m + 1 - t) // 2 if kind == "P" else (m - t) // 2
     if kind == "P":
-        step = _p_step(m, s, n)
-    elif kind == "Q":
-        step = _q_step(m, s, n)
-    else:
-        raise ChainSpecError(f"chain {spec.kind!r} has no adjacent three-term step")
-    return tuple(plain(x) for x in step)
+        c1 = 8 * (n - 1) * (2 * n - 3) * (m + 3 - t - 2 * n)
+        return (2 * n + t - 2) ** 2, 8 * n - 6, plain(c1)
+    if kind == "Q":
+        c1 = 8 * (n - 1) * (2 * n - 1) * (m + 2 - t - 2 * n)
+        return (2 * n + t - 1) ** 2, 8 * n - 2, plain(c1)
+    raise ChainSpecError(f"chain {spec.kind!r} has no adjacent three-term step")
 
 
 def recursion_coeffs(spec: ChainSpec, n: int):
@@ -173,27 +169,30 @@ def recursion_coeffs(spec: ChainSpec, n: int):
     return ParamPoly((b0, b1)), ParamPoly.monomial(c1, 1)
 
 
-def specialize_family(spec: ChainSpec, order: int, zeta) -> list:
-    """Members 0..order at one exact rational zeta, as Fraction coefficient
-    lists in E (index k multiplies E**k).
+def scaled_members(spec: ChainSpec, order: int, zeta) -> list:
+    """Members 0..order at one exact rational zeta = a/d, denominators cleared.
 
-    The three-term recursion runs on the specialised coefficients, so entry
-    n equals gen_family(spec, order)[n].specialize(zeta) without building
-    the bivariate chain.
+    Entry n is (q, d**n), q the coefficient list in E (index k multiplies
+    E**k) of q_n = d**n p_n, so q[k] / d**n is the coefficient of p_n.  The
+    recursion q_n = (d*E + b0*d + b1*a) q_{n-1} + c1*a*d q_{n-2} runs on ints
+    for integer M (Fractions only through a rational M's c1) and normalises
+    no Fraction.
     """
     z = as_rational(zeta)
-    members = [[Fraction(1)]]
+    a, d = z.numerator, z.denominator
+    prev, cur = [], [1]
+    members = [(cur, 1)]
     for n in range(1, order + 1):
         b0, b1, c1 = _step(spec, n)
-        bz, cz = b0 + b1 * z, c1 * z
-        prev = members[-1]
-        new = [Fraction(0)] + prev
-        for k, p in enumerate(prev):
-            new[k] += bz * p
-        if n >= 2 and cz:
-            for k, p in enumerate(members[-2]):
-                new[k] += cz * p
-        members.append(new)
+        shift, lag = b0 * d + b1 * a, c1 * a * d
+        new = [0] + [d * x for x in cur]
+        for k, x in enumerate(cur):
+            new[k] += shift * x
+        if lag:
+            for k, x in enumerate(prev):
+                new[k] += lag * x
+        prev, cur = cur, new
+        members.append((cur, d**n))
     return members
 
 

@@ -20,13 +20,16 @@ number reported.  Moments, the norm crosscheck and the sine-Gordon weights
 all take their tables from it.
 
 Levels, weights, moments and the crosscheck run the three-term recursion at
-the given zeta: exactly (families.specialize_family) for the critical member
+the given zeta: on integers (families.scaled_members) for the critical member
 whose roots are isolated, in floats (families.family_values) for the chain
-values at the levels.  Only the factorization check builds bivariate chains.
+values at the levels.  chain_roots certifies each root by exact sign changes
+of the critical member between neighbouring roots.  Only the factorization
+check builds bivariate chains.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -34,9 +37,12 @@ import numpy as np
 
 from .exactpoly import (
     ParamPoly,
+    RootCountMismatch,
     as_rational,
+    check_root_residuals,
+    exact_sign,
     poly_divide_exact,
-    real_roots,
+    polished_real_roots,
 )
 from .families import (
     ChainSpec,
@@ -45,7 +51,7 @@ from .families import (
     family_values,
     gen_family,
     gen_quotient,
-    specialize_family,
+    scaled_members,
 )
 
 
@@ -204,15 +210,35 @@ def _chain_spec(m: int, entry: ChainPlanEntry) -> ChainSpec:
     return ChainSpec(entry.chain_kind, Fraction(m), entry.s)
 
 
-def chain_roots(critical: list, entry: ChainPlanEntry) -> list:
-    """Simple real roots (shifted energy) of a chain's critical member, given
-    by its exact coefficients at one zeta."""
-    roots = real_roots(critical)
-    if sum(mult for _, mult in roots) != entry.level_count:
-        raise QESDomainError("non-real QES root")
-    if any(mult > 1 for _, mult in roots):
-        raise QESDomainError("degenerate QES root")
-    return [r for r, _ in roots]
+def chain_roots(critical: tuple) -> list:
+    """Simple real roots, ascending, of a critical member given at one zeta
+    as (q, scale): integer coefficients q (q[k] multiplies E**k) and the
+    positive scale that divides them (families.scaled_members).
+
+    The float coefficients q[k] / scale are correctly rounded.  Their
+    companion roots, polished by Newton, are certified exactly: the signs of
+    the polynomial at -inf, at the float midpoints between neighbouring
+    roots and at +inf alternate N times for degree N, so each reported root
+    shares its interval between midpoints with exactly one true root, and
+    that root is simple.  Raises RootCountMismatch("isolated k of N roots")
+    otherwise, or if a root's residual is above tolerance.
+    """
+    q, scale = critical
+    degree = len(q) - 1
+    coeffs = [c / scale for c in q]
+    roots = polished_real_roots(coeffs)
+    points = [-math.inf] + [(x + y) / 2 for x, y in zip(roots, roots[1:])] + [math.inf]
+    signs = [exact_sign(q, t) for t in points]
+    isolated = sum(1 for a, b in zip(signs, signs[1:]) if a * b < 0)
+    if isolated != degree:
+        raise RootCountMismatch(f"isolated {isolated} of {degree} roots")
+    check_root_residuals(coeffs, [(r, 1) for r in roots])
+    return roots
+
+
+def _critical_roots(spec: ChainSpec, entry: ChainPlanEntry, zeta: float) -> list:
+    """Certified roots (shifted energy) of a chain's critical member at zeta."""
+    return chain_roots(scaled_members(spec, entry.critical_index, zeta)[-1])
 
 
 def qes_energies(m, zeta: float) -> SpectrumReport:
@@ -222,8 +248,8 @@ def qes_energies(m, zeta: float) -> SpectrumReport:
     levels = []
     for entry in chain_plan(m).entries:
         base = 0 if entry.node_parity == "even" else 1
-        critical = specialize_family(_chain_spec(m, entry), entry.critical_index, zeta)[-1]
-        for rank, root in enumerate(chain_roots(critical, entry)):
+        roots = _critical_roots(_chain_spec(m, entry), entry, zeta)
+        for rank, root in enumerate(roots):
             levels.append(
                 QESLevel(root + shift, root, base + 2 * rank, entry.chain_kind)
             )
@@ -343,9 +369,9 @@ def norms_from_recursion(form: ThreeTermForm, zeta: float | None = None) -> Norm
 def weights(m, zeta: float, chain: str) -> WeightTable:
     """Discrete weights on a chain's own levels from sum_k p_n(E_k) w_k = delta_n0.
 
-    The square system runs over n = 0 .. (level count - 1): the chain is
-    specialised once at zeta, its critical member's roots are isolated
-    (chain_roots), the members are evaluated there in floats
+    The square system runs over n = 0 .. (level count - 1): the roots of the
+    chain's critical member at zeta are certified (chain_roots), the
+    members are evaluated there in floats
     (family_values), and the system is solved by partial pivoting.  The
     residual must stay within 1e-10 and the condition number is recorded.
     Every table comes from this float solve, so its `exact` flag is False.
@@ -355,8 +381,7 @@ def weights(m, zeta: float, chain: str) -> WeightTable:
     count = entry.level_count
     shift = (m + zeta) ** 2
     spec = _chain_spec(m, entry)
-    critical = specialize_family(spec, entry.critical_index, zeta)[-1]
-    roots = chain_roots(critical, entry)
+    roots = _critical_roots(spec, entry, zeta)
     a = np.array(family_values(spec, count - 1, zeta, np.array(roots)))
     rhs = np.zeros(count)
     rhs[0] = 1.0

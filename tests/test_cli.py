@@ -78,6 +78,15 @@ class TestSpectrumCommand:
         assert code == 1
         assert "integer" in err
 
+    def test_uncertified_roots_are_one_error_line(self, capsys):
+        # the M = 65 critical members defeat the float seeds; the failed
+        # certificate is reported like any other domain error
+        code, out, err = run(capsys, "spectrum", "--m", "65", "--zeta", "1")
+        assert code == 1
+        assert out == ""
+        assert "Traceback" not in err
+        assert err.startswith("error: isolated ") and err.count("\n") == 1
+
     def test_csv_format(self, capsys):
         code, out, _ = run(capsys, "spectrum", "--m", "3", "--zeta", "1",
                            "--format", "csv")

@@ -14,7 +14,7 @@ from qespoly.families import (
     gen_family,
     gen_quotient,
     recursion_coeffs,
-    specialize_family,
+    scaled_members,
     three_term_form,
 )
 
@@ -357,20 +357,32 @@ class TestRecursionAtZeta:
     @pytest.mark.parametrize("s", [Fraction(0), HALF])
     @pytest.mark.parametrize("m", [3, 4, 9, 10, 17])
     @pytest.mark.parametrize("zr", [HALF, Fraction(3, 8), Fraction(0.7)])
-    def test_exact_specialisation_equals_specialized_chain(self, kind, s, m, zr):
+    def test_scaled_members_equal_specialized_chain(self, kind, s, m, zr):
         spec = ChainSpec(kind, Fraction(m), s)
         order = m // 2 + 2
         fam = gen_family(spec, order)
-        got = specialize_family(spec, order, zr)
+        got = scaled_members(spec, order, zr)
         assert len(got) == order + 1
-        for n in range(order + 1):
-            assert got[n] == fam[n].specialize(zr)
+        for n, (q, scale) in enumerate(got):
+            assert scale == zr.denominator ** n
+            assert all(type(x) is int for x in q)
+            assert [Fraction(x, scale) for x in q] == fam[n].specialize(zr)
 
-    def test_quotient_chain_specialisation(self):
+    def test_quotient_chain_scaled_members(self):
         spec = ChainSpec("Qbar", Fraction(5), HALF)
         fam = gen_quotient(spec, 4)
-        got = specialize_family(spec, 4, Fraction(3, 8))
-        assert got == [p.specialize(Fraction(3, 8)) for p in fam.members]
+        for zr in (Fraction(3, 8), Fraction(0.7)):
+            got = scaled_members(spec, 4, zr)
+            assert all(type(x) is int for q, _ in got for x in q)
+            assert [[Fraction(x, scale) for x in q] for q, scale in got] == [
+                p.specialize(zr) for p in fam.members]
+
+    def test_rational_m_scaled_members(self):
+        # a rational M carries Fractions in C_n only; the scaling still holds
+        spec = ChainSpec("P", Fraction(7, 3), HALF)
+        fam = gen_family(spec, 4)
+        for n, (q, scale) in enumerate(scaled_members(spec, 4, Fraction(0.7))):
+            assert [Fraction(x, scale) for x in q] == fam[n].specialize(Fraction(0.7))
 
     @pytest.mark.parametrize("kind,m,s", [("P", 9, Fraction(0)), ("Q", 10, Fraction(0)),
                                           ("P", 17, HALF), ("Q", 4, HALF)])

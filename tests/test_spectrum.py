@@ -4,12 +4,20 @@ from fractions import Fraction
 
 import pytest
 
-from qespoly.exactpoly import ParamPoly
-from qespoly.families import ChainSpec, gen_family, gen_quotient, three_term_form
+from qespoly import spectrum
+from qespoly.exactpoly import ParamPoly, RootCountMismatch, real_roots
+from qespoly.families import (
+    ChainSpec,
+    gen_family,
+    gen_quotient,
+    scaled_members,
+    three_term_form,
+)
 from qespoly.spectrum import (
     QESDomainError,
     WeightTable,
     chain_plan,
+    chain_roots,
     factorization_check,
     moments,
     norm_weight_crosscheck,
@@ -108,6 +116,53 @@ class TestEnergies:
         assert set(doc) == {"m", "zeta", "levels"}
         assert set(doc["levels"][0]) == {"E", "script_E", "nodes", "chain"}
         json.dumps(doc)
+
+
+class TestChainRoots:
+    """The sign-change certificate on exact integer coefficients."""
+
+    # (E+1)(E-1)(E-2) = E^3 - 2E^2 - E + 2
+    THREE_ROOTS = [2, -1, -2, 1]
+
+    def test_well_separated_roots(self):
+        roots = chain_roots((self.THREE_ROOTS, 1))
+        assert roots == pytest.approx([-1.0, 1.0, 2.0], abs=1e-14)
+        # the scale divides the coefficients, so q and 8q are one polynomial
+        assert chain_roots(([8 * c for c in self.THREE_ROOTS], 8)) == roots
+
+    @pytest.mark.parametrize("q", [
+        [2, -3, 0, 1],      # (E-1)^2 (E+2): an exact double root
+        [-3, 1, -3, 1],     # (E^2+1)(E-3): a complex pair
+    ])
+    def test_non_simple_or_complex_roots_raise(self, q):
+        with pytest.raises(RootCountMismatch, match="isolated 1 of 3 roots"):
+            chain_roots((q, 1))
+
+    @pytest.mark.parametrize("seeds", [
+        [-1.0, 2.5, 3.0],   # the midpoint 2.75 lies past the root at 2
+        [1.0, 1.0, 2.0],    # exact roots, one twice and -1 missed
+    ])
+    def test_seeds_on_the_wrong_side_raise(self, monkeypatch, seeds):
+        monkeypatch.setattr(spectrum, "polished_real_roots", lambda coeffs: seeds)
+        with pytest.raises(RootCountMismatch, match="isolated 1 of 3 roots"):
+            chain_roots((self.THREE_ROOTS, 1))
+
+    def test_certified_seed_still_meets_the_residual_bound(self, monkeypatch):
+        # 1.5 shares its interval (0.25, 1.75) with the root 1 alone
+        monkeypatch.setattr(spectrum, "polished_real_roots",
+                            lambda coeffs: [-1.0, 1.5, 2.0])
+        with pytest.raises(RootCountMismatch, match="residual"):
+            chain_roots((self.THREE_ROOTS, 1))
+
+    @pytest.mark.parametrize("m", [9, 10, 17, 18])
+    @pytest.mark.parametrize("zeta", [0.5, 0.7, 1.0, 1.3])
+    def test_critical_roots_equal_general_root_finder(self, m, zeta):
+        for entry in chain_plan(m).entries:
+            spec = ChainSpec(entry.chain_kind, Fraction(m), entry.s)
+            n = entry.critical_index
+            got = chain_roots(scaled_members(spec, n, zeta)[-1])
+            expected = real_roots(gen_family(spec, n)[n], zeta)
+            assert got == [r for r, _ in expected]
 
 
 class TestFactorization:
