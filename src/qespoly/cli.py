@@ -19,17 +19,17 @@ from fractions import Fraction
 import numpy as np
 
 from . import __version__
-from .duality import DsgRejection, dsg_spectrum
+from .duality import DsgRejection, dsg_spectrum, dual_energies
 from .exactpoly import ExactDivisionError, RootCountMismatch
 from .families import (
     ChainSpec,
     ChainSpecError,
     MAIN_KINDS,
     QUOTIENT_KINDS,
-    finkel_form,
     gen_R,
     gen_family,
     gen_quotient,
+    terminating_chains,
     three_term_form,
 )
 from .oracle import (
@@ -162,21 +162,19 @@ def _render_numeric(coeffs) -> str:
     return " + ".join(parts) if parts else "0"
 
 
-def _manifest(command: str, args: argparse.Namespace, fmt: str) -> dict:
+def _emit(args, payload: dict, rows: list, lines: list) -> None:
+    """Write the payload in args.format, under the manifest of args.command."""
+    fmt = args.format
     params = {
         k: v for k, v in sorted(vars(args).items())
         if k not in ("func", "out", "format", "command") and v is not None
     }
-    return {
-        "command": command,
+    manifest = {
+        "command": args.command,
         "params": params,
         "version": __version__,
         "format": fmt,
     }
-
-
-def _emit(args, manifest: dict, payload: dict, rows: list, lines: list) -> None:
-    fmt = args.format
     if fmt == "json":
         doc = {"manifest": manifest}
         doc.update(payload)
@@ -213,13 +211,10 @@ def _cmd_family(args) -> int:
         rendered = [p.render() for p in fam.members]
         coeff_payload = rendered
     else:
-        rendered = [
-            _render_numeric([float(c) for c in p.specialize(Fraction(zeta))])
-            for p in fam.members
-        ]
         coeff_payload = [
             [float(c) for c in p.specialize(Fraction(zeta))] for p in fam.members
         ]
+        rendered = [_render_numeric(coeffs) for coeffs in coeff_payload]
     payload = {
         "family": {
             "kind": args.chain,
@@ -230,7 +225,7 @@ def _cmd_family(args) -> int:
         }
     }
     rows = [["n", "polynomial"]] + [[n, r] for n, r in enumerate(rendered)]
-    _emit(args, _manifest("family", args, args.format), payload, rows, rendered)
+    _emit(args, payload, rows, rendered)
     return 0
 
 
@@ -241,8 +236,7 @@ def _cmd_spectrum(args) -> int:
         f"E={_fmt(lv.energy)} scriptE={_fmt(lv.script_energy)} nodes={lv.nodes} chain={lv.chain}"
         for lv in report.levels
     ]
-    _emit(args, _manifest("spectrum", args, args.format),
-          report.to_json_dict(), report.to_csv_rows(), lines)
+    _emit(args, report.to_json_dict(), report.to_csv_rows(), lines)
     return 0
 
 
@@ -252,8 +246,7 @@ def _cmd_weights(args) -> int:
     rows = [["E", "w"]] + [[repr(e), repr(w)] for e, w in table.support]
     lines = [f"E={_fmt(e)} w={_fmt(w)}" for e, w in table.support]
     lines.append(f"sum={_fmt(sum(table.weights()))} condition={table.condition:.6g}")
-    _emit(args, _manifest("weights", args, args.format),
-          table.to_json_dict(), rows, lines)
+    _emit(args, table.to_json_dict(), rows, lines)
     return 0
 
 
@@ -283,7 +276,7 @@ def _cmd_norms(args) -> int:
         lines += [f"gamma_{n}({zeta}) = {g.eval_float(zeta):.12g}"
                   for n, g in enumerate(closed)]
     lines.append(f"recursion matches closed form: {all(agree)}")
-    _emit(args, _manifest("norms", args, args.format), payload, rows, lines)
+    _emit(args, payload, rows, lines)
     return 0
 
 
@@ -297,8 +290,7 @@ def _cmd_moments(args) -> int:
     lines = [f"mu_{n} = {v:.12g}" for n, v in enumerate(seq.values)]
     lines.append(f"max|E| = {seq.max_abs_energy:.12g}  "
                  f"(M+zeta)^2 = {seq.leading_order_comparator:.12g}")
-    _emit(args, _manifest("moments", args, args.format),
-          seq.to_json_dict(), rows, lines)
+    _emit(args, seq.to_json_dict(), rows, lines)
     return 0
 
 
@@ -317,12 +309,17 @@ def _cmd_duality(args) -> int:
             f"E={_fmt(lv.energy)} nodes={lv.nodes} chain={lv.chain}"
             for lv in outcome.levels
         ]
-    _emit(args, _manifest("duality", args, args.format), payload, rows, lines)
+    _emit(args, payload, rows, lines)
     return 0
 
 
 def _cmd_wavefunction(args) -> int:
     zeta = _parse_zeta(args.zeta, allow_symbolic=False)
+    if not 0 < args.domain_l < math.inf:
+        raise QESDomainError(
+            f"--domain-l must be positive and finite, got {args.domain_l}")
+    if args.grid_n < 2:
+        raise QESDomainError(f"--grid-n must be at least 2, got {args.grid_n}")
     state = build_qes_state(_parse_m(args.m), zeta, args.level)
     grid = np.linspace(-args.domain_l, args.domain_l, args.grid_n)
     values = state.eval(grid)
@@ -333,7 +330,7 @@ def _cmd_wavefunction(args) -> int:
     lines = [f"E = {_fmt(state.energy)}  chain={state.chain}  s={float(state.s)}",
              f"coeffs = {[f'{c:.12g}' for c in state.coeffs]}",
              f"nodes on grid = {payload['nodes']}"]
-    _emit(args, _manifest("wavefunction", args, args.format), payload, rows, lines)
+    _emit(args, payload, rows, lines)
     return 0
 
 
@@ -360,18 +357,15 @@ def _cmd_oracle(args) -> int:
     if args.family in ("dshg", "dsg"):
         _parse_zeta(args.zeta, allow_symbolic=False)
     spec = _make_spec(args)
-    if spec.is_circle():
-        config = OracleConfig(spec, n=args.grid_n, count=args.count)
-    else:
-        config = OracleConfig(spec, l=args.domain_l, n=args.grid_n, count=args.count)
+    half_width = None if spec.is_circle() else args.domain_l
+    config = OracleConfig(spec, l=half_width, n=args.grid_n, count=args.count)
     result = lowest_eigenvalues(config)
     rows = [["k", "eigenvalue", "coarse", "extrapolated"]]
     for k, e in enumerate(result.eigenvalues):
         rows.append([k, repr(e), repr(result.richardson[k]),
                      repr(result.extrapolated[k])])
     lines = [f"E_{k} = {_fmt(e)}" for k, e in enumerate(result.eigenvalues)]
-    _emit(args, _manifest("oracle", args, args.format),
-          result.to_json_dict(), rows, lines)
+    _emit(args, result.to_json_dict(), rows, lines)
     return 0
 
 
@@ -392,8 +386,7 @@ def _cmd_verify_all(args) -> int:
 
     def check_symbolic():
         ok = True
-        for kind, s in (("P", Fraction(0)), ("Q", Fraction(1, 2))) if m % 2 else (
-                ("P", Fraction(1, 2)), ("Q", Fraction(0))):
+        for kind, s, _, _ in terminating_chains(m):
             fam = gen_family(ChainSpec(kind, Fraction(m), s), 6)
             for n, p in enumerate(fam.members):
                 ok &= p.is_monic() and p.degree() == n
@@ -445,7 +438,7 @@ def _cmd_verify_all(args) -> int:
         outcome = dsg_spectrum(m, zeta)
         if isinstance(outcome, DsgRejection):
             return all(c == -1 for c in outcome.characters)
-        expected = [-e for e in reversed(qes_energies(m, zeta).energies())]
+        expected = dual_energies(qes_energies(m, zeta).energies())
         got = outcome.energies()
         return max(abs(a - b) for a, b in zip(expected, got)) <= 1e-12
 
@@ -467,7 +460,7 @@ def _cmd_verify_all(args) -> int:
         "ok": all_ok,
     }
     rows = [["check", "ok"]] + [[n, ok] for n, ok, _ in checks]
-    _emit(args, _manifest("verify-all", args, args.format), payload, rows, lines)
+    _emit(args, payload, rows, lines)
     return 0 if all_ok else 1
 
 
@@ -578,7 +571,7 @@ def main(argv=None) -> int:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
     except (QESDomainError, ChainSpecError, OracleError, ExactDivisionError,
-            RootCountMismatch, ValueError) as exc:
+            RootCountMismatch, ValueError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

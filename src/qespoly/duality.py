@@ -142,12 +142,9 @@ def dsg_spectrum(m: int, zeta: float):
             "candidate states change sign under a half turn (even M)",
         )
     shift = (m + zeta) ** 2
-    levels = []
-    for k in range(m):
-        src = source.levels[m - 1 - k]
-        e = -src.energy
-        levels.append(QESLevel(e, e - shift, k, src.chain))
-    return SpectrumReport(m, zeta, tuple(levels))
+    pairs = enumerate(zip(dual_energies(source.energies()), reversed(source.levels)))
+    levels = tuple(QESLevel(e, e - shift, k, src.chain) for k, (e, src) in pairs)
+    return SpectrumReport(m, zeta, levels)
 
 
 def dsg_weights_moments(m: int, zeta: float, chain: str = "P"):

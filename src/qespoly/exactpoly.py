@@ -11,15 +11,16 @@ stripped; the zero polynomial is empty), so generated families compare
 coefficient for coefficient.
 
 One set of row helpers (_add, _mul, _horner) does the arithmetic of both
-classes, exact long division (poly_divide_exact), exact specialization and
-numeric evaluation.  Chains are built by step_rows, one recursion step
-(E + b0 + b1*zeta)*p + c1*zeta*q as a shift, scalings and additions, and
-from_rows wraps the result without touching its entries.
+classes, the one exact long division (poly_divide_exact, which also builds
+Sturm chains), exact specialization and numeric evaluation.  Chains are
+built by step_rows, one recursion step (E + b0 + b1*zeta)*p + c1*zeta*q as
+a shift, scalings and additions, and from_rows wraps the result without
+touching its entries.
 
 Binary floats enter in two places: numeric evaluation (eval_float;
 eval_numeric is Horner in E after Horner in zeta) and root finding, where
-companion-matrix eigenvalues are polished with Newton steps
-(polished_real_roots) and then certified exactly.  The general finder
+companion-matrix eigenvalues are polished by the one Newton loop (_newton,
+through polished_real_roots) and then certified exactly.  The general finder
 real_roots clusters them into multiplicities and checks the count of
 distinct real roots against an exact Sturm chain.  The numeric pipelines
 (levels, weights, states, duality) never expand a bivariate chain: they run
@@ -376,49 +377,28 @@ def _uni_deriv(c):
     return [k * c[k] for k in range(1, len(c))]
 
 
-def _uni_rem(a, b):
-    """Remainder of a / b over Fraction coefficient lists."""
-    a = list(a)
-    db = len(b) - 1
-    lb = b[-1]
-    while len(a) - 1 >= db and any(a):
-        _trim(a)
-        if len(a) - 1 < db:
-            break
-        f = a[-1] / lb
-        shift = len(a) - 1 - db
-        for i, bc in enumerate(b):
-            a[shift + i] -= f * bc
-        _trim(a)
-        if not a:
-            break
-    return _trim(a)
-
-
 def sturm_real_root_count(coeffs) -> int:
     """Distinct real roots of an exact univariate polynomial over (-inf, inf).
 
-    coeffs[k] is the Fraction coefficient of x**k; chain signs are taken at
-    both infinities from leading terms.
+    coeffs[k] is the Fraction coefficient of x**k; the chain is built as
+    EnergyPolys constant in zeta by poly_divide_exact, and its signs are
+    taken at both infinities from leading terms.
     """
     c = _trim([as_rational(x) for x in coeffs])
     if len(c) <= 1:
         return 0
-    chain = [c, _trim(_uni_deriv(c))]
-    while chain[-1]:
-        r = _uni_rem(chain[-2], chain[-1])
-        if not r:
+    chain = [EnergyPoly(tuple(c)), EnergyPoly(tuple(_uni_deriv(c)))]
+    while True:
+        _, r = poly_divide_exact(chain[-2], chain[-1])
+        if r.is_zero():
             break
-        chain.append([-x for x in r])
+        chain.append(-r)
 
     def sign_changes(at_plus_inf: bool) -> int:
         signs = []
         for p in chain:
-            if not p:
-                continue
-            lead = p[-1]
-            s = 1 if lead > 0 else -1
-            if not at_plus_inf and (len(p) - 1) % 2 == 1:
+            s = 1 if p.rows[-1][0] > 0 else -1
+            if not at_plus_inf and p.degree() % 2 == 1:
                 s = -s
             signs.append(s)
         return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
@@ -436,6 +416,20 @@ def _val_dval(coeffs, x: float):
     return v, d
 
 
+def _newton(coeffs, x: float, mult: int = 1, steps: int = 60) -> float:
+    """Newton steps x -= mult * v / d for a root of multiplicity mult,
+    until a step is below 1e-15 relative or the derivative vanishes."""
+    for _ in range(steps):
+        v, d = _val_dval(coeffs, x)
+        if d == 0.0:
+            break
+        step = mult * v / d
+        x -= step
+        if abs(step) <= 1e-15 * (1.0 + abs(x)):
+            break
+    return x
+
+
 def polished_real_roots(coeffs) -> list:
     """Real candidates for the roots of a float polynomial, ascending.
 
@@ -447,20 +441,8 @@ def polished_real_roots(coeffs) -> list:
     # multiple roots scatter the companion eigenvalues by ~eps**(1/m), so
     # admit candidates generously and let the caller's certificate decide
     candidates = [z for z in raw if abs(z.imag) <= 1e-5 * (1.0 + abs(z))]
-    polished = []
-    for z in candidates:
-        x = float(z.real)
-        for _ in range(60):
-            v, d = _val_dval(coeffs, x)
-            if d == 0.0:
-                break
-            step = v / d
-            x -= step
-            if abs(step) <= 1e-15 * (1.0 + abs(x)):
-                break
-        polished.append(x)
-    polished.sort()
-    return polished
+    return sorted(_newton(coeffs, float(z.real)) for z in candidates)
+
 
 
 def check_root_residuals(coeffs, roots) -> None:
@@ -540,14 +522,7 @@ def real_roots(p, zeta=None) -> list:
         x = sum(g) / mult
         if mult > 1:
             # multiplicity-aware Newton to sharpen the cluster center
-            for _ in range(30):
-                v, d = _val_dval(coeffs, x)
-                if d == 0.0:
-                    break
-                step = mult * v / d
-                x -= step
-                if abs(step) <= 1e-15 * (1.0 + abs(x)):
-                    break
+            x = _newton(coeffs, x, mult, 30)
         roots.append((x, mult))
 
     check_root_residuals(coeffs, roots)

@@ -12,7 +12,11 @@ right parity the lag coefficient C_n vanishes at a finite index, the chain
 terminates, and every later member factors through the critical member; the
 four quotient chains (Pbar, Qbar for odd M; Rbar, Sbar for even M) are the
 cofactors of that factorization and are generated here by the same
-recursion with the index shifted past the critical member.
+recursion with the index shifted past the critical member.  Which chains
+terminate, with which quotient chain, is one table (TERMINATING, read
+through terminating_chains), and the critical index one formula
+(critical_index); the level plan, the factorization check, the quotient
+chains' validation and index offset, and the termination index read them.
 
 Every chain is generated on exactpoly coefficient rows, one step_rows call
 per member (integers throughout for integer M), and those rows are what each
@@ -40,13 +44,14 @@ MAIN_KINDS = ("P", "Q")
 QUOTIENT_KINDS = ("Pbar", "Qbar", "Rbar", "Sbar")
 CHAIN_KINDS = MAIN_KINDS + ("R",) + QUOTIENT_KINDS
 
-# quotient kind -> (base chain, required s, M parity ("odd"/"even"))
-_QUOTIENT_TABLE = {
-    "Pbar": ("P", Fraction(0), "odd"),
-    "Qbar": ("Q", Fraction(1, 2), "odd"),
-    "Rbar": ("P", Fraction(1, 2), "even"),
-    "Sbar": ("Q", Fraction(0), "even"),
+# M mod 2 -> the chains that terminate at integer M, as (kind, s, quotient
+# kind); the first, with s = 0, carries the even-node levels
+TERMINATING = {
+    1: (("P", Fraction(0), "Pbar"), ("Q", Fraction(1, 2), "Qbar")),
+    0: (("Q", Fraction(0), "Sbar"), ("P", Fraction(1, 2), "Rbar")),
 }
+# quotient kind -> parent kind, read off TERMINATING
+_PARENT = {q: kind for row in TERMINATING.values() for kind, _, q in row}
 
 
 class ChainSpecError(ValueError):
@@ -69,12 +74,9 @@ class ChainSpec:
         if self.s not in (Fraction(0), Fraction(1, 2)):
             raise ChainSpecError("s must be 0 or 1/2")
         if self.kind in QUOTIENT_KINDS:
-            base, s_req, parity = _QUOTIENT_TABLE[self.kind]
             m = self.m
-            if m.denominator != 1 or m <= 0:
-                raise ChainSpecError("invalid quotient chain")
-            odd = int(m) % 2 == 1
-            if (parity == "odd") != odd or self.s != s_req:
+            if m.denominator != 1 or m <= 0 or (self.s, self.kind) not in (
+                    (s, q) for _, s, q in TERMINATING[m.numerator % 2]):
                 raise ChainSpecError("invalid quotient chain")
 
 
@@ -125,13 +127,25 @@ class FinkelForm:
     a_signs_before_termination: tuple
 
 
-def critical_index(kind: str, m: Fraction, s: Fraction) -> Fraction:
-    """Index of the critical (terminating) member: P: (M+1-2s)/2, Q: (M-2s)/2."""
-    if kind == "P":
-        return (m + 1 - 2 * s) / 2
-    if kind == "Q":
-        return (m - 2 * s) / 2
-    raise ChainSpecError(f"no critical index for chain {kind!r}")
+def critical_index(kind: str, m, s: Fraction):
+    """Index of the critical (terminating) member, P: (M+1-2s)/2, Q: (M-2s)/2.
+
+    An int where it is integral (integer M, for the chains of TERMINATING),
+    a Fraction otherwise; integer arithmetic throughout for an int M.
+    """
+    if kind not in MAIN_KINDS:
+        raise ChainSpecError(f"no critical index for chain {kind!r}")
+    t = s.numerator  # 2s, for s = 0 or 1/2
+    if (t, s.denominator) not in ((0, 1), (1, 2)):
+        raise ChainSpecError("s must be 0 or 1/2")
+    twice = m + (kind == "P") - t
+    return twice // 2 if twice % 2 == 0 else Fraction(twice, 2)
+
+
+def terminating_chains(m: int) -> list:
+    """(kind, s, quotient kind, critical index) of each chain that
+    terminates at integer M, s = 0 first, with int critical indices."""
+    return [(kind, s, q, critical_index(kind, m, s)) for kind, s, q in TERMINATING[m % 2]]
 
 
 def _step(spec: ChainSpec, n: int) -> tuple:
@@ -145,10 +159,10 @@ def _step(spec: ChainSpec, n: int) -> tuple:
     # s is 0 or 1/2, so t = 2s is its numerator
     kind, m, t = spec.kind, plain(spec.m), spec.s.numerator
     if kind in QUOTIENT_KINDS:
-        # the quotient table admits only integer M of the parity that makes
-        # the critical index an integer
-        kind = _QUOTIENT_TABLE[kind][0]
-        n += (m + 1 - t) // 2 if kind == "P" else (m - t) // 2
+        # ChainSpec admits only the quotients of TERMINATING, whose parents
+        # have an integer critical index
+        kind = _PARENT[kind]
+        n += critical_index(kind, m, spec.s)
     if kind == "P":
         c1 = 8 * (n - 1) * (2 * n - 3) * (m + 3 - t - 2 * n)
         return (2 * n + t - 2) ** 2, 8 * n - 6, plain(c1)
@@ -213,13 +227,14 @@ def family_values(spec: ChainSpec, order: int, zeta: float, eps) -> list:
 
 
 def _termination(spec: ChainSpec) -> int | None:
-    """Smallest n >= 2 with C_n identically zero, for integer M; else None."""
-    kind, m, s = spec.kind, spec.m, spec.s
-    if kind not in MAIN_KINDS:
+    """Index of the first member whose lag term vanishes identically, for a
+    P/Q chain or the combined R chain (P_n = R_2n, Q_n = R_2n+1): one past a
+    positive critical index of a terminating chain; else None."""
+    if spec.kind in QUOTIENT_KINDS or spec.m.denominator != 1:
         return None
-    t = (m + 3 - 2 * s) / 2 if kind == "P" else (m + 2 - 2 * s) / 2
-    if t.denominator == 1 and t >= 2:
-        return int(t)
+    for kind, s, _, crit in terminating_chains(spec.m.numerator):
+        if s == spec.s and crit >= 1 and spec.kind in (kind, "R"):
+            return crit + 1 if spec.kind == kind else 2 * crit + 2 + (kind == "Q")
     return None
 
 
@@ -269,9 +284,7 @@ def gen_R(spec: ChainSpec, order: int) -> PolyFamily:
         c1 = plain(4 * (m + 1 - 2 * s - n) * n * (n - 1))
         rows.append(step_rows(rows[n], rows[n - 2] if n >= 2 else [], b0, 4 * n + 2, c1))
     members = tuple(from_rows(r) for r in rows[: order + 1])
-    term = m + 3 - 2 * s
-    termination = int(term) if term.denominator == 1 and term >= 4 else None
-    return PolyFamily(spec, members, termination)
+    return PolyFamily(spec, members, _termination(spec))
 
 
 def three_term_form(family: PolyFamily) -> ThreeTermForm:

@@ -10,7 +10,9 @@ On the line the discrete node theorem makes the parities alternate, even
 first, so the lowest k levels are the lowest ceil(k/2) even and floor(k/2)
 odd ones, and `verify_qes` matches the level with k nodes to line level k.
 Every solve is repeated on the half-resolution grid so convergence can be
-judged from the Richardson pair.
+judged from the Richardson pair; the grid spacing of each geometry has one
+formula, in discretize.  A circle family's analytic levels are the dual
+energies of its line preimage's (potentials.line_preimage).
 
 This solver shares nothing with the polynomial route except the potential
 evaluators, which is what makes the comparison a genuine cross-check.
@@ -26,6 +28,8 @@ import scipy.linalg
 from .duality import DualReport, dual_energies
 from .potentials import (
     PotentialSpec,
+    dshg,
+    line_preimage,
     potential_eval,
     sextic_qes_levels,
 )
@@ -126,13 +130,14 @@ def discretize(config: OracleConfig) -> Discretization:
     return Discretization(diag, offdiag, corner, grid, h)
 
 
-def _solve(config: OracleConfig) -> np.ndarray:
+def _solve(config: OracleConfig) -> tuple:
+    """The lowest eigenvalues and the grid spacing they were computed at."""
     disc = discretize(config)
     k = min(config.count, config.n - 1)
     if disc.corner is not None:
-        return circle_eigenvalues(disc, k)
+        return circle_eigenvalues(disc, k), disc.h
     even, odd = _reflection_blocks(disc.diag, disc.offdiag, "x")
-    return _merged_lowest(even, odd, (k + 1) // 2, k // 2)
+    return _merged_lowest(even, odd, (k + 1) // 2, k // 2), disc.h
 
 
 def _lowest_tridiagonal(diag, offdiag, k: int) -> np.ndarray:
@@ -206,22 +211,18 @@ def lowest_eigenvalues(config: OracleConfig) -> OracleResult:
         raise ValueError("need at least 64 grid points")
     cfg = config
     for _ in range(8):
-        fine = _solve(cfg)
+        fine, h = _solve(cfg)
         e_top = cfg.e_max_hint if cfg.e_max_hint is not None else float(fine[-1])
         if cfg.spec.is_circle() or _line_domain_ok(cfg.spec, cfg.l, e_top):
             break
         cfg = replace(cfg, l=1.5 * cfg.l)
     else:
         raise OracleError("domain too small")
-    coarse = _solve(replace(cfg, n=cfg.n // 2))
+    coarse, _ = _solve(replace(cfg, n=cfg.n // 2))
     k = min(len(fine), len(coarse))
     extrapolated = tuple((4.0 * fine[i] - coarse[i]) / 3.0 for i in range(k))
-    if cfg.spec.is_circle():
-        disc_h = cfg.spec.period * cfg.period_multiplier / cfg.n
-    else:
-        disc_h = 2.0 * cfg.l / (cfg.n + 1)
     return OracleResult(
-        cfg, tuple(float(v) for v in fine), disc_h, tuple(float(v) for v in coarse),
+        cfg, tuple(float(v) for v in fine), h, tuple(float(v) for v in coarse),
         extrapolated,
     )
 
@@ -250,10 +251,7 @@ def verify_qes(m: int, zeta: float, tolerance: float = 1e-4,
     from .spectrum import qes_energies
 
     report = qes_energies(m, zeta)
-    config = OracleConfig(
-        PotentialSpec("dshg", {"m": float(m), "zeta": float(zeta)}),
-        l=l, n=n, count=m + 3,
-    )
+    config = OracleConfig(dshg(m, zeta), l=l, n=n, count=m + 3)
     result = lowest_eigenvalues(config)
     matches = tuple(LevelMatch(lv.energy, result.eigenvalues[lv.nodes], lv.nodes)
                     for lv in report.levels)
@@ -264,14 +262,15 @@ def verify_qes(m: int, zeta: float, tolerance: float = 1e-4,
 
 
 def analytic_qes_levels(spec: PotentialSpec) -> list:
-    """The algebraic levels a potential family is known to hold."""
+    """The algebraic levels a potential family is known to hold; a circle
+    family holds the dual energies of its line preimage's levels."""
     from .spectrum import qes_energies
 
     p = spec.params
+    if spec.is_circle():
+        return dual_energies(analytic_qes_levels(line_preimage(spec)))
     if spec.family == "dshg":
         return qes_energies(int(p["m"]), p["zeta"]).energies()
-    if spec.family == "dsg":
-        return dual_energies(qes_energies(int(p["m"]), p["zeta"]).energies())
     if spec.family == "sextic_plus":
         return sextic_qes_levels(p["m"], p["a"], p["b"])
     if spec.family == "sextic_minus":
@@ -281,14 +280,6 @@ def analytic_qes_levels(spec: PotentialSpec) -> list:
         levels = [0.0]
         if abs(p["epsilon_sq"] - 0.5) <= 1e-12:
             levels.append(0.75 * mu2)
-        return levels
-    if spec.family == "phi6_kink_dual":
-        # the E = 0 state is antiperiodic over one potential period, so it
-        # only shows up when the circle is the doubled cover
-        mu2 = p["mu"] ** 2
-        levels = [0.0]
-        if abs(p["epsilon_sq"] - 0.5) <= 1e-12:
-            levels = [-0.75 * mu2, 0.0]
         return levels
     raise OracleError(f"no algebraic levels known for family {spec.family!r}")
 
@@ -300,6 +291,8 @@ _DEFAULT_LINE = {"dshg": (5.0, 8000), "sextic_plus": (8.0, 6000),
 def _default_config(spec: PotentialSpec, count: int,
                     e_max_hint: float | None = None) -> OracleConfig:
     if spec.is_circle():
+        # the E = 0 state of the kink-dual well is antiperiodic over one
+        # potential period, so it only shows up on the doubled cover
         mult = 2 if spec.family == "phi6_kink_dual" else 1
         return OracleConfig(spec, n=2048 * mult, count=count, period_multiplier=mult)
     l, n = _DEFAULT_LINE.get(spec.family, (8.0, 6000))
@@ -307,9 +300,7 @@ def _default_config(spec: PotentialSpec, count: int,
 
 
 def verify_duality_pair(spec_a: PotentialSpec, spec_b: PotentialSpec,
-                        tolerance: float = 1e-3,
-                        config_a: OracleConfig | None = None,
-                        config_b: OracleConfig | None = None) -> DualReport:
+                        tolerance: float = 1e-3) -> DualReport:
     """Check the negate-and-reverse pairing of two dual potentials.
 
     The algebraic levels of spec_a are mapped to spec_b's expected levels;
@@ -318,10 +309,8 @@ def verify_duality_pair(spec_a: PotentialSpec, spec_b: PotentialSpec,
     levels_a = analytic_qes_levels(spec_a)
     levels_b = dual_energies(levels_a)
     count = len(levels_a)
-    res_a = lowest_eigenvalues(
-        config_a or _default_config(spec_a, count + 4, max(levels_a)))
-    res_b = lowest_eigenvalues(
-        config_b or _default_config(spec_b, count + 4, max(levels_b)))
+    res_a = lowest_eigenvalues(_default_config(spec_a, count + 4, max(levels_a)))
+    res_b = lowest_eigenvalues(_default_config(spec_b, count + 4, max(levels_b)))
     matches_a = match_levels(levels_a, res_a.eigenvalues)
     matches_b = match_levels(levels_b, res_b.eigenvalues)
     worst = max(

@@ -11,12 +11,15 @@ Line potentials (hbar = 2m = 1 throughout):
 Circle potentials, the images of a line potential under x -> i*theta
 (which flips the sign of the potential and of the spectrum):
 
-    dsg             -(zeta*cos(2 theta) - M)**2 on the circle of period pi
-    phi6_kink_dual  the negated trigonometric image of phi6_kink on the
-                    circle of period 2 pi / mu
+    dsg             image of dshg, -(zeta*cos(2 theta) - M)**2 on the
+                    circle of period pi
+    phi6_kink_dual  image of phi6_kink on the circle of period 2 pi / mu
 
-Evaluators accept scalars or numpy arrays and are the single callable
-contract the finite-difference oracle consumes.
+A circle family has no formula of its own: potential_eval evaluates its
+line preimage's formula under cosh 2x -> cos 2theta, sinh**2 -> -sin**2 and
+negates the value, and line_preimage hands the preimage to whoever needs
+its levels.  Evaluators accept scalars or numpy arrays and are the single
+callable contract the finite-difference oracle consumes.
 """
 
 from __future__ import annotations
@@ -25,8 +28,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-LINE_FAMILIES = ("dshg", "phi6_kink", "sextic_plus", "sextic_minus", "harmonic")
-CIRCLE_FAMILIES = ("dsg", "phi6_kink_dual")
+# circle family -> the line family it is the image of under x -> i*theta
+_PREIMAGE = {"dsg": "dshg", "phi6_kink_dual": "phi6_kink"}
 
 
 @dataclass(frozen=True)
@@ -47,7 +50,7 @@ def dshg(m: float, zeta: float) -> PotentialSpec:
 
 
 def dsg(m: float, zeta: float) -> PotentialSpec:
-    return PotentialSpec("dsg", {"m": float(m), "zeta": float(zeta)}, period=np.pi)
+    return PotentialSpec("dsg", dshg(m, zeta).params, period=np.pi)
 
 
 def phi6_kink(epsilon_sq: float, mu: float) -> PotentialSpec:
@@ -57,13 +60,8 @@ def phi6_kink(epsilon_sq: float, mu: float) -> PotentialSpec:
 
 
 def phi6_kink_dual(epsilon_sq: float, mu: float) -> PotentialSpec:
-    if epsilon_sq <= 0 or mu <= 0:
-        raise ValueError("epsilon_sq and mu must be positive")
-    return PotentialSpec(
-        "phi6_kink_dual",
-        {"epsilon_sq": float(epsilon_sq), "mu": float(mu)},
-        period=2.0 * np.pi / mu,
-    )
+    line = phi6_kink(epsilon_sq, mu)
+    return PotentialSpec("phi6_kink_dual", line.params, period=2.0 * np.pi / mu)
 
 
 def sextic_plus(m: int, a: float = 1.0, b: float = 1.0) -> PotentialSpec:
@@ -84,39 +82,40 @@ def free() -> PotentialSpec:
     return PotentialSpec("free", {})
 
 
+def line_preimage(spec: PotentialSpec) -> PotentialSpec:
+    """The line potential a circle potential is the image of."""
+    return PotentialSpec(_PREIMAGE[spec.family], dict(spec.params))
+
+
 def potential_eval(spec: PotentialSpec, x):
     """Potential value at x (or array of x); x is the angle for circles."""
     x = np.asarray(x, dtype=float)
     p = spec.params
-    if spec.family == "dshg":
-        v = (p["zeta"] * np.cosh(2.0 * x) - p["m"]) ** 2
-    elif spec.family == "dsg":
-        v = -((p["zeta"] * np.cos(2.0 * x) - p["m"]) ** 2)
-    elif spec.family == "phi6_kink":
+    # a circle family is its line preimage's formula at x = i*theta, negated
+    family = _PREIMAGE.get(spec.family, spec.family)
+    circle = family != spec.family
+    if family == "dshg":
+        c2 = np.cos(2.0 * x) if circle else np.cosh(2.0 * x)
+        v = (p["zeta"] * c2 - p["m"]) ** 2
+    elif family == "phi6_kink":
         mu = p["mu"]
         inv2 = 1.0 / p["epsilon_sq"]
-        s2 = np.sinh(0.5 * mu * x) ** 2
+        s2 = -np.sin(0.5 * mu * x) ** 2 if circle else np.sinh(0.5 * mu * x) ** 2
         num = 8.0 * s2 * s2 - 4.0 * (5.0 * inv2 - 1.0) * s2 + 2.0 * (inv2 * inv2 - inv2 - 2.0)
         den = 1.0 + inv2 + s2
         v = mu * mu * num / (8.0 * den * den)
-    elif spec.family == "phi6_kink_dual":
-        # image of phi6_kink under sinh**2 -> -sin**2 with the overall sign flip
-        mu = p["mu"]
-        inv2 = 1.0 / p["epsilon_sq"]
-        s2 = np.sin(0.5 * mu * x) ** 2
-        num = 8.0 * s2 * s2 + 4.0 * (5.0 * inv2 - 1.0) * s2 + 2.0 * (inv2 * inv2 - inv2 - 2.0)
-        den = 1.0 + inv2 - s2
-        v = -(mu * mu) * num / (8.0 * den * den)
-    elif spec.family in ("sextic_plus", "sextic_minus"):
-        sgn = 1.0 if spec.family == "sextic_plus" else -1.0
+    elif family in ("sextic_plus", "sextic_minus"):
+        sgn = 1.0 if family == "sextic_plus" else -1.0
         a, b, m = p["a"], p["b"], p["m"]
         v = x * x * (a * x * x + sgn * b) ** 2 - a * (2 * m + 3) * x * x
-    elif spec.family == "harmonic":
+    elif family == "harmonic":
         v = x * x
-    elif spec.family == "free":
+    elif family == "free":
         v = np.zeros_like(x)
     else:
         raise ValueError(f"unknown potential family {spec.family!r}")
+    if circle:
+        v = -v
     return v if v.shape else float(v)
 
 

@@ -3,8 +3,9 @@ for the double sinh-Gordon well.
 
 For positive integer M the first M levels are algebraic: they are the roots
 of the critical members of the two chains, shifted back from the recursion
-variable by (M + zeta)**2.  Which chain carries which node parity depends
-on the parity of M:
+variable by (M + zeta)**2.  The chains are the two that terminate at M
+(families.terminating_chains): the s = 0 chain carries the even-node levels
+and the s = 1/2 chain the odd ones, each as many as its critical index.
 
     M odd  = 2k+1:  even nodes from P(s=0), critical index k+1 (k+1 levels)
                     odd  nodes from Q(s=1/2), critical index k (k levels)
@@ -47,11 +48,11 @@ from .exactpoly import (
 from .families import (
     ChainSpec,
     ThreeTermForm,
-    critical_index,
     family_values,
     gen_family,
     gen_quotient,
     scaled_members,
+    terminating_chains,
 )
 
 
@@ -193,17 +194,8 @@ def require_qes_domain(m, zeta: float) -> int:
 def chain_plan(m) -> ChainPlan:
     """Which chains carry the M algebraic levels, and where they terminate."""
     m = _require_positive_int(m)
-    entries = []
-    if m % 2 == 1:
-        k = (m - 1) // 2
-        entries.append(ChainPlanEntry("even", "P", Fraction(0), k + 1, k + 1))
-        if k >= 1:
-            entries.append(ChainPlanEntry("odd", "Q", Fraction(1, 2), k, k))
-    else:
-        k = (m - 2) // 2
-        entries.append(ChainPlanEntry("even", "Q", Fraction(0), k + 1, k + 1))
-        entries.append(ChainPlanEntry("odd", "P", Fraction(1, 2), k + 1, k + 1))
-    return ChainPlan(m, tuple(entries))
+    return ChainPlan(m, tuple([ChainPlanEntry("odd" if s else "even", kind, s, crit, crit)
+                               for kind, s, _, crit in terminating_chains(m) if crit]))
 
 
 def _chain_spec(m: int, entry: ChainPlanEntry) -> ChainSpec:
@@ -293,13 +285,8 @@ def factorization_check(m, depth: int) -> FactorizationReport:
     quotient must equal the corresponding quotient-chain member.
     """
     m = _require_positive_int(m)
-    if m % 2 == 1:
-        combos = [("P", Fraction(0), "Pbar"), ("Q", Fraction(1, 2), "Qbar")]
-    else:
-        combos = [("P", Fraction(1, 2), "Rbar"), ("Q", Fraction(0), "Sbar")]
     entries = []
-    for kind, s, qkind in combos:
-        crit = int(critical_index(kind, Fraction(m), s))
+    for kind, s, qkind, crit in sorted(terminating_chains(m)):
         spec = ChainSpec(kind, Fraction(m), s)
         fam = gen_family(spec, crit + depth)
         quot = gen_quotient(ChainSpec(qkind, Fraction(m), s), depth)

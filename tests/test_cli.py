@@ -276,3 +276,43 @@ class TestCliContract:
         code, out, _ = run(capsys, "verify-all", "--m", "2", "--zeta", "1",
                            "--format", "pretty")
         assert code == 0
+
+
+class TestOverflowAndGridDomain:
+    @pytest.mark.parametrize("argv", [
+        ("spectrum", "--m", "3"),
+        ("weights", "--m", "3"),
+        ("moments", "--m", "3"),
+        ("duality", "--m", "3"),
+        ("wavefunction", "--m", "3", "--level", "0"),
+        ("family", "--chain", "P", "--m", "3", "--order", "3"),
+    ])
+    def test_huge_finite_zeta_is_one_error_line(self, capsys, argv):
+        code, out, err = run(capsys, *argv, "--zeta", "1e308")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-1", "0"])
+    def test_wavefunction_rejects_bad_domain_l(self, capsys, value):
+        code, out, err = run(capsys, "wavefunction", "--m", "3", "--zeta", "1",
+                             "--level", "1", "--domain-l", value)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: --domain-l must be positive and finite")
+
+    @pytest.mark.parametrize("value", ["0", "1", "-3"])
+    def test_wavefunction_rejects_grid_below_two(self, capsys, value):
+        code, out, err = run(capsys, "wavefunction", "--m", "3", "--zeta", "1",
+                             "--level", "1", "--grid-n", value)
+        assert code == 1
+        assert out == ""
+        assert err == f"error: --grid-n must be at least 2, got {value}\n"
+
+    def test_wavefunction_two_point_grid_is_accepted(self, capsys):
+        code, out, _ = run(capsys, "wavefunction", "--m", "3", "--zeta", "1",
+                           "--level", "0", "--grid-n", "2", "--domain-l", "1",
+                           "--format", "json")
+        assert code == 0
+        assert json.loads(out)["manifest"]["params"]["grid_n"] == 2

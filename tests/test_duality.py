@@ -45,6 +45,12 @@ class TestPotentials:
         for m, zeta in ((3, 1.0), (5, 0.5)):
             assert potential_eval(dsg(m, zeta), 0.0) == pytest.approx(
                 -potential_eval(dshg(m, zeta), 0.0))
+        # and on a grid of theta, against the line formula at complex x = i*theta
+        theta = np.linspace(-3.0, 3.0, 61)
+        for m, zeta in ((3, 1.0), (5, 0.5), (2, 2.3)):
+            v_line_at_imag = ((zeta * np.cosh(2j * theta) - m) ** 2).real
+            assert potential_eval(dsg(m, zeta), theta) == pytest.approx(
+                list(-v_line_at_imag), rel=1e-12, abs=1e-12)
 
     def test_kink_dual_is_analytic_continuation(self):
         # evaluate the line formula at complex x = i*theta and compare

@@ -318,3 +318,9 @@ class TestAnalyticLevels:
         assert analytic_qes_levels(sextic_minus(1)) == pytest.approx([-3.0])
         assert analytic_qes_levels(phi6_kink(0.3, 1.0)) == pytest.approx([0.0])
         assert analytic_qes_levels(phi6_kink(0.5, 2.0)) == pytest.approx([0.0, 3.0])
+        # circle families: the dual energies of the line preimage's levels
+        assert analytic_qes_levels(dsg(3, 1.0)) == pytest.approx(
+            [-e for e in reversed(qes_energies(3, 1.0).energies())])
+        assert analytic_qes_levels(phi6_kink_dual(0.5, 1.0)) == pytest.approx([-0.75, 0.0])
+        assert analytic_qes_levels(phi6_kink_dual(0.5, 2.0)) == pytest.approx([-3.0, 0.0])
+        assert analytic_qes_levels(phi6_kink_dual(0.3, 1.0)) == pytest.approx([0.0])

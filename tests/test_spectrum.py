@@ -7,7 +7,10 @@ import pytest
 from qespoly import spectrum
 from qespoly.exactpoly import ParamPoly, RootCountMismatch, real_roots
 from qespoly.families import (
+    QUOTIENT_KINDS,
     ChainSpec,
+    ChainSpecError,
+    critical_index,
     gen_family,
     gen_quotient,
     scaled_members,
@@ -61,6 +64,50 @@ class TestChainPlan:
     def test_rejects_nonpositive(self):
         with pytest.raises(QESDomainError):
             chain_plan(0)
+
+
+class TestOneChainTable:
+    """The level plan, the factorization check, the quotient chains and the
+    termination index all agree with critical_index: exactly the (kind, s)
+    pairs with a nonnegative integer critical index terminate."""
+
+    @pytest.mark.parametrize("m", range(1, 41))
+    def test_readers_agree_with_critical_index(self, m):
+        crit = {(kind, s): Fraction(critical_index(kind, Fraction(m), s))
+                for kind in ("P", "Q") for s in (Fraction(0), HALF)}
+        term = {key: int(c) for key, c in crit.items() if c.denominator == 1 and c >= 0}
+        # one terminating chain of each kind
+        assert sorted(kind for kind, _ in term) == ["P", "Q"]
+
+        report = factorization_check(m, 1)
+        entries = report.entries
+        assert report.ok()
+        assert [(e.chain_kind, e.s) for e in entries] == sorted(term)
+        assert all(e.critical == term[e.chain_kind, e.s] for e in entries)
+        names = {("P", Fraction(0)): "Pbar", ("Q", HALF): "Qbar",
+                 ("P", HALF): "Rbar", ("Q", Fraction(0)): "Sbar"}
+        assert all(e.quotient_kind == names[e.chain_kind, e.s] for e in entries)
+
+        plan = chain_plan(m).entries
+        assert [(e.chain_kind, e.s, e.critical_index, e.level_count) for e in plan] == [
+            (kind, s, c, c) for (kind, s), c in sorted(term.items(), key=lambda i: i[0][1])
+            if c > 0]
+        assert all(e.node_parity == ("even" if e.s == 0 else "odd") for e in plan)
+
+        def accepted(q, s):
+            try:
+                ChainSpec(q, m, s)
+            except ChainSpecError:
+                return False
+            return True
+
+        quotients = {(q, s) for q in QUOTIENT_KINDS for s in (Fraction(0), HALF)
+                     if accepted(q, s)}
+        assert quotients == {(e.quotient_kind, e.s) for e in entries}
+
+        for (kind, s), c in crit.items():
+            expected = int(c) + 1 if (kind, s) in term and c >= 1 else None
+            assert gen_family(ChainSpec(kind, m, s), 0).termination_index == expected
 
 
 class TestEnergies:
