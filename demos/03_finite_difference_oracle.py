@@ -31,7 +31,7 @@ for k, exact in enumerate((1.0, 3.0, 5.0)):
 
 banner("Double sinh-Gordon: oracle vs closed forms at zeta = 1")
 for m in (1, 3, 4):
-    out = verify_qes(m, 1.0, 1e-4, l=5.0, n=8000)
+    out = verify_qes(m, 1.0, 1e-4)
     print(f"  M={m}:")
     for mt in out.matches:
         print(f"    analytic {mt.analytic:12.8f}  oracle {mt.oracle:12.8f}"

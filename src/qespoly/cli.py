@@ -259,7 +259,7 @@ def _cmd_norms(args) -> int:
     closed = [norms_closed(args.chain, m, s, n) for n in range(args.order + 1)]
     spec = ChainSpec(args.chain, m, s)
     fam = (gen_family if args.chain in MAIN_KINDS else gen_quotient)(spec, args.order + 1)
-    rec = norms_from_recursion(three_term_form(fam), zeta)
+    rec = norms_from_recursion(three_term_form(fam))
     agree = [c == r for c, r in zip(closed, rec.values)]
     rendered = [g.render() for g in closed]
     payload = {

@@ -58,15 +58,6 @@ class DualReport:
     rejected: bool = False
     reason: str = ""
 
-    def to_json_dict(self) -> dict:
-        return {
-            "source": list(self.source),
-            "dual": list(self.dual),
-            "pairs": [list(p) for p in self.pairs],
-            "rejected": self.rejected,
-            "reason": self.reason,
-        }
-
 
 @dataclass(frozen=True)
 class DsgRejection:
@@ -93,11 +84,12 @@ def dual_energies(levels) -> list:
     return [-e for e in reversed(list(levels))]
 
 
-def periodicity_character(values, rel_tol: float = 1e-8) -> int:
+def periodicity_character(values) -> int:
     """Half-turn character of a state sampled over one full period.
 
     values must have even length on a uniform grid covering the full
-    period; returns +1 (invariant), -1 (sign flip) or 0 (mixed).
+    period; returns +1 (invariant), -1 (sign flip) or 0 (mixed), each
+    within 1e-8 of the sup norm.
     """
     v = np.asarray(values, dtype=float)
     if v.size % 2:
@@ -107,16 +99,16 @@ def periodicity_character(values, rel_tol: float = 1e-8) -> int:
     scale = np.max(np.abs(v))
     if scale == 0.0:
         return PERIODIC
-    if np.max(np.abs(shifted - v)) <= rel_tol * scale:
+    if np.max(np.abs(shifted - v)) <= 1e-8 * scale:
         return PERIODIC
-    if np.max(np.abs(shifted + v)) <= rel_tol * scale:
+    if np.max(np.abs(shifted + v)) <= 1e-8 * scale:
         return ANTIPERIODIC
     return MIXED
 
 
-def _dual_candidate_characters(source: SpectrumReport, samples: int = 512) -> tuple:
+def _dual_candidate_characters(source: SpectrumReport) -> tuple:
     """Characters of the transformed line states on the 2*pi circle."""
-    theta = np.linspace(0.0, 2.0 * np.pi, samples, endpoint=False)
+    theta = np.linspace(0.0, 2.0 * np.pi, 512, endpoint=False)
     chars = []
     for level in range(source.m):
         state = _state_from_report(source, level)
@@ -167,13 +159,13 @@ def dsg_weights_moments(m: int, zeta: float, chain: str = "P"):
 # The periodic well discovered through the map
 # ----------------------------------------------------------------------
 
-def new_potential_states(epsilon_sq: float, mu: float, samples: int = 2048) -> list:
+def new_potential_states(epsilon_sq: float, mu: float) -> list:
     """Closed-form states of the periodic kink-dual well.
 
     Always returns the E = 0 state (valid at every epsilon); at
     epsilon**2 = 1/2 the ground state E = -(3/4) mu**2 is also known.
-    States are normalized to unit sup norm on a uniform grid over their own
-    period and returned as (energy, callable) pairs sorted by energy.
+    States are normalized to unit sup norm on a uniform 2048-point grid over
+    their own period and returned as (energy, callable) pairs sorted by energy.
 
     These are the analytic continuations of the line states, which fixes
     the surviving exponents: the ground state is (1 + sin**2)-type and
@@ -200,11 +192,11 @@ def new_potential_states(epsilon_sq: float, mu: float, samples: int = 2048) -> l
             s2 = np.sin(0.5 * mu * theta) ** 2
             return (1.0 + s2) / (3.0 - s2) ** 1.5
 
-        grid0 = np.linspace(0.0, period, samples, endpoint=False)
+        grid0 = np.linspace(0.0, period, 2048, endpoint=False)
         n0 = float(np.max(np.abs(psi0_raw(grid0))))
         states.append((-0.75 * mu * mu, lambda th, _n=n0: psi0_raw(th) / _n))
 
-    grid2 = np.linspace(0.0, 2.0 * period, samples, endpoint=False)
+    grid2 = np.linspace(0.0, 2.0 * period, 2048, endpoint=False)
     n2 = float(np.max(np.abs(psi2_raw(grid2))))
     states.append((0.0, lambda th, _n=n2: psi2_raw(th) / _n))
     states.sort(key=lambda pair: pair[0])

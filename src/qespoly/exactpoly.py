@@ -373,10 +373,6 @@ def eval_numeric(p: EnergyPoly, zeta: float, eps: float) -> float:
 # Sturm chains and real roots
 # ----------------------------------------------------------------------
 
-def _uni_deriv(c):
-    return [k * c[k] for k in range(1, len(c))]
-
-
 def sturm_real_root_count(coeffs) -> int:
     """Distinct real roots of an exact univariate polynomial over (-inf, inf).
 
@@ -387,7 +383,8 @@ def sturm_real_root_count(coeffs) -> int:
     c = _trim([as_rational(x) for x in coeffs])
     if len(c) <= 1:
         return 0
-    chain = [EnergyPoly(tuple(c)), EnergyPoly(tuple(_uni_deriv(c)))]
+    deriv = [k * c[k] for k in range(1, len(c))]
+    chain = [EnergyPoly(tuple(c)), EnergyPoly(tuple(deriv))]
     while True:
         _, r = poly_divide_exact(chain[-2], chain[-1])
         if r.is_zero():

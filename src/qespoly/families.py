@@ -12,7 +12,9 @@ right parity the lag coefficient C_n vanishes at a finite index, the chain
 terminates, and every later member factors through the critical member; the
 four quotient chains (Pbar, Qbar for odd M; Rbar, Sbar for even M) are the
 cofactors of that factorization and are generated here by the same
-recursion with the index shifted past the critical member.  Which chains
+recursion with the index shifted past the critical member.  Every chain
+takes its steps from the one series step of R (_r_step), P and Q at the
+series index of their member (series_index).  Which chains
 terminate, with which quotient chain, is one table (TERMINATING, read
 through terminating_chains), and the critical index one formula
 (critical_index); the level plan, the factorization check, the quotient
@@ -111,9 +113,6 @@ class ThreeTermForm:
     c: tuple
     first_zero_C: int | None
 
-    def order(self) -> int:
-        return len(self.b)
-
 
 @dataclass(frozen=True)
 class FinkelForm:
@@ -148,12 +147,26 @@ def terminating_chains(m: int) -> list:
     return [(kind, s, q, critical_index(kind, m, s)) for kind, s, q in TERMINATING[m % 2]]
 
 
-def _step(spec: ChainSpec, n: int) -> tuple:
-    """(b0, b1, c1) with B_n = b0 + b1*zeta and C_n = c1*zeta, as plain
-    numbers: ints throughout for integer M, a Fraction c1 for rational M.
+def series_index(kind: str, n: int) -> int:
+    """Index in the combined series chain R of member n of P or Q:
+    P_n = R_2n, Q_n = R_2n+1."""
+    return 2 * n + (kind == "Q")
 
-    With t = 2s, b0 = (2n+t-2)**2 for P and (2n+t-1)**2 for Q.
+
+def _r_step(m, t: int, j: int) -> tuple:
+    """(b0, b1, c1) of the series step at t = 2s, in the shifted energy E:
+
+        R_{j+2} = (E + b0 + b1*zeta) R_j + c1*zeta R_{j-2},
+        b0 = (j+t)**2,  b1 = 4j + 2,  c1 = 4(M+1-t-j) j (j-1).
+
+    Plain numbers: ints throughout for integer M, a Fraction c1 for rational M.
     """
+    return (j + t) ** 2, 4 * j + 2, plain(4 * (m + 1 - t - j) * j * (j - 1))
+
+
+def _step(spec: ChainSpec, n: int) -> tuple:
+    """(b0, b1, c1) with B_n = b0 + b1*zeta and C_n = c1*zeta: the series
+    step that ends at member n, R_{series_index(kind, n)}."""
     if n < 1:
         raise ValueError("recursion index starts at 1")
     # s is 0 or 1/2, so t = 2s is its numerator
@@ -163,13 +176,9 @@ def _step(spec: ChainSpec, n: int) -> tuple:
         # have an integer critical index
         kind = _PARENT[kind]
         n += critical_index(kind, m, spec.s)
-    if kind == "P":
-        c1 = 8 * (n - 1) * (2 * n - 3) * (m + 3 - t - 2 * n)
-        return (2 * n + t - 2) ** 2, 8 * n - 6, plain(c1)
-    if kind == "Q":
-        c1 = 8 * (n - 1) * (2 * n - 1) * (m + 2 - t - 2 * n)
-        return (2 * n + t - 1) ** 2, 8 * n - 2, plain(c1)
-    raise ChainSpecError(f"chain {spec.kind!r} has no adjacent three-term step")
+    if kind not in MAIN_KINDS:
+        raise ChainSpecError(f"chain {spec.kind!r} has no adjacent three-term step")
+    return _r_step(m, t, series_index(kind, n) - 2)
 
 
 def recursion_coeffs(spec: ChainSpec, n: int):
@@ -228,13 +237,13 @@ def family_values(spec: ChainSpec, order: int, zeta: float, eps) -> list:
 
 def _termination(spec: ChainSpec) -> int | None:
     """Index of the first member whose lag term vanishes identically, for a
-    P/Q chain or the combined R chain (P_n = R_2n, Q_n = R_2n+1): one past a
-    positive critical index of a terminating chain; else None."""
+    P/Q chain or the combined R chain: one past a positive critical index of
+    a terminating chain; else None."""
     if spec.kind in QUOTIENT_KINDS or spec.m.denominator != 1:
         return None
     for kind, s, _, crit in terminating_chains(spec.m.numerator):
         if s == spec.s and crit >= 1 and spec.kind in (kind, "R"):
-            return crit + 1 if spec.kind == kind else 2 * crit + 2 + (kind == "Q")
+            return crit + 1 if spec.kind == kind else series_index(kind, crit + 1)
     return None
 
 
@@ -268,21 +277,16 @@ def gen_quotient(spec: ChainSpec, order: int) -> PolyFamily:
 def gen_R(spec: ChainSpec, order: int) -> PolyFamily:
     """Generate the combined chain R_0..R_order with seeds R0 = R1 = 1.
 
-    The recursion couples indices four apart in steps of two,
-        R_{n+2} = (E + n^2 + 4(s+zeta)n + 4s^2 + 2zeta) R_n
-                  + 4 zeta (M+1-2s-n) n (n-1) R_{n-2},
-    written in the shifted energy via E - M^2 - zeta^2 - 2(M-1)zeta = E' + 2zeta.
+    The series step (_r_step) couples indices four apart in steps of two.
     Even members reproduce P, odd members reproduce Q at the same (M, s).
     """
     if spec.kind != "R":
         raise ChainSpecError("gen_R handles the combined chain")
     _check_order(order)
-    m, s = spec.m, spec.s
+    m, t = plain(spec.m), spec.s.numerator
     rows = [[[1]], [[1]]]
-    for n in range(0, order - 1):
-        b0 = plain((n + 2 * s) ** 2)
-        c1 = plain(4 * (m + 1 - 2 * s - n) * n * (n - 1))
-        rows.append(step_rows(rows[n], rows[n - 2] if n >= 2 else [], b0, 4 * n + 2, c1))
+    for j in range(0, order - 1):
+        rows.append(step_rows(rows[j], rows[j - 2] if j >= 2 else [], *_r_step(m, t, j)))
     members = tuple(from_rows(r) for r in rows[: order + 1])
     return PolyFamily(spec, members, _termination(spec))
 

@@ -52,16 +52,12 @@ class OracleConfig:
         if self.spec.is_circle():
             if self.l is not None:
                 raise ValueError("circle potentials take no half-width")
-        elif self.l is None or self.l <= 0:
-            raise ValueError("line potentials need a positive half-width")
+        elif self.l is None or not 0 < self.l < np.inf:
+            raise ValueError("line potentials need a positive finite half-width")
         if self.count < 1:
             raise ValueError("need at least one eigenvalue")
         if self.period_multiplier < 1:
             raise ValueError("period multiplier must be a positive integer")
-
-    @property
-    def boundary(self) -> str:
-        return "periodic" if self.spec.is_circle() else "dirichlet"
 
 
 @dataclass(frozen=True)
@@ -245,14 +241,12 @@ def match_levels(analytic, eigenvalues) -> tuple:
     return tuple(matches)
 
 
-def verify_qes(m: int, zeta: float, tolerance: float = 1e-4,
-               l: float = 5.0, n: int = 8000) -> OracleResult:
+def verify_qes(m: int, zeta: float, tolerance: float = 1e-4) -> OracleResult:
     """Match the algebraic sinh-Gordon level with k nodes to line level k."""
     from .spectrum import qes_energies
 
     report = qes_energies(m, zeta)
-    config = OracleConfig(dshg(m, zeta), l=l, n=n, count=m + 3)
-    result = lowest_eigenvalues(config)
+    result = lowest_eigenvalues(_default_config(dshg(m, zeta), m + 3))
     matches = tuple(LevelMatch(lv.energy, result.eigenvalues[lv.nodes], lv.nodes)
                     for lv in report.levels)
     worst = max(mt.deviation for mt in matches)

@@ -41,9 +41,6 @@ class PotentialSpec:
     def is_circle(self) -> bool:
         return self.period is not None
 
-    def to_json_dict(self) -> dict:
-        return {"family": self.family, "params": dict(self.params), "period": self.period}
-
 
 def dshg(m: float, zeta: float) -> PotentialSpec:
     return PotentialSpec("dshg", {"m": float(m), "zeta": float(zeta)})
@@ -77,11 +74,6 @@ def harmonic() -> PotentialSpec:
     return PotentialSpec("harmonic", {})
 
 
-def free() -> PotentialSpec:
-    """V = 0, for bare-stencil checks."""
-    return PotentialSpec("free", {})
-
-
 def line_preimage(spec: PotentialSpec) -> PotentialSpec:
     """The line potential a circle potential is the image of."""
     return PotentialSpec(_PREIMAGE[spec.family], dict(spec.params))
@@ -110,8 +102,6 @@ def potential_eval(spec: PotentialSpec, x):
         v = x * x * (a * x * x + sgn * b) ** 2 - a * (2 * m + 3) * x * x
     elif family == "harmonic":
         v = x * x
-    elif family == "free":
-        v = np.zeros_like(x)
     else:
         raise ValueError(f"unknown potential family {spec.family!r}")
     if circle:

@@ -145,15 +145,6 @@ class WeightTable:
 class NormSequence:
     chain: str
     values: tuple             # ParamPoly, exact closed forms gamma_0..gamma_n
-    zeta: float | None = None
-    numeric: tuple = ()
-
-    def to_json_dict(self) -> dict:
-        out = {"chain": self.chain, "norms": [g.render() for g in self.values]}
-        if self.zeta is not None:
-            out["zeta"] = self.zeta
-            out["norms_numeric"] = list(self.numeric)
-        return out
 
 
 @dataclass(frozen=True)
@@ -337,16 +328,13 @@ def norms_closed(chain: str, m, s, n: int) -> ParamPoly:
     return ParamPoly.monomial(coef, n)
 
 
-def norms_from_recursion(form: ThreeTermForm, zeta: float | None = None) -> NormSequence:
+def norms_from_recursion(form: ThreeTermForm) -> NormSequence:
     """Norms by the monic identity gamma_n = -C_{n+1} gamma_{n-1}, exactly."""
     gammas = [ParamPoly.const(1)]
     # form.c[k] is C_{k+1}; gamma_n needs C_2..C_{n+1}
     for k in range(1, len(form.c)):
         gammas.append(gammas[-1] * (-form.c[k]))
-    numeric = ()
-    if zeta is not None:
-        numeric = tuple(g.eval_float(zeta) for g in gammas)
-    return NormSequence(form.spec.kind, tuple(gammas), zeta, numeric)
+    return NormSequence(form.spec.kind, tuple(gammas))
 
 
 # ----------------------------------------------------------------------

@@ -24,7 +24,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .families import ChainSpec, family_values
+from .families import ChainSpec, family_values, series_index
 from .potentials import PotentialSpec, potential_eval
 from .spectrum import QESDomainError, SpectrumReport, chain_plan, qes_energies
 
@@ -44,7 +44,7 @@ class QESState:
     critical_index: int
 
     def series_exponent(self, j: int) -> int:
-        return 2 * j if self.chain == "P" else 2 * j + 1
+        return series_index(self.chain, j)
 
     def __call__(self, x):
         return self.eval(x)
@@ -106,8 +106,8 @@ def _state_from_report(report: SpectrumReport, level: int) -> QESState:
     entry = chain_plan(report.m).entry(lv.chain)
     spec = ChainSpec(lv.chain, Fraction(report.m), entry.s)
     values = family_values(spec, entry.critical_index + 2, report.zeta, lv.script_energy)
-    odd = lv.chain == "Q"
-    coeffs = [value / math.factorial(2 * j + odd) for j, value in enumerate(values)]
+    coeffs = [value / math.factorial(series_index(lv.chain, j))
+              for j, value in enumerate(values)]
     scale = max(abs(c) for c in coeffs)
     for j in range(entry.critical_index, entry.critical_index + 3):
         if abs(coeffs[j]) > 1e-9 * scale:
@@ -147,20 +147,15 @@ def schrodinger_residual(psi, energy: float, potential, grid, periodic: bool = F
     """sup |(-psi'' + V psi - E psi)| / sup |psi| with a 4th-order stencil.
 
     psi may be a callable or an array of samples on the uniform grid;
-    potential may be a PotentialSpec or a plain callable.  On periodic
-    grids the stencil wraps; on the line the outer two points are skipped.
+    potential is a PotentialSpec, or None for V = 0.  On periodic grids the
+    stencil wraps; on the line the outer two points are skipped.
     """
     grid = np.asarray(grid, dtype=float)
     h = grid[1] - grid[0]
     values = np.asarray(psi(grid) if callable(psi) else psi, dtype=float)
-    if isinstance(potential, PotentialSpec):
-        v = potential_eval(potential, grid)
-    elif callable(potential):
-        v = np.asarray(potential(grid), dtype=float)
-    elif potential is None:
-        v = np.zeros_like(grid)
-    else:
-        raise TypeError("potential must be a PotentialSpec, callable or None")
+    if potential is not None and not isinstance(potential, PotentialSpec):
+        raise TypeError("potential must be a PotentialSpec or None")
+    v = np.zeros_like(grid) if potential is None else potential_eval(potential, grid)
 
     if periodic:
         m2, m1 = np.roll(values, 2), np.roll(values, 1)

@@ -171,7 +171,7 @@ def test_05_factorization():
 def test_06_oracle_line():
     worst = 0.0
     for m in (1, 3, 4):
-        res = verify_qes(m, 1.0, 1e-4, l=5.0, n=8000)
+        res = verify_qes(m, 1.0, 1e-4)
         worst = max(worst, max(mt.deviation for mt in res.matches))
     res = lowest_eigenvalues(OracleConfig(harmonic(), l=10.0, n=4000, count=3))
     ratios = [(res.richardson[k] - e) / (res.eigenvalues[k] - e)

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -301,6 +305,26 @@ class TestOverflowAndGridDomain:
         assert code == 1
         assert out == ""
         assert err.startswith("error: --domain-l must be positive and finite")
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_oracle_rejects_non_finite_domain_l(self, value):
+        # run as a process, so stderr is exactly what a user sees: warnings
+        # printed by the interpreter included
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+        proc = subprocess.run(
+            [sys.executable, "-m", "qespoly.cli", "oracle", "--family", "dshg", "--m", "3",
+             "--zeta", "1", "--domain-l", value],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+        assert "half-width" in proc.stderr
+        assert "RuntimeWarning" not in proc.stderr
+        assert "Traceback" not in proc.stderr
 
     @pytest.mark.parametrize("value", ["0", "1", "-3"])
     def test_wavefunction_rejects_grid_below_two(self, capsys, value):

@@ -23,7 +23,6 @@ from qespoly.oracle import (
 from qespoly.potentials import (
     dsg,
     dshg,
-    free,
     harmonic,
     phi6_kink,
     phi6_kink_dual,
@@ -35,10 +34,11 @@ from qespoly.spectrum import qes_energies
 
 class TestDiscretize:
     def test_free_laplacian_stencil(self):
-        # 3 interior points, h = 1 (l = 2), V = 0
-        disc = discretize(OracleConfig(free(), l=2.0, n=3))
+        # 3 interior points, h = 1 (l = 2); the bare stencil is the diagonal
+        # with V = x**2 taken off
+        disc = discretize(OracleConfig(harmonic(), l=2.0, n=3))
         assert disc.h == pytest.approx(1.0)
-        assert disc.diag == pytest.approx([2.0, 2.0, 2.0])
+        assert disc.diag - disc.grid**2 == pytest.approx(np.full(3, 2.0 / disc.h**2))
         assert disc.offdiag == pytest.approx([-1.0, -1.0])
         assert disc.corner is None
 
@@ -57,6 +57,11 @@ class TestDiscretize:
         disc = discretize(OracleConfig(dsg(3, 1.0), n=256))
         assert disc.corner == pytest.approx(-1.0 / disc.h**2)
         assert disc.h == pytest.approx(math.pi / 256)
+
+    @pytest.mark.parametrize("l", [math.nan, math.inf, 0.0, -1.0, None])
+    def test_line_half_width_must_be_positive_and_finite(self, l):
+        with pytest.raises(ValueError, match="positive finite half-width"):
+            OracleConfig(dshg(3, 1.0), l=l, n=256)
 
     def test_hint_leaves_domain_check_to_the_solve(self):
         # the domain rule belongs to lowest_eigenvalues, which can enlarge
@@ -86,9 +91,13 @@ class TestHarmonicSanity:
 class TestVerifyQes:
     @pytest.mark.parametrize("m", [1, 3, 4])
     def test_line_match(self, m):
-        res = verify_qes(m, 1.0, 1e-4, l=5.0, n=8000)
+        res = verify_qes(m, 1.0, 1e-4)
         assert len(res.matches) == m
         assert max(mt.deviation for mt in res.matches) < 1e-4
+
+    def test_config_is_the_default_dshg_config(self):
+        res = verify_qes(3, 1.0)
+        assert res.config == oracle._default_config(dshg(3, 1.0), 6)
 
     def test_matched_levels_are_prefix_of_spectrum(self):
         # the M algebraic levels are the lowest M levels of the well

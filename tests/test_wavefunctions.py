@@ -85,6 +85,11 @@ class TestResidual:
         grid = np.linspace(-1, 1, 201)
         assert schrodinger_residual(np.ones(201), 0.0, None, grid) == 0.0
 
+    def test_potential_is_a_spec_or_none(self):
+        grid = np.linspace(-1, 1, 201)
+        with pytest.raises(TypeError, match="PotentialSpec or None"):
+            schrodinger_residual(np.ones(201), 0.0, lambda x: x * x, grid)
+
     @pytest.mark.parametrize("level", [0, 1, 2])
     def test_m3_levels(self, level):
         state = build_qes_state(3, 1.0, level)
