@@ -73,4 +73,4 @@ banner("Chain plans: which chain carries which parity")
 for m in (3, 4):
     for e in chain_plan(m).entries:
         print(f"  M={m}: {e.node_parity:5s} nodes from {e.chain_kind}(s={e.s}), "
-              f"critical index {e.critical_index}, {e.level_count} levels")
+              f"critical index {e.critical_index} = its number of levels")

@@ -57,7 +57,7 @@ theta1 = np.linspace(0.0, 2 * np.pi / MU, 4096, endpoint=False)
 theta2 = np.linspace(0.0, 4 * np.pi / MU, 8192, endpoint=False)
 char_grid = np.linspace(0.0, 4 * np.pi / MU, 1024, endpoint=False)
 for (energy, psi), grid in zip(states, (theta1, theta2)):
-    r = schrodinger_residual(psi, energy, spec, grid, periodic=True)
+    r = schrodinger_residual(psi, energy, spec, grid)
     ch = periodicity_character(psi(char_grid))
     print(f"  E = {energy:+.4f}: residual {r:.2e}, one-period character {ch:+d}")
 
@@ -68,7 +68,7 @@ for eps2 in (0.2, 0.3, 0.7):
                                           period_multiplier=2))
     gap = min(abs(e) for e in res.eigenvalues)
     (energy, psi), = new_potential_states(eps2, MU)
-    r = schrodinger_residual(psi, energy, spec_g, theta2, periodic=True)
+    r = schrodinger_residual(psi, energy, spec_g, theta2)
     print(f"  eps^2={eps2}: nearest eigenvalue to 0 is {gap:.2e} away,"
           f" closed-form residual {r:.2e}")
 

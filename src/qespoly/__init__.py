@@ -54,7 +54,6 @@ from .potentials import (
 )
 from .duality import (
     DsgRejection,
-    DualReport,
     dsg_spectrum,
     dsg_weights_moments,
     dual_energies,
@@ -69,6 +68,7 @@ from .wavefunctions import (
     schrodinger_residual,
 )
 from .oracle import (
+    DualReport,
     OracleConfig,
     OracleResult,
     discretize,

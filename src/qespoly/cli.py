@@ -138,6 +138,13 @@ def _parse_zeta(text: str | None, allow_symbolic: bool):
     return zeta
 
 
+def _check_domain_l(args) -> None:
+    """--domain-l, the half-width of a line grid, must be positive and finite."""
+    if not 0 < args.domain_l < math.inf:
+        raise QESDomainError(f"--domain-l must be positive and finite, got "
+                             f"{args.domain_l} (the line half-width)")
+
+
 def _fmt(x: float) -> str:
     return f"{x:.10f}"
 
@@ -315,9 +322,7 @@ def _cmd_duality(args) -> int:
 
 def _cmd_wavefunction(args) -> int:
     zeta = _parse_zeta(args.zeta, allow_symbolic=False)
-    if not 0 < args.domain_l < math.inf:
-        raise QESDomainError(
-            f"--domain-l must be positive and finite, got {args.domain_l}")
+    _check_domain_l(args)
     if args.grid_n < 2:
         raise QESDomainError(f"--grid-n must be at least 2, got {args.grid_n}")
     state = build_qes_state(_parse_m(args.m), zeta, args.level)
@@ -336,10 +341,10 @@ def _cmd_wavefunction(args) -> int:
 
 def _make_spec(args) -> PotentialSpec:
     fam = args.family
-    if fam == "dshg":
-        return dshg_potential(float(_parse_rational(args.m)), float(args.zeta))
-    if fam == "dsg":
-        return dsg_potential(float(_parse_rational(args.m)), float(args.zeta))
+    if fam in ("dshg", "dsg"):
+        zeta = _parse_zeta(args.zeta, allow_symbolic=False)
+        make = dshg_potential if fam == "dshg" else dsg_potential
+        return make(float(_parse_rational(args.m)), zeta)
     if fam == "phi6_kink":
         return phi6_kink(args.epsilon_sq, args.mu)
     if fam == "phi6_kink_dual":
@@ -354,8 +359,7 @@ def _make_spec(args) -> PotentialSpec:
 
 
 def _cmd_oracle(args) -> int:
-    if args.family in ("dshg", "dsg"):
-        _parse_zeta(args.zeta, allow_symbolic=False)
+    _check_domain_l(args)
     spec = _make_spec(args)
     half_width = None if spec.is_circle() else args.domain_l
     config = OracleConfig(spec, l=half_width, n=args.grid_n, count=args.count)
@@ -555,9 +559,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    takes_value = {opt for command in sub.choices.values() for action in command._actions
+                   if action.nargs != 0 for opt in action.option_strings}
     joined = []  # "--zeta -inf" as "--zeta=-inf": argparse takes "-inf" for a flag
     for arg in sys.argv[1:] if argv is None else argv:
-        if joined and joined[-1] in ("--m", "--zeta"):
+        if joined and joined[-1] in takes_value:
             joined[-1] += "=" + arg
         else:
             joined.append(arg)

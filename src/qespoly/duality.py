@@ -22,6 +22,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .potentials import phi6_kink
 from .spectrum import (
     QESDomainError,
     QESLevel,
@@ -34,7 +35,6 @@ from .spectrum import (
 from .wavefunctions import _state_from_report
 
 __all__ = [
-    "DualReport",
     "DsgRejection",
     "dual_energies",
     "dsg_spectrum",
@@ -46,17 +46,6 @@ __all__ = [
 PERIODIC = 1
 ANTIPERIODIC = -1
 MIXED = 0
-
-
-@dataclass(frozen=True)
-class DualReport:
-    """Outcome of pairing two spectra under negate-and-reverse."""
-
-    source: tuple
-    dual: tuple
-    pairs: tuple              # ((k, count-1-k), ...)
-    rejected: bool = False
-    reason: str = ""
 
 
 @dataclass(frozen=True)
@@ -174,8 +163,7 @@ def new_potential_states(epsilon_sq: float, mu: float) -> list:
     cos(mu*theta/2) factor, so it changes sign under that shift and is
     genuinely periodic only on the doubled circle 4 pi / mu.
     """
-    if epsilon_sq <= 0 or mu <= 0:
-        raise ValueError("epsilon_sq and mu must be positive")
+    phi6_kink(epsilon_sq, mu)  # the parameter check of the line well
     period = 2.0 * np.pi / mu
 
     def psi2_raw(theta):

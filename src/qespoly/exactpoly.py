@@ -469,17 +469,15 @@ def exact_sign(q, t: float) -> int:
     return (value > 0) - (value < 0)
 
 
-def real_roots(p, zeta=None) -> list:
+def real_roots(p: EnergyPoly, zeta) -> list:
     """All real roots of p at fixed zeta, ascending, as (root, multiplicity).
 
-    p is an EnergyPoly, specialized here at zeta, or (zeta omitted) the
-    exact coefficient list of an already specialized polynomial, p[k]
-    multiplying E**k.  Companion-matrix eigenvalues of the float polynomial
-    are polished by Newton iteration on the exact coefficients, clustered
-    into multiplicities, and the number of distinct real roots is certified
-    against a Sturm count of the exact polynomial.
+    Companion-matrix eigenvalues of p specialized at zeta are polished by
+    Newton iteration, clustered into multiplicities, and the number of
+    distinct real roots is certified against a Sturm count of the exact
+    specialized polynomial.
     """
-    exact = _trim(list(p)) if zeta is None else p.specialize(as_rational(zeta))
+    exact = p.specialize(as_rational(zeta))
     if not exact:
         raise ValueError("polynomial vanishes identically at this zeta")
     deg = len(exact) - 1

@@ -14,7 +14,8 @@ four quotient chains (Pbar, Qbar for odd M; Rbar, Sbar for even M) are the
 cofactors of that factorization and are generated here by the same
 recursion with the index shifted past the critical member.  Every chain
 takes its steps from the one series step of R (_r_step), P and Q at the
-series index of their member (series_index).  Which chains
+series index of their member (series_index), and R itself is the P and Q
+members of that one loop interleaved.  Which chains
 terminate, with which quotient chain, is one table (TERMINATING, read
 through terminating_chains), and the critical index one formula
 (critical_index); the level plan, the factorization check, the quotient
@@ -247,13 +248,9 @@ def _termination(spec: ChainSpec) -> int | None:
     return None
 
 
-def _check_order(order: int) -> None:
+def _generate(spec: ChainSpec, order: int) -> tuple:
     if order < 0:
         raise ValueError("order must be nonnegative")
-
-
-def _generate(spec: ChainSpec, order: int) -> tuple:
-    _check_order(order)
     rows = [[[1]]]
     for n in range(1, order + 1):
         rows.append(step_rows(rows[n - 1], rows[n - 2] if n >= 2 else [], *_step(spec, n)))
@@ -277,17 +274,15 @@ def gen_quotient(spec: ChainSpec, order: int) -> PolyFamily:
 def gen_R(spec: ChainSpec, order: int) -> PolyFamily:
     """Generate the combined chain R_0..R_order with seeds R0 = R1 = 1.
 
-    The series step (_r_step) couples indices four apart in steps of two.
-    Even members reproduce P, odd members reproduce Q at the same (M, s).
+    The series step (_r_step) couples indices four apart in steps of two,
+    so the even members are the P chain and the odd members the Q chain at
+    the same (M, s): R_2n = P_n and R_2n+1 = Q_n, interleaved here.
     """
     if spec.kind != "R":
         raise ChainSpecError("gen_R handles the combined chain")
-    _check_order(order)
-    m, t = plain(spec.m), spec.s.numerator
-    rows = [[[1]], [[1]]]
-    for j in range(0, order - 1):
-        rows.append(step_rows(rows[j], rows[j - 2] if j >= 2 else [], *_r_step(m, t, j)))
-    members = tuple(from_rows(r) for r in rows[: order + 1])
+    p = _generate(ChainSpec("P", spec.m, spec.s), order // 2)
+    q = _generate(ChainSpec("Q", spec.m, spec.s), max(order - 1, 0) // 2)
+    members = tuple((q if j % 2 else p)[j // 2] for j in range(order + 1))
     return PolyFamily(spec, members, _termination(spec))
 
 
@@ -298,13 +293,12 @@ def three_term_form(family: PolyFamily) -> ThreeTermForm:
         raise ChainSpecError("the combined chain is not an adjacent three-term system")
     order = len(family.members) - 1
     bs, cs = [], []
-    first_zero = None
     for n in range(1, order + 1):
         b, c = recursion_coeffs(spec, n)
         bs.append(b)
         cs.append(c)
-        if n >= 2 and c.is_zero() and first_zero is None:
-            first_zero = n
+    end = family.termination_index
+    first_zero = end if end is not None and end <= order else None
     return ThreeTermForm(spec, tuple(bs), tuple(cs), first_zero)
 
 

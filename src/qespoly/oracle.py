@@ -25,7 +25,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 import scipy.linalg
 
-from .duality import DualReport, dual_energies
+from .duality import dual_energies
 from .potentials import (
     PotentialSpec,
     dshg,
@@ -33,6 +33,7 @@ from .potentials import (
     potential_eval,
     sextic_qes_levels,
 )
+from .spectrum import qes_energies
 
 
 class OracleError(RuntimeError):
@@ -80,6 +81,17 @@ class LevelMatch:
     @property
     def deviation(self) -> float:
         return abs(self.analytic - self.oracle)
+
+
+@dataclass(frozen=True)
+class DualReport:
+    """Outcome of pairing two spectra under negate-and-reverse."""
+
+    source: tuple
+    dual: tuple
+    pairs: tuple              # ((k, count-1-k), ...)
+    rejected: bool = False
+    reason: str = ""
 
 
 @dataclass(frozen=True)
@@ -243,8 +255,6 @@ def match_levels(analytic, eigenvalues) -> tuple:
 
 def verify_qes(m: int, zeta: float, tolerance: float = 1e-4) -> OracleResult:
     """Match the algebraic sinh-Gordon level with k nodes to line level k."""
-    from .spectrum import qes_energies
-
     report = qes_energies(m, zeta)
     result = lowest_eigenvalues(_default_config(dshg(m, zeta), m + 3))
     matches = tuple(LevelMatch(lv.energy, result.eigenvalues[lv.nodes], lv.nodes)
@@ -258,8 +268,6 @@ def verify_qes(m: int, zeta: float, tolerance: float = 1e-4) -> OracleResult:
 def analytic_qes_levels(spec: PotentialSpec) -> list:
     """The algebraic levels a potential family is known to hold; a circle
     family holds the dual energies of its line preimage's levels."""
-    from .spectrum import qes_energies
-
     p = spec.params
     if spec.is_circle():
         return dual_energies(analytic_qes_levels(line_preimage(spec)))

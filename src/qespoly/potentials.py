@@ -51,8 +51,8 @@ def dsg(m: float, zeta: float) -> PotentialSpec:
 
 
 def phi6_kink(epsilon_sq: float, mu: float) -> PotentialSpec:
-    if epsilon_sq <= 0 or mu <= 0:
-        raise ValueError("epsilon_sq and mu must be positive")
+    if not (0 < epsilon_sq < np.inf and 0 < mu < np.inf):
+        raise ValueError("epsilon_sq and mu must be positive and finite")
     return PotentialSpec("phi6_kink", {"epsilon_sq": float(epsilon_sq), "mu": float(mu)})
 
 
@@ -61,12 +61,19 @@ def phi6_kink_dual(epsilon_sq: float, mu: float) -> PotentialSpec:
     return PotentialSpec("phi6_kink_dual", line.params, period=2.0 * np.pi / mu)
 
 
+def _sextic_m(m) -> int:
+    """A sextic well's M: a nonnegative integer, rejected rather than truncated."""
+    if not (0 <= m < np.inf and m % 1 == 0):
+        raise ValueError("M must be a nonnegative integer")
+    return int(m)
+
+
 def sextic_plus(m: int, a: float = 1.0, b: float = 1.0) -> PotentialSpec:
-    return PotentialSpec("sextic_plus", {"m": int(m), "a": float(a), "b": float(b)})
+    return PotentialSpec("sextic_plus", {"m": _sextic_m(m), "a": float(a), "b": float(b)})
 
 
 def sextic_minus(m: int, a: float = 1.0, b: float = 1.0) -> PotentialSpec:
-    return PotentialSpec("sextic_minus", {"m": int(m), "a": float(a), "b": float(b)})
+    return PotentialSpec("sextic_minus", sextic_plus(m, a, b).params)
 
 
 def harmonic() -> PotentialSpec:
@@ -116,9 +123,7 @@ def sextic_qes_levels(m: int, a: float = 1.0, b: float = 1.0) -> list:
     its energies are the eigenvalues of the small sector matrix.  The minus
     well is the same formula with b negated.
     """
-    if m < 0 or int(m) != m:
-        raise ValueError("M must be a nonnegative integer")
-    m = int(m)
+    m = _sextic_m(m)
     p = m % 2
     size = (m - p) // 2 + 1
     t = np.zeros((size, size))

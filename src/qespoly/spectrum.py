@@ -65,8 +65,7 @@ class ChainPlanEntry:
     node_parity: str          # "even" | "odd"
     chain_kind: str           # "P" | "Q"
     s: Fraction
-    critical_index: int
-    level_count: int
+    critical_index: int       # also the number of levels the chain carries
 
 
 @dataclass(frozen=True)
@@ -185,12 +184,8 @@ def require_qes_domain(m, zeta: float) -> int:
 def chain_plan(m) -> ChainPlan:
     """Which chains carry the M algebraic levels, and where they terminate."""
     m = _require_positive_int(m)
-    return ChainPlan(m, tuple([ChainPlanEntry("odd" if s else "even", kind, s, crit, crit)
+    return ChainPlan(m, tuple([ChainPlanEntry("odd" if s else "even", kind, s, crit)
                                for kind, s, _, crit in terminating_chains(m) if crit]))
-
-
-def _chain_spec(m: int, entry: ChainPlanEntry) -> ChainSpec:
-    return ChainSpec(entry.chain_kind, Fraction(m), entry.s)
 
 
 def chain_roots(critical: tuple) -> list:
@@ -219,9 +214,11 @@ def chain_roots(critical: tuple) -> list:
     return roots
 
 
-def _critical_roots(spec: ChainSpec, entry: ChainPlanEntry, zeta: float) -> list:
-    """Certified roots (shifted energy) of a chain's critical member at zeta."""
-    return chain_roots(scaled_members(spec, entry.critical_index, zeta)[-1])
+def _critical_roots(m: int, entry: ChainPlanEntry, zeta: float) -> tuple:
+    """A plan entry's chain spec, and the certified roots (shifted energy)
+    of its critical member at zeta."""
+    spec = ChainSpec(entry.chain_kind, Fraction(m), entry.s)
+    return spec, chain_roots(scaled_members(spec, entry.critical_index, zeta)[-1])
 
 
 def qes_energies(m, zeta: float) -> SpectrumReport:
@@ -231,7 +228,7 @@ def qes_energies(m, zeta: float) -> SpectrumReport:
     levels = []
     for entry in chain_plan(m).entries:
         base = 0 if entry.node_parity == "even" else 1
-        roots = _critical_roots(_chain_spec(m, entry), entry, zeta)
+        _, roots = _critical_roots(m, entry, zeta)
         for rank, root in enumerate(roots):
             levels.append(
                 QESLevel(root + shift, root, base + 2 * rank, entry.chain_kind)
@@ -353,10 +350,9 @@ def weights(m, zeta: float, chain: str) -> WeightTable:
     """
     m = require_qes_domain(m, zeta)
     entry = chain_plan(m).entry(chain)
-    count = entry.level_count
+    count = entry.critical_index
     shift = (m + zeta) ** 2
-    spec = _chain_spec(m, entry)
-    roots = _critical_roots(spec, entry, zeta)
+    spec, roots = _critical_roots(m, entry, zeta)
     a = np.array(family_values(spec, count - 1, zeta, np.array(roots)))
     rhs = np.zeros(count)
     rhs[0] = 1.0
@@ -390,11 +386,12 @@ def norm_weight_crosscheck(m, zeta: float, chain: str) -> CrosscheckReport:
     m = require_qes_domain(m, zeta)
     entry = chain_plan(m).entry(chain)
     table = weights(m, zeta, chain)
-    count = entry.level_count
+    count = entry.critical_index
     shift = (m + zeta) ** 2
     script = np.array([e - shift for e, _ in table.support])
     w = np.array(table.weights())
-    values = np.array(family_values(_chain_spec(m, entry), count, zeta, script))
+    spec = ChainSpec(entry.chain_kind, Fraction(m), entry.s)
+    values = np.array(family_values(spec, count, zeta, script))
     devs = []
     ok = True
     for n in range(count + 1):

@@ -143,12 +143,13 @@ def node_count(state, grid) -> int:
     return int(np.sum(signs[1:] != signs[:-1]))
 
 
-def schrodinger_residual(psi, energy: float, potential, grid, periodic: bool = False) -> float:
+def schrodinger_residual(psi, energy: float, potential, grid) -> float:
     """sup |(-psi'' + V psi - E psi)| / sup |psi| with a 4th-order stencil.
 
     psi may be a callable or an array of samples on the uniform grid;
-    potential is a PotentialSpec, or None for V = 0.  On periodic grids the
-    stencil wraps; on the line the outer two points are skipped.
+    potential is a PotentialSpec, or None for V = 0 on the line.  For a
+    circle potential the grid covers whole periods and the stencil wraps;
+    on the line the outer two points are skipped.
     """
     grid = np.asarray(grid, dtype=float)
     h = grid[1] - grid[0]
@@ -157,7 +158,7 @@ def schrodinger_residual(psi, energy: float, potential, grid, periodic: bool = F
         raise TypeError("potential must be a PotentialSpec or None")
     v = np.zeros_like(grid) if potential is None else potential_eval(potential, grid)
 
-    if periodic:
+    if potential is not None and potential.is_circle():
         m2, m1 = np.roll(values, 2), np.roll(values, 1)
         p1, p2 = np.roll(values, -1), np.roll(values, -2)
         second = (-m2 + 16 * m1 - 30 * values + 16 * p1 - p2) / (12 * h * h)
@@ -176,4 +177,4 @@ def schrodinger_residual(psi, energy: float, potential, grid, periodic: bool = F
 
 def residual(state: QESState, spec: PotentialSpec, grid) -> float:
     """Schroedinger residual of a constructed state against its potential."""
-    return schrodinger_residual(state, state.energy, spec, grid, periodic=spec.is_circle())
+    return schrodinger_residual(state, state.energy, spec, grid)

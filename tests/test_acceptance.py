@@ -214,15 +214,15 @@ def test_08_new_potential():
     states = new_potential_states(0.5, mu)
     theta1 = np.linspace(0.0, 2 * np.pi / mu, 4096, endpoint=False)
     theta2 = np.linspace(0.0, 4 * np.pi / mu, 8192, endpoint=False)
-    res0 = schrodinger_residual(states[0][1], states[0][0], spec, theta1, periodic=True)
-    res2 = schrodinger_residual(states[1][1], states[1][0], spec, theta2, periodic=True)
+    res0 = schrodinger_residual(states[0][1], states[0][0], spec, theta1)
+    res2 = schrodinger_residual(states[1][1], states[1][0], spec, theta2)
 
     spec3 = phi6_kink_dual(0.3, mu)
     double3 = lowest_eigenvalues(
         OracleConfig(spec3, n=2048, count=6, period_multiplier=2))
     dev_zero3 = min(abs(e) for e in double3.eigenvalues)
     (state3_e, state3_psi), = new_potential_states(0.3, mu)
-    res3 = schrodinger_residual(state3_psi, state3_e, spec3, theta2, periodic=True)
+    res3 = schrodinger_residual(state3_psi, state3_e, spec3, theta2)
 
     ok = (dev_ground <= 1e-4 and absent and dev_zero <= 1e-4
           and dev_ground2 <= 1e-4 and res0 < 1e-6 and res2 < 1e-6

@@ -326,6 +326,30 @@ class TestOverflowAndGridDomain:
         assert "RuntimeWarning" not in proc.stderr
         assert "Traceback" not in proc.stderr
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("argv, message", [
+        (("oracle", "--domain-l", "-inf"), "--domain-l must be positive and finite"),
+        (("oracle", "--family", "dshg", "--m", "3", "--zeta", "1", "--domain-l", "-inf"),
+         "--domain-l must be positive and finite"),
+        (("oracle", "--family", "dsg", "--m", "3", "--zeta", "1", "--domain-l", "nan",
+          "--format", "json"), "--domain-l must be positive and finite"),
+        (("oracle", "--family", "phi6_kink", "--mu", "-inf"),
+         "epsilon_sq and mu must be positive and finite"),
+        (("oracle", "--family", "phi6_kink", "--epsilon-sq", "-1e400"),
+         "epsilon_sq and mu must be positive and finite"),
+        (("oracle", "--family", "phi6_kink", "--epsilon-sq", "nan"),
+         "epsilon_sq and mu must be positive and finite"),
+        (("oracle", "--family", "phi6_kink_dual", "--epsilon-sq", "inf"),
+         "epsilon_sq and mu must be positive and finite"),
+        (("family", "--s", "-1/2"), "s must be 0 or 1/2"),
+    ])
+    def test_dash_led_or_non_finite_value_is_one_error_line(self, capsys, argv, message):
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: " + message) and err.count("\n") == 1
+        assert "Traceback" not in err and "RuntimeWarning" not in err
+
     @pytest.mark.parametrize("value", ["0", "1", "-3"])
     def test_wavefunction_rejects_grid_below_two(self, capsys, value):
         code, out, err = run(capsys, "wavefunction", "--m", "3", "--zeta", "1",

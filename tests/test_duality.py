@@ -20,6 +20,7 @@ from qespoly.potentials import (
     phi6_kink,
     phi6_kink_dual,
     potential_eval,
+    sextic_minus,
     sextic_plus,
     sextic_qes_levels,
 )
@@ -63,6 +64,20 @@ class TestPotentials:
         v_line_at_imag = (mu * mu * num / (8 * den * den)).real
         v_dual = potential_eval(phi6_kink_dual(eps2, mu), theta)
         assert v_dual == pytest.approx(list(-v_line_at_imag), rel=1e-12)
+
+    @pytest.mark.parametrize("family", [phi6_kink, phi6_kink_dual, new_potential_states])
+    @pytest.mark.parametrize("epsilon_sq, mu", [
+        (math.nan, 1.0), (math.inf, 1.0), (0.5, math.nan), (0.5, math.inf),
+    ])
+    def test_kink_wells_reject_non_finite_parameters(self, family, epsilon_sq, mu):
+        with pytest.raises(ValueError, match="must be positive and finite"):
+            family(epsilon_sq, mu)
+
+    @pytest.mark.parametrize("family", [sextic_plus, sextic_minus])
+    @pytest.mark.parametrize("m", [3.7, -1, math.inf])
+    def test_sextic_wells_reject_m_outside_nonnegative_integers(self, family, m):
+        with pytest.raises(ValueError, match="M must be a nonnegative integer"):
+            family(m)
 
 
 class TestDualEnergies:

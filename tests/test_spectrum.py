@@ -37,10 +37,10 @@ SQRT5 = math.sqrt(5.0)
 class TestChainPlan:
     def test_m3(self):
         plan = chain_plan(3)
-        assert [(e.node_parity, e.chain_kind, e.s, e.critical_index, e.level_count)
+        assert [(e.node_parity, e.chain_kind, e.s, e.critical_index)
                 for e in plan.entries] == [
-            ("even", "P", Fraction(0), 2, 2),
-            ("odd", "Q", HALF, 1, 1),
+            ("even", "P", Fraction(0), 2),
+            ("odd", "Q", HALF, 1),
         ]
 
     def test_m1_has_no_odd_entry(self):
@@ -51,15 +51,15 @@ class TestChainPlan:
 
     def test_m4(self):
         plan = chain_plan(4)
-        assert [(e.node_parity, e.chain_kind, e.s, e.critical_index, e.level_count)
+        assert [(e.node_parity, e.chain_kind, e.s, e.critical_index)
                 for e in plan.entries] == [
-            ("even", "Q", Fraction(0), 2, 2),
-            ("odd", "P", HALF, 2, 2),
+            ("even", "Q", Fraction(0), 2),
+            ("odd", "P", HALF, 2),
         ]
 
     def test_total_level_count(self):
         for m in range(1, 11):
-            assert sum(e.level_count for e in chain_plan(m).entries) == m
+            assert sum(e.critical_index for e in chain_plan(m).entries) == m
 
     def test_rejects_nonpositive(self):
         with pytest.raises(QESDomainError):
@@ -89,8 +89,8 @@ class TestOneChainTable:
         assert all(e.quotient_kind == names[e.chain_kind, e.s] for e in entries)
 
         plan = chain_plan(m).entries
-        assert [(e.chain_kind, e.s, e.critical_index, e.level_count) for e in plan] == [
-            (kind, s, c, c) for (kind, s), c in sorted(term.items(), key=lambda i: i[0][1])
+        assert [(e.chain_kind, e.s, e.critical_index) for e in plan] == [
+            (kind, s, c) for (kind, s), c in sorted(term.items(), key=lambda i: i[0][1])
             if c > 0]
         assert all(e.node_parity == ("even" if e.s == 0 else "odd") for e in plan)
 
@@ -342,7 +342,7 @@ class TestCrosscheck:
     @pytest.mark.parametrize("zeta", [0.5, 1.0, 2.0])
     def test_all_chains(self, m, zeta):
         for entry in chain_plan(m).entries:
-            if entry.level_count < 1:
+            if entry.critical_index < 1:
                 continue
             rep = norm_weight_crosscheck(m, zeta, entry.chain_kind)
             assert rep.ok, rep

@@ -110,12 +110,10 @@ class TestResidual:
         spec = phi6_kink_dual(0.5, 1.0)
         # ground state on one potential period
         theta1 = np.linspace(0.0, 2 * np.pi, 4096, endpoint=False)
-        assert schrodinger_residual(states[0][1], states[0][0], spec, theta1,
-                                    periodic=True) < 1e-6
+        assert schrodinger_residual(states[0][1], states[0][0], spec, theta1) < 1e-6
         # E = 0 state on its own (doubled) period
         theta2 = np.linspace(0.0, 4 * np.pi, 8192, endpoint=False)
-        assert schrodinger_residual(states[1][1], states[1][0], spec, theta2,
-                                    periodic=True) < 1e-6
+        assert schrodinger_residual(states[1][1], states[1][0], spec, theta2) < 1e-6
 
 
 class TestDualityOfStates:
