@@ -10,6 +10,8 @@ potential -(zeta cos 2theta - M)**2.  Because the circle problem demands
 psi(theta + pi) = psi(theta) while the transformed states flip sign under a
 half turn whenever M is even, only odd M survives: the sine-Gordon side is
 algebraically solvable for roughly half the parameter values of its dual.
+At even M the half-turn characters are read off the states of the two
+chains, one solve each, so the rejection needs no sorted spectrum.
 
 The same map applied to the bounded kink-stability well yields a periodic
 well whose ground state (at epsilon**2 = 1/2) and second excited state
@@ -32,7 +34,7 @@ from .spectrum import (
     require_qes_domain,
     weights,
 )
-from .wavefunctions import _state_from_report
+from .wavefunctions import chain_states
 
 __all__ = [
     "DsgRejection",
@@ -95,33 +97,25 @@ def periodicity_character(values) -> int:
     return MIXED
 
 
-def _dual_candidate_characters(source: SpectrumReport) -> tuple:
-    """Characters of the transformed line states on the 2*pi circle."""
-    theta = np.linspace(0.0, 2.0 * np.pi, 512, endpoint=False)
-    chars = []
-    for level in range(source.m):
-        state = _state_from_report(source, level)
-        chars.append(periodicity_character(state.eval_dual(theta)))
-    return tuple(chars)
-
-
 def dsg_spectrum(m: int, zeta: float):
     """Sine-Gordon levels for odd M; a typed rejection for even M.
 
     Odd M: the image of the sinh-Gordon spectrum under negate-and-reverse,
     with node labels by energy rank and the chain inherited from the source
     level.  Even M: every candidate state is odd under a half turn, so no
-    pi-periodic eigenstate exists at the mapped energies.
+    pi-periodic eigenstate exists at the mapped energies.  The candidate
+    states come from one solve of each chain, with no level sort.
     """
     m = require_qes_domain(m, zeta)
-    source = qes_energies(m, zeta)
     if m % 2 == 0:
-        return DsgRejection(
-            m,
-            zeta,
-            _dual_candidate_characters(source),
-            "candidate states change sign under a half turn (even M)",
-        )
+        # characters on the 2*pi circle, by node count
+        theta = np.linspace(0.0, 2.0 * np.pi, 512, endpoint=False)
+        states = sorted(chain_states(m, zeta, 0) + chain_states(m, zeta, 1),
+                        key=lambda state: state.level)
+        return DsgRejection(m, zeta, tuple(periodicity_character(state.eval_dual(theta))
+                                           for state in states),
+                            "candidate states change sign under a half turn (even M)")
+    source = qes_energies(m, zeta)
     shift = (m + zeta) ** 2
     pairs = enumerate(zip(dual_energies(source.energies()), reversed(source.levels)))
     levels = tuple(QESLevel(e, e - shift, k, src.chain) for k, (e, src) in pairs)

@@ -272,7 +272,7 @@ def analytic_qes_levels(spec: PotentialSpec) -> list:
     if spec.is_circle():
         return dual_energies(analytic_qes_levels(line_preimage(spec)))
     if spec.family == "dshg":
-        return qes_energies(int(p["m"]), p["zeta"]).energies()
+        return qes_energies(p["m"], p["zeta"]).energies()
     if spec.family == "sextic_plus":
         return sextic_qes_levels(p["m"], p["a"], p["b"])
     if spec.family == "sextic_minus":

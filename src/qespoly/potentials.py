@@ -99,9 +99,13 @@ def potential_eval(spec: PotentialSpec, x):
     elif family == "phi6_kink":
         mu = p["mu"]
         inv2 = 1.0 / p["epsilon_sq"]
-        s2 = -np.sin(0.5 * mu * x) ** 2 if circle else np.sinh(0.5 * mu * x) ** 2
-        num = 8.0 * s2 * s2 - 4.0 * (5.0 * inv2 - 1.0) * s2 + 2.0 * (inv2 * inv2 - inv2 - 2.0)
-        den = 1.0 + inv2 + s2
+        # sinh**2 (-sin**2 on the circle) as a / b; on the line a = (1 - t)**2
+        # and b = 4t with t = exp(-mu|x|), finite where sinh**2 overflows
+        a, b = ((-np.sin(0.5 * mu * x) ** 2, 1.0) if circle else
+                (np.expm1(-mu * np.abs(x)) ** 2, 4.0 * np.exp(-mu * np.abs(x))))
+        num = (8.0 * a * a - 4.0 * (5.0 * inv2 - 1.0) * a * b
+               + 2.0 * (inv2 * inv2 - inv2 - 2.0) * b * b)
+        den = (1.0 + inv2) * b + a
         v = mu * mu * num / (8.0 * den * den)
     elif family in ("sextic_plus", "sextic_minus"):
         sgn = 1.0 if family == "sextic_plus" else -1.0

@@ -20,12 +20,14 @@ delta_n0 at the isolated roots, with its residual bounded and its condition
 number reported.  Moments, the norm crosscheck and the sine-Gordon weights
 all take their tables from it.
 
-Levels, weights, moments and the crosscheck run the three-term recursion at
-the given zeta: on integers (families.scaled_members) for the critical member
-whose roots are isolated, in floats (families.family_values) for the chain
-values at the levels.  chain_roots certifies each root by exact sign changes
-of the critical member between neighbouring roots.  Only the factorization
-check builds bivariate chains.
+solve_chain is the one solve of a chain at one zeta, and levels, weights,
+moments, the crosscheck and the states (wavefunctions) all read it, each
+chain once per call.  It runs the three-term recursion on integers
+(families.scaled_members) for the critical member, whose roots chain_roots
+certifies by exact sign changes between neighbouring roots, and in floats
+(families.family_values) for members 0..N+2 at those roots.  The crosscheck
+evaluates its sums at the certified roots too.  Only the factorization check
+builds bivariate chains.
 """
 
 from __future__ import annotations
@@ -214,11 +216,14 @@ def chain_roots(critical: tuple) -> list:
     return roots
 
 
-def _critical_roots(m: int, entry: ChainPlanEntry, zeta: float) -> tuple:
-    """A plan entry's chain spec, and the certified roots (shifted energy)
-    of its critical member at zeta."""
+def solve_chain(m: int, zeta: float, entry: ChainPlanEntry) -> tuple:
+    """The one solve of a plan entry's chain at zeta: the certified roots
+    (shifted energy, ascending) of its critical member N, and the values of
+    members 0..N+2 at those roots, one array per member."""
     spec = ChainSpec(entry.chain_kind, Fraction(m), entry.s)
-    return spec, chain_roots(scaled_members(spec, entry.critical_index, zeta)[-1])
+    n = entry.critical_index
+    roots = chain_roots(scaled_members(spec, n, zeta)[-1])
+    return roots, family_values(spec, n + 2, zeta, np.array(roots))
 
 
 def qes_energies(m, zeta: float) -> SpectrumReport:
@@ -228,7 +233,7 @@ def qes_energies(m, zeta: float) -> SpectrumReport:
     levels = []
     for entry in chain_plan(m).entries:
         base = 0 if entry.node_parity == "even" else 1
-        _, roots = _critical_roots(m, entry, zeta)
+        roots, _ = solve_chain(m, zeta, entry)
         for rank, root in enumerate(roots):
             levels.append(
                 QESLevel(root + shift, root, base + 2 * rank, entry.chain_kind)
@@ -341,19 +346,20 @@ def norms_from_recursion(form: ThreeTermForm) -> NormSequence:
 def weights(m, zeta: float, chain: str) -> WeightTable:
     """Discrete weights on a chain's own levels from sum_k p_n(E_k) w_k = delta_n0.
 
-    The square system runs over n = 0 .. (level count - 1): the roots of the
-    chain's critical member at zeta are certified (chain_roots), the
-    members are evaluated there in floats
-    (family_values), and the system is solved by partial pivoting.  The
+    The square system runs over n = 0 .. (level count - 1) at the chain's
+    certified roots (solve_chain) and is solved by partial pivoting.  The
     residual must stay within 1e-10 and the condition number is recorded.
     Every table comes from this float solve, so its `exact` flag is False.
     """
     m = require_qes_domain(m, zeta)
     entry = chain_plan(m).entry(chain)
-    count = entry.critical_index
-    shift = (m + zeta) ** 2
-    spec, roots = _critical_roots(m, entry, zeta)
-    a = np.array(family_values(spec, count - 1, zeta, np.array(roots)))
+    return _weight_table(chain, *solve_chain(m, zeta, entry), (m + zeta) ** 2)
+
+
+def _weight_table(chain: str, roots: list, values: list, shift: float) -> WeightTable:
+    """The weight solve on one chain's certified roots and member values."""
+    count = len(roots)
+    a = np.array(values[:count])
     rhs = np.zeros(count)
     rhs[0] = 1.0
     try:
@@ -380,18 +386,16 @@ class CrosscheckReport:
 def norm_weight_crosscheck(m, zeta: float, chain: str) -> CrosscheckReport:
     """Verify sum_k w_k p_n(E_k)^2 = gamma_n and the off-diagonal vanishing.
 
-    An orthogonality sum passes within 1e-9 of the sum of its terms'
-    magnitudes (its rounding scale); orthogonality_max is the largest sum.
+    The weights and the sums use one chain solve: members 0..N at the
+    certified roots.  An orthogonality sum passes within 1e-9 of the sum of
+    its terms' magnitudes (its rounding scale); orthogonality_max is the
+    largest sum.
     """
     m = require_qes_domain(m, zeta)
     entry = chain_plan(m).entry(chain)
-    table = weights(m, zeta, chain)
+    roots, values = solve_chain(m, zeta, entry)
+    w = np.array(_weight_table(chain, roots, values, (m + zeta) ** 2).weights())
     count = entry.critical_index
-    shift = (m + zeta) ** 2
-    script = np.array([e - shift for e, _ in table.support])
-    w = np.array(table.weights())
-    spec = ChainSpec(entry.chain_kind, Fraction(m), entry.s)
-    values = np.array(family_values(spec, count, zeta, script))
     devs = []
     ok = True
     for n in range(count + 1):

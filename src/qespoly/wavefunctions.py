@@ -12,6 +12,10 @@ kills every later member, and the series is a finite sum.  The branch of
 z**(1/2) is taken odd, sgn(x) * sqrt(cosh 2x - 1) = sqrt(2) sinh x, so s = 0
 states are even in x and s = 1/2 states are odd.
 
+Each chain carries one parity of levels, so the state with k nodes is root
+k // 2 of the chain of parity k (spectrum.solve_chain); no float sort of the
+two chains' levels is involved.
+
 The same coefficients evaluated with cosh -> cos give the circle image of
 the state used on the double sine-Gordon side.
 """
@@ -24,9 +28,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .families import ChainSpec, family_values, series_index
+from .families import series_index
 from .potentials import PotentialSpec, potential_eval
-from .spectrum import QESDomainError, SpectrumReport, chain_plan, qes_energies
+from .spectrum import QESDomainError, chain_plan, require_qes_domain, solve_chain
 
 
 @dataclass(frozen=True)
@@ -89,43 +93,35 @@ class QESState:
 
 
 def build_qes_state(m: int, zeta: float, level: int) -> QESState:
-    """Assemble the series state for one algebraic level.
+    """Assemble the series state for one algebraic level: root level // 2
+    of the chain that carries the levels of node parity level % 2."""
+    m = require_qes_domain(m, zeta)
+    if not 0 <= level < m:
+        raise QESDomainError(f"level must be in 0..{m - 1}")
+    return chain_states(m, zeta, level % 2)[level // 2]
 
-    Two chain members beyond the critical index are evaluated and certified
-    to vanish (relative 1e-9), making the truncation exact rather than
-    approximate.
-    """
-    return _state_from_report(qes_energies(m, zeta), level)
 
-
-def _state_from_report(report: SpectrumReport, level: int) -> QESState:
-    """build_qes_state on a spectrum that is already solved."""
-    if not 0 <= level < report.m:
-        raise QESDomainError(f"level must be in 0..{report.m - 1}")
-    lv = report.levels[level]
-    entry = chain_plan(report.m).entry(lv.chain)
-    spec = ChainSpec(lv.chain, Fraction(report.m), entry.s)
-    values = family_values(spec, entry.critical_index + 2, report.zeta, lv.script_energy)
-    coeffs = [value / math.factorial(series_index(lv.chain, j))
-              for j, value in enumerate(values)]
-    scale = max(abs(c) for c in coeffs)
-    for j in range(entry.critical_index, entry.critical_index + 3):
-        if abs(coeffs[j]) > 1e-9 * scale:
-            raise QESDomainError(
-                f"series does not terminate: |c_{j}| = {abs(coeffs[j])}"
-            )
-        coeffs[j] = 0.0
-    return QESState(
-        m=report.m,
-        zeta=report.zeta,
-        level=level,
-        chain=lv.chain,
-        s=entry.s,
-        coeffs=tuple(coeffs),
-        energy=lv.energy,
-        script_energy=lv.script_energy,
-        critical_index=entry.critical_index,
-    )
+def chain_states(m: int, zeta: float, parity: int) -> list:
+    """The states of the plan entry `parity` (s = 0 first), state k with
+    2k + parity nodes, from one chain solve.  Two members beyond the
+    critical index are certified to vanish (relative 1e-9) at every root,
+    making the truncation exact rather than approximate."""
+    entry = chain_plan(m).entries[parity]
+    roots, values = solve_chain(m, zeta, entry)
+    crit, chain = entry.critical_index, entry.chain_kind
+    factorials = [float(math.factorial(series_index(chain, j))) for j in range(crit + 3)]
+    coeffs = np.array(values) / np.array(factorials)[:, None]
+    tail = np.abs(coeffs[crit:])
+    bad = np.argwhere(tail > 1e-9 * np.max(np.abs(coeffs), axis=0))
+    if bad.size:
+        j, k = bad[0]
+        raise QESDomainError(f"series does not terminate: |c_{crit + j}| = {tail[j, k]}")
+    coeffs[crit:] = 0.0
+    shift = (m + zeta) ** 2
+    return [QESState(m=m, zeta=zeta, level=2 * k + parity, chain=chain, s=entry.s,
+                     coeffs=tuple(c), energy=root + shift, script_energy=root,
+                     critical_index=crit)
+            for k, (root, c) in enumerate(zip(roots, coeffs.T.tolist()))]
 
 
 def node_count(state, grid) -> int:

@@ -145,6 +145,15 @@ class TestOtherCommands:
         doc = json.loads(out)
         assert doc["chain"] == "Q" and doc["nodes"] == 1
 
+    def test_wavefunction_past_the_float_order(self, capsys):
+        # qes_energies(16, 1) fails its float-sorted node check; the state
+        # is root 1 of the odd-parity chain
+        code, out, err = run(capsys, "wavefunction", "--m", "16", "--zeta", "1",
+                             "--level", "3", "--format", "json")
+        assert code == 0, err
+        doc = json.loads(out)
+        assert doc["level"] == 3 and doc["nodes"] == 3
+
     def test_oracle_harmonic(self, capsys):
         code, out, _ = run(capsys, "oracle", "--family", "harmonic",
                            "--domain-l", "10", "--grid-n", "2000",
@@ -364,3 +373,19 @@ class TestOverflowAndGridDomain:
                            "--format", "json")
         assert code == 0
         assert json.loads(out)["manifest"]["params"]["grid_n"] == 2
+
+    def test_kink_oracle_on_a_wide_domain_is_clean(self):
+        # sinh**2 overflowed past |x| ~ 355 before the line formula was
+        # rewritten; run as a process, so interpreter warnings would show
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+        proc = subprocess.run(
+            [sys.executable, "-m", "qespoly.cli", "oracle", "--family", "phi6_kink",
+             "--domain-l", "400", "--count", "2"],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 0
+        assert proc.stderr == ""
+

@@ -65,6 +65,22 @@ class TestPotentials:
         v_dual = potential_eval(phi6_kink_dual(eps2, mu), theta)
         assert v_dual == pytest.approx(list(-v_line_at_imag), rel=1e-12)
 
+    @pytest.mark.filterwarnings("error")
+    def test_kink_line_far_out_tends_to_mu_squared(self):
+        x = np.array([-1e6, -1e3, -400.0, -360.0, 360.0, 400.0, 1e3, 1e6])
+        assert potential_eval(phi6_kink(0.5, 1.0), x) == pytest.approx([1.0] * 8, abs=1e-15)
+        assert potential_eval(phi6_kink(0.3, 2.0), x) == pytest.approx([4.0] * 8, abs=1e-15)
+
+    def test_kink_line_agrees_with_sinh_formula(self):
+        x = np.linspace(-30.0, 30.0, 6001)
+        for eps2, mu in ((0.5, 1.0), (0.37, 1.7), (2.0, 0.4)):
+            inv2 = 1.0 / eps2
+            s2 = np.sinh(0.5 * mu * x) ** 2
+            num = 8 * s2**2 - 4 * (5 * inv2 - 1) * s2 + 2 * (inv2**2 - inv2 - 2)
+            den = 1 + inv2 + s2
+            want = mu * mu * num / (8 * den * den)
+            assert np.max(np.abs(potential_eval(phi6_kink(eps2, mu), x) - want)) <= 1e-14
+
     @pytest.mark.parametrize("family", [phi6_kink, phi6_kink_dual, new_potential_states])
     @pytest.mark.parametrize("epsilon_sq, mu", [
         (math.nan, 1.0), (math.inf, 1.0), (0.5, math.nan), (0.5, math.inf),
@@ -147,23 +163,33 @@ class TestPeriodicityCharacter:
 
 
 class TestEvenMSolvesOnce:
-    def test_dsg_spectrum_solves_the_spectrum_once(self, monkeypatch):
+    def test_dsg_spectrum_solves_each_chain_once(self, monkeypatch):
         import qespoly.duality as duality
         import qespoly.spectrum as spectrum
         import qespoly.wavefunctions as wavefunctions
 
-        calls = []
+        sorted_calls, solved = [], []
+        true_solve = spectrum.solve_chain
 
-        def counting(m, zeta):
-            calls.append((m, zeta))
-            return spectrum.qes_energies(m, zeta)
+        def counting_solve(m, zeta, entry):
+            solved.append(entry.chain_kind)
+            return true_solve(m, zeta, entry)
 
-        monkeypatch.setattr(duality, "qes_energies", counting)
-        monkeypatch.setattr(wavefunctions, "qes_energies", counting)
+        monkeypatch.setattr(duality, "qes_energies",
+                            lambda m, zeta: sorted_calls.append((m, zeta)))
+        monkeypatch.setattr(wavefunctions, "solve_chain", counting_solve)
         outcome = dsg_spectrum(6, 1.0)
         assert isinstance(outcome, DsgRejection)
         assert outcome.characters == (ANTIPERIODIC,) * 6
-        assert calls == [(6, 1.0)]
+        assert sorted_calls == []
+        assert sorted(solved) == ["P", "Q"]
+
+    def test_rejection_past_the_float_order(self):
+        # qes_energies(16, 1) fails its float-sorted node check; the
+        # characters come from the chains' own states
+        outcome = dsg_spectrum(16, 1.0)
+        assert isinstance(outcome, DsgRejection)
+        assert outcome.characters == (ANTIPERIODIC,) * 16
 
 
 class TestDsgWeightsMoments:

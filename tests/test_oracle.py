@@ -29,7 +29,7 @@ from qespoly.potentials import (
     sextic_minus,
     sextic_plus,
 )
-from qespoly.spectrum import qes_energies
+from qespoly.spectrum import QESDomainError, qes_energies
 
 
 class TestDiscretize:
@@ -333,3 +333,10 @@ class TestAnalyticLevels:
         assert analytic_qes_levels(phi6_kink_dual(0.5, 1.0)) == pytest.approx([-0.75, 0.0])
         assert analytic_qes_levels(phi6_kink_dual(0.5, 2.0)) == pytest.approx([-3.0, 0.0])
         assert analytic_qes_levels(phi6_kink_dual(0.3, 1.0)) == pytest.approx([0.0])
+
+    def test_non_integer_m_is_a_domain_error(self):
+        # not truncated to the M = 2 levels
+        with pytest.raises(QESDomainError, match="positive integer M"):
+            analytic_qes_levels(dshg(2.5, 1.0))
+        with pytest.raises(QESDomainError, match="positive integer M"):
+            verify_duality_pair(dshg(2.5, 1.0), dsg(2.5, 1.0))

@@ -358,18 +358,47 @@ class TestCrosscheckScale:
         assert rep.orthogonality_max > 1e-9
 
     def test_one_perturbed_weight_fails(self, monkeypatch):
-        import qespoly.spectrum as spectrum
+        true_table = spectrum._weight_table
 
-        true_weights = spectrum.weights
-
-        def perturbed(m, zeta, chain):
-            table = true_weights(m, zeta, chain)
+        def perturbed(*args):
+            table = true_table(*args)
             (e0, w0), *rest = table.support
             return WeightTable(table.chain, ((e0, w0 * (1 + 1e-6)), *rest),
                                table.condition, table.residual)
 
-        monkeypatch.setattr(spectrum, "weights", perturbed)
+        monkeypatch.setattr(spectrum, "_weight_table", perturbed)
         assert not norm_weight_crosscheck(8, 1.0, "Q").ok
+
+
+def _counting(monkeypatch, module, name) -> list:
+    """Wrap module.name so that each call appends its arguments to a list."""
+    calls = []
+    true = getattr(module, name)
+
+    def wrapper(*args):
+        calls.append(args)
+        return true(*args)
+
+    monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
+class TestOneChainSolve:
+    """The weights and the crosscheck sums come from one solve of the chain."""
+
+    def test_crosscheck_solves_its_chain_once(self, monkeypatch):
+        roots = _counting(monkeypatch, spectrum, "chain_roots")
+        values = _counting(monkeypatch, spectrum, "family_values")
+        weight_calls = _counting(monkeypatch, spectrum, "weights")
+        assert norm_weight_crosscheck(8, 1.0, "Q").ok
+        assert (len(roots), len(values), len(weight_calls)) == (1, 1, 0)
+
+    def test_sorted_spectrum_still_fails_below_one_ulp(self):
+        # at (16, 1) the lowest doublet is split by less than the float
+        # spacing, so the float-sorted node order breaks; states and even-M
+        # duality read their chains and do not depend on this order
+        with pytest.raises(QESDomainError, match="node interlacing violated"):
+            qes_energies(16, 1.0)
 
 
 class TestMoments:

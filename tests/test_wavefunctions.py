@@ -80,6 +80,33 @@ class TestNodes:
         assert node_count(grid, grid) == 1
 
 
+class TestStatesFromTheirChain:
+    """State k is root k // 2 of the chain of parity k: no float sort."""
+
+    @pytest.mark.parametrize("m,zeta", [(14, 0.5), (16, 1.0), (20, 1.0), (20, 2.0)])
+    def test_node_count_past_the_float_order(self, m, zeta):
+        grid = np.linspace(-4.0, 4.0, 40001)
+        for level in range(m):
+            state = build_qes_state(m, zeta, level)
+            assert state.level == level
+            assert node_count(state, grid) == level, (m, zeta, level)
+
+    def test_one_chain_solve(self, monkeypatch):
+        import qespoly.spectrum as spectrum
+
+        calls = []
+        true_roots = spectrum.chain_roots
+
+        def counting(critical):
+            calls.append(critical)
+            return true_roots(critical)
+
+        monkeypatch.setattr(spectrum, "chain_roots", counting)
+        state = build_qes_state(9, 1.0, 4)
+        assert len(calls) == 1
+        assert (state.chain, state.level) == ("P", 4)
+
+
 class TestResidual:
     def test_free_particle_constant(self):
         grid = np.linspace(-1, 1, 201)
