@@ -19,20 +19,19 @@ touching its entries.
 
 Binary floats enter in two places: numeric evaluation (eval_float;
 eval_numeric is Horner in E after Horner in zeta) and root finding, where
-companion-matrix eigenvalues are polished by the one Newton loop (_newton,
-through polished_real_roots) and then certified exactly.  The general finder
-real_roots clusters them into multiplicities and checks the count of
-distinct real roots against an exact Sturm chain.  The numeric pipelines
-(levels, weights, states, duality) never expand a bivariate chain: they run
-the three-term recursion at the given zeta on integers
-(families.scaled_members) or floats (families.family_values), and certify
-the roots of a critical member by exact signs (exact_sign) at the float
-midpoints between them (spectrum.chain_roots), with no Sturm chain.
+the one Newton loop (newton) polishes seeds.  The general finder real_roots
+seeds it with companion-matrix eigenvalues (polished_real_roots), clusters
+the results into multiplicities and checks the count of distinct real roots
+against an exact Sturm chain.  The numeric pipelines (levels, weights,
+states, duality) never expand a bivariate chain or use this finder: they
+run the three-term recursion at the given zeta (families.float_steps,
+families.member_signs), and spectrum.chain_roots seeds the same Newton loop
+with Jacobi-matrix eigenvalues and certifies the roots by exact signs, with
+no Sturm chain.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import zip_longest
@@ -413,11 +412,12 @@ def _val_dval(coeffs, x: float):
     return v, d
 
 
-def _newton(coeffs, x: float, mult: int = 1, steps: int = 60) -> float:
-    """Newton steps x -= mult * v / d for a root of multiplicity mult,
-    until a step is below 1e-15 relative or the derivative vanishes."""
+def newton(value_slope, x: float, mult: int = 1, steps: int = 60) -> float:
+    """Newton steps x -= mult * v / d, (v, d) = value_slope(x), for a root of
+    multiplicity mult, until a step is below 1e-15 relative or the
+    derivative vanishes."""
     for _ in range(steps):
-        v, d = _val_dval(coeffs, x)
+        v, d = value_slope(x)
         if d == 0.0:
             break
         step = mult * v / d
@@ -438,7 +438,7 @@ def polished_real_roots(coeffs) -> list:
     # multiple roots scatter the companion eigenvalues by ~eps**(1/m), so
     # admit candidates generously and let the caller's certificate decide
     candidates = [z for z in raw if abs(z.imag) <= 1e-5 * (1.0 + abs(z))]
-    return sorted(_newton(coeffs, float(z.real)) for z in candidates)
+    return sorted(newton(lambda x: _val_dval(coeffs, x), float(z.real)) for z in candidates)
 
 
 
@@ -450,23 +450,6 @@ def check_root_residuals(coeffs, roots) -> None:
         v, _ = _val_dval(coeffs, r)
         if mult == 1 and abs(v) > scale:
             raise RootCountMismatch(f"root {r} residual {v} above tolerance")
-
-
-def exact_sign(q, t: float) -> int:
-    """Exact sign of sum_k q[k] * t**k at a float t, -inf and inf included.
-
-    q holds ints (or Fractions); a finite t = u/v is a dyadic rational, and
-    the sign is that of the homogeneous form sum_k q[k] u**k v**(N-k).
-    """
-    if math.isinf(t):
-        value = -q[-1] if t < 0 and len(q) % 2 == 0 else q[-1]
-    else:
-        u, v = t.as_integer_ratio()
-        value, vpow = 0, 1
-        for c in reversed(q):
-            value = value * u + c * vpow
-            vpow *= v
-    return (value > 0) - (value < 0)
 
 
 def real_roots(p: EnergyPoly, zeta) -> list:
@@ -517,7 +500,7 @@ def real_roots(p: EnergyPoly, zeta) -> list:
         x = sum(g) / mult
         if mult > 1:
             # multiplicity-aware Newton to sharpen the cluster center
-            x = _newton(coeffs, x, mult, 30)
+            x = newton(lambda y: _val_dval(coeffs, y), x, mult, 30)
         roots.append((x, mult))
 
     check_root_residuals(coeffs, roots)

@@ -24,13 +24,16 @@ chains' validation and index offset, and the termination index read them.
 Every chain is generated on exactpoly coefficient rows, one step_rows call
 per member (integers throughout for integer M), and those rows are what each
 member stores: from_rows wraps them as an EnergyPoly without converting an
-entry.  The numeric recursions at one zeta read the same step coefficients:
-scaled_members runs it on integers, with zeta's denominator cleared, and
-family_values in floats.
+entry.  The numeric work at one zeta reads the same step coefficients and
+expands no member: float_steps gives the steps (B_n, C_n) in floats, which
+family_values recurses on, and member_signs gives the exact sign of a member
+at float points by the recursion on integers, with the denominators of zeta
+and of the point cleared.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -193,47 +196,46 @@ def recursion_coeffs(spec: ChainSpec, n: int):
     return ParamPoly((b0, b1)), ParamPoly.monomial(c1, 1)
 
 
-def scaled_members(spec: ChainSpec, order: int, zeta) -> list:
-    """Members 0..order at one exact rational zeta = a/d, denominators cleared.
+def float_steps(spec: ChainSpec, order: int, zeta: float) -> list:
+    """(B_n, C_n) of steps 1..order at a float zeta: the monic recursion
+    p_n = (E + B_n) p_{n-1} + C_n p_{n-2} in floats."""
+    return [(float(b1) * zeta + float(b0), float(c1) * zeta)
+            for b0, b1, c1 in (_step(spec, n) for n in range(1, order + 1))]
 
-    Entry n is (q, d**n), q the coefficient list in E (index k multiplies
-    E**k) of q_n = d**n p_n, so q[k] / d**n is the coefficient of p_n.  The
-    recursion q_n = (d*E + b0*d + b1*a) q_{n-1} + c1*a*d q_{n-2} runs on ints
-    for integer M (Fractions only through a rational M's c1) and normalises
-    no Fraction.
-    """
+
+def member_signs(spec: ChainSpec, n: int, zeta, points) -> list:
+    """Exact signs of member n at a rational zeta and at float points, +-inf
+    included: at zeta = a/d and t = u/v, q_n = (d*v)**n p_n(t) by the
+    recursion q_k = (d*u + (b0*d + b1*a)*v) q_{k-1} + c1*a*d*v**2 q_{k-2} on
+    ints (Fractions only through a rational M's c1)."""
     z = as_rational(zeta)
     a, d = z.numerator, z.denominator
-    prev, cur = [], [1]
-    members = [(cur, 1)]
-    for n in range(1, order + 1):
-        b0, b1, c1 = _step(spec, n)
-        shift, lag = b0 * d + b1 * a, c1 * a * d
-        new = [0] + [d * x for x in cur]
-        for k, x in enumerate(cur):
-            new[k] += shift * x
-        if lag:
-            for k, x in enumerate(prev):
-                new[k] += lag * x
-        prev, cur = cur, new
-        members.append((cur, d**n))
-    return members
+    steps = [(b0 * d + b1 * a, c1 * a * d)
+             for b0, b1, c1 in (_step(spec, k) for k in range(1, n + 1))]
+    signs = []
+    for t in points:
+        if math.isinf(t):  # a monic member of degree n
+            signs.append(-1 if t < 0 and n % 2 else 1)
+            continue
+        u, v = t.as_integer_ratio()
+        prev, cur = 0, 1
+        for shift, lag in steps:
+            prev, cur = cur, (d * u + shift * v) * cur + lag * v * v * prev
+        signs.append((cur > 0) - (cur < 0))
+    return signs
 
 
 def family_values(spec: ChainSpec, order: int, zeta: float, eps) -> list:
-    """p_0..p_order at float (zeta, shifted energy eps) by forward recursion.
+    """p_0..p_order at float (zeta, shifted energy eps) by forward recursion
+    on float_steps.
 
     eps may be a float or a numpy array of shifted energies; the values
     then have its shape.
     """
-    values = [eps * 0.0 + 1.0]
-    for n in range(1, order + 1):
-        b0, b1, c1 = _step(spec, n)
-        new = (eps + (float(b1) * zeta + float(b0))) * values[-1]
-        if n >= 2:
-            new = new + float(c1) * zeta * values[-2]
-        values.append(new)
-    return values
+    values = [eps * 0.0, eps * 0.0 + 1.0]  # p_{-1} = 0 meets C_1 = 0
+    for b, c in float_steps(spec, order, zeta):
+        values.append((eps + b) * values[-1] + c * values[-2])
+    return values[1:]
 
 
 def _termination(spec: ChainSpec) -> int | None:

@@ -22,12 +22,14 @@ all take their tables from it.
 
 solve_chain is the one solve of a chain at one zeta, and levels, weights,
 moments, the crosscheck and the states (wavefunctions) all read it, each
-chain once per call.  It runs the three-term recursion on integers
-(families.scaled_members) for the critical member, whose roots chain_roots
-certifies by exact sign changes between neighbouring roots, and in floats
-(families.family_values) for members 0..N+2 at those roots.  The crosscheck
-evaluates its sums at the certified roots too.  Only the factorization check
-builds bivariate chains.
+chain once per call.  It reads nothing but the chain's three-term steps:
+chain_roots takes the roots of the critical member N from the eigenvalues of
+the chain's Jacobi matrix, polishes them by Newton on the float recursion
+and certifies them by exact sign changes between neighbouring roots, on the
+integer recursion (families.member_signs); members 0..N+2 are then evaluated
+at those roots in floats (families.family_values).  The crosscheck evaluates
+its sums at the certified roots too.  Only the factorization check builds
+bivariate chains.
 """
 
 from __future__ import annotations
@@ -42,18 +44,17 @@ from .exactpoly import (
     ParamPoly,
     RootCountMismatch,
     as_rational,
-    check_root_residuals,
-    exact_sign,
+    newton,
     poly_divide_exact,
-    polished_real_roots,
 )
 from .families import (
     ChainSpec,
     ThreeTermForm,
     family_values,
+    float_steps,
     gen_family,
     gen_quotient,
-    scaled_members,
+    member_signs,
     terminating_chains,
 )
 
@@ -127,7 +128,7 @@ class WeightTable:
     support: tuple            # ((E_k, w_k), ...) ascending in E
     condition: float
     residual: float
-    exact: bool = False       # kept for the JSON schema; the solve is float
+    exact = False             # a class constant for the JSON key: the solve is float
 
     def weights(self) -> list:
         return [w for _, w in self.support]
@@ -190,29 +191,40 @@ def chain_plan(m) -> ChainPlan:
                                for kind, s, _, crit in terminating_chains(m) if crit]))
 
 
-def chain_roots(critical: tuple) -> list:
-    """Simple real roots, ascending, of a critical member given at one zeta
-    as (q, scale): integer coefficients q (q[k] multiplies E**k) and the
-    positive scale that divides them (families.scaled_members).
+def chain_roots(spec: ChainSpec, n: int, zeta: float) -> list:
+    """The n simple real roots, ascending, of member n of a chain at zeta,
+    from the chain's steps (B_k, C_k) alone.
 
-    The float coefficients q[k] / scale are correctly rounded.  Their
-    companion roots, polished by Newton, are certified exactly: the signs of
-    the polynomial at -inf, at the float midpoints between neighbouring
-    roots and at +inf alternate N times for degree N, so each reported root
-    shares its interval between midpoints with exactly one true root, and
-    that root is simple.  Raises RootCountMismatch("isolated k of N roots")
-    otherwise, or if a root's residual is above tolerance.
+    Seeds are the eigenvalues of the Jacobi matrix with diagonal -B_k and
+    off-diagonals sqrt|C_{k+1}| above, -sign(C_{k+1}) sqrt|C_{k+1}| below (each
+    product keeps the sign of -C_{k+1}), polished by Newton on p_n and p_n' of
+    the float recursion.  They are certified when the exact signs of p_n
+    (families.member_signs) at -inf, at the midpoints between neighbouring
+    roots and at +inf alternate n times: each root then shares its interval
+    with exactly one true root, which is simple.  RootCountMismatch otherwise
+    ("isolated k of n roots"), or for a residual above 1e-10*(1+max|root|**n).
     """
-    q, scale = critical
-    degree = len(q) - 1
-    coeffs = [c / scale for c in q]
-    roots = polished_real_roots(coeffs)
-    points = [-math.inf] + [(x + y) / 2 for x, y in zip(roots, roots[1:])] + [math.inf]
-    signs = [exact_sign(q, t) for t in points]
-    isolated = sum(1 for a, b in zip(signs, signs[1:]) if a * b < 0)
-    if isolated != degree:
-        raise RootCountMismatch(f"isolated {isolated} of {degree} roots")
-    check_root_residuals(coeffs, [(r, 1) for r in roots])
+    steps = float_steps(spec, n, zeta)
+
+    def value_slope(x):
+        p, q, dp, dq = 1.0, 0.0, 0.0, 0.0  # p_n, p_{n-1} and their slopes
+        for b, c in steps:
+            p, q, dp, dq = (x + b) * p + c * q, p, p + (x + b) * dp + c * dq, dp
+        return p, dp
+
+    bs, cs = np.array(steps).T
+    root_c = np.sqrt(np.abs(cs[1:]))
+    jacobi = np.diag(-bs) + np.diag(root_c, 1) - np.diag(np.sign(cs[1:]) * root_c, -1)
+    roots = sorted(newton(value_slope, float(x.real)) for x in np.linalg.eigvals(jacobi))
+    mids = [(x + y) / 2 for x, y in zip(roots, roots[1:])]
+    signs = member_signs(spec, n, zeta, [-math.inf, *mids, math.inf])
+    isolated = sum(1 for u, v in zip(signs, signs[1:]) if u * v < 0)
+    if isolated != n:
+        raise RootCountMismatch(f"isolated {isolated} of {n} roots")
+    scale = 1e-10 * (1.0 + max(map(abs, roots)) ** n)
+    for r, (v, _) in zip(roots, map(value_slope, roots)):
+        if abs(v) > scale:
+            raise RootCountMismatch(f"root {r} residual {v} above tolerance")
     return roots
 
 
@@ -222,7 +234,7 @@ def solve_chain(m: int, zeta: float, entry: ChainPlanEntry) -> tuple:
     members 0..N+2 at those roots, one array per member."""
     spec = ChainSpec(entry.chain_kind, Fraction(m), entry.s)
     n = entry.critical_index
-    roots = chain_roots(scaled_members(spec, n, zeta)[-1])
+    roots = chain_roots(spec, n, zeta)
     return roots, family_values(spec, n + 2, zeta, np.array(roots))
 
 
@@ -239,8 +251,10 @@ def qes_energies(m, zeta: float) -> SpectrumReport:
                 QESLevel(root + shift, root, base + 2 * rank, entry.chain_kind)
             )
     levels.sort(key=lambda lv: lv.energy)
-    if [lv.nodes for lv in levels] != list(range(m)):
-        raise QESDomainError("node interlacing violated")
+    for lo, hi in zip(levels, levels[1:]):
+        if lo.nodes > hi.nodes:
+            raise QESDomainError(f"node interlacing violated: node {lo.nodes} at E = {lo.energy!r}"
+                                 f" sorts below node {hi.nodes} at E = {hi.energy!r}")
     return SpectrumReport(m, zeta, tuple(levels))
 
 

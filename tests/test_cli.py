@@ -83,13 +83,14 @@ class TestSpectrumCommand:
         assert "integer" in err
 
     def test_uncertified_roots_are_one_error_line(self, capsys):
-        # the M = 65 critical members defeat the float seeds; the failed
-        # certificate is reported like any other domain error
+        # the M = 65 roots are certified, but their doublets are too narrow
+        # for a float sort; the failed node check is reported like any other
+        # domain error
         code, out, err = run(capsys, "spectrum", "--m", "65", "--zeta", "1")
         assert code == 1
         assert out == ""
         assert "Traceback" not in err
-        assert err.startswith("error: isolated ") and err.count("\n") == 1
+        assert err.startswith("error: node interlacing violated: ") and err.count("\n") == 1
 
     def test_csv_format(self, capsys):
         code, out, _ = run(capsys, "spectrum", "--m", "3", "--zeta", "1",
@@ -146,13 +147,17 @@ class TestOtherCommands:
         assert doc["chain"] == "Q" and doc["nodes"] == 1
 
     def test_wavefunction_past_the_float_order(self, capsys):
-        # qes_energies(16, 1) fails its float-sorted node check; the state
-        # is root 1 of the odd-parity chain
+        # the state is root 1 of the odd-parity chain, with no float sort
         code, out, err = run(capsys, "wavefunction", "--m", "16", "--zeta", "1",
                              "--level", "3", "--format", "json")
         assert code == 0, err
         doc = json.loads(out)
         assert doc["level"] == 3 and doc["nodes"] == 3
+
+    def test_wavefunction_at_m65(self, capsys):
+        code, out, err = run(capsys, "wavefunction", "--m", "65", "--zeta", "1",
+                             "--level", "0")
+        assert code == 0, err
 
     def test_oracle_harmonic(self, capsys):
         code, out, _ = run(capsys, "oracle", "--family", "harmonic",

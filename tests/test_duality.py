@@ -185,8 +185,8 @@ class TestEvenMSolvesOnce:
         assert sorted(solved) == ["P", "Q"]
 
     def test_rejection_past_the_float_order(self):
-        # qes_energies(16, 1) fails its float-sorted node check; the
-        # characters come from the chains' own states
+        # the characters come from the chains' own states, with no float
+        # sort of the levels
         outcome = dsg_spectrum(16, 1.0)
         assert isinstance(outcome, DsgRejection)
         assert outcome.characters == (ANTIPERIODIC,) * 16

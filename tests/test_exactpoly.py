@@ -8,7 +8,6 @@ from qespoly.exactpoly import (
     EnergyPoly,
     ExactDivisionError,
     ParamPoly,
-    exact_sign,
     from_rows,
     poly_arith,
     poly_divide_exact,
@@ -249,25 +248,6 @@ class TestRoots:
         roots = real_roots(p3, 1.0)
         assert [m for _, m in roots] == [1, 1, 1]
         assert roots == sorted(roots)
-
-    def test_exact_sign_matches_rational_evaluation(self):
-        rng = random.Random(11)
-        for _ in range(40):
-            q = [rng.randint(-50, 50) for _ in range(rng.randint(1, 7))]
-            q.append(rng.choice((-3, 1)))
-            for t in (0.0, 0.7, -1.3, 2.5e-9, 1e6, rng.uniform(-4, 4)):
-                value = sum(Fraction(c) * Fraction(t) ** k for k, c in enumerate(q))
-                assert exact_sign(q, t) == (value > 0) - (value < 0)
-            # at the infinities the leading term decides
-            odd = len(q) % 2 == 0
-            lead = 1 if q[-1] > 0 else -1
-            assert exact_sign(q, float("inf")) == lead
-            assert exact_sign(q, float("-inf")) == (-lead if odd else lead)
-
-    def test_exact_sign_at_a_root_and_next_to_it(self):
-        # 2E - 1 vanishes at the float 0.5; 10E - 7 at 7/10, which no float equals
-        assert exact_sign([-1, 2], 0.5) == 0
-        assert exact_sign([-7, 10], 0.7) == (1 if Fraction(0.7) > Fraction(7, 10) else -1)
 
     def test_sturm_matches_root_finder(self):
         rng = random.Random(5)

@@ -1,3 +1,5 @@
+import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -13,8 +15,8 @@ from qespoly.families import (
     gen_R,
     gen_family,
     gen_quotient,
+    member_signs,
     recursion_coeffs,
-    scaled_members,
     three_term_form,
 )
 
@@ -350,6 +352,25 @@ class TestFinkel:
         assert fin.a[1] == pytest.approx(240.0)
 
 
+def _specialized_signs(member, zeta, points) -> list:
+    """Signs of a bivariate member specialized at zeta, by exact Fractions."""
+    coeffs = member.specialize(zeta)
+    signs = []
+    for t in points:
+        if math.isinf(t):
+            value = -coeffs[-1] if t < 0 and len(coeffs) % 2 == 0 else coeffs[-1]
+        else:
+            value = sum(c * Fraction(t) ** k for k, c in enumerate(coeffs))
+        signs.append((value > 0) - (value < 0))
+    return signs
+
+
+def _dyadic_points(seed: int, size: float) -> list:
+    """Both infinities and seeded floats (dyadic rationals) in (-size, size)."""
+    rng = random.Random(seed)
+    return [-math.inf, math.inf] + [rng.uniform(-size, size) for _ in range(16)]
+
+
 class TestRecursionAtZeta:
     """The numeric core: the recursion run at one zeta, no bivariate chain."""
 
@@ -357,32 +378,42 @@ class TestRecursionAtZeta:
     @pytest.mark.parametrize("s", [Fraction(0), HALF])
     @pytest.mark.parametrize("m", [3, 4, 9, 10, 17])
     @pytest.mark.parametrize("zr", [HALF, Fraction(3, 8), Fraction(0.7)])
-    def test_scaled_members_equal_specialized_chain(self, kind, s, m, zr):
+    def test_member_signs_equal_specialized_chain(self, kind, s, m, zr):
         spec = ChainSpec(kind, Fraction(m), s)
         order = m // 2 + 2
         fam = gen_family(spec, order)
-        got = scaled_members(spec, order, zr)
-        assert len(got) == order + 1
-        for n, (q, scale) in enumerate(got):
-            assert scale == zr.denominator ** n
-            assert all(type(x) is int for x in q)
-            assert [Fraction(x, scale) for x in q] == fam[n].specialize(zr)
+        points = _dyadic_points(m, (m + 2) ** 2 / 2)
+        for n in range(order + 1):
+            assert member_signs(spec, n, zr, points) == _specialized_signs(fam[n], zr, points)
 
-    def test_quotient_chain_scaled_members(self):
+    def test_quotient_chain_member_signs(self):
         spec = ChainSpec("Qbar", Fraction(5), HALF)
         fam = gen_quotient(spec, 4)
+        points = _dyadic_points(5, 200.0)
         for zr in (Fraction(3, 8), Fraction(0.7)):
-            got = scaled_members(spec, 4, zr)
-            assert all(type(x) is int for q, _ in got for x in q)
-            assert [[Fraction(x, scale) for x in q] for q, scale in got] == [
-                p.specialize(zr) for p in fam.members]
+            for n, p in enumerate(fam.members):
+                assert member_signs(spec, n, zr, points) == _specialized_signs(p, zr, points)
 
-    def test_rational_m_scaled_members(self):
-        # a rational M carries Fractions in C_n only; the scaling still holds
+    def test_rational_m_member_signs(self):
+        # a rational M carries Fractions in C_n only; the signs stay exact
         spec = ChainSpec("P", Fraction(7, 3), HALF)
         fam = gen_family(spec, 4)
-        for n, (q, scale) in enumerate(scaled_members(spec, 4, Fraction(0.7))):
-            assert [Fraction(x, scale) for x in q] == fam[n].specialize(Fraction(0.7))
+        points = _dyadic_points(7, 100.0)
+        for n, p in enumerate(fam.members):
+            assert (member_signs(spec, n, Fraction(0.7), points)
+                    == _specialized_signs(p, Fraction(0.7), points))
+
+    def test_exact_zero_next_to_its_neighbours(self):
+        # P_1 = E + 2 zeta vanishes at the float E = -1 for zeta = 1/2, and
+        # the floats on either side of it carry the signs of either side
+        spec = ChainSpec("P", Fraction(3), Fraction(0))
+        points = [-math.inf, math.nextafter(-1.0, -2.0), -1.0, math.nextafter(-1.0, 0.0), math.inf]
+        assert member_signs(spec, 1, HALF, points) == [-1, -1, 0, 1, 1]
+        # at zeta = 7/20 it vanishes at -7/10, which no float equals
+        want = 1 if Fraction(-0.7) > Fraction(-7, 10) else -1
+        assert member_signs(spec, 1, Fraction(7, 20), [-0.7]) == [want]
+        # a monic member of even degree is positive at both infinities
+        assert member_signs(spec, 2, HALF, [-math.inf, math.inf]) == [1, 1]
 
     @pytest.mark.parametrize("kind,m,s", [("P", 9, Fraction(0)), ("Q", 10, Fraction(0)),
                                           ("P", 17, HALF), ("Q", 4, HALF)])

@@ -1,7 +1,10 @@
+import dataclasses
 import json
 import math
+import re
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from qespoly import spectrum
@@ -13,7 +16,7 @@ from qespoly.families import (
     critical_index,
     gen_family,
     gen_quotient,
-    scaled_members,
+    member_signs,
     three_term_form,
 )
 from qespoly.spectrum import (
@@ -158,6 +161,13 @@ class TestEnergies:
         with pytest.raises(QESDomainError, match="positive integer M"):
             qes_energies(Fraction(7, 2), 1.0)
 
+    def test_m16_sorts_at_zeta_one(self):
+        # its lowest doublet is about 4e-14 wide, some 11 float spacings
+        report = qes_energies(16, 1.0)
+        energies = report.energies()
+        assert all(x < y for x, y in zip(energies, energies[1:]))
+        assert [lv.nodes for lv in report.levels] == list(range(16))
+
     def test_json_schema(self):
         doc = qes_energies(3, 1.0).to_json_dict()
         assert set(doc) == {"m", "zeta", "levels"}
@@ -165,51 +175,119 @@ class TestEnergies:
         json.dumps(doc)
 
 
-class TestChainRoots:
-    """The sign-change certificate on exact integer coefficients."""
+def _bisected_roots(spec, n, zeta, roots) -> list:
+    """The roots of gen_family(spec, n)[n] specialized at zeta, one between
+    each pair of neighbouring midpoints of `roots`, by exact Fraction
+    bisection to 1e-20 relative."""
+    coeffs = gen_family(spec, n)[n].specialize(Fraction(zeta))
 
-    # (E+1)(E-1)(E-2) = E^3 - 2E^2 - E + 2
-    THREE_ROOTS = [2, -1, -2, 1]
+    def sign(x):
+        value = 0
+        for c in reversed(coeffs):
+            value = value * x + c
+        return (value > 0) - (value < 0)
+
+    bound = 2 * max(abs(Fraction(r)) for r in roots) + 1
+    mids = [(Fraction(x) + Fraction(y)) / 2 for x, y in zip(roots, roots[1:])]
+    edges = [-bound, *mids, bound]
+    out = []
+    for lo, hi in zip(edges, edges[1:]):
+        low_sign = sign(lo)
+        assert low_sign * sign(hi) < 0
+        while hi - lo > max(abs(lo), abs(hi)) * Fraction(1, 10**20):
+            mid = (lo + hi) / 2
+            if sign(mid) == low_sign:
+                lo = mid
+            else:
+                hi = mid
+        out.append((lo + hi) / 2)
+    return out
+
+
+def _relative_errors(got, want) -> list:
+    return [float(abs(Fraction(x) - y) / abs(y)) for x, y in zip(got, want)]
+
+
+class TestChainRoots:
+    """Jacobi seeds, Newton on the float recursion, exact sign changes."""
+
+    # the P chain at (M, zeta) = (5, 1): p_3 = (E + 18)(E^2 + 32E + 124)
+    SPEC = ChainSpec("P", Fraction(5), Fraction(0))
+    ROOTS = [-16 - 2 * math.sqrt(33), -18.0, -16 + 2 * math.sqrt(33)]
+
+    def _seeded(self, monkeypatch, seeds):
+        """chain_roots on the M = 5 chain with these seeds, left unpolished."""
+        monkeypatch.setattr(spectrum.np.linalg, "eigvals", lambda a: np.array(seeds))
+        monkeypatch.setattr(spectrum, "newton", lambda value_slope, x: x)
+        return chain_roots(self.SPEC, 3, 1.0)
 
     def test_well_separated_roots(self):
-        roots = chain_roots((self.THREE_ROOTS, 1))
-        assert roots == pytest.approx([-1.0, 1.0, 2.0], abs=1e-14)
-        # the scale divides the coefficients, so q and 8q are one polynomial
-        assert chain_roots(([8 * c for c in self.THREE_ROOTS], 8)) == roots
-
-    @pytest.mark.parametrize("q", [
-        [2, -3, 0, 1],      # (E-1)^2 (E+2): an exact double root
-        [-3, 1, -3, 1],     # (E^2+1)(E-3): a complex pair
-    ])
-    def test_non_simple_or_complex_roots_raise(self, q):
-        with pytest.raises(RootCountMismatch, match="isolated 1 of 3 roots"):
-            chain_roots((q, 1))
+        assert chain_roots(self.SPEC, 3, 1.0) == pytest.approx(self.ROOTS, abs=1e-13)
+        # M = 3: -8 -+ 2 sqrt 5
+        got = chain_roots(ChainSpec("P", Fraction(3), Fraction(0)), 2, 1.0)
+        assert got == pytest.approx([-8 - 2 * SQRT5, -8 + 2 * SQRT5], abs=1e-14)
 
     @pytest.mark.parametrize("seeds", [
-        [-1.0, 2.5, 3.0],   # the midpoint 2.75 lies past the root at 2
-        [1.0, 1.0, 2.0],    # exact roots, one twice and -1 missed
+        [-27.5, -4.0, -3.0],      # the midpoint -3.5 lies past the root near -4.51
+        [-30.0, -28.0, -18.0],    # the midpoint -29 lies below the root near -27.49
     ])
-    def test_seeds_on_the_wrong_side_raise(self, monkeypatch, seeds):
-        monkeypatch.setattr(spectrum, "polished_real_roots", lambda coeffs: seeds)
+    def test_seed_on_the_wrong_side_raises(self, monkeypatch, seeds):
         with pytest.raises(RootCountMismatch, match="isolated 1 of 3 roots"):
-            chain_roots((self.THREE_ROOTS, 1))
+            self._seeded(monkeypatch, seeds)
+
+    def test_missing_seed_raises(self, monkeypatch):
+        # one seed twice and the root -18 missed
+        with pytest.raises(RootCountMismatch, match="isolated 1 of 3 roots"):
+            self._seeded(monkeypatch, [-27.5, -27.5, -4.5])
+
+    def test_complex_pair_of_seeds_raises(self, monkeypatch):
+        # a conjugate pair gives one real seed twice
+        with pytest.raises(RootCountMismatch, match="isolated 1 of 3 roots"):
+            self._seeded(monkeypatch, [-5.0 + 1.0j, -5.0 - 1.0j, -27.5 + 0.0j])
 
     def test_certified_seed_still_meets_the_residual_bound(self, monkeypatch):
-        # 1.5 shares its interval (0.25, 1.75) with the root 1 alone
-        monkeypatch.setattr(spectrum, "polished_real_roots",
-                            lambda coeffs: [-1.0, 1.5, 2.0])
+        # -27.5 shares its interval (-inf, -22.75) with the root near -27.49 alone
         with pytest.raises(RootCountMismatch, match="residual"):
-            chain_roots((self.THREE_ROOTS, 1))
+            self._seeded(monkeypatch, [-27.5, -18.0, -4.5])
+
+    def test_roots_agree_with_exact_bisection(self):
+        for m, zeta, kind in ((9, 2.0, "P"), (17, 2.0, "P"), (18, 2.0, "Q")):
+            entry = chain_plan(m).entry(kind)
+            spec = ChainSpec(kind, Fraction(m), entry.s)
+            n = entry.critical_index
+            got = chain_roots(spec, n, zeta)
+            assert max(_relative_errors(got, _bisected_roots(spec, n, zeta, got))) <= 1e-13
 
     @pytest.mark.parametrize("m", [9, 10, 17, 18])
     @pytest.mark.parametrize("zeta", [0.5, 0.7, 1.0, 1.3])
-    def test_critical_roots_equal_general_root_finder(self, m, zeta):
+    def test_critical_and_general_roots_against_exact_bisection(self, m, zeta):
+        # the general finder runs Newton on the expanded member's float
+        # coefficients, which is accurate to about 1e-12 here
         for entry in chain_plan(m).entries:
             spec = ChainSpec(entry.chain_kind, Fraction(m), entry.s)
             n = entry.critical_index
-            got = chain_roots(scaled_members(spec, n, zeta)[-1])
-            expected = real_roots(gen_family(spec, n)[n], zeta)
-            assert got == [r for r, _ in expected]
+            got = chain_roots(spec, n, zeta)
+            want = _bisected_roots(spec, n, zeta, got)
+            general = [r for r, _ in real_roots(gen_family(spec, n)[n], zeta)]
+            assert max(_relative_errors(got, want)) <= 1e-13
+            assert max(_relative_errors(general, want)) <= 1e-11
+
+    def test_newton_polishes_the_seeds_at_m65(self):
+        # the Jacobi eigenvalues alone are off by up to 1e-10 of the largest
+        # root here; exact signs bracket each polished root far closer
+        spec = ChainSpec("P", Fraction(65), Fraction(0))
+        roots = chain_roots(spec, 33, 1.0)
+        width = 1e-11 * max(map(abs, roots))
+        signs = member_signs(spec, 33, 1.0, [x for r in roots for x in (r - width, r + width)])
+        assert all(lo * hi < 0 for lo, hi in zip(signs[::2], signs[1::2]))
+
+    @pytest.mark.parametrize("zeta", [0.5, 0.7, 1.0, 2.0, 0.3])
+    def test_every_chain_certifies_up_to_m65(self, zeta):
+        for m in range(1, 66):
+            for entry in chain_plan(m).entries:
+                spec = ChainSpec(entry.chain_kind, Fraction(m), entry.s)
+                roots = chain_roots(spec, entry.critical_index, zeta)
+                assert len(roots) == entry.critical_index
 
 
 class TestFactorization:
@@ -291,6 +369,15 @@ class TestWeights:
             assert table.weights() == pytest.approx([w0, w2], abs=1e-12)
             assert sum(table.weights()) == pytest.approx(1.0, abs=1e-12)
             assert table.weights()[0] < 0
+
+    def test_exact_is_a_read_only_constant(self):
+        # the JSON key stays; no caller can set it, and no table is exact
+        table = weights(3, 1.0, "P")
+        assert table.exact is False and table.to_json_dict()["exact"] is False
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            table.exact = True
+        with pytest.raises(TypeError):
+            WeightTable("P", table.support, table.condition, table.residual, True)
 
     def test_m3_q_is_unity(self):
         table = weights(3, 1.0, "Q")
@@ -394,11 +481,19 @@ class TestOneChainSolve:
         assert (len(roots), len(values), len(weight_calls)) == (1, 1, 0)
 
     def test_sorted_spectrum_still_fails_below_one_ulp(self):
-        # at (16, 1) the lowest doublet is split by less than the float
-        # spacing, so the float-sorted node order breaks; states and even-M
-        # duality read their chains and do not depend on this order
+        # at (21, 1) the lowest doublet is split by 1.2e-21, far below the
+        # float spacing, so the float-sorted node order breaks; states and
+        # even-M duality read their chains and do not depend on this order
         with pytest.raises(QESDomainError, match="node interlacing violated"):
-            qes_energies(16, 1.0)
+            qes_energies(21, 1.0)
+
+    def test_interlacing_error_names_the_pair(self):
+        with pytest.raises(QESDomainError) as info:
+            qes_energies(21, 1.0)
+        found = re.fullmatch(r"node interlacing violated: node (\d+) at E = (\S+)"
+                             r" sorts below node (\d+) at E = (\S+)", str(info.value))
+        above, low, below, high = found.groups()
+        assert int(above) == int(below) + 1 and float(low) <= float(high)
 
 
 class TestMoments:

@@ -97,9 +97,9 @@ class TestStatesFromTheirChain:
         calls = []
         true_roots = spectrum.chain_roots
 
-        def counting(critical):
-            calls.append(critical)
-            return true_roots(critical)
+        def counting(*args):
+            calls.append(args)
+            return true_roots(*args)
 
         monkeypatch.setattr(spectrum, "chain_roots", counting)
         state = build_qes_state(9, 1.0, 4)
