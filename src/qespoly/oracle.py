@@ -5,7 +5,7 @@ truncated line with Dirichlet ends or a circle with periodic wrap.  Every
 potential is even (in x or theta) on a grid symmetric about 0, so the
 reflection commutes with the stencil and splits the matrix exactly into
 an even and an odd symmetric tridiagonal block, each solved by bisection
-on its Sturm sequence (LAPACK stebz) at O(n) memory and time per level.
+on its Sturm sequence (LAPACK stebz) at O(rows) memory and time per level.
 On the line the discrete node theorem makes the parities alternate, even
 first, so the lowest k levels are the lowest ceil(k/2) even and floor(k/2)
 odd ones, and `verify_qes` matches the level with k nodes to line level k.
@@ -14,12 +14,35 @@ judged from the Richardson pair; the grid spacing of each geometry has one
 formula, in discretize.  A circle family's analytic levels are the dual
 energies of its line preimage's (potentials.line_preimage).
 
+A line block is solved only on the rows its requested levels reach.  Past
+the outer turning point of a level E, the discrete decaying solution of
+-psi_{i-1} + (2 + h^2 (V_i - E)) psi_i - psi_{i+1} = 0 falls by
+arccosh(1 + h^2 (V_i - E) / 2) at row i; the rows beyond the one where that
+sum reaches D = REACH_DECAY are dropped.  Cutting the block where a level's
+eigenvector is down to e^-D puts a Dirichlet end under an amplitude of
+e^-D and a coupling of 1/h^2, which moves the level by about e^(-2D)/h^2.
+Bisection stops at ulp * ||T||_1 of the kept block, and ||T||_1 >= 4/h^2,
+so any D above ln(1 / (4 ulp)) / 2 = 17.3 leaves that move below it; D = 40
+leaves a further e^-45 for the prefactors the decay estimate ignores.  The
+kept block is also solved more tightly: the whole block's norm, and with it
+the bisection tolerance, is set by the potential at the line's end (4.8e8
+for dshg(7, 2) at x = 5, a tolerance near 1e-7), the kept block's by 4/h^2
+plus the potential at the cut (near 6e-10 on the default dshg grid).  The
+levels come from a central window first: by interlacing its top requested
+level E_up lies at or above the whole block's, so the rows E_up reaches
+hold those of every requested level.  A window that misses some of them
+is grown once to all of them, since E_up only falls as the window grows.
+A block in which even the potential's minimum decays by less than D,
+a bounded well or levels above the potential at the line's end, keeps
+every row, as do the circle blocks.
+
 This solver shares nothing with the polynomial route except the potential
 evaluators, which is what makes the comparison a genuine cross-check.
 """
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -34,6 +57,16 @@ from .potentials import (
     sextic_qes_levels,
 )
 from .spectrum import qes_energies
+
+
+_log = logging.getLogger("qespoly.oracle")
+
+# e-folds of decay past which a line block's rows are dropped (see above),
+# and the share of a block's rows, centre side, in the first window of a
+# line solve: the rows the levels of the default dshg and sextic grids
+# reach fit in it, so those solves need no regrowth
+REACH_DECAY = 40.0
+FIRST_WINDOW = 0.625
 
 
 class OracleError(RuntimeError):
@@ -138,14 +171,69 @@ def discretize(config: OracleConfig) -> Discretization:
     return Discretization(diag, offdiag, corner, grid, h)
 
 
-def _solve(config: OracleConfig) -> tuple:
-    """The lowest eigenvalues and the grid spacing they were computed at."""
+def _solve(config: OracleConfig, reach: float | None = None) -> tuple:
+    """The lowest eigenvalues, the grid spacing they were computed at and,
+    on the line, the x of the outermost row the solve kept.
+
+    A line solve's first window starts at the row of `reach` (at the inner
+    FIRST_WINDOW of the line when None), but never inside the rows that a
+    level at the potential's minimum, the lowest a level can be, reaches.
+    The block holding the top requested level goes first; the other block's
+    levels lie lower, so they reach no row beyond its cut.
+    """
     disc = discretize(config)
     k = min(config.count, config.n - 1)
     if disc.corner is not None:
-        return circle_eigenvalues(disc, k), disc.h
+        return circle_eigenvalues(disc, k), disc.h, None
     even, odd = _reflection_blocks(disc.diag, disc.offdiag, "x")
-    return _merged_lowest(even, odd, (k + 1) // 2, k // 2), disc.h
+    start = (round(len(even[0]) * (1.0 - FIRST_WINDOW)) if reach is None
+             else max(int(np.searchsorted(disc.grid, reach, side="right")) - 1, 0))
+    floor = disc.diag.min() - 2.0 / disc.h**2
+    start = min(start, _first_reached_row(even[0], disc.h, floor))
+    blocks = [(even, (k + 1) // 2), (odd, k // 2)]
+    if k % 2 == 0:
+        blocks.reverse()
+    top, cut = _reached_lowest(*blocks[0], disc.h, start)
+    rest, rest_cut = _reached_lowest(*blocks[1], disc.h, cut)
+    return (np.sort(np.concatenate([top, rest])), disc.h,
+            float(disc.grid[min(cut, rest_cut)]))
+
+
+def _reached_lowest(block, k: int, h: float, start: int) -> tuple:
+    """The k lowest eigenvalues of a line block, solved on the rows its
+    levels reach, and the first of those rows.
+
+    The rows from `start` to the centre are solved first; by interlacing the
+    window's top level bounds the block's from above, so the rows it reaches
+    hold every requested level's.  If the window misses some of them it is
+    grown once to all of them: the bound only falls as the window grows.
+    """
+    diag, off = block
+    if k < 1:
+        return np.empty(0), start
+    start = max(min(start, len(diag) - k), 0)
+    levels = _lowest_tridiagonal(diag[start:], off[start:], k)
+    cut = _first_reached_row(diag, h, levels[-1])
+    if cut < start:
+        levels = _lowest_tridiagonal(diag[cut:], off[cut:], k)
+    return levels, cut
+
+
+def _first_reached_row(diag, h: float, e_up: float) -> int:
+    """The outermost row of a line block (outer edge first, centre last)
+    that a level at or below e_up reaches.
+
+    Walking outward from the outer turning point of e_up, the discrete
+    decaying solution falls by arccosh(1 + h^2 (V_i - e_up) / 2) at row i;
+    the rows beyond the one where the sum reaches REACH_DECAY are dropped.
+    The last row carries the centre coupling and never takes part.
+    """
+    excess = h * h * diag[:-1] - 2.0 - h * h * e_up    # h^2 (V_i - e_up)
+    allowed = np.flatnonzero(excess <= 0.0)
+    turn = int(allowed[0]) if allowed.size else len(excess)
+    decay = np.cumsum(np.arccosh(1.0 + 0.5 * excess[:turn][::-1]))
+    walked = int(np.searchsorted(decay, REACH_DECAY))
+    return turn - 1 - walked if walked < turn else 0
 
 
 def _lowest_tridiagonal(diag, offdiag, k: int) -> np.ndarray:
@@ -217,16 +305,18 @@ def lowest_eigenvalues(config: OracleConfig) -> OracleResult:
     """
     if config.n < 64:
         raise ValueError("need at least 64 grid points")
-    cfg = config
+    cfg, reach = config, None
     for _ in range(8):
-        fine, h = _solve(cfg)
+        fine, h, reach = _solve(cfg, reach)
         e_top = cfg.e_max_hint if cfg.e_max_hint is not None else float(fine[-1])
         if cfg.spec.is_circle() or _line_domain_ok(cfg.spec, cfg.l, e_top):
             break
+        _log.info("enlarging the line domain of %s from l = %r to l = %r",
+                  cfg.spec.family, cfg.l, 1.5 * cfg.l)
         cfg = replace(cfg, l=1.5 * cfg.l)
     else:
         raise OracleError("domain too small")
-    coarse, _ = _solve(replace(cfg, n=cfg.n // 2))
+    coarse, _, _ = _solve(replace(cfg, n=cfg.n // 2), reach)
     k = min(len(fine), len(coarse))
     extrapolated = tuple((4.0 * fine[i] - coarse[i]) / 3.0 for i in range(k))
     return OracleResult(

@@ -202,7 +202,8 @@ def chain_roots(spec: ChainSpec, n: int, zeta: float) -> list:
     (families.member_signs) at -inf, at the midpoints between neighbouring
     roots and at +inf alternate n times: each root then shares its interval
     with exactly one true root, which is simple.  RootCountMismatch otherwise
-    ("isolated k of n roots"), or for a residual above 1e-10*(1+max|root|**n).
+    ("isolated k of n roots"), for a residual above 1e-10*(1+max|root|**n),
+    or for a root that Newton left non-finite (p_n overflows from M ~ 151).
     """
     steps = float_steps(spec, n, zeta)
 
@@ -216,14 +217,19 @@ def chain_roots(spec: ChainSpec, n: int, zeta: float) -> list:
     root_c = np.sqrt(np.abs(cs[1:]))
     jacobi = np.diag(-bs) + np.diag(root_c, 1) - np.diag(np.sign(cs[1:]) * root_c, -1)
     roots = sorted(newton(value_slope, float(x.real)) for x in np.linalg.eigvals(jacobi))
+    if not all(map(math.isfinite, roots)):
+        raise RootCountMismatch(f"Newton polish left a non-finite root: p_{n} overflows floats")
     mids = [(x + y) / 2 for x, y in zip(roots, roots[1:])]
     signs = member_signs(spec, n, zeta, [-math.inf, *mids, math.inf])
     isolated = sum(1 for u, v in zip(signs, signs[1:]) if u * v < 0)
     if isolated != n:
         raise RootCountMismatch(f"isolated {isolated} of {n} roots")
-    scale = 1e-10 * (1.0 + max(map(abs, roots)) ** n)
+    # the bound in logarithms: max|root|**n overflows a float from M ~ 150
+    big = max(map(abs, roots))
+    log_scale = math.log(1e-10) + (n * math.log(big) + math.log1p(big ** -n) if big > 1.0
+                                   else math.log1p(big ** n))
     for r, (v, _) in zip(roots, map(value_slope, roots)):
-        if abs(v) > scale:
+        if v != 0.0 and not math.log(abs(v)) <= log_scale:
             raise RootCountMismatch(f"root {r} residual {v} above tolerance")
     return roots
 

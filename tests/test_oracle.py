@@ -1,4 +1,5 @@
 import json
+import logging
 import math
 from dataclasses import replace
 
@@ -248,6 +249,113 @@ class TestLineReflectionSplit:
             disc = discretize(OracleConfig(dshg(3, 1.0), l=5.0, n=size))
             want, accuracy = _unsplit_line_levels(disc, 5)
             assert np.max(np.abs(np.array(doc[key]) - want)) <= 4.0 * accuracy
+
+
+def _tight_line_levels(config, k):
+    """The k lowest levels of the whole even and odd blocks of a line grid,
+    bisected to an absolute 1e-14 instead of ulp * ||T||_1."""
+    disc = discretize(config)
+    blocks = oracle._reflection_blocks(disc.diag, disc.offdiag, "x")
+    return np.sort(np.concatenate([
+        scipy.linalg.eigvalsh_tridiagonal(diag, off, select="i",
+                                          select_range=(0, count - 1), tol=1e-14)
+        for (diag, off), count in zip(blocks, ((k + 1) // 2, k // 2)) if count]))
+
+
+def _sextic_config(family, m):
+    levels = analytic_qes_levels(family(m))
+    return oracle._default_config(family(m), len(levels) + 4, max(levels))
+
+
+# each line configuration the oracle runs: verify_qes, both sides of the
+# sextic pairs, the kink well's pair side, and a domain that must be enlarged
+REACHED_CONFIGS = (
+    [pytest.param(oracle._default_config(dshg(m, zeta), m + 3), id=f"dshg-m{m}-z{zeta}")
+     for m in range(1, 11) for zeta in (0.5, 1.0, 2.0)]
+    + [pytest.param(_sextic_config(family, m), id=f"{family.__name__}-m{m}")
+       for family in (sextic_plus, sextic_minus) for m in range(8)]
+    + [pytest.param(oracle._default_config(phi6_kink(0.5, 1.0), 6, 0.75), id="phi6_kink"),
+       pytest.param(OracleConfig(dshg(3, 1.0), l=1.0, n=4000, count=6), id="enlarged")]
+)
+
+
+@pytest.fixture
+def solved_blocks(monkeypatch):
+    """The (rows, count) of every tridiagonal block the oracle solves."""
+    sizes = []
+    solve = oracle._lowest_tridiagonal
+
+    def recording(diag, offdiag, k):
+        sizes.append((len(diag), k))
+        return solve(diag, offdiag, k)
+
+    monkeypatch.setattr(oracle, "_lowest_tridiagonal", recording)
+    return sizes
+
+
+class TestReachedRows:
+    @pytest.mark.parametrize("config", REACHED_CONFIGS)
+    def test_levels_match_a_tight_whole_block_solve(self, config):
+        # the whole blocks at their default tolerance are up to 1.2e-9 off
+        res = lowest_eigenvalues(config)
+        for size, got in ((res.config.n, res.eigenvalues),
+                          (res.config.n // 2, res.richardson)):
+            want = _tight_line_levels(replace(res.config, n=size), len(got))
+            assert np.max(np.abs(np.array(got) - want)) <= 1e-10 * np.max(np.abs(want))
+
+    def test_rows_past_the_reach_are_dropped(self, solved_blocks):
+        # dshg(7, 2) at x = 5 is 4.8e8, against levels up to about 130: the
+        # first block's window covers its reach, the second keeps only that
+        config = oracle._default_config(dshg(7, 2.0), 10)
+        _, h, reach = oracle._solve(config)
+        assert -0.5 * config.l < reach < 0.0
+        assert solved_blocks[0] == (config.n // 2 * 5 // 8, 5)
+        assert solved_blocks[1] == (round(-reach / h + 0.5), 5)
+
+    def test_a_short_window_is_grown_once(self, solved_blocks):
+        disc = discretize(oracle._default_config(dshg(3, 1.0), 6))
+        even, _ = oracle._reflection_blocks(disc.diag, disc.offdiag, "x")
+        rows = len(even[0])
+        levels, cut = oracle._reached_lowest(even, 3, disc.h, rows - 10)
+        assert solved_blocks == [(10, 3), (rows - cut, 3)]
+        assert 0 < cut < rows - 10
+        want = scipy.linalg.eigvalsh_tridiagonal(
+            *even, select="i", select_range=(0, 2), tol=1e-14)
+        assert np.max(np.abs(levels - want)) <= 1e-10 * np.max(np.abs(want))
+        # the grown window covers the rows its own top level reaches
+        assert oracle._first_reached_row(even[0], disc.h, levels[-1]) >= cut
+
+    def test_the_first_window_grows_on_a_slowly_rising_well(self, solved_blocks):
+        # x^2 rises too slowly for the rows its levels reach to fit the
+        # window that a level at V = 0 sets
+        res = lowest_eigenvalues(OracleConfig(harmonic(), l=10.0, n=2000, count=4))
+        first, grown = solved_blocks[:2]
+        assert first[0] < grown[0] < 1000
+        want = _tight_line_levels(res.config, 4)
+        assert np.max(np.abs(np.array(res.eigenvalues) - want)) <= 1e-10 * np.max(want)
+
+    def test_a_bounded_well_keeps_every_row(self, solved_blocks):
+        # the kink well is bounded by mu^2 = 1: even a level at its minimum
+        # decays by less than REACH_DECAY out to the line's end
+        config = oracle._default_config(phi6_kink(0.5, 1.0), 6, 0.75)
+        res = lowest_eigenvalues(config)
+        assert solved_blocks == [(3000, 3), (3000, 3), (1500, 3), (1500, 3)]
+        disc = discretize(res.config)
+        even, odd = oracle._reflection_blocks(disc.diag, disc.offdiag, "x")
+        assert np.array_equal(res.eigenvalues, oracle._merged_lowest(even, odd, 3, 3))
+        assert oracle._solve(res.config)[2] == disc.grid[0]
+
+    def test_enlargement_is_logged(self, caplog, capsys):
+        with caplog.at_level(logging.INFO, logger="qespoly.oracle"):
+            res = lowest_eigenvalues(OracleConfig(dshg(3, 1.0), l=1.0, n=4000, count=6))
+        steps = [(rec.args[1], rec.args[2]) for rec in caplog.records
+                 if rec.name == "qespoly.oracle"]
+        assert steps == [(1.0, 1.5), (1.5, 2.25)] and res.config.l == 2.25
+        assert all(rec.levelno == logging.INFO for rec in caplog.records)
+        # and the console stays quiet by default
+        assert main(["oracle", "--family", "dshg", "--m", "3", "--zeta", "1",
+                     "--domain-l", "1", "--format", "json"]) == 0
+        assert capsys.readouterr().err == ""
 
 
 class TestKinkWells:

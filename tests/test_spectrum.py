@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from qespoly import spectrum
+from qespoly.cli import main
 from qespoly.exactpoly import ParamPoly, RootCountMismatch, real_roots
 from qespoly.families import (
     QUOTIENT_KINDS,
@@ -280,6 +281,26 @@ class TestChainRoots:
         width = 1e-11 * max(map(abs, roots))
         signs = member_signs(spec, 33, 1.0, [x for r in roots for x in (r - width, r + width)])
         assert all(lo * hi < 0 for lo, hi in zip(signs[::2], signs[1::2]))
+
+    def test_residual_bound_past_the_float_range(self):
+        # at M = 150 the bound 1e-10 * (1 + max|root|**75) is about 1e317
+        spec = ChainSpec("P", Fraction(150), Fraction(0))
+        roots = chain_roots(spec, 75, 1.0)
+        assert len(roots) == 75 and roots == sorted(roots)
+        with pytest.raises(OverflowError):
+            max(map(abs, roots)) ** 75
+
+    def test_overflowing_recursion_is_named(self):
+        # from M = 151 p_n overflows the float recursion at the outer seeds
+        with pytest.raises(RootCountMismatch, match="non-finite root"):
+            chain_roots(ChainSpec("P", Fraction(151), Fraction(0)), 76, 1.0)
+
+    @pytest.mark.parametrize("m", ["150", "151"])
+    def test_large_m_spectrum_names_its_failing_check(self, capsys, m):
+        code = main(["spectrum", "--m", m, "--zeta", "1"])
+        err = capsys.readouterr().err
+        assert code == 0 or (code == 1 and re.search(
+            "node interlacing violated|non-finite root", err)), err
 
     @pytest.mark.parametrize("zeta", [0.5, 0.7, 1.0, 2.0, 0.3])
     def test_every_chain_certifies_up_to_m65(self, zeta):
