@@ -3,8 +3,12 @@
 Every pipeline is exposed as one subcommand with deterministic output in
 json, csv or pretty form; each emitted artifact embeds a manifest header
 (command, parameters, toolkit version, format) so runs are reproducible.
-Exit codes: 0 success, 1 domain error, 2 usage error.  verify-all exits 0
-only when every check passes.
+The result objects of the library are plain data: the handlers here build
+every payload, CSV row and pretty line from their fields, so key names,
+headers and number formats live in this module alone.
+Exit codes: 0 success, 1 domain error, 2 usage error (an --out path that
+cannot be written included).  verify-all exits 0 only when every check
+passes.
 """
 
 from __future__ import annotations
@@ -169,6 +173,17 @@ def _render_numeric(coeffs) -> str:
     return " + ".join(parts) if parts else "0"
 
 
+def _level_table(report) -> tuple:
+    """JSON payload and CSV rows of a level table (spectrum, odd-M duality)."""
+    payload = {"m": report.m, "zeta": report.zeta,
+               "levels": [{"E": lv.energy, "script_E": lv.script_energy,
+                           "nodes": lv.nodes, "chain": lv.chain} for lv in report.levels]}
+    rows = [["E", "script_E", "nodes", "chain"]]
+    rows += [[repr(lv.energy), repr(lv.script_energy), lv.nodes, lv.chain]
+             for lv in report.levels]
+    return payload, rows
+
+
 def _emit(args, payload: dict, rows: list, lines: list) -> None:
     """Write the payload in args.format, under the manifest of args.command."""
     fmt = args.format
@@ -195,8 +210,11 @@ def _emit(args, payload: dict, rows: list, lines: list) -> None:
         out += lines
         text = "\n".join(out) + "\n"
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise UsageError(f"cannot write --out {args.out!r}: {exc.strerror}") from exc
     else:
         sys.stdout.write(text)
 
@@ -243,17 +261,19 @@ def _cmd_spectrum(args) -> int:
         f"E={_fmt(lv.energy)} scriptE={_fmt(lv.script_energy)} nodes={lv.nodes} chain={lv.chain}"
         for lv in report.levels
     ]
-    _emit(args, report.to_json_dict(), report.to_csv_rows(), lines)
+    _emit(args, *_level_table(report), lines)
     return 0
 
 
 def _cmd_weights(args) -> int:
     zeta = _parse_zeta(args.zeta, allow_symbolic=False)
     table = weights(_parse_m(args.m), zeta, args.chain)
+    payload = {"chain": table.chain, "weights": [{"E": e, "w": w} for e, w in table.support],
+               "condition": table.condition, "residual": table.residual, "exact": table.exact}
     rows = [["E", "w"]] + [[repr(e), repr(w)] for e, w in table.support]
     lines = [f"E={_fmt(e)} w={_fmt(w)}" for e, w in table.support]
     lines.append(f"sum={_fmt(sum(table.weights()))} condition={table.condition:.6g}")
-    _emit(args, table.to_json_dict(), rows, lines)
+    _emit(args, payload, rows, lines)
     return 0
 
 
@@ -290,6 +310,9 @@ def _cmd_norms(args) -> int:
 def _cmd_moments(args) -> int:
     zeta = _parse_zeta(args.zeta, allow_symbolic=False)
     seq = moments(_parse_m(args.m), zeta, args.chain, args.order)
+    payload = {"chain": seq.chain, "zeta": seq.zeta, "moments": list(seq.values),
+               "growth": list(seq.growth), "max_abs_energy": seq.max_abs_energy,
+               "leading_order_comparator": seq.leading_order_comparator}
     rows = [["n", "mu", "growth"]]
     rows.append([0, repr(seq.values[0]), ""])
     for n in range(1, len(seq.values)):
@@ -297,7 +320,7 @@ def _cmd_moments(args) -> int:
     lines = [f"mu_{n} = {v:.12g}" for n, v in enumerate(seq.values)]
     lines.append(f"max|E| = {seq.max_abs_energy:.12g}  "
                  f"(M+zeta)^2 = {seq.leading_order_comparator:.12g}")
-    _emit(args, seq.to_json_dict(), rows, lines)
+    _emit(args, payload, rows, lines)
     return 0
 
 
@@ -305,13 +328,13 @@ def _cmd_duality(args) -> int:
     zeta = _parse_zeta(args.zeta, allow_symbolic=False)
     outcome = dsg_spectrum(_parse_m(args.m), zeta)
     if isinstance(outcome, DsgRejection):
-        payload = outcome.to_json_dict()
+        payload = {"m": outcome.m, "zeta": outcome.zeta, "rejected": True,
+                   "characters": list(outcome.characters), "reason": outcome.reason}
         rows = [["rejected", "reason"], ["true", outcome.reason]]
         lines = [f"rejected: {outcome.reason}",
                  f"characters: {list(outcome.characters)}"]
     else:
-        payload = outcome.to_json_dict()
-        rows = outcome.to_csv_rows()
+        payload, rows = _level_table(outcome)
         lines = [
             f"E={_fmt(lv.energy)} nodes={lv.nodes} chain={lv.chain}"
             for lv in outcome.levels
@@ -328,8 +351,9 @@ def _cmd_wavefunction(args) -> int:
     state = build_qes_state(_parse_m(args.m), zeta, args.level)
     grid = np.linspace(-args.domain_l, args.domain_l, args.grid_n)
     values = state.eval(grid)
-    payload = state.to_json_dict()
-    payload["nodes"] = node_count(values, grid)
+    payload = {"m": state.m, "zeta": state.zeta, "level": state.level, "chain": state.chain,
+               "s": float(state.s), "coeffs": list(state.coeffs), "E": state.energy,
+               "nodes": node_count(values, grid)}
     rows = [["x", "psi"]] + [[repr(float(x)), repr(float(p))]
                              for x, p in zip(grid, values)]
     lines = [f"E = {_fmt(state.energy)}  chain={state.chain}  s={float(state.s)}",
@@ -364,12 +388,15 @@ def _cmd_oracle(args) -> int:
     half_width = None if spec.is_circle() else args.domain_l
     config = OracleConfig(spec, l=half_width, n=args.grid_n, count=args.count)
     result = lowest_eigenvalues(config)
+    # lowest_eigenvalues pairs no analytic levels, so "matches" is empty
+    payload = {"eigenvalues": list(result.eigenvalues), "h": result.h,
+               "richardson": list(result.richardson),
+               "extrapolated": list(result.extrapolated), "matches": []}
     rows = [["k", "eigenvalue", "coarse", "extrapolated"]]
-    for k, e in enumerate(result.eigenvalues):
-        rows.append([k, repr(e), repr(result.richardson[k]),
-                     repr(result.extrapolated[k])])
+    rows += [[k, repr(e), repr(c), repr(x)] for k, (e, c, x) in enumerate(
+        zip(result.eigenvalues, result.richardson, result.extrapolated))]
     lines = [f"E_{k} = {_fmt(e)}" for k, e in enumerate(result.eigenvalues)]
-    _emit(args, result.to_json_dict(), rows, lines)
+    _emit(args, payload, rows, lines)
     return 0
 
 

@@ -60,15 +60,6 @@ class DsgRejection:
     characters: tuple
     reason: str
 
-    def to_json_dict(self) -> dict:
-        return {
-            "m": self.m,
-            "zeta": self.zeta,
-            "rejected": True,
-            "characters": list(self.characters),
-            "reason": self.reason,
-        }
-
 
 def dual_energies(levels) -> list:
     """Negate and reverse; an involution on sorted level lists."""

@@ -309,8 +309,9 @@ def finkel_form(form: ThreeTermForm, zeta: float) -> FinkelForm:
     (E - b_k, -a_k) normalization and report the sign pattern of a_k."""
     if zeta <= 0:
         raise ValueError("zeta must be positive")
-    b = tuple(-bn.eval_float(zeta) for bn in form.b)
-    a = tuple(-cn.eval_float(zeta) for cn in form.c)
+    steps = float_steps(form.spec, len(form.b), zeta)
+    b = tuple(-bn for bn, _ in steps)
+    a = tuple(-cn for _, cn in steps)
     stop = form.first_zero_C - 1 if form.first_zero_C is not None else len(a)
     signs = tuple(
         1 if a[k] > 0 else (-1 if a[k] < 0 else 0) for k in range(1, stop)

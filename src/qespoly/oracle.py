@@ -136,18 +136,6 @@ class OracleResult:
     extrapolated: tuple
     matches: tuple = ()
 
-    def to_json_dict(self) -> dict:
-        return {
-            "eigenvalues": list(self.eigenvalues),
-            "h": self.h,
-            "richardson": list(self.richardson),
-            "extrapolated": list(self.extrapolated),
-            "matches": [
-                {"analytic": m.analytic, "oracle": m.oracle, "deviation": m.deviation}
-                for m in self.matches
-            ],
-        }
-
 
 def discretize(config: OracleConfig) -> Discretization:
     """Assemble the stencil: (-1/h^2, 2/h^2 + V(x_i), -1/h^2).
@@ -182,7 +170,7 @@ def _solve(config: OracleConfig, reach: float | None = None) -> tuple:
     levels lie lower, so they reach no row beyond its cut.
     """
     disc = discretize(config)
-    k = min(config.count, config.n - 1)
+    k = config.count
     if disc.corner is not None:
         return circle_eigenvalues(disc, k), disc.h, None
     even, odd = _reflection_blocks(disc.diag, disc.offdiag, "x")
@@ -301,10 +289,15 @@ def lowest_eigenvalues(config: OracleConfig) -> OracleResult:
 
     Line domains are auto-enlarged until the edge value of the potential
     dominates the computed spectrum (or, for bounded wells, until the decay
-    tail at the cut is negligible).
+    tail at the cut is negligible).  The bounds on n and count are checked
+    here, not in OracleConfig, because the half-resolution solve runs on a
+    config with n // 2.
     """
     if config.n < 64:
         raise ValueError("need at least 64 grid points")
+    if config.count > config.n // 2 - 1:
+        raise ValueError(f"count must be at most n // 2 - 1 = {config.n // 2 - 1}, the levels "
+                         f"the half-resolution grid can pair, got {config.count}")
     cfg, reach = config, None
     for _ in range(8):
         fine, h, reach = _solve(cfg, reach)
@@ -317,8 +310,7 @@ def lowest_eigenvalues(config: OracleConfig) -> OracleResult:
     else:
         raise OracleError("domain too small")
     coarse, _, _ = _solve(replace(cfg, n=cfg.n // 2), reach)
-    k = min(len(fine), len(coarse))
-    extrapolated = tuple((4.0 * fine[i] - coarse[i]) / 3.0 for i in range(k))
+    extrapolated = tuple(float(4.0 * f - c) / 3.0 for f, c in zip(fine, coarse))
     return OracleResult(
         cfg, tuple(float(v) for v in fine), h, tuple(float(v) for v in coarse),
         extrapolated,

@@ -100,27 +100,6 @@ class SpectrumReport:
     def energies(self) -> list:
         return [lv.energy for lv in self.levels]
 
-    def to_json_dict(self) -> dict:
-        return {
-            "m": self.m,
-            "zeta": self.zeta,
-            "levels": [
-                {
-                    "E": lv.energy,
-                    "script_E": lv.script_energy,
-                    "nodes": lv.nodes,
-                    "chain": lv.chain,
-                }
-                for lv in self.levels
-            ],
-        }
-
-    def to_csv_rows(self) -> list:
-        rows = [["E", "script_E", "nodes", "chain"]]
-        for lv in self.levels:
-            rows.append([repr(lv.energy), repr(lv.script_energy), str(lv.nodes), lv.chain])
-        return rows
-
 
 @dataclass(frozen=True)
 class WeightTable:
@@ -128,19 +107,10 @@ class WeightTable:
     support: tuple            # ((E_k, w_k), ...) ascending in E
     condition: float
     residual: float
-    exact = False             # a class constant for the JSON key: the solve is float
+    exact = False             # read-only class constant: the solve is float, never exact
 
     def weights(self) -> list:
         return [w for _, w in self.support]
-
-    def to_json_dict(self) -> dict:
-        return {
-            "chain": self.chain,
-            "weights": [{"E": e, "w": w} for e, w in self.support],
-            "condition": self.condition,
-            "residual": self.residual,
-            "exact": self.exact,
-        }
 
 
 @dataclass(frozen=True)
@@ -157,16 +127,6 @@ class MomentSequence:
     growth: tuple             # |mu_n|**(1/n) for n >= 1
     max_abs_energy: float
     leading_order_comparator: float   # (M + zeta)**2
-
-    def to_json_dict(self) -> dict:
-        return {
-            "chain": self.chain,
-            "zeta": self.zeta,
-            "moments": list(self.values),
-            "growth": list(self.growth),
-            "max_abs_energy": self.max_abs_energy,
-            "leading_order_comparator": self.leading_order_comparator,
-        }
 
 
 def _require_positive_int(m) -> int:

@@ -80,17 +80,6 @@ class QESState:
         v = pref * series
         return v if v.shape else float(v)
 
-    def to_json_dict(self) -> dict:
-        return {
-            "m": self.m,
-            "zeta": self.zeta,
-            "level": self.level,
-            "chain": self.chain,
-            "s": float(self.s),
-            "coeffs": list(self.coeffs),
-            "E": self.energy,
-        }
-
 
 def build_qes_state(m: int, zeta: float, level: int) -> QESState:
     """Assemble the series state for one algebraic level: root level // 2
@@ -144,8 +133,9 @@ def schrodinger_residual(psi, energy: float, potential, grid) -> float:
 
     psi may be a callable or an array of samples on the uniform grid;
     potential is a PotentialSpec, or None for V = 0 on the line.  For a
-    circle potential the grid covers whole periods and the stencil wraps;
-    on the line the outer two points are skipped.
+    circle potential the grid covers whole periods and the samples are
+    padded by two wrapped points on each side; on the line the outer two
+    points are skipped.
     """
     grid = np.asarray(grid, dtype=float)
     h = grid[1] - grid[0]
@@ -155,16 +145,14 @@ def schrodinger_residual(psi, energy: float, potential, grid) -> float:
     v = np.zeros_like(grid) if potential is None else potential_eval(potential, grid)
 
     if potential is not None and potential.is_circle():
-        m2, m1 = np.roll(values, 2), np.roll(values, 1)
-        p1, p2 = np.roll(values, -1), np.roll(values, -2)
-        second = (-m2 + 16 * m1 - 30 * values + 16 * p1 - p2) / (12 * h * h)
-        res = -second + (v - energy) * values
+        padded = np.concatenate([values[-2:], values, values[:2]])
     else:
-        second = (
-            -values[:-4] + 16 * values[1:-3] - 30 * values[2:-2]
-            + 16 * values[3:-1] - values[4:]
-        ) / (12 * h * h)
-        res = -second + (v[2:-2] - energy) * values[2:-2]
+        padded, v = values, v[2:-2]
+    second = (
+        -padded[:-4] + 16 * padded[1:-3] - 30 * padded[2:-2]
+        + 16 * padded[3:-1] - padded[4:]
+    ) / (12 * h * h)
+    res = -second + (v - energy) * padded[2:-2]
     scale = np.max(np.abs(values))
     if scale == 0.0:
         raise ValueError("state vanishes identically on the grid")

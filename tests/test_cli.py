@@ -283,6 +283,16 @@ class TestCliContract:
         doc = json.loads(target.read_text())
         assert doc["m"] == 3
 
+    @pytest.mark.parametrize("name", ["", "missing/spectrum.json"])
+    def test_unwritable_out_is_usage_error(self, capsys, tmp_path, name):
+        # tmp_path / "" is the directory itself
+        code, out, err = run(capsys, "spectrum", "--m", "3", "--zeta", "1",
+                             "--out", str(tmp_path / name))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("usage error: cannot write --out ") and err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
+
     def test_verify_all_m3(self, capsys):
         code, out, _ = run(capsys, "verify-all", "--m", "3", "--zeta", "1",
                            "--seed", "7", "--format", "pretty")
@@ -311,6 +321,17 @@ class TestOverflowAndGridDomain:
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("argv", [
+        ("oracle", "--zeta", "1", "--count", "3000", "--grid-n", "2048"),
+        ("oracle", "--family", "dsg", "--m", "3", "--zeta", "1", "--count", "1025"),
+    ])
+    def test_oracle_count_past_the_half_grid_is_one_error_line(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: count must be at most n // 2 - 1 = 1023")
+        assert err.count("\n") == 1
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-1", "0"])
     def test_wavefunction_rejects_bad_domain_l(self, capsys, value):

@@ -1,9 +1,11 @@
 """Golden CLI outputs for M = 1..5 at zeta in {0.5, 1, 2}.
 
-Every subcommand's JSON output (stdout, stderr and exit code) is compared
-with the recorded file byte for byte.  The floats of `weights`, `moments`
-and `wavefunction` are the one exception: they are evaluated by float
-recursion, so they are compared at 1e-11 relative.
+Every subcommand's output in json, csv and pretty form (stdout, stderr and
+exit code) is compared with the recorded file byte for byte.  The floats of
+`weights`, `moments` and `wavefunction` are the one exception: they are
+evaluated by float recursion, so they are compared at 1e-11 relative, and
+a number printed to fewer digits may also differ by one unit of its last
+printed digit.
 
 Regenerate the file, after a change that is meant to alter outputs, with
 
@@ -13,6 +15,7 @@ Regenerate the file, after a change that is meant to alter outputs, with
 import contextlib
 import io
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -23,16 +26,22 @@ GOLDEN = Path(__file__).parent / "golden" / "cli_m1_5.json"
 ZETAS = ("0.5", "1", "2")
 FLOAT_COMMANDS = ("weights", "moments", "wavefunction")
 FLOAT_REL = 1e-11
+FORMATS = ("json", "csv", "pretty")
+NUMBER = re.compile(r"-?\d+\.\d*(?:e[-+]?\d+)?|-?\d+e[-+]?\d+")
 
 
 def _cases() -> list:
+    """Every argv of the golden file, the json ones first."""
+    return [argv + ["--format", fmt] for fmt in FORMATS for argv in _commands()]
+
+
+def _commands() -> list:
     cases = []
     for m in range(1, 6):
         quotient, qs = ("Pbar", "0") if m % 2 else ("Rbar", "1/2")
-        cases.append(["family", "--chain", "P", "--m", str(m), "--order", "4",
-                      "--format", "json"])
+        cases.append(["family", "--chain", "P", "--m", str(m), "--order", "4"])
         for z in ZETAS:
-            common = ["--m", str(m), "--zeta", z, "--format", "json"]
+            common = ["--m", str(m), "--zeta", z]
             for chain, s in (("P", "0"), ("Q", "1/2"), ("R", "0"), (quotient, qs)):
                 cases.append(["family", "--chain", chain, "--s", s, "--order", "4"] + common)
                 if chain != "R":
@@ -80,6 +89,20 @@ def _close(got, want, path) -> None:
         assert got == want, f"{path}: {got!r} != {want!r}"
 
 
+def _close_text(got: str, want: str) -> None:
+    """Equal text outside the numbers; each number within FLOAT_REL of the
+    recorded one, plus one unit of the recorded number's last digit."""
+    got_parts, want_parts = NUMBER.split(got), NUMBER.split(want)
+    assert got_parts == want_parts
+    for a, b in zip(NUMBER.findall(got), NUMBER.findall(want)):
+        if a == b:
+            continue
+        mantissa, _, exponent = b.partition("e")
+        last_digit = 10.0 ** (int(exponent or 0) - len(mantissa.partition(".")[2]))
+        tolerance = FLOAT_REL * max(abs(float(a)), abs(float(b))) + last_digit
+        assert abs(float(a) - float(b)) <= tolerance, f"{a} != {b}"
+
+
 @pytest.fixture(scope="module")
 def golden() -> dict:
     records = json.loads(GOLDEN.read_text(encoding="utf-8"))
@@ -95,10 +118,12 @@ def test_cli_output_matches_golden(golden, argv):
     rec = golden[tuple(argv)]
     got = _run(argv)
     assert (got["exit"], got["stderr"]) == (rec["exit"], rec["stderr"])
-    if argv[0] in FLOAT_COMMANDS and rec["exit"] == 0:
+    if argv[0] not in FLOAT_COMMANDS or rec["exit"] != 0:
+        assert got["stdout"] == rec["stdout"]
+    elif argv[-1] == "json":
         _close(json.loads(got["stdout"]), json.loads(rec["stdout"]), "$")
     else:
-        assert got["stdout"] == rec["stdout"]
+        _close_text(got["stdout"], rec["stdout"])
 
 
 if __name__ == "__main__":

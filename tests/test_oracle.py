@@ -83,6 +83,14 @@ class TestHarmonicSanity:
         res = lowest_eigenvalues(OracleConfig(harmonic(), l=10.0, n=2000, count=1))
         assert abs(res.extrapolated[0] - 1.0) < abs(res.eigenvalues[0] - 1.0)
 
+    @pytest.mark.parametrize("spec, l", [(harmonic(), 10.0), (dsg(3, 1.0), None)])
+    def test_count_is_bounded_by_the_half_resolution_grid(self, spec, l):
+        # the zero hint keeps the harmonic line at l = 10 (no enlargement)
+        res = lowest_eigenvalues(OracleConfig(spec, l=l, n=64, count=31, e_max_hint=0.0))
+        assert len(res.eigenvalues) == len(res.richardson) == len(res.extrapolated) == 31
+        with pytest.raises(ValueError, match=r"count must be at most n // 2 - 1 = 31, .* 32"):
+            lowest_eigenvalues(OracleConfig(spec, l=l, n=64, count=32))
+
     def test_line_spectrum_simple_and_increasing(self):
         res = lowest_eigenvalues(OracleConfig(harmonic(), l=10.0, n=2000, count=6))
         diffs = np.diff(res.eigenvalues)

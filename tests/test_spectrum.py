@@ -169,11 +169,11 @@ class TestEnergies:
         assert all(x < y for x, y in zip(energies, energies[1:]))
         assert [lv.nodes for lv in report.levels] == list(range(16))
 
-    def test_json_schema(self):
-        doc = qes_energies(3, 1.0).to_json_dict()
-        assert set(doc) == {"m", "zeta", "levels"}
+    def test_json_schema(self, capsys):
+        assert main(["spectrum", "--m", "3", "--zeta", "1", "--format", "json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert set(doc) == {"manifest", "m", "zeta", "levels"}
         assert set(doc["levels"][0]) == {"E", "script_E", "nodes", "chain"}
-        json.dumps(doc)
 
 
 def _bisected_roots(spec, n, zeta, roots) -> list:
@@ -391,10 +391,11 @@ class TestWeights:
             assert sum(table.weights()) == pytest.approx(1.0, abs=1e-12)
             assert table.weights()[0] < 0
 
-    def test_exact_is_a_read_only_constant(self):
+    def test_exact_is_a_read_only_constant(self, capsys):
         # the JSON key stays; no caller can set it, and no table is exact
         table = weights(3, 1.0, "P")
-        assert table.exact is False and table.to_json_dict()["exact"] is False
+        assert main(["weights", "--m", "3", "--zeta", "1", "--format", "json"]) == 0
+        assert table.exact is False and json.loads(capsys.readouterr().out)["exact"] is False
         with pytest.raises(dataclasses.FrozenInstanceError):
             table.exact = True
         with pytest.raises(TypeError):

@@ -1,8 +1,10 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
+from qespoly.cli import main
 from qespoly.potentials import dshg, phi6_kink_dual
 from qespoly.spectrum import QESDomainError
 from qespoly.wavefunctions import (
@@ -45,9 +47,12 @@ class TestConstruction:
         with pytest.raises(QESDomainError):
             build_qes_state(3, 1.0, 3)
 
-    def test_json_fields(self):
-        doc = build_qes_state(4, 1.0, 2).to_json_dict()
-        assert set(doc) == {"m", "zeta", "level", "chain", "s", "coeffs", "E"}
+    def test_json_fields(self, capsys):
+        argv = ["wavefunction", "--m", "4", "--zeta", "1", "--level", "2", "--format", "json"]
+        assert main(argv) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert set(doc) == {"manifest", "m", "zeta", "level", "chain", "s", "coeffs", "E",
+                            "nodes"}
 
 
 class TestParity:
