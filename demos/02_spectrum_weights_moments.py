@@ -71,6 +71,6 @@ print(f"  (M+zeta)^2 comparator:      {seq.leading_order_comparator:.6f}")
 
 banner("Chain plans: which chain carries which parity")
 for m in (3, 4):
-    for e in chain_plan(m).entries:
-        print(f"  M={m}: {e.node_parity:5s} nodes from {e.chain_kind}(s={e.s}), "
-              f"critical index {e.critical_index} = its number of levels")
+    for parity, (spec, count) in enumerate(chain_plan(m)):
+        print(f"  M={m}: {('even', 'odd')[parity]:5s} nodes from {spec.kind}(s={spec.s}), "
+              f"critical index {count} = its number of levels")

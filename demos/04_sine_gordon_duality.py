@@ -9,6 +9,8 @@ solvable for roughly half the parameter values of its parent.  The sextic
 pair shows the same pairing on a shared domain.
 """
 
+from dataclasses import replace
+
 import numpy as np
 
 from qespoly import (
@@ -50,8 +52,9 @@ cands = dual_energies(qes_energies(2, 1.0).energies())
 for c in cands:
     gap = min(abs(e - c) for e in res.eigenvalues)
     print(f"  candidate {c:.4f}: nearest pi-periodic eigenvalue is {gap:.3f} away")
-res2 = lowest_eigenvalues(OracleConfig(dsg(2, 1.0), n=2048, count=10,
-                                       period_multiplier=2))
+# the circle's length is its spec's period: pi for dsg, doubled here to 2 pi
+res2 = lowest_eigenvalues(OracleConfig(replace(dsg(2, 1.0), period=2 * np.pi),
+                                       n=2048, count=10))
 for c in cands:
     gap = min(abs(e - c) for e in res2.eigenvalues)
     print(f"  candidate {c:.4f}: on the doubled (2 pi) circle it reappears, gap {gap:.1e}")

@@ -10,6 +10,8 @@ factor: it changes sign after one potential period and is a genuine
 eigenstate only on the doubled circle.  The oracle shows exactly that.
 """
 
+from dataclasses import replace
+
 import numpy as np
 
 from qespoly import (
@@ -47,7 +49,8 @@ print("  -0.75 is the ground state; nothing sits at 0: the would-be E = 0")
 print("  state is odd under a one-period shift, so the single cover rejects it")
 
 banner("Dual side, doubled circle (4 pi / mu)")
-res2 = lowest_eigenvalues(OracleConfig(spec, n=2048, count=6, period_multiplier=2))
+# the circle's length is its spec's period, so the doubled circle is a spec
+res2 = lowest_eigenvalues(OracleConfig(replace(spec, period=2 * spec.period), n=2048, count=6))
 print(f"  levels: {[f'{e:.6f}' for e in res2.eigenvalues]}")
 print("  both algebraic levels appear: -0.75 and 0.0")
 
@@ -64,8 +67,8 @@ for (energy, psi), grid in zip(states, (theta1, theta2)):
 banner("E = 0 persists at every coupling (doubled circle)")
 for eps2 in (0.2, 0.3, 0.7):
     spec_g = phi6_kink_dual(eps2, MU)
-    res = lowest_eigenvalues(OracleConfig(spec_g, n=2048, count=6,
-                                          period_multiplier=2))
+    res = lowest_eigenvalues(OracleConfig(replace(spec_g, period=2 * spec_g.period),
+                                          n=2048, count=6))
     gap = min(abs(e) for e in res.eigenvalues)
     (energy, psi), = new_potential_states(eps2, MU)
     r = schrodinger_residual(psi, energy, spec_g, theta2)

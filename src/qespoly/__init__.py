@@ -33,7 +33,6 @@ from .families import (
     three_term_form,
 )
 from .spectrum import (
-    ChainPlan,
     MomentSequence,
     NormSequence,
     SpectrumReport,

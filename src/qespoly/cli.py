@@ -448,15 +448,15 @@ def _cmd_verify_all(args) -> int:
 
     def check_weights():
         ok = True
-        for entry in chain_plan(m).entries:
-            table = weights(m, zeta, entry.chain_kind)
+        for spec, _ in chain_plan(m):
+            table = weights(m, zeta, spec.kind)
             ok &= abs(sum(table.weights()) - 1.0) <= 1e-10
         return ok
 
     def check_norm_crosscheck():
         ok = True
-        for entry in chain_plan(m).entries:
-            ok &= norm_weight_crosscheck(m, zeta, entry.chain_kind).ok
+        for spec, _ in chain_plan(m):
+            ok &= norm_weight_crosscheck(m, zeta, spec.kind).ok
         return ok
 
     def check_factorization():

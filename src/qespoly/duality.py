@@ -97,7 +97,7 @@ def dsg_spectrum(m: int, zeta: float):
     pi-periodic eigenstate exists at the mapped energies.  The candidate
     states come from one solve of each chain, with no level sort.
     """
-    m = require_qes_domain(m, zeta)
+    m, shift = require_qes_domain(m, zeta)
     if m % 2 == 0:
         # characters on the 2*pi circle, by node count
         theta = np.linspace(0.0, 2.0 * np.pi, 512, endpoint=False)
@@ -107,7 +107,6 @@ def dsg_spectrum(m: int, zeta: float):
                                            for state in states),
                             "candidate states change sign under a half turn (even M)")
     source = qes_energies(m, zeta)
-    shift = (m + zeta) ** 2
     pairs = enumerate(zip(dual_energies(source.energies()), reversed(source.levels)))
     levels = tuple(QESLevel(e, e - shift, k, src.chain) for k, (e, src) in pairs)
     return SpectrumReport(m, zeta, levels)
@@ -121,12 +120,12 @@ def dsg_weights_moments(m: int, zeta: float, chain: str = "P"):
     entries interchanged end to end, and the moments pick up a factor
     (-1)**n.
     """
-    m = require_qes_domain(m, zeta)
+    m, shift = require_qes_domain(m, zeta)
     if m % 2 == 0:
         raise QESDomainError("sine-Gordon weights exist only for odd positive M")
     source = weights(m, zeta, chain)
     table = replace(source, support=tuple((-e, w) for e, w in reversed(source.support)))
-    return table, _moment_sequence(table, m, zeta, 12)
+    return table, _moment_sequence(table, zeta, shift, 12)
 
 
 # ----------------------------------------------------------------------

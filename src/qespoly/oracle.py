@@ -80,7 +80,6 @@ class OracleConfig:
     n: int = 2048                 # interior points (line) or circle points
     count: int = 4                # eigenvalues requested
     e_max_hint: float | None = None
-    period_multiplier: int = 1    # circle diagnostic: solve on k potential periods
 
     def __post_init__(self):
         if self.spec.is_circle():
@@ -90,8 +89,6 @@ class OracleConfig:
             raise ValueError("line potentials need a positive finite half-width")
         if self.count < 1:
             raise ValueError("need at least one eigenvalue")
-        if self.period_multiplier < 1:
-            raise ValueError("period multiplier must be a positive integer")
 
 
 @dataclass(frozen=True)
@@ -141,12 +138,12 @@ def discretize(config: OracleConfig) -> Discretization:
     """Assemble the stencil: (-1/h^2, 2/h^2 + V(x_i), -1/h^2).
 
     Line grids hold the interior points of [-l, l] (Dirichlet ends are
-    eliminated); circle grids hold n points over one period with the wrap
-    entering as a corner coupling.
+    eliminated); circle grids hold n points over the spec's period with the
+    wrap entering as a corner coupling.
     """
     spec = config.spec
     if spec.is_circle():
-        h = spec.period * config.period_multiplier / config.n
+        h = spec.period / config.n
         grid = h * np.arange(config.n)
         corner = -1.0 / (h * h)
     else:
@@ -377,8 +374,9 @@ def _default_config(spec: PotentialSpec, count: int,
     if spec.is_circle():
         # the E = 0 state of the kink-dual well is antiperiodic over one
         # potential period, so it only shows up on the doubled cover
-        mult = 2 if spec.family == "phi6_kink_dual" else 1
-        return OracleConfig(spec, n=2048 * mult, count=count, period_multiplier=mult)
+        if spec.family == "phi6_kink_dual":
+            return OracleConfig(replace(spec, period=2 * spec.period), n=4096, count=count)
+        return OracleConfig(spec, n=2048, count=count)
     l, n = _DEFAULT_LINE.get(spec.family, (8.0, 6000))
     return OracleConfig(spec, l=l, n=n, count=count, e_max_hint=e_max_hint)
 

@@ -4,8 +4,9 @@ for the double sinh-Gordon well.
 For positive integer M the first M levels are algebraic: they are the roots
 of the critical members of the two chains, shifted back from the recursion
 variable by (M + zeta)**2.  The chains are the two that terminate at M
-(families.terminating_chains): the s = 0 chain carries the even-node levels
-and the s = 1/2 chain the odd ones, each as many as its critical index.
+(families.terminating_chains); chain_plan lists them as (ChainSpec, level
+count) pairs, the s = 0 chain first, so a chain's index there is the node
+parity of its levels, and it carries as many as its critical index.
 
     M odd  = 2k+1:  even nodes from P(s=0), critical index k+1 (k+1 levels)
                     odd  nodes from Q(s=1/2), critical index k (k levels)
@@ -20,9 +21,9 @@ delta_n0 at the isolated roots, with its residual bounded and its condition
 number reported.  Moments, the norm crosscheck and the sine-Gordon weights
 all take their tables from it.
 
-solve_chain is the one solve of a chain at one zeta, and levels, weights,
-moments, the crosscheck and the states (wavefunctions) all read it, each
-chain once per call.  It reads nothing but the chain's three-term steps:
+solve_chain(spec, n, zeta) is the one solve of a chain at one zeta, and
+levels, weights, moments, the crosscheck and the states (wavefunctions) all
+read it, each chain once per call.  It reads nothing but the chain's steps:
 chain_roots takes the roots of the critical member N from the eigenvalues of
 the chain's Jacobi matrix, polishes them by Newton on the float recursion
 and certifies them by exact sign changes between neighbouring roots, on the
@@ -61,26 +62,6 @@ from .families import (
 
 class QESDomainError(ValueError):
     """Raised when QES extraction is requested outside its domain."""
-
-
-@dataclass(frozen=True)
-class ChainPlanEntry:
-    node_parity: str          # "even" | "odd"
-    chain_kind: str           # "P" | "Q"
-    s: Fraction
-    critical_index: int       # also the number of levels the chain carries
-
-
-@dataclass(frozen=True)
-class ChainPlan:
-    m: int
-    entries: tuple
-
-    def entry(self, chain_kind: str) -> ChainPlanEntry:
-        for e in self.entries:
-            if e.chain_kind == chain_kind:
-                return e
-        raise QESDomainError(f"chain {chain_kind} carries no QES levels at M={self.m}")
 
 
 @dataclass(frozen=True)
@@ -136,19 +117,37 @@ def _require_positive_int(m) -> int:
     return int(mr)
 
 
-def require_qes_domain(m, zeta: float) -> int:
-    """M as an int, after checking the QES domain: integer M >= 1, zeta > 0."""
+def require_qes_domain(m, zeta: float) -> tuple:
+    """M as an int and the shift (M + zeta)**2 from the recursion variable,
+    after checking the QES domain: integer M >= 1, zeta > 0, a finite shift."""
     m = _require_positive_int(m)
     if not zeta > 0:
         raise QESDomainError("zeta must be positive")
-    return m
+    try:
+        shift = (m + zeta) ** 2
+    except OverflowError:
+        shift = math.inf
+    if not math.isfinite(shift):
+        raise QESDomainError(f"the shift (M + zeta)**2 overflows a float at M={m}, zeta={zeta}")
+    return m, shift
 
 
-def chain_plan(m) -> ChainPlan:
-    """Which chains carry the M algebraic levels, and where they terminate."""
+def chain_plan(m) -> tuple:
+    """((ChainSpec, level count), ...) of the chains that carry the M
+    algebraic levels, the s = 0 chain (even node counts) first: a chain's
+    node parity is its index here, and it terminates at member `level count`."""
     m = _require_positive_int(m)
-    return ChainPlan(m, tuple([ChainPlanEntry("odd" if s else "even", kind, s, crit)
-                               for kind, s, _, crit in terminating_chains(m) if crit]))
+    return tuple((ChainSpec(kind, m, s), crit)
+                 for kind, s, _, crit in terminating_chains(m) if crit)
+
+
+def _plan_entry(m, zeta: float, kind: str) -> tuple:
+    """(shift, ChainSpec, level count) of chain `kind` of the plan, domain checked."""
+    m, shift = require_qes_domain(m, zeta)
+    for spec, count in chain_plan(m):
+        if spec.kind == kind:
+            return shift, spec, count
+    raise QESDomainError(f"chain {kind} carries no QES levels at M={m}")
 
 
 def chain_roots(spec: ChainSpec, n: int, zeta: float) -> list:
@@ -194,28 +193,22 @@ def chain_roots(spec: ChainSpec, n: int, zeta: float) -> list:
     return roots
 
 
-def solve_chain(m: int, zeta: float, entry: ChainPlanEntry) -> tuple:
-    """The one solve of a plan entry's chain at zeta: the certified roots
-    (shifted energy, ascending) of its critical member N, and the values of
-    members 0..N+2 at those roots, one array per member."""
-    spec = ChainSpec(entry.chain_kind, Fraction(m), entry.s)
-    n = entry.critical_index
+def solve_chain(spec: ChainSpec, n: int, zeta: float) -> tuple:
+    """The one solve of a chain at zeta: the certified roots (shifted
+    energy, ascending) of its member n, and the values of members 0..n+2 at
+    those roots, one array per member."""
     roots = chain_roots(spec, n, zeta)
     return roots, family_values(spec, n + 2, zeta, np.array(roots))
 
 
 def qes_energies(m, zeta: float) -> SpectrumReport:
     """The M algebraic levels, sorted, with node counts and chain labels."""
-    m = require_qes_domain(m, zeta)
-    shift = (m + zeta) ** 2
+    m, shift = require_qes_domain(m, zeta)
     levels = []
-    for entry in chain_plan(m).entries:
-        base = 0 if entry.node_parity == "even" else 1
-        roots, _ = solve_chain(m, zeta, entry)
-        for rank, root in enumerate(roots):
-            levels.append(
-                QESLevel(root + shift, root, base + 2 * rank, entry.chain_kind)
-            )
+    for parity, (spec, count) in enumerate(chain_plan(m)):
+        roots, _ = solve_chain(spec, count, zeta)
+        levels += [QESLevel(root + shift, root, parity + 2 * rank, spec.kind)
+                   for rank, root in enumerate(roots)]
     levels.sort(key=lambda lv: lv.energy)
     for lo, hi in zip(levels, levels[1:]):
         if lo.nodes > hi.nodes:
@@ -331,9 +324,8 @@ def weights(m, zeta: float, chain: str) -> WeightTable:
     residual must stay within 1e-10 and the condition number is recorded.
     Every table comes from this float solve, so its `exact` flag is False.
     """
-    m = require_qes_domain(m, zeta)
-    entry = chain_plan(m).entry(chain)
-    return _weight_table(chain, *solve_chain(m, zeta, entry), (m + zeta) ** 2)
+    shift, spec, count = _plan_entry(m, zeta, chain)
+    return _weight_table(chain, *solve_chain(spec, count, zeta), shift)
 
 
 def _weight_table(chain: str, roots: list, values: list, shift: float) -> WeightTable:
@@ -371,15 +363,13 @@ def norm_weight_crosscheck(m, zeta: float, chain: str) -> CrosscheckReport:
     its terms' magnitudes (its rounding scale); orthogonality_max is the
     largest sum.
     """
-    m = require_qes_domain(m, zeta)
-    entry = chain_plan(m).entry(chain)
-    roots, values = solve_chain(m, zeta, entry)
-    w = np.array(_weight_table(chain, roots, values, (m + zeta) ** 2).weights())
-    count = entry.critical_index
+    shift, spec, count = _plan_entry(m, zeta, chain)
+    roots, values = solve_chain(spec, count, zeta)
+    w = np.array(_weight_table(chain, roots, values, shift).weights())
     devs = []
     ok = True
     for n in range(count + 1):
-        gamma = norms_closed(entry.chain_kind, m, entry.s, n).eval_float(zeta)
+        gamma = norms_closed(chain, spec.m, spec.s, n).eval_float(zeta)
         total = float(np.dot(w, values[n] ** 2))
         dev = abs(total - gamma)
         devs.append(dev)
@@ -403,19 +393,22 @@ def moments(m, zeta: float, chain: str, n_max: int) -> MomentSequence:
     atomic measure; the coarser comparator (M + zeta)**2 is reported
     alongside, not asserted.
     """
-    m = require_qes_domain(m, zeta)
+    _, shift = require_qes_domain(m, zeta)
     if n_max < 0:
         raise ValueError("order must be nonnegative")
-    return _moment_sequence(weights(m, zeta, chain), m, zeta, n_max)
+    return _moment_sequence(weights(m, zeta, chain), zeta, shift, n_max)
 
 
-def _moment_sequence(table: WeightTable, m: int, zeta: float, n_max: int) -> MomentSequence:
+def _moment_sequence(table: WeightTable, zeta: float, shift: float, n_max: int) -> MomentSequence:
     """mu_0..mu_n_max of a weight table, with growth and comparators."""
     energies = np.array([e for e, _ in table.support])
     w = np.array(table.weights())
     values = [1.0]
-    for n in range(1, n_max + 1):
-        values.append(float(np.dot(w, energies**n)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n in range(1, n_max + 1):
+            values.append(float(np.dot(w, energies**n)))
+            if not math.isfinite(values[n]):
+                raise QESDomainError(f"moment mu_{n} overflows a float")
     growth = tuple(
         abs(values[n]) ** (1.0 / n) if values[n] != 0 else 0.0
         for n in range(1, n_max + 1)
@@ -426,5 +419,5 @@ def _moment_sequence(table: WeightTable, m: int, zeta: float, n_max: int) -> Mom
         tuple(values),
         growth,
         float(np.max(np.abs(energies))),
-        (m + zeta) ** 2,
+        shift,
     )

@@ -13,8 +13,8 @@ z**(1/2) is taken odd, sgn(x) * sqrt(cosh 2x - 1) = sqrt(2) sinh x, so s = 0
 states are even in x and s = 1/2 states are odd.
 
 Each chain carries one parity of levels, so the state with k nodes is root
-k // 2 of the chain of parity k (spectrum.solve_chain); no float sort of the
-two chains' levels is involved.
+k // 2 of the chain at index k % 2 of the level plan (spectrum.chain_plan,
+spectrum.solve_chain); no float sort of the two chains' levels is involved.
 
 The same coefficients evaluated with cosh -> cos give the circle image of
 the state used on the double sine-Gordon side.
@@ -84,30 +84,32 @@ class QESState:
 def build_qes_state(m: int, zeta: float, level: int) -> QESState:
     """Assemble the series state for one algebraic level: root level // 2
     of the chain that carries the levels of node parity level % 2."""
-    m = require_qes_domain(m, zeta)
+    m, _ = require_qes_domain(m, zeta)
     if not 0 <= level < m:
         raise QESDomainError(f"level must be in 0..{m - 1}")
     return chain_states(m, zeta, level % 2)[level // 2]
 
 
 def chain_states(m: int, zeta: float, parity: int) -> list:
-    """The states of the plan entry `parity` (s = 0 first), state k with
-    2k + parity nodes, from one chain solve.  Two members beyond the
-    critical index are certified to vanish (relative 1e-9) at every root,
+    """The states of the plan's chain at index `parity`, state k with 2k +
+    parity nodes, from one chain solve.  Two members beyond the critical
+    index are certified finite and vanishing (relative 1e-9) at every root,
     making the truncation exact rather than approximate."""
-    entry = chain_plan(m).entries[parity]
-    roots, values = solve_chain(m, zeta, entry)
-    crit, chain = entry.critical_index, entry.chain_kind
-    factorials = [float(math.factorial(series_index(chain, j))) for j in range(crit + 3)]
+    m, shift = require_qes_domain(m, zeta)
+    spec, crit = chain_plan(m)[parity]
+    roots, values = solve_chain(spec, crit, zeta)
+    factorials = [float(math.factorial(series_index(spec.kind, j))) for j in range(crit + 3)]
     coeffs = np.array(values) / np.array(factorials)[:, None]
     tail = np.abs(coeffs[crit:])
-    bad = np.argwhere(tail > 1e-9 * np.max(np.abs(coeffs), axis=0))
+    scale = np.max(np.abs(coeffs), axis=0)
+    # a NaN tail fails "<=", and an inf scale, which any tail is within, fails
+    bad = np.argwhere(~(tail <= 1e-9 * scale) | ~np.isfinite(scale))
     if bad.size:
         j, k = bad[0]
-        raise QESDomainError(f"series does not terminate: |c_{crit + j}| = {tail[j, k]}")
+        raise QESDomainError(f"series does not terminate: |c_{crit + j}| = {tail[j, k]}"
+                             f" against max |c| = {scale[k]}")
     coeffs[crit:] = 0.0
-    shift = (m + zeta) ** 2
-    return [QESState(m=m, zeta=zeta, level=2 * k + parity, chain=chain, s=entry.s,
+    return [QESState(m=m, zeta=zeta, level=2 * k + parity, chain=spec.kind, s=spec.s,
                      coeffs=tuple(c), energy=root + shift, script_energy=root,
                      critical_index=crit)
             for k, (root, c) in enumerate(zip(roots, coeffs.T.tolist()))]

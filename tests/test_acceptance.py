@@ -11,6 +11,7 @@ spectrum.
 
 import math
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -207,7 +208,7 @@ def test_08_new_potential():
     absent = min(abs(e) for e in single.eigenvalues) > 1e-3
     # ...and present on the doubled circle together with the ground state
     double = lowest_eigenvalues(
-        OracleConfig(spec, n=2048, count=6, period_multiplier=2))
+        OracleConfig(replace(spec, period=2 * spec.period), n=2048, count=6))
     dev_zero = min(abs(e) for e in double.eigenvalues)
     dev_ground2 = min(abs(e + 0.75) for e in double.eigenvalues)
 
@@ -219,7 +220,7 @@ def test_08_new_potential():
 
     spec3 = phi6_kink_dual(0.3, mu)
     double3 = lowest_eigenvalues(
-        OracleConfig(spec3, n=2048, count=6, period_multiplier=2))
+        OracleConfig(replace(spec3, period=2 * spec3.period), n=2048, count=6))
     dev_zero3 = min(abs(e) for e in double3.eigenvalues)
     (state3_e, state3_psi), = new_potential_states(0.3, mu)
     res3 = schrodinger_residual(state3_psi, state3_e, spec3, theta2)

@@ -316,11 +316,24 @@ class TestOverflowAndGridDomain:
         ("family", "--chain", "P", "--m", "3", "--order", "3"),
     ])
     def test_huge_finite_zeta_is_one_error_line(self, capsys, argv):
-        code, out, err = run(capsys, *argv, "--zeta", "1e308")
+        # each overflows the shift (M + zeta)**2 of the QES commands
+        for zeta in ("1e160", "1e308"):
+            code, out, err = run(capsys, *argv, "--zeta", zeta)
+            assert code == 1
+            assert out == ""
+            assert err.startswith("error: ") and err.count("\n") == 1
+            assert "Traceback" not in err
+            assert "(34," not in err   # no bare errno tuple from float **
+
+    @pytest.mark.parametrize("argv", [
+        ("moments", "--m", "3", "--zeta", "1e20", "--format", "json"),
+        ("moments", "--m", "9", "--zeta", "2", "--order", "400"),
+    ])
+    def test_overflowing_moment_is_one_error_line(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
         assert code == 1
         assert out == ""
-        assert err.startswith("error: ") and err.count("\n") == 1
-        assert "Traceback" not in err
+        assert err.startswith("error: moment mu_") and err.count("\n") == 1
 
     @pytest.mark.parametrize("argv", [
         ("oracle", "--zeta", "1", "--count", "3000", "--grid-n", "2048"),

@@ -5,7 +5,8 @@ exit code) is compared with the recorded file byte for byte.  The floats of
 `weights`, `moments` and `wavefunction` are the one exception: they are
 evaluated by float recursion, so they are compared at 1e-11 relative, and
 a number printed to fewer digits may also differ by one unit of its last
-printed digit.
+printed digit.  Every json output must also parse as strict JSON, with no
+NaN or Infinity token.
 
 Regenerate the file, after a change that is meant to alter outputs, with
 
@@ -103,6 +104,13 @@ def _close_text(got: str, want: str) -> None:
         assert abs(float(a) - float(b)) <= tolerance, f"{a} != {b}"
 
 
+def _strict_json(text: str):
+    """json.loads that fails on NaN and Infinity, which are not JSON."""
+    def reject(token):
+        raise ValueError(f"non-finite number {token} in JSON output")
+    return json.loads(text, parse_constant=reject)
+
+
 @pytest.fixture(scope="module")
 def golden() -> dict:
     records = json.loads(GOLDEN.read_text(encoding="utf-8"))
@@ -118,10 +126,11 @@ def test_cli_output_matches_golden(golden, argv):
     rec = golden[tuple(argv)]
     got = _run(argv)
     assert (got["exit"], got["stderr"]) == (rec["exit"], rec["stderr"])
+    doc = _strict_json(got["stdout"]) if argv[-1] == "json" and got["stdout"] else None
     if argv[0] not in FLOAT_COMMANDS or rec["exit"] != 0:
         assert got["stdout"] == rec["stdout"]
     elif argv[-1] == "json":
-        _close(json.loads(got["stdout"]), json.loads(rec["stdout"]), "$")
+        _close(doc, json.loads(rec["stdout"]), "$")
     else:
         _close_text(got["stdout"], rec["stdout"])
 

@@ -171,9 +171,9 @@ class TestEvenMSolvesOnce:
         sorted_calls, solved = [], []
         true_solve = spectrum.solve_chain
 
-        def counting_solve(m, zeta, entry):
-            solved.append(entry.chain_kind)
-            return true_solve(m, zeta, entry)
+        def counting_solve(spec, n, zeta):
+            solved.append(spec.kind)
+            return true_solve(spec, n, zeta)
 
         monkeypatch.setattr(duality, "qes_energies",
                             lambda m, zeta: sorted_calls.append((m, zeta)))
@@ -226,6 +226,10 @@ class TestDsgWeightsMoments:
             for n in range(13):
                 want = (-1) ** n * src_mom.values[n]
                 assert dual_mom.values[n] == pytest.approx(want, rel=1e-12, abs=1e-12)
+
+    def test_overflowing_moment_is_named(self):
+        with pytest.raises(QESDomainError, match="moment mu_8 overflows"):
+            dsg_weights_moments(3, 1e20)
 
     def test_even_m_rejected(self):
         with pytest.raises(Exception):

@@ -143,8 +143,9 @@ class TestCircleOracle:
 
     def test_dsg_m2_doubled_circle_recovers_candidates(self):
         # the rejected candidates are antiperiodic: they live on the 2 pi cover
+        spec = dsg(2, 1.0)
         res = lowest_eigenvalues(
-            OracleConfig(dsg(2, 1.0), n=2048, count=10, period_multiplier=2))
+            OracleConfig(replace(spec, period=2 * spec.period), n=2048, count=10))
         for e_line in qes_energies(2, 1.0).energies():
             assert min(abs(e + e_line) for e in res.eigenvalues) < 1e-4
 
@@ -175,7 +176,8 @@ class TestReflectionSplit:
         (phi6_kink_dual(0.5, 1.0), 2),
     ])
     def test_matches_dense_periodic_solve(self, spec, mult, n):
-        cfg = OracleConfig(spec, n=n, count=10, period_multiplier=mult)
+        # mult potential periods: the circle's length is the spec's period
+        cfg = OracleConfig(replace(spec, period=mult * spec.period), n=n, count=10)
         disc = discretize(cfg)
         split = circle_eigenvalues(disc, 10)
         dense = _dense_periodic_levels(disc, 10)
@@ -382,14 +384,14 @@ class TestKinkWells:
     def test_dual_double_cover_has_both(self):
         spec = phi6_kink_dual(0.5, 1.0)
         res = lowest_eigenvalues(
-            OracleConfig(spec, n=2048, count=6, period_multiplier=2))
+            OracleConfig(replace(spec, period=2 * spec.period), n=2048, count=6))
         assert min(abs(e + 0.75) for e in res.eigenvalues) < 1e-4
         assert min(abs(e) for e in res.eigenvalues) < 1e-4
 
     def test_zero_mode_survives_generic_coupling(self):
         spec = phi6_kink_dual(0.3, 1.0)
         res = lowest_eigenvalues(
-            OracleConfig(spec, n=2048, count=6, period_multiplier=2))
+            OracleConfig(replace(spec, period=2 * spec.period), n=2048, count=6))
         assert min(abs(e) for e in res.eigenvalues) < 1e-4
 
     def test_bounded_well_domain_rule(self):

@@ -38,32 +38,27 @@ HALF = Fraction(1, 2)
 SQRT5 = math.sqrt(5.0)
 
 
-class TestChainPlan:
+class TestLevelPlan:
+    """A chain's node parity is its index in the plan: even, then odd."""
+
     def test_m3(self):
-        plan = chain_plan(3)
-        assert [(e.node_parity, e.chain_kind, e.s, e.critical_index)
-                for e in plan.entries] == [
-            ("even", "P", Fraction(0), 2),
-            ("odd", "Q", HALF, 1),
-        ]
+        assert chain_plan(3) == (
+            (ChainSpec("P", Fraction(3), Fraction(0)), 2),
+            (ChainSpec("Q", Fraction(3), HALF), 1),
+        )
 
     def test_m1_has_no_odd_entry(self):
-        plan = chain_plan(1)
-        assert len(plan.entries) == 1
-        assert plan.entries[0].node_parity == "even"
-        assert plan.entries[0].chain_kind == "P"
+        assert chain_plan(1) == ((ChainSpec("P", Fraction(1), Fraction(0)), 1),)
 
     def test_m4(self):
-        plan = chain_plan(4)
-        assert [(e.node_parity, e.chain_kind, e.s, e.critical_index)
-                for e in plan.entries] == [
-            ("even", "Q", Fraction(0), 2),
-            ("odd", "P", HALF, 2),
-        ]
+        assert chain_plan(4) == (
+            (ChainSpec("Q", Fraction(4), Fraction(0)), 2),
+            (ChainSpec("P", Fraction(4), HALF), 2),
+        )
 
     def test_total_level_count(self):
         for m in range(1, 11):
-            assert sum(e.critical_index for e in chain_plan(m).entries) == m
+            assert sum(count for _, count in chain_plan(m)) == m
 
     def test_rejects_nonpositive(self):
         with pytest.raises(QESDomainError):
@@ -92,11 +87,12 @@ class TestOneChainTable:
                  ("P", HALF): "Rbar", ("Q", Fraction(0)): "Sbar"}
         assert all(e.quotient_kind == names[e.chain_kind, e.s] for e in entries)
 
-        plan = chain_plan(m).entries
-        assert [(e.chain_kind, e.s, e.critical_index) for e in plan] == [
-            (kind, s, c) for (kind, s), c in sorted(term.items(), key=lambda i: i[0][1])
+        plan = chain_plan(m)
+        assert [(spec.kind, spec.m, spec.s, count) for spec, count in plan] == [
+            (kind, m, s, c) for (kind, s), c in sorted(term.items(), key=lambda i: i[0][1])
             if c > 0]
-        assert all(e.node_parity == ("even" if e.s == 0 else "odd") for e in plan)
+        # the index of a chain in the plan is its node parity, 2s
+        assert all(spec.s == Fraction(parity, 2) for parity, (spec, _) in enumerate(plan))
 
         def accepted(q, s):
             try:
@@ -253,9 +249,7 @@ class TestChainRoots:
 
     def test_roots_agree_with_exact_bisection(self):
         for m, zeta, kind in ((9, 2.0, "P"), (17, 2.0, "P"), (18, 2.0, "Q")):
-            entry = chain_plan(m).entry(kind)
-            spec = ChainSpec(kind, Fraction(m), entry.s)
-            n = entry.critical_index
+            spec, n = next((spec, n) for spec, n in chain_plan(m) if spec.kind == kind)
             got = chain_roots(spec, n, zeta)
             assert max(_relative_errors(got, _bisected_roots(spec, n, zeta, got))) <= 1e-13
 
@@ -264,9 +258,7 @@ class TestChainRoots:
     def test_critical_and_general_roots_against_exact_bisection(self, m, zeta):
         # the general finder runs Newton on the expanded member's float
         # coefficients, which is accurate to about 1e-12 here
-        for entry in chain_plan(m).entries:
-            spec = ChainSpec(entry.chain_kind, Fraction(m), entry.s)
-            n = entry.critical_index
+        for spec, n in chain_plan(m):
             got = chain_roots(spec, n, zeta)
             want = _bisected_roots(spec, n, zeta, got)
             general = [r for r, _ in real_roots(gen_family(spec, n)[n], zeta)]
@@ -305,10 +297,9 @@ class TestChainRoots:
     @pytest.mark.parametrize("zeta", [0.5, 0.7, 1.0, 2.0, 0.3])
     def test_every_chain_certifies_up_to_m65(self, zeta):
         for m in range(1, 66):
-            for entry in chain_plan(m).entries:
-                spec = ChainSpec(entry.chain_kind, Fraction(m), entry.s)
-                roots = chain_roots(spec, entry.critical_index, zeta)
-                assert len(roots) == entry.critical_index
+            for spec, n in chain_plan(m):
+                roots = chain_roots(spec, n, zeta)
+                assert len(roots) == n
 
 
 class TestFactorization:
@@ -450,10 +441,10 @@ class TestCrosscheck:
     @pytest.mark.parametrize("m", [3, 4, 5, 6])
     @pytest.mark.parametrize("zeta", [0.5, 1.0, 2.0])
     def test_all_chains(self, m, zeta):
-        for entry in chain_plan(m).entries:
-            if entry.critical_index < 1:
+        for spec, count in chain_plan(m):
+            if count < 1:
                 continue
-            rep = norm_weight_crosscheck(m, zeta, entry.chain_kind)
+            rep = norm_weight_crosscheck(m, zeta, spec.kind)
             assert rep.ok, rep
 
 
@@ -547,6 +538,13 @@ class TestMoments:
     def test_comparator_reported(self):
         seq = moments(3, 1.0, "P", 2)
         assert seq.leading_order_comparator == pytest.approx(16.0)
+
+    @pytest.mark.parametrize("m, zeta, n_max, first", [(3, 1e20, 12, 8), (9, 2.0, 400, 151)])
+    def test_overflowing_moment_is_named(self, m, zeta, n_max, first):
+        # RuntimeWarnings are errors under pytest, so this also checks for none
+        with pytest.raises(QESDomainError, match=f"moment mu_{first} overflows"):
+            moments(m, zeta, "P", n_max)
+        assert math.isfinite(moments(m, zeta, "P", first - 1).values[-1])
 
 
 class TestZetaDomain:

@@ -43,6 +43,13 @@ class TestConstruction:
             state = build_qes_state(3, 1.0, level)
             assert all(c == 0.0 for c in state.coeffs[state.critical_index:])
 
+    def test_overflowing_tail_fails_the_certificate(self):
+        # at zeta = 1e120 members N+1 and N+2 are inf at the root, and so is
+        # the bound 1e-9 * max|c|
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(QESDomainError, match="series does not terminate"):
+                build_qes_state(3, 1e120, 0)
+
     def test_level_out_of_range(self):
         with pytest.raises(QESDomainError):
             build_qes_state(3, 1.0, 3)
