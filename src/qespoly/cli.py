@@ -236,9 +236,13 @@ def _cmd_family(args) -> int:
         rendered = [p.render() for p in fam.members]
         coeff_payload = rendered
     else:
-        coeff_payload = [
-            [float(c) for c in p.specialize(Fraction(zeta))] for p in fam.members
-        ]
+        coeff_payload = []
+        for n, p in enumerate(fam.members):
+            try:
+                coeff_payload.append([float(c) for c in p.specialize(Fraction(zeta))])
+            except OverflowError:
+                raise QESDomainError(f"member {n} of chain {args.chain} overflows a float"
+                                     f" at zeta={zeta}") from None
         rendered = [_render_numeric(coeffs) for coeffs in coeff_payload]
     payload = {
         "family": {
@@ -298,10 +302,13 @@ def _cmd_norms(args) -> int:
     rows += [[n, rendered[n], agree[n]] for n in range(len(rendered))]
     lines = [f"gamma_{n} = {rendered[n]}" for n in range(len(rendered))]
     if zeta is not None:
+        numeric = [g.eval_float(zeta) for g in closed]
+        for n, gamma in enumerate(numeric):
+            if not math.isfinite(gamma):
+                raise QESDomainError(f"gamma_{n} overflows a float at zeta={zeta}")
         payload["zeta"] = zeta
-        payload["norms_numeric"] = [g.eval_float(zeta) for g in closed]
-        lines += [f"gamma_{n}({zeta}) = {g.eval_float(zeta):.12g}"
-                  for n, g in enumerate(closed)]
+        payload["norms_numeric"] = numeric
+        lines += [f"gamma_{n}({zeta}) = {gamma:.12g}" for n, gamma in enumerate(numeric)]
     lines.append(f"recursion matches closed form: {all(agree)}")
     _emit(args, payload, rows, lines)
     return 0

@@ -11,7 +11,9 @@ psi(theta + pi) = psi(theta) while the transformed states flip sign under a
 half turn whenever M is even, only odd M survives: the sine-Gordon side is
 algebraically solvable for roughly half the parameter values of its dual.
 At even M the half-turn characters are read off the states of the two
-chains, one solve each, so the rejection needs no sorted spectrum.
+chains, one solve each, so the rejection needs no sorted spectrum.  At odd
+M the circle's weights and moments are the line's, mapped: the weight table
+negated and reversed, the moments multiplied by (-1)**n.
 
 The same map applied to the bounded kink-stability well yields a periodic
 well whose ground state (at epsilon**2 = 1/2) and second excited state
@@ -29,7 +31,7 @@ from .spectrum import (
     QESDomainError,
     QESLevel,
     SpectrumReport,
-    _moment_sequence,
+    moments,
     qes_energies,
     require_qes_domain,
     weights,
@@ -118,14 +120,15 @@ def dsg_weights_moments(m: int, zeta: float, chain: str = "P"):
     The chain recursions keep their form with the energy negated, so the
     circle table is the sinh-Gordon table on the negated support with the
     entries interchanged end to end, and the moments pick up a factor
-    (-1)**n.
+    (-1)**n, exactly.
     """
-    m, shift = require_qes_domain(m, zeta)
+    m, _ = require_qes_domain(m, zeta)
     if m % 2 == 0:
         raise QESDomainError("sine-Gordon weights exist only for odd positive M")
     source = weights(m, zeta, chain)
     table = replace(source, support=tuple((-e, w) for e, w in reversed(source.support)))
-    return table, _moment_sequence(table, zeta, shift, 12)
+    seq = moments(m, zeta, chain, 12)
+    return table, replace(seq, values=tuple((-1) ** n * mu for n, mu in enumerate(seq.values)))
 
 
 # ----------------------------------------------------------------------

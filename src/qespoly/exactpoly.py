@@ -20,14 +20,14 @@ touching its entries.
 Binary floats enter in two places: numeric evaluation (eval_float;
 eval_numeric is Horner in E after Horner in zeta) and root finding, where
 the one Newton loop (newton) polishes seeds.  The general finder real_roots
-seeds it with companion-matrix eigenvalues (polished_real_roots), clusters
-the results into multiplicities and checks the count of distinct real roots
-against an exact Sturm chain.  The numeric pipelines (levels, weights,
-states, duality) never expand a bivariate chain or use this finder: they
-run the three-term recursion at the given zeta (families.float_steps,
-families.member_signs), and spectrum.chain_roots seeds the same Newton loop
-with Jacobi-matrix eigenvalues and certifies the roots by exact signs, with
-no Sturm chain.
+seeds it with companion-matrix eigenvalues, clusters the results into
+multiplicities, checks the count of distinct real roots against an exact
+Sturm chain and bounds each simple root's residual.  The numeric pipelines
+(levels, weights, states, duality) never expand a bivariate chain or use
+this finder: they run the three-term recursion at the given zeta
+(families.float_steps, families.member_signs), and spectrum.chain_roots
+seeds the same Newton loop with Jacobi-matrix eigenvalues and certifies the
+roots by exact signs, with no Sturm chain.
 """
 
 from __future__ import annotations
@@ -427,31 +427,6 @@ def newton(value_slope, x: float, mult: int = 1, steps: int = 60) -> float:
     return x
 
 
-def polished_real_roots(coeffs) -> list:
-    """Real candidates for the roots of a float polynomial, ascending.
-
-    coeffs[k] multiplies x**k.  Companion-matrix eigenvalues within 1e-5
-    (relative) of the real axis are polished by Newton iteration; nothing
-    is certified here.
-    """
-    raw = np.roots(list(reversed(coeffs)))
-    # multiple roots scatter the companion eigenvalues by ~eps**(1/m), so
-    # admit candidates generously and let the caller's certificate decide
-    candidates = [z for z in raw if abs(z.imag) <= 1e-5 * (1.0 + abs(z))]
-    return sorted(newton(lambda x: _val_dval(coeffs, x), float(z.real)) for z in candidates)
-
-
-
-def check_root_residuals(coeffs, roots) -> None:
-    """Raise RootCountMismatch if a simple root of (root, multiplicity)
-    pairs leaves a residual above 1e-10 * (1 + max|root|**degree)."""
-    scale = 1e-10 * (1.0 + max(abs(r) for r, _ in roots) ** (len(coeffs) - 1))
-    for r, mult in roots:
-        v, _ = _val_dval(coeffs, r)
-        if mult == 1 and abs(v) > scale:
-            raise RootCountMismatch(f"root {r} residual {v} above tolerance")
-
-
 def real_roots(p: EnergyPoly, zeta) -> list:
     """All real roots of p at fixed zeta, ascending, as (root, multiplicity).
 
@@ -469,7 +444,10 @@ def real_roots(p: EnergyPoly, zeta) -> list:
 
     coeffs = [float(c) for c in exact]
     n_exact = sturm_real_root_count(exact)
-    polished = polished_real_roots(coeffs)
+    # multiple roots scatter the companion eigenvalues by ~eps**(1/m), so
+    # admit candidates generously and let the certificates below decide
+    polished = sorted(newton(lambda x: _val_dval(coeffs, x), float(z.real))
+                      for z in np.roots(coeffs[::-1]) if abs(z.imag) <= 1e-5 * (1.0 + abs(z)))
 
     def cluster(radius: float):
         groups = []
@@ -503,5 +481,9 @@ def real_roots(p: EnergyPoly, zeta) -> list:
             x = newton(lambda y: _val_dval(coeffs, y), x, mult, 30)
         roots.append((x, mult))
 
-    check_root_residuals(coeffs, roots)
+    scale = 1e-10 * (1.0 + max(abs(r) for r, _ in roots) ** deg)
+    for r, mult in roots:
+        v, _ = _val_dval(coeffs, r)
+        if mult == 1 and abs(v) > scale:
+            raise RootCountMismatch(f"root {r} residual {v} above tolerance")
     return roots

@@ -37,6 +37,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from .exactpoly import (
     EnergyPoly,
     ParamPoly,
@@ -230,11 +232,12 @@ def family_values(spec: ChainSpec, order: int, zeta: float, eps) -> list:
     on float_steps.
 
     eps may be a float or a numpy array of shifted energies; the values
-    then have its shape.
+    then have its shape.  An overflow gives inf or nan without a warning.
     """
     values = [eps * 0.0, eps * 0.0 + 1.0]  # p_{-1} = 0 meets C_1 = 0
-    for b, c in float_steps(spec, order, zeta):
-        values.append((eps + b) * values[-1] + c * values[-2])
+    with np.errstate(over="ignore", invalid="ignore"):
+        for b, c in float_steps(spec, order, zeta):
+            values.append((eps + b) * values[-1] + c * values[-2])
     return values[1:]
 
 

@@ -139,21 +139,23 @@ def discretize(config: OracleConfig) -> Discretization:
 
     Line grids hold the interior points of [-l, l] (Dirichlet ends are
     eliminated); circle grids hold n points over the spec's period with the
-    wrap entering as a corner coupling.
+    wrap entering as a corner coupling.  OracleError if an entry or h*h
+    overflows a float (1/h^2 is then 0).
     """
     spec = config.spec
     if spec.is_circle():
         h = spec.period / config.n
         grid = h * np.arange(config.n)
-        corner = -1.0 / (h * h)
     else:
         h = 2.0 * config.l / (config.n + 1)
         grid = h * (np.arange(config.n) - 0.5 * (config.n - 1))
-        corner = None
-    v = potential_eval(spec, grid)
-    diag = 2.0 / (h * h) + v
-    offdiag = np.full(config.n - 1, -1.0 / (h * h))
-    return Discretization(diag, offdiag, corner, grid, h)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        coupling = 1.0 / np.float64(h * h)
+        diag = 2.0 * coupling + potential_eval(spec, grid)
+    if not (coupling > 0.0 and np.isfinite(diag).all()):
+        raise OracleError(f"the {spec.family} stencil overflows a float at h = {h!r}")
+    offdiag = np.full(config.n - 1, -coupling)
+    return Discretization(diag, offdiag, -coupling if spec.is_circle() else None, grid, h)
 
 
 def _solve(config: OracleConfig, reach: float | None = None) -> tuple:

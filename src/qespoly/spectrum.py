@@ -18,19 +18,21 @@ chain an orthogonal set; weights are generically indefinite here, which the
 sign pattern of the recursion (all a_k < 0 before termination) predicts.
 They have one solve path: the float linear system sum_k p_n(E_k) w_k =
 delta_n0 at the isolated roots, with its residual bounded and its condition
-number reported.  Moments, the norm crosscheck and the sine-Gordon weights
-all take their tables from it.
+number reported.  The norm crosscheck and the sine-Gordon weights take
+their tables from it.  The moments need none: the weights send p_0 to 1,
+p_1..p_{N-1} and every multiple of p_N to 0, so mu_n is the p_0
+coordinate of E**n mod p_N, which the three-term recursion gives.
 
-solve_chain(spec, n, zeta) is the one solve of a chain at one zeta, and
-levels, weights, moments, the crosscheck and the states (wavefunctions) all
-read it, each chain once per call.  It reads nothing but the chain's steps:
-chain_roots takes the roots of the critical member N from the eigenvalues of
+chain_roots(spec, n, zeta) is the one root solve of a chain at one zeta,
+and levels, weights, moments, the crosscheck and the states (wavefunctions)
+all read it, each chain once per call.  It reads nothing but the chain's
+steps: it takes the roots of the critical member N from the eigenvalues of
 the chain's Jacobi matrix, polishes them by Newton on the float recursion
 and certifies them by exact sign changes between neighbouring roots, on the
-integer recursion (families.member_signs); members 0..N+2 are then evaluated
-at those roots in floats (families.family_values).  The crosscheck evaluates
-its sums at the certified roots too.  Only the factorization check builds
-bivariate chains.
+integer recursion (families.member_signs).  solve_chain adds the values of
+members 0..N+2 at those roots, in floats (families.family_values), for the
+weights, the crosscheck sums and the states.  Only the factorization check
+builds bivariate chains.
 """
 
 from __future__ import annotations
@@ -206,7 +208,7 @@ def qes_energies(m, zeta: float) -> SpectrumReport:
     m, shift = require_qes_domain(m, zeta)
     levels = []
     for parity, (spec, count) in enumerate(chain_plan(m)):
-        roots, _ = solve_chain(spec, count, zeta)
+        roots = chain_roots(spec, count, zeta)
         levels += [QESLevel(root + shift, root, parity + 2 * rank, spec.kind)
                    for rank, root in enumerate(roots)]
     levels.sort(key=lambda lv: lv.energy)
@@ -387,37 +389,28 @@ def norm_weight_crosscheck(m, zeta: float, chain: str) -> CrosscheckReport:
 
 
 def moments(m, zeta: float, chain: str, n_max: int) -> MomentSequence:
-    """Power moments of the discrete weight, mu_n = sum_k w_k E_k**n.
+    """Power moments of the discrete weight, mu_n = sum_k w_k E_k**n, from
+    the chain's steps alone: the p_0 coordinates of E**n mod p_N (module
+    docstring).  E maps the coordinates a of E**n in p_0..p_{N-1} to those
+    of E**(n+1) by (E a)_j = a_{j-1} + (shift - B_{j+1}) a_j - C_{j+2} a_{j+1}.
 
     The growth sequence |mu_n|**(1/n) tends to max_k |E_k| for a finite
     atomic measure; the coarser comparator (M + zeta)**2 is reported
     alongside, not asserted.
     """
-    _, shift = require_qes_domain(m, zeta)
+    shift, spec, count = _plan_entry(m, zeta, chain)
     if n_max < 0:
         raise ValueError("order must be nonnegative")
-    return _moment_sequence(weights(m, zeta, chain), zeta, shift, n_max)
-
-
-def _moment_sequence(table: WeightTable, zeta: float, shift: float, n_max: int) -> MomentSequence:
-    """mu_0..mu_n_max of a weight table, with growth and comparators."""
-    energies = np.array([e for e, _ in table.support])
-    w = np.array(table.weights())
-    values = [1.0]
+    max_abs_energy = max(abs(root + shift) for root in chain_roots(spec, count, zeta))
+    bs, cs = np.array(float_steps(spec, count, zeta)).T
+    a, values = np.eye(1, count)[0], [1.0]    # E**0 = p_0
     with np.errstate(over="ignore", invalid="ignore"):
         for n in range(1, n_max + 1):
-            values.append(float(np.dot(w, energies**n)))
+            a, prev = (shift - bs) * a, a
+            a[1:] += prev[:-1]
+            a[:-1] -= cs[1:] * prev[1:]
+            values.append(float(a[0]))
             if not math.isfinite(values[n]):
                 raise QESDomainError(f"moment mu_{n} overflows a float")
-    growth = tuple(
-        abs(values[n]) ** (1.0 / n) if values[n] != 0 else 0.0
-        for n in range(1, n_max + 1)
-    )
-    return MomentSequence(
-        table.chain,
-        zeta,
-        tuple(values),
-        growth,
-        float(np.max(np.abs(energies))),
-        shift,
-    )
+    growth = tuple(abs(mu) ** (1.0 / n) if mu != 0 else 0.0 for n, mu in enumerate(values[1:], 1))
+    return MomentSequence(chain, zeta, tuple(values), growth, max_abs_energy, shift)

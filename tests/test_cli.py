@@ -124,6 +124,13 @@ class TestOtherCommands:
         assert code == 0
         assert "mu_1 = 14" in out and "mu_2 = 180" in out
 
+    def test_moments_at_m65(self, capsys):
+        # the weight solve's residual fails here; the moments need no weights
+        code, out, err = run(capsys, "moments", "--m", "65", "--zeta", "2",
+                             "--chain", "Q", "--format", "json")
+        assert code == 0, err
+        assert len(json.loads(out)["moments"]) == 13
+
     def test_duality_odd(self, capsys):
         code, out, _ = run(capsys, "duality", "--m", "3", "--zeta", "1",
                            "--format", "json")
@@ -334,6 +341,38 @@ class TestOverflowAndGridDomain:
         assert code == 1
         assert out == ""
         assert err.startswith("error: moment mu_") and err.count("\n") == 1
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("argv, message", [
+        (("norms", "--chain", "Pbar", "--m", "3", "--zeta", "1e200", "--order", "4",
+          "--format", "json"), "gamma_2 overflows a float at zeta=1e+200"),
+        (("norms", "--chain", "Qbar", "--m", "3", "--s", "1/2", "--zeta", "1e200",
+          "--order", "4", "--format", "json"), "gamma_2 overflows a float at zeta=1e+200"),
+        (("family", "--chain", "P", "--m", "3", "--order", "3", "--zeta", "1e160"),
+         "member 2 of chain P overflows a float at zeta=1e+160"),
+        (("family", "--chain", "P", "--m", "2", "--s", "1/2", "--order", "4",
+          "--zeta", "1e100"), "member 4 of chain P overflows a float at zeta=1e+100"),
+        (("oracle", "--family", "dshg", "--m", "3", "--zeta", "1e200"),
+         "the dshg stencil overflows a float"),
+        (("oracle", "--family", "phi6_kink", "--epsilon-sq", "1e-300"),
+         "the phi6_kink stencil overflows a float"),
+        (("oracle", "--family", "harmonic", "--domain-l", "1e300"),
+         "the harmonic stencil overflows a float"),
+        (("oracle", "--family", "harmonic", "--domain-l", "1e-300"),
+         "the harmonic stencil overflows a float"),
+        (("wavefunction", "--m", "3", "--zeta", "1e120", "--level", "0"),
+         "series does not terminate"),
+        (("duality", "--m", "4", "--zeta", "1e120"), "series does not terminate"),
+        (("spectrum", "--m", "3", "--zeta", "1e120"), ""),
+        (("duality", "--m", "3", "--zeta", "1e120"), ""),
+    ])
+    def test_overflowing_value_is_one_named_error_line(self, capsys, argv, message):
+        # warnings are errors here, so a numpy overflow warning fails the test
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: " + message) and err.count("\n") == 1
+        assert "(34," not in err
 
     @pytest.mark.parametrize("argv", [
         ("oracle", "--zeta", "1", "--count", "3000", "--grid-n", "2048"),

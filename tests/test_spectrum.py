@@ -18,6 +18,7 @@ from qespoly.families import (
     gen_family,
     gen_quotient,
     member_signs,
+    recursion_coeffs,
     three_term_form,
 )
 from qespoly.spectrum import (
@@ -493,6 +494,19 @@ class TestOneChainSolve:
         assert norm_weight_crosscheck(8, 1.0, "Q").ok
         assert (len(roots), len(values), len(weight_calls)) == (1, 1, 0)
 
+    def test_moments_read_the_roots_and_steps_alone(self, monkeypatch):
+        roots = _counting(monkeypatch, spectrum, "chain_roots")
+        table_reads = [_counting(monkeypatch, spectrum, name)
+                       for name in ("weights", "_weight_table", "family_values")]
+        moments(8, 1.0, "Q", 12)
+        assert len(roots) == 1
+        assert table_reads == [[], [], []]
+
+    def test_levels_evaluate_no_member(self, monkeypatch):
+        values = _counting(monkeypatch, spectrum, "family_values")
+        assert len(qes_energies(9, 1.0).levels) == 9
+        assert values == []
+
     def test_sorted_spectrum_still_fails_below_one_ulp(self):
         # at (21, 1) the lowest doublet is split by 1.2e-21, far below the
         # float spacing, so the float-sorted node order breaks; states and
@@ -538,6 +552,43 @@ class TestMoments:
     def test_comparator_reported(self):
         seq = moments(3, 1.0, "P", 2)
         assert seq.leading_order_comparator == pytest.approx(16.0)
+
+    @pytest.mark.parametrize("m", range(1, 11))
+    @pytest.mark.parametrize("zeta", [0.5, 1.0, 2.0])
+    def test_moments_are_the_weight_sums(self, m, zeta):
+        # where the weight solve succeeds, mu_n = sum_k w_k E_k**n to its rounding
+        for spec, _ in chain_plan(m):
+            table = weights(m, zeta, spec.kind)
+            seq = moments(m, zeta, spec.kind, 12)
+            for n, mu in enumerate(seq.values):
+                terms = [w * e**n for e, w in table.support]
+                assert abs(mu - math.fsum(terms)) <= 1e-12 * math.fsum(map(abs, terms))
+            assert seq.max_abs_energy == max(abs(e) for e, _ in table.support)
+
+    @pytest.mark.parametrize("zeta", [0.5, 1.0, 2.0])
+    def test_every_chain_has_moments_up_to_m65(self, zeta):
+        # the weight solve's residual fails at most of these points
+        for m in range(1, 66):
+            for spec, _ in chain_plan(m):
+                assert len(moments(m, zeta, spec.kind, 12).values) == 13
+
+    @pytest.mark.parametrize("m", [11, 21, 33, 65])
+    @pytest.mark.parametrize("zeta", [0.5, 1.0, 2.0])
+    def test_moments_agree_with_the_exact_recursion(self, m, zeta):
+        # the coordinates of E**n mod p_N, run in Fractions at Fraction(zeta)
+        z = Fraction(zeta)
+        for spec, count in chain_plan(m):
+            steps = [[sum(c * z**k for k, c in enumerate(p.coeffs))
+                      for p in recursion_coeffs(spec, n)] for n in range(1, count + 1)]
+            shift = (m + z) ** 2
+            a, want = [Fraction(1)] + [Fraction(0)] * (count - 1), [Fraction(1)]
+            for _ in range(40):
+                a = [(a[j - 1] if j else 0) + (shift - steps[j][0]) * a[j]
+                     - (steps[j + 1][1] * a[j + 1] if j + 1 < count else 0)
+                     for j in range(count)]
+                want.append(a[0])
+            got = moments(m, zeta, spec.kind, 40).values
+            assert max(_relative_errors(got, want)) <= 1e-14
 
     @pytest.mark.parametrize("m, zeta, n_max, first", [(3, 1e20, 12, 8), (9, 2.0, 400, 151)])
     def test_overflowing_moment_is_named(self, m, zeta, n_max, first):
