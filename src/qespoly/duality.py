@@ -10,10 +10,11 @@ potential -(zeta cos 2theta - M)**2.  Because the circle problem demands
 psi(theta + pi) = psi(theta) while the transformed states flip sign under a
 half turn whenever M is even, only odd M survives: the sine-Gordon side is
 algebraically solvable for roughly half the parameter values of its dual.
-At even M the half-turn characters are read off the states of the two
-chains, one solve each, so the rejection needs no sorted spectrum.  At odd
-M the circle's weights and moments are the line's, mapped: the weight table
-negated and reversed, the moments multiplied by (-1)**n.
+Every term cos(theta)**e * sin(theta)**(2s) of a chain's dual series picks
+up the same (-1)**(e + 2s) under a half turn, so the even-M characters come
+from the chain plan alone.  At odd M the circle's weights and moments are
+the line's, mapped: the weight table negated and reversed, the moments
+multiplied by (-1)**n.
 
 The same map applied to the bounded kink-stability well yields a periodic
 well whose ground state (at epsilon**2 = 1/2) and second excited state
@@ -26,17 +27,18 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .families import series_index
 from .potentials import phi6_kink
 from .spectrum import (
     QESDomainError,
     QESLevel,
     SpectrumReport,
+    chain_plan,
     moments,
     qes_energies,
     require_qes_domain,
     weights,
 )
-from .wavefunctions import chain_states
 
 __all__ = [
     "DsgRejection",
@@ -96,17 +98,14 @@ def dsg_spectrum(m: int, zeta: float):
     Odd M: the image of the sinh-Gordon spectrum under negate-and-reverse,
     with node labels by energy rank and the chain inherited from the source
     level.  Even M: every candidate state is odd under a half turn, so no
-    pi-periodic eigenstate exists at the mapped energies.  The candidate
-    states come from one solve of each chain, with no level sort.
+    pi-periodic eigenstate exists at the mapped energies.  The character of
+    the state with k nodes is (-1)**(e_0 + 2s) of the plan's chain k % 2.
     """
     m, shift = require_qes_domain(m, zeta)
     if m % 2 == 0:
-        # characters on the 2*pi circle, by node count
-        theta = np.linspace(0.0, 2.0 * np.pi, 512, endpoint=False)
-        states = sorted(chain_states(m, zeta, 0) + chain_states(m, zeta, 1),
-                        key=lambda state: state.level)
-        return DsgRejection(m, zeta, tuple(periodicity_character(state.eval_dual(theta))
-                                           for state in states),
+        characters = [(-1) ** (series_index(spec.kind, 0) + int(2 * spec.s))
+                      for spec, _ in chain_plan(m)]
+        return DsgRejection(m, zeta, tuple(characters[k % 2] for k in range(m)),
                             "candidate states change sign under a half turn (even M)")
     source = qes_energies(m, zeta)
     pairs = enumerate(zip(dual_energies(source.energies()), reversed(source.levels)))

@@ -215,7 +215,10 @@ def _first_reached_row(diag, h: float, e_up: float) -> int:
     the rows beyond the one where the sum reaches REACH_DECAY are dropped.
     The last row carries the centre coupling and never takes part.
     """
-    excess = h * h * diag[:-1] - 2.0 - h * h * e_up    # h^2 (V_i - e_up)
+    with np.errstate(over="ignore", invalid="ignore"):
+        excess = h * h * diag[:-1] - 2.0 - h * h * e_up    # h^2 (V_i - e_up)
+    if not np.all(np.isfinite(excess)):    # h^2 V overflows: keep every row
+        return 0
     allowed = np.flatnonzero(excess <= 0.0)
     turn = int(allowed[0]) if allowed.size else len(excess)
     decay = np.cumsum(np.arccosh(1.0 + 0.5 * excess[:turn][::-1]))

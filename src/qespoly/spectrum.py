@@ -214,6 +214,9 @@ def qes_energies(m, zeta: float) -> SpectrumReport:
     levels.sort(key=lambda lv: lv.energy)
     for lo, hi in zip(levels, levels[1:]):
         if lo.nodes > hi.nodes:
+            if lo.energy == hi.energy:
+                raise QESDomainError(f"levels not distinct in floats: nodes {hi.nodes} and"
+                                     f" {lo.nodes} both round to E = {lo.energy!r}")
             raise QESDomainError(f"node interlacing violated: node {lo.nodes} at E = {lo.energy!r}"
                                  f" sorts below node {hi.nodes} at E = {hi.energy!r}")
     return SpectrumReport(m, zeta, tuple(levels))

@@ -16,8 +16,9 @@ Each chain carries one parity of levels, so the state with k nodes is root
 k // 2 of the chain at index k % 2 of the level plan (spectrum.chain_plan,
 spectrum.solve_chain); no float sort of the two chains' levels is involved.
 
-The same coefficients evaluated with cosh -> cos give the circle image of
-the state used on the double sine-Gordon side.
+The same coefficients evaluated with cosh -> cos give the state's circle
+image on the double sine-Gordon side, whose half-turn character the chain
+alone fixes (duality.dsg_spectrum).
 """
 
 from __future__ import annotations
@@ -82,21 +83,14 @@ class QESState:
 
 
 def build_qes_state(m: int, zeta: float, level: int) -> QESState:
-    """Assemble the series state for one algebraic level: root level // 2
-    of the chain that carries the levels of node parity level % 2."""
-    m, _ = require_qes_domain(m, zeta)
+    """Assemble the series state for one algebraic level: root level // 2 of
+    the chain of node parity level % 2.  Two members past the critical index
+    are certified finite and vanishing (relative 1e-9) at every root of that
+    chain, so the truncation is exact rather than approximate."""
+    m, shift = require_qes_domain(m, zeta)
     if not 0 <= level < m:
         raise QESDomainError(f"level must be in 0..{m - 1}")
-    return chain_states(m, zeta, level % 2)[level // 2]
-
-
-def chain_states(m: int, zeta: float, parity: int) -> list:
-    """The states of the plan's chain at index `parity`, state k with 2k +
-    parity nodes, from one chain solve.  Two members beyond the critical
-    index are certified finite and vanishing (relative 1e-9) at every root,
-    making the truncation exact rather than approximate."""
-    m, shift = require_qes_domain(m, zeta)
-    spec, crit = chain_plan(m)[parity]
+    spec, crit = chain_plan(m)[level % 2]
     roots, values = solve_chain(spec, crit, zeta)
     factorials = [float(math.factorial(series_index(spec.kind, j))) for j in range(crit + 3)]
     coeffs = np.array(values) / np.array(factorials)[:, None]
@@ -109,10 +103,10 @@ def chain_states(m: int, zeta: float, parity: int) -> list:
         raise QESDomainError(f"series does not terminate: |c_{crit + j}| = {tail[j, k]}"
                              f" against max |c| = {scale[k]}")
     coeffs[crit:] = 0.0
-    return [QESState(m=m, zeta=zeta, level=2 * k + parity, chain=spec.kind, s=spec.s,
-                     coeffs=tuple(c), energy=root + shift, script_energy=root,
-                     critical_index=crit)
-            for k, (root, c) in enumerate(zip(roots, coeffs.T.tolist()))]
+    root = roots[level // 2]
+    return QESState(m=m, zeta=zeta, level=level, chain=spec.kind, s=spec.s,
+                    coeffs=tuple(coeffs[:, level // 2].tolist()), energy=root + shift,
+                    script_energy=root, critical_index=crit)
 
 
 def node_count(state, grid) -> int:

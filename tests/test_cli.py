@@ -312,6 +312,15 @@ class TestCliContract:
                            "--format", "pretty")
         assert code == 0
 
+    def test_verify_all_duality_holds_past_the_sampled_characters(self, capsys):
+        # a sampled half-turn character is ill conditioned at M = 24; the
+        # weight and oracle checks still fail there
+        code, out, _ = run(capsys, "verify-all", "--m", "24", "--zeta", "1", "--format", "json")
+        doc = json.loads(out)
+        assert code == 1
+        assert {check["name"]: check["ok"] for check in doc["checks"]}["duality"] is True
+        assert doc["ok"] is False
+
 
 class TestOverflowAndGridDomain:
     @pytest.mark.parametrize("argv", [
@@ -362,7 +371,7 @@ class TestOverflowAndGridDomain:
          "the harmonic stencil overflows a float"),
         (("wavefunction", "--m", "3", "--zeta", "1e120", "--level", "0"),
          "series does not terminate"),
-        (("duality", "--m", "4", "--zeta", "1e120"), "series does not terminate"),
+        (("duality", "--m", "4", "--zeta", "1e160"), "the shift (M + zeta)**2 overflows"),
         (("spectrum", "--m", "3", "--zeta", "1e120"), ""),
         (("duality", "--m", "3", "--zeta", "1e120"), ""),
     ])
@@ -373,6 +382,25 @@ class TestOverflowAndGridDomain:
         assert out == ""
         assert err.startswith("error: " + message) and err.count("\n") == 1
         assert "(34," not in err
+
+    @pytest.mark.filterwarnings("error")
+    def test_even_m_duality_past_the_float_series_is_rejected(self, capsys):
+        # the characters need no state, so a series that no longer
+        # terminates in floats does not matter
+        code, out, err = run(capsys, "duality", "--m", "4", "--zeta", "1e120",
+                             "--format", "json")
+        assert (code, err) == (0, "")
+        assert json.loads(out)["characters"] == [-1] * 4
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_reach_keeps_every_row(self, capsys):
+        # h^2 V overflows at the line's ends; the levels are the whole blocks'
+        code, out, err = run(capsys, "oracle", "--family", "harmonic", "--domain-l", "1e150",
+                             "--format", "json")
+        assert (code, err) == (0, "")
+        got = json.loads(out)["eigenvalues"]
+        assert got == pytest.approx([2.3818591887721065e+293] * 2 + [2.143673269894896e+294] * 2
+                                    + [5.954647971930266e+294] * 2, rel=1e-12)
 
     @pytest.mark.parametrize("argv", [
         ("oracle", "--zeta", "1", "--count", "3000", "--grid-n", "2048"),

@@ -1,3 +1,5 @@
+import ast
+import inspect
 import math
 
 import numpy as np
@@ -25,6 +27,7 @@ from qespoly.potentials import (
     sextic_qes_levels,
 )
 from qespoly.spectrum import QESDomainError, moments, qes_energies, weights
+from qespoly.wavefunctions import build_qes_state
 
 
 class TestPotentials:
@@ -163,33 +166,64 @@ class TestPeriodicityCharacter:
 
 
 class TestEvenMSolvesOnce:
-    def test_dsg_spectrum_solves_each_chain_once(self, monkeypatch):
+    def test_dsg_spectrum_solves_no_chain(self, monkeypatch):
         import qespoly.duality as duality
         import qespoly.spectrum as spectrum
         import qespoly.wavefunctions as wavefunctions
 
-        sorted_calls, solved = [], []
-        true_solve = spectrum.solve_chain
+        def forbidden(*args):
+            raise AssertionError("even-M dsg_spectrum solved a chain")
 
-        def counting_solve(spec, n, zeta):
-            solved.append(spec.kind)
-            return true_solve(spec, n, zeta)
-
-        monkeypatch.setattr(duality, "qes_energies",
-                            lambda m, zeta: sorted_calls.append((m, zeta)))
-        monkeypatch.setattr(wavefunctions, "solve_chain", counting_solve)
+        monkeypatch.setattr(duality, "qes_energies", forbidden)
+        for module, name in ((spectrum, "chain_roots"), (spectrum, "solve_chain"),
+                             (wavefunctions, "solve_chain"),
+                             (wavefunctions, "build_qes_state")):
+            monkeypatch.setattr(module, name, forbidden)
         outcome = dsg_spectrum(6, 1.0)
         assert isinstance(outcome, DsgRejection)
         assert outcome.characters == (ANTIPERIODIC,) * 6
-        assert sorted_calls == []
-        assert sorted(solved) == ["P", "Q"]
+
+    def test_duality_builds_no_state(self):
+        import qespoly.duality as duality
+        import qespoly.wavefunctions as wavefunctions
+
+        imported = {node.module for node in ast.walk(ast.parse(inspect.getsource(duality)))
+                    if isinstance(node, ast.ImportFrom)}
+        assert "wavefunctions" not in imported
+        assert not hasattr(wavefunctions, "chain_states")
 
     def test_rejection_past_the_float_order(self):
-        # the characters come from the chains' own states, with no float
-        # sort of the levels
+        # the characters come from the chain plan, with no float sort of
+        # the levels
         outcome = dsg_spectrum(16, 1.0)
         assert isinstance(outcome, DsgRejection)
         assert outcome.characters == (ANTIPERIODIC,) * 16
+
+
+class TestHalfTurnRule:
+    @pytest.mark.parametrize("zeta", [0.5, 1.0, 2.0])
+    def test_rule_agrees_with_the_sampled_states(self, zeta):
+        # the sampled character is an independent witness where it is well
+        # conditioned: +1 for every state at odd M, the rejection's at even M
+        theta = np.linspace(0.0, 2.0 * np.pi, 512, endpoint=False)
+        for m in range(1, 21):
+            outcome = dsg_spectrum(m, zeta)
+            rule = outcome.characters if m % 2 == 0 else (PERIODIC,) * m
+            sampled = tuple(periodicity_character(build_qes_state(m, zeta, k).eval_dual(theta))
+                            for k in range(m))
+            assert sampled == rule, (m, zeta)
+
+    @pytest.mark.parametrize("zeta", [0.5, 1.0, 2.0])
+    def test_every_even_m_is_antiperiodic(self, zeta):
+        # the rule needs no state: a sampled character is ill conditioned
+        # from M ~ 24, and the float chain solve stops at M = 151
+        for m in range(22, 151, 2):
+            outcome = dsg_spectrum(m, zeta)
+            assert outcome.characters == (ANTIPERIODIC,) * m, (m, zeta)
+
+    @pytest.mark.parametrize("m, zeta", [(4, 1e120), (152, 1.0)])
+    def test_past_the_float_chain_solve(self, m, zeta):
+        assert dsg_spectrum(m, zeta).characters == (ANTIPERIODIC,) * m
 
 
 class TestDsgWeightsMoments:

@@ -522,6 +522,13 @@ class TestOneChainSolve:
         above, low, below, high = found.groups()
         assert int(above) == int(below) + 1 and float(low) <= float(high)
 
+    def test_levels_rounding_together_are_named(self):
+        # every level rounds to the shift 1e240, so no order can be read
+        with pytest.raises(QESDomainError) as info:
+            qes_energies(3, 1e120)
+        assert str(info.value) == ("levels not distinct in floats:"
+                                   " nodes 1 and 2 both round to E = 1e+240")
+
 
 class TestMoments:
     def test_m3_p_first_moments(self):
