@@ -10,12 +10,13 @@ a caller reads them.  Both are immutable and canonical (trailing zeros
 stripped; the zero polynomial is empty), so generated families compare
 coefficient for coefficient.
 
-One set of row helpers (_add, _mul, _horner) does the arithmetic of both
-classes, the one exact long division (poly_divide_exact, which also builds
-Sturm chains), exact specialization and numeric evaluation.  Chains are
-built by step_rows, one recursion step (E + b0 + b1*zeta)*p + c1*zeta*q as
-a shift, scalings and additions, and from_rows wraps the result without
-touching its entries.
+One set of row helpers (_add, _product, _horner) does the arithmetic of
+both classes, the one exact long division (poly_divide_exact, which also
+builds Sturm chains), exact specialization and numeric evaluation.  A
+product clears each operand's denominators once, convolves integer rows
+and divides each entry once.  Chains are built by step_rows, one recursion
+step (E + b0 + b1*zeta)*p + c1*zeta*q as a shift, scalings and additions,
+and from_rows wraps the result without touching its entries.
 
 Binary floats enter in two places: numeric evaluation (eval_float;
 eval_numeric is Horner in E after Horner in zeta) and root finding, where
@@ -35,6 +36,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import zip_longest
+from math import lcm
+from operator import add
 
 import numpy as np
 
@@ -52,12 +55,10 @@ class RootCountMismatch(RuntimeError):
 
 def as_rational(x) -> Fraction:
     """Coerce ints, Fractions and binary floats to an exact Fraction."""
-    # int first: an isinstance test against Fraction, an ABC, is slow for ints
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, Fraction):
+    # exact types first: an isinstance test against Fraction, an ABC, is slow
+    if type(x) is Fraction:
         return x
-    if isinstance(x, float):
+    if isinstance(x, (int, float, Fraction)):
         return Fraction(x)
     raise TypeError(f"cannot represent {type(x).__name__} exactly")
 
@@ -84,16 +85,38 @@ def _trim(xs: list) -> list:
     return xs
 
 
+def _integral(rows) -> tuple:
+    """(d, rows * d) for d the lcm of the denominators; (1, rows) if all ints."""
+    dens = {x.denominator for row in rows for x in row if type(x) is not int}
+    d = lcm(*dens)
+    return d, [[x.numerator * (d // x.denominator) for x in row] for row in rows] if dens else rows
+
+
 def _add(a, b) -> tuple:
-    return tuple(_trim([x + y for x, y in zip_longest(a, b, fillvalue=0)]))
+    """a + b on rows; the entries past the shorter row are reused."""
+    if len(a) < len(b):
+        a, b = b, a
+    head = [s if type(s) is int else plain(s) for s in map(add, a, b)]
+    return tuple(_trim(head)) if len(a) == len(b) else (*head, *a[len(b):])
 
 
-def _mul(a, b) -> tuple:
-    out = [0] * max(len(a) + len(b) - 1, 0)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return tuple(_trim(out))
+def _product(a, b) -> list:
+    """a * b on lists of rows: the integer rows over each operand's
+    denominator are convolved in place, and each entry divided once."""
+    (da, a), (db, b) = _integral(a), _integral(b)
+    d = da * db
+    out = [[] for _ in range(len(a) + len(b) - 1)]
+    for i, ra in enumerate(a):
+        for k, rb in enumerate(b):
+            acc = out[i + k]
+            acc += [0] * (len(ra) + len(rb) - 1 - len(acc))
+            for j, x in enumerate(ra):
+                if x:
+                    for l, y in enumerate(rb, j):
+                        acc[l] += x * y
+    return _trim([tuple(_trim(row if d == 1 else
+                              [v // d if not v % d else Fraction(v, d) for v in row]))
+                  for row in out])
 
 
 def _horner(coeffs, x):
@@ -150,7 +173,8 @@ class ParamPoly:
         return ParamPoly(tuple(-c for c in self.coeffs))
 
     def __mul__(self, other):
-        return ParamPoly(_mul(self.coeffs, _coerce_param(other).coeffs))
+        rows = _product((self.coeffs,), (_coerce_param(other).coeffs,))
+        return ParamPoly(rows[0] if rows else ())
 
     __radd__ = __add__
     __rmul__ = __mul__
@@ -176,7 +200,8 @@ class ParamPoly:
                 body = str(mag)
             else:
                 var = ZETA_SYMBOL if k == 1 else f"{ZETA_SYMBOL}^{k}"
-                body = var if mag == 1 else f"{mag}{var}"
+                num = "" if mag == 1 else mag if mag.denominator == 1 else f"({mag})"
+                body = f"{num}{var}"  # a bare 8/3ζ would read as 8/(3ζ)
             parts.append((sign, body))
         first_sign, first_body = parts[0]
         text = ("-" if first_sign == "-" else "") + first_body
@@ -249,19 +274,13 @@ class EnergyPoly:
         return EnergyPoly(tuple(tuple(-x for x in row) for row in self.rows))
 
     def __mul__(self, other):
-        other = _coerce_energy(other)
-        out = [()] * max(len(self.rows) + len(other.rows) - 1, 0)
-        for i, a in enumerate(self.rows):
-            for j, b in enumerate(other.rows):
-                out[i + j] = _add(out[i + j], _mul(a, b))
-        return EnergyPoly(tuple(out))
+        return EnergyPoly(tuple(_product(self.rows, _coerce_energy(other).rows)))
 
     __radd__ = __add__
     __rmul__ = __mul__
 
     def scale(self, factor) -> "EnergyPoly":
-        f = _row(factor)
-        return EnergyPoly(tuple(_mul(row, f) for row in self.rows))
+        return EnergyPoly(tuple(_product(self.rows, (_row(factor),))))
 
     def specialize(self, zeta) -> list:
         """Exact univariate coefficients in E at a rational zeta value."""
@@ -310,17 +329,18 @@ def from_rows(rows) -> EnergyPoly:
 def step_rows(p, q, b0, b1, c1) -> tuple:
     """Rows of (E + b0 + b1*zeta)*p + c1*zeta*q.
 
-    One shift in E, one shift in zeta, three scalings and the sums: no
-    general product and no normalisation for integer entries.
+    One shift in E, one shift in zeta, three scalings and the sums; only a
+    step with a Fraction normalises, turning integral entries into ints.
     """
+    frac = not type(b0) is type(b1) is type(c1) is int
     out = []
     below = ()
     for k in range(max(len(p) + 1, len(q))):
         cur = p[k] if k < len(p) else ()
         lag = q[k] if c1 and k < len(q) else ()
         shifted = [0] + [b1 * x + c1 * y for x, y in zip_longest(cur, lag, fillvalue=0)]
-        out.append(tuple(_trim([x + b0 * y + z for x, y, z
-                                in zip_longest(below, cur, shifted, fillvalue=0)])))
+        row = _trim([x + b0 * y + z for x, y, z in zip_longest(below, cur, shifted, fillvalue=0)])
+        out.append(tuple(map(plain, row) if frac else row))
         below = cur
     return tuple(_trim(out))
 
@@ -349,18 +369,18 @@ def poly_divide_exact(a: EnergyPoly, b: EnergyPoly):
     if len(b.rows[-1]) > 1:
         raise ExactDivisionError("non-divisible leading coefficient")
     inv = plain(Fraction(1, b.rows[-1][0]))
-    minus_divisor = [tuple(-x for x in row) for row in b.rows]
-    rem = list(a.rows)
     db = len(b.rows) - 1
+    minus_lower = [tuple(-x * inv for x in row) for row in b.rows[:db]]
+    rem = list(a.rows)
     quo = [()] * max(len(rem) - db, 0)
-    for shift in range(len(rem) - 1 - db, -1, -1):
-        top = rem[shift + db]
-        if not top:
-            continue
-        quo[shift] = factor = tuple(c * inv for c in top)
-        for i in range(db):
-            rem[shift + i] = _add(rem[shift + i], _mul(factor, minus_divisor[i]))
-        rem[shift + db] = ()
+    while len(rem) > db:  # divide by b / lead, whose top row cancels rem's
+        shift = len(rem) - 1 - db
+        quo[shift] = top = rem.pop()
+        sub = zip_longest(rem[shift:], _product((top,), minus_lower), fillvalue=())
+        rem[shift:] = [_add(x, y) for x, y in sub]
+        _trim(rem)
+    if inv != 1:
+        quo = _product(quo, ((inv,),))
     return from_rows(quo), from_rows(rem)
 
 

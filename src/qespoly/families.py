@@ -167,7 +167,7 @@ def _r_step(m, t: int, j: int) -> tuple:
 
     Plain numbers: ints throughout for integer M, a Fraction c1 for rational M.
     """
-    return (j + t) ** 2, 4 * j + 2, plain(4 * (m + 1 - t - j) * j * (j - 1))
+    return (j + t) ** 2, 4 * j + 2, 4 * (m + 1 - t - j) * j * (j - 1)
 
 
 def _step(spec: ChainSpec, n: int) -> tuple:

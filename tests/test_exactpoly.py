@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from qespoly import exactpoly
 from qespoly.exactpoly import (
     ENERGY_ONE,
     EnergyPoly,
@@ -15,6 +16,7 @@ from qespoly.exactpoly import (
     step_rows,
     sturm_real_root_count,
 )
+from qespoly.families import ChainSpec, gen_family
 
 
 def e_poly(*coeffs):
@@ -70,6 +72,126 @@ class TestArithmetic:
         assert EnergyPoly((ParamPoly.const(3), ParamPoly.zero())).degree() == 0
         assert ParamPoly((0, 0)).is_zero()
         assert ParamPoly((Fraction(2, 4),)).coeffs == (Fraction(1, 2),)
+
+
+def schoolbook(a_rows, b_rows) -> dict:
+    """Product of two lists of rows as {(k, j): coefficient of E**k zeta**j},
+    one Fraction product and one Fraction sum per pair of entries."""
+    out = {}
+    for i, ra in enumerate(a_rows):
+        for k, rb in enumerate(b_rows):
+            for j, x in enumerate(ra):
+                for l, y in enumerate(rb):
+                    key = (i + k, j + l)
+                    out[key] = out.get(key, Fraction(0)) + Fraction(x) * Fraction(y)
+    return {key: c for key, c in out.items() if c}
+
+
+def entries(rows) -> dict:
+    return {(k, j): Fraction(x) for k, row in enumerate(rows) for j, x in enumerate(row) if x}
+
+
+def add_entries(*terms: dict) -> dict:
+    out = {}
+    for term in terms:
+        for key, c in term.items():
+            out[key] = out.get(key, Fraction(0)) + c
+    return {key: c for key, c in out.items() if c}
+
+
+def ints_where_integral(rows) -> bool:
+    return all(type(x) is int if x.denominator == 1 else type(x) is Fraction
+               for row in rows for x in row)
+
+
+def rand_entry(rng, kind):
+    if kind == "int" or (kind == "mixed" and rng.random() < 0.5):
+        return rng.randint(-7, 7)
+    return Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3, 4, 6)))
+
+
+def rand_rows(rng, kind, width):
+    """An EnergyPoly of up to `width` powers of E with rows up to `width` wide."""
+    return EnergyPoly(tuple(
+        ParamPoly(tuple(rand_entry(rng, kind) for _ in range(rng.randint(0, width))))
+        for _ in range(rng.randint(0, width))
+    ))
+
+
+KINDS = ("int", "fraction", "mixed")
+
+
+class TestIntegralProduct:
+    """The one-denominator product against a schoolbook Fraction product."""
+
+    @pytest.mark.parametrize("width", range(6))
+    @pytest.mark.parametrize("kind_b", KINDS)
+    @pytest.mark.parametrize("kind_a", KINDS)
+    def test_energy_products_and_sums(self, kind_a, kind_b, width):
+        rng = random.Random(f"{kind_a}-{kind_b}-{width}")
+        for _ in range(25):
+            a, b = rand_rows(rng, kind_a, width), rand_rows(rng, kind_b, width)
+            for got, want in ((a * b, schoolbook(a.rows, b.rows)),
+                              (a + b, add_entries(entries(a.rows), entries(b.rows)))):
+                assert entries(got.rows) == want
+                assert ints_where_integral(got.rows)
+                assert got == EnergyPoly(tuple(ParamPoly(row) for row in got.rows))
+
+    @pytest.mark.parametrize("width", range(6))
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_param_products_and_scale(self, kind, width):
+        rng = random.Random(f"{kind}-{width}")
+        for _ in range(25):
+            a = rand_rows(rng, kind, width)
+            f = ParamPoly(tuple(rand_entry(rng, kind) for _ in range(rng.randint(0, width))))
+            g = ParamPoly(tuple(rand_entry(rng, kind) for _ in range(rng.randint(0, width))))
+            assert entries(((f * g).coeffs,)) == schoolbook((f.coeffs,), (g.coeffs,))
+            assert all(type(x) is Fraction for x in (f * g).coeffs)
+            scaled = a.scale(f)
+            assert entries(scaled.rows) == schoolbook(a.rows, (f.coeffs,))
+            assert ints_where_integral(scaled.rows)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_division_reconstructs_by_schoolbook(self, kind):
+        rng = random.Random(kind)
+        for _ in range(60):
+            a = rand_rows(rng, kind, 5)
+            lead = ParamPoly.const(rand_entry(rng, kind) or 1)
+            b = EnergyPoly(rand_rows(rng, kind, 4).coeffs + (lead,))
+            q, r = poly_divide_exact(a, b)
+            assert r.degree() < b.degree()
+            assert entries(a.rows) == add_entries(schoolbook(q.rows, b.rows), entries(r.rows))
+            assert ints_where_integral(q.rows) and ints_where_integral(r.rows)
+
+    def test_zero_and_cancelling_sum(self):
+        a = e_poly((Fraction(1, 2), 3), (0, Fraction(-5, 6)), 1)
+        assert (a * EnergyPoly.zero()).is_zero() and (EnergyPoly.zero() * a).is_zero()
+        assert (a + (-a)).rows == () and (a - a).is_zero()
+        assert (a.scale(0)).is_zero() and (ParamPoly.zero() * ParamPoly((1, 2))).is_zero()
+        b = -(a * E_PLUS_2Z)
+        assert (a * E_PLUS_2Z + b).rows == ()
+
+    def test_integral_results_are_ints(self):
+        half = EnergyPoly((Fraction(1, 2),))
+        assert (half * EnergyPoly((2,))).rows == ((1,),)
+        assert (half + half).rows == ((1,),)
+        assert half.scale(2).rows == ((1,),)
+        q, r = poly_divide_exact(EnergyPoly((2, 2)), EnergyPoly((0, 2)))
+        assert q.rows == ((1,),) and r.rows == ((2,),)
+        for p in (half * EnergyPoly((2,)), half + half, half.scale(2), q, r):
+            assert type(p.rows[0][0]) is int
+
+    def test_rational_m_chain_holds_ints(self):
+        fam = gen_family(ChainSpec("P", Fraction(1, 3), Fraction(0)), 6)
+        assert all(ints_where_integral(p.rows) for p in fam.members)
+        assert sum(type(x) is Fraction for p in fam.members for row in p.rows for x in row) > 0
+
+    def test_integer_m_chain_normalises_nothing(self, monkeypatch):
+        def refuse(x):
+            raise AssertionError("step_rows normalised an entry at integer M")
+        monkeypatch.setattr(exactpoly, "plain", refuse)
+        fam = gen_family(ChainSpec("P", Fraction(9), Fraction(0)), 12)
+        assert all(type(x) is int for p in fam.members for row in p.rows for x in row)
 
 
 class TestDivision:
@@ -274,3 +396,15 @@ class TestRendering:
         assert ParamPoly((Fraction(-16), Fraction(0), Fraction(1))).render() == "ζ^2-16"
         assert ParamPoly((Fraction(35, 2),)).render() == "35/2"
         assert ParamPoly((0, -16)).render() == "-16ζ"
+
+    def test_fraction_on_a_zeta_power_is_bracketed(self):
+        assert ParamPoly((0, Fraction(8, 3), 20)).render() == "20ζ^2+(8/3)ζ"
+        assert ParamPoly((0, Fraction(16, 3))).render() == "(16/3)ζ"
+        assert ParamPoly((Fraction(1, 2), Fraction(-8, 3), 0, Fraction(1, 4))).render() == \
+            "(1/4)ζ^3-(8/3)ζ+1/2"
+        assert ParamPoly((0, Fraction(-16, 3))).render() == "-(16/3)ζ"
+        assert ParamPoly((Fraction(35, 2), Fraction(6, 3))).render() == "2ζ+35/2"
+
+    def test_rational_m_member_renders_unambiguously(self):
+        fam = gen_family(ChainSpec("P", Fraction(1, 3), Fraction(0)), 2)
+        assert fam[2].render() == "E^2 + (12ζ+4)E + (20ζ^2+(8/3)ζ)"
