@@ -23,22 +23,23 @@ their tables from it.  The moments need none: the weights send p_0 to 1,
 p_1..p_{N-1} and every multiple of p_N to 0, so mu_n is the p_0
 coordinate of E**n mod p_N, which the three-term recursion gives.
 
-chain_roots(spec, n, zeta) is the one root solve of a chain at one zeta,
-and levels, weights, moments, the crosscheck and the states (wavefunctions)
-all read it, each chain once per call.  It reads nothing but the chain's
-steps: it takes the roots of the critical member N from the eigenvalues of
-the chain's Jacobi matrix, polishes them by Newton on the float recursion
-and certifies them by exact sign changes between neighbouring roots, on the
-integer recursion (families.member_signs).  solve_chain adds the values of
-members 0..N+2 at those roots, in floats (families.family_values), for the
-weights, the crosscheck sums and the states.  Only the factorization check
-builds bivariate chains.
+solve_chain(spec, n, zeta) is the one solve of a chain at one zeta, shared
+through a two-entry memo by levels, weights, moments, the crosscheck and the
+states (wavefunctions).  A miss runs chain_roots, the uncached certifier, on
+the chain's steps alone: it takes the roots of the critical member N from
+the eigenvalues of the chain's Jacobi matrix, polishes them by Newton on the
+float recursion and certifies them by exact sign changes between
+neighbouring roots, on the integer recursion (families.member_signs).  The
+read-only ChainSolution adds, on first read, members 0..N+2 at those roots
+in floats (families.family_values), for the weights, the crosscheck sums
+and the states.  Only the factorization check builds bivariate chains.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 from fractions import Fraction
 
 import numpy as np
@@ -195,12 +196,28 @@ def chain_roots(spec: ChainSpec, n: int, zeta: float) -> list:
     return roots
 
 
-def solve_chain(spec: ChainSpec, n: int, zeta: float) -> tuple:
-    """The one solve of a chain at zeta: the certified roots (shifted
-    energy, ascending) of its member n, and the values of members 0..n+2 at
-    those roots, one array per member."""
-    roots = chain_roots(spec, n, zeta)
-    return roots, family_values(spec, n + 2, zeta, np.array(roots))
+@dataclass(frozen=True)
+class ChainSolution:
+    """The certified roots (shifted energy, ascending) of member n of a chain
+    at zeta; values: members 0..n+2 at them, read-only, on first read."""
+    spec: ChainSpec
+    zeta: float
+    roots: tuple
+
+    @cached_property
+    def values(self) -> tuple:
+        values = family_values(self.spec, len(self.roots) + 2, self.zeta, np.array(self.roots))
+        for v in values:
+            v.flags.writeable = False
+        return tuple(values)
+
+
+# two entries: every (M, zeta) has at most two chains in its plan (chain_plan)
+@lru_cache(maxsize=2)
+def solve_chain(spec: ChainSpec, n: int, zeta: float) -> ChainSolution:
+    """The one solve of a chain at zeta, shared by every consumer; a miss
+    certifies it by chain_roots, and a solve that raises is not kept."""
+    return ChainSolution(spec, zeta, tuple(chain_roots(spec, n, zeta)))
 
 
 def qes_energies(m, zeta: float) -> SpectrumReport:
@@ -208,9 +225,8 @@ def qes_energies(m, zeta: float) -> SpectrumReport:
     m, shift = require_qes_domain(m, zeta)
     levels = []
     for parity, (spec, count) in enumerate(chain_plan(m)):
-        roots = chain_roots(spec, count, zeta)
         levels += [QESLevel(root + shift, root, parity + 2 * rank, spec.kind)
-                   for rank, root in enumerate(roots)]
+                   for rank, root in enumerate(solve_chain(spec, count, zeta).roots)]
     levels.sort(key=lambda lv: lv.energy)
     for lo, hi in zip(levels, levels[1:]):
         if lo.nodes > hi.nodes:
@@ -330,13 +346,13 @@ def weights(m, zeta: float, chain: str) -> WeightTable:
     Every table comes from this float solve, so its `exact` flag is False.
     """
     shift, spec, count = _plan_entry(m, zeta, chain)
-    return _weight_table(chain, *solve_chain(spec, count, zeta), shift)
+    return _weight_table(chain, solve_chain(spec, count, zeta), shift)
 
 
-def _weight_table(chain: str, roots: list, values: list, shift: float) -> WeightTable:
+def _weight_table(chain: str, solution: ChainSolution, shift: float) -> WeightTable:
     """The weight solve on one chain's certified roots and member values."""
-    count = len(roots)
-    a = np.array(values[:count])
+    count = len(solution.roots)
+    a = np.array(solution.values[:count])
     rhs = np.zeros(count)
     rhs[0] = 1.0
     try:
@@ -347,7 +363,7 @@ def _weight_table(chain: str, roots: list, values: list, shift: float) -> Weight
     if residual > 1e-10:
         raise QESDomainError(f"weight system residual {residual} above tolerance")
     cond = float(np.linalg.cond(a))
-    support = tuple((r + shift, float(w)) for r, w in zip(roots, sol))
+    support = tuple((r + shift, float(w)) for r, w in zip(solution.roots, sol))
     return WeightTable(chain, support, condition=cond, residual=residual)
 
 
@@ -369,8 +385,9 @@ def norm_weight_crosscheck(m, zeta: float, chain: str) -> CrosscheckReport:
     largest sum.
     """
     shift, spec, count = _plan_entry(m, zeta, chain)
-    roots, values = solve_chain(spec, count, zeta)
-    w = np.array(_weight_table(chain, roots, values, shift).weights())
+    solution = solve_chain(spec, count, zeta)
+    values = solution.values
+    w = np.array(_weight_table(chain, solution, shift).weights())
     devs = []
     ok = True
     for n in range(count + 1):
@@ -404,7 +421,7 @@ def moments(m, zeta: float, chain: str, n_max: int) -> MomentSequence:
     shift, spec, count = _plan_entry(m, zeta, chain)
     if n_max < 0:
         raise ValueError("order must be nonnegative")
-    max_abs_energy = max(abs(root + shift) for root in chain_roots(spec, count, zeta))
+    max_abs_energy = max(abs(root + shift) for root in solve_chain(spec, count, zeta).roots)
     bs, cs = np.array(float_steps(spec, count, zeta)).T
     a, values = np.eye(1, count)[0], [1.0]    # E**0 = p_0
     with np.errstate(over="ignore", invalid="ignore"):

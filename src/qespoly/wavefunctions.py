@@ -13,8 +13,9 @@ z**(1/2) is taken odd, sgn(x) * sqrt(cosh 2x - 1) = sqrt(2) sinh x, so s = 0
 states are even in x and s = 1/2 states are odd.
 
 Each chain carries one parity of levels, so the state with k nodes is root
-k // 2 of the chain at index k % 2 of the level plan (spectrum.chain_plan,
-spectrum.solve_chain); no float sort of the two chains' levels is involved.
+k // 2 of the chain at index k % 2 of the level plan (spectrum.chain_plan);
+no float sort is involved.  One solve per (spec, n, zeta) is shared through
+a two-entry memo (spectrum.solve_chain); chain_roots is the uncached certifier.
 
 The same coefficients evaluated with cosh -> cos give the state's circle
 image on the double sine-Gordon side, whose half-turn character the chain
@@ -91,9 +92,9 @@ def build_qes_state(m: int, zeta: float, level: int) -> QESState:
     if not 0 <= level < m:
         raise QESDomainError(f"level must be in 0..{m - 1}")
     spec, crit = chain_plan(m)[level % 2]
-    roots, values = solve_chain(spec, crit, zeta)
+    solution = solve_chain(spec, crit, zeta)
     factorials = [float(math.factorial(series_index(spec.kind, j))) for j in range(crit + 3)]
-    coeffs = np.array(values) / np.array(factorials)[:, None]
+    coeffs = np.array(solution.values) / np.array(factorials)[:, None]
     tail = np.abs(coeffs[crit:])
     scale = np.max(np.abs(coeffs), axis=0)
     # a NaN tail fails "<=", and an inf scale, which any tail is within, fails
@@ -103,7 +104,7 @@ def build_qes_state(m: int, zeta: float, level: int) -> QESState:
         raise QESDomainError(f"series does not terminate: |c_{crit + j}| = {tail[j, k]}"
                              f" against max |c| = {scale[k]}")
     coeffs[crit:] = 0.0
-    root = roots[level // 2]
+    root = solution.roots[level // 2]
     return QESState(m=m, zeta=zeta, level=level, chain=spec.kind, s=spec.s,
                     coeffs=tuple(coeffs[:, level // 2].tolist()), energy=root + shift,
                     script_energy=root, critical_index=crit)

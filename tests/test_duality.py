@@ -259,6 +259,20 @@ class TestDsgWeightsMoments:
             for n in range(13):
                 assert dual_mom.values[n] == (-1) ** n * src_mom.values[n]
 
+    def test_weights_and_moments_share_one_solve(self, monkeypatch):
+        import qespoly.spectrum as spectrum
+
+        calls = []
+        true_roots = spectrum.chain_roots
+
+        def counting(*args):
+            calls.append(args)
+            return true_roots(*args)
+
+        monkeypatch.setattr(spectrum, "chain_roots", counting)
+        dsg_weights_moments(9, 1.0)
+        assert len(calls) == 1
+
     def test_overflowing_moment_is_named(self):
         with pytest.raises(QESDomainError, match="moment mu_8 overflows"):
             dsg_weights_moments(3, 1e20)

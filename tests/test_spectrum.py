@@ -507,6 +507,15 @@ class TestOneChainSolve:
         assert len(qes_energies(9, 1.0).levels) == 9
         assert values == []
 
+    @pytest.mark.parametrize("m", [3, 9])
+    def test_verify_all_solves_each_chain_once(self, monkeypatch, capsys, m):
+        roots = _counting(monkeypatch, spectrum, "chain_roots")
+        main(["verify-all", "--m", str(m), "--zeta", "1"])
+        capsys.readouterr()
+        assert sorted(args[0].kind for args in roots) == sorted(
+            spec.kind for spec, _ in chain_plan(m))
+        assert len(roots) == 2
+
     def test_sorted_spectrum_still_fails_below_one_ulp(self):
         # at (21, 1) the lowest doublet is split by 1.2e-21, far below the
         # float spacing, so the float-sorted node order breaks; states and
@@ -616,3 +625,39 @@ class TestZetaDomain:
     def test_nonpositive_zeta_rejected(self, call, zeta):
         with pytest.raises(QESDomainError, match="zeta must be positive"):
             call(zeta)
+
+
+class TestChainMemo:
+    """The memoized solve is read-only, equal to a fresh solve, and keeps no
+    failure."""
+
+    SPEC = ChainSpec("Q", Fraction(8), Fraction(0))
+
+    def test_solution_is_read_only(self):
+        solution = spectrum.solve_chain(self.SPEC, 4, 1.0)
+        assert isinstance(solution.roots, tuple)
+        for member in solution.values:
+            with pytest.raises(ValueError):
+                member[0] = 0.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            solution.roots = ()
+
+    def test_memo_hit_equals_a_fresh_solve(self):
+        spectrum.solve_chain(self.SPEC, 4, 1.0)
+        hit = spectrum.solve_chain(self.SPEC, 4, 1.0)
+        assert spectrum.solve_chain.cache_info().hits == 1
+        fresh = spectrum.solve_chain.__wrapped__(self.SPEC, 4, 1.0)
+        assert fresh is not hit
+        assert fresh.roots == hit.roots
+        assert len(fresh.values) == len(hit.values) == 7
+        for a, b in zip(fresh.values, hit.values):
+            assert a.tobytes() == b.tobytes()
+
+    def test_failing_solve_raises_on_every_call(self, monkeypatch):
+        roots = _counting(monkeypatch, spectrum, "chain_roots")
+        spec = ChainSpec("P", 151, 0)
+        for _ in range(2):
+            with pytest.raises(RootCountMismatch, match="non-finite root"):
+                spectrum.solve_chain(spec, 76, 1.0)
+        assert len(roots) == 2
+        assert spectrum.solve_chain.cache_info().currsize == 0

@@ -116,6 +116,10 @@ class TestStatesFromTheirChain:
         state = build_qes_state(9, 1.0, 4)
         assert len(calls) == 1
         assert (state.chain, state.level) == ("P", 4)
+        # all M states read the memoized solves of the plan's two chains
+        states = [build_qes_state(17, 1.0, level) for level in range(17)]
+        assert [state.level for state in states] == list(range(17))
+        assert len(calls) == 3
 
 
 class TestResidual:
