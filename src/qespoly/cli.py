@@ -14,6 +14,7 @@ passes.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import random
@@ -591,11 +592,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv=None) -> int:
+@functools.cache    # once per process: the parser keeps the _cmd_* handlers it was built with
+def _parser_and_value_options() -> tuple:
     parser = build_parser()
     sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
     takes_value = {opt for command in sub.choices.values() for action in command._actions
                    if action.nargs != 0 for opt in action.option_strings}
+    return parser, takes_value
+
+
+def main(argv=None) -> int:
+    parser, takes_value = _parser_and_value_options()
     joined = []  # "--zeta -inf" as "--zeta=-inf": argparse takes "-inf" for a flag
     for arg in sys.argv[1:] if argv is None else argv:
         if joined and joined[-1] in takes_value:

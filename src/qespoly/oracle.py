@@ -37,7 +37,8 @@ a bounded well or levels above the potential at the line's end, keeps
 every row, as do the circle blocks.
 
 This solver shares nothing with the polynomial route except the potential
-evaluators, which is what makes the comparison a genuine cross-check.
+evaluators, which is what makes the comparison a genuine cross-check.  It is
+the package's only user of scipy, which it imports at its first solve.
 """
 
 from __future__ import annotations
@@ -46,7 +47,6 @@ import logging
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.linalg
 
 from .duality import dual_energies
 from .potentials import (
@@ -230,7 +230,8 @@ def _lowest_tridiagonal(diag, offdiag, k: int) -> np.ndarray:
     k = min(k, len(diag))
     if k < 1:
         return np.empty(0)
-    return scipy.linalg.eigvalsh_tridiagonal(
+    from scipy.linalg import eigvalsh_tridiagonal    # here: only the oracle needs scipy
+    return eigvalsh_tridiagonal(
         diag, offdiag, select="i", select_range=(0, k - 1))
 
 

@@ -346,11 +346,14 @@ def weights(m, zeta: float, chain: str) -> WeightTable:
     Every table comes from this float solve, so its `exact` flag is False.
     """
     shift, spec, count = _plan_entry(m, zeta, chain)
-    return _weight_table(chain, solve_chain(spec, count, zeta), shift)
+    solution = solve_chain(spec, count, zeta)
+    a, sol, residual = _weight_solve(solution)
+    support = tuple((r + shift, float(w)) for r, w in zip(solution.roots, sol))
+    return WeightTable(chain, support, condition=float(np.linalg.cond(a)), residual=residual)
 
 
-def _weight_table(chain: str, solution: ChainSolution, shift: float) -> WeightTable:
-    """The weight solve on one chain's certified roots and member values."""
+def _weight_solve(solution: ChainSolution) -> tuple:
+    """The weight solve on a chain's certified roots: matrix, weights, residual."""
     count = len(solution.roots)
     a = np.array(solution.values[:count])
     rhs = np.zeros(count)
@@ -362,9 +365,7 @@ def _weight_table(chain: str, solution: ChainSolution, shift: float) -> WeightTa
     residual = float(np.max(np.abs(a @ sol - rhs)))
     if residual > 1e-10:
         raise QESDomainError(f"weight system residual {residual} above tolerance")
-    cond = float(np.linalg.cond(a))
-    support = tuple((r + shift, float(w)) for r, w in zip(solution.roots, sol))
-    return WeightTable(chain, support, condition=cond, residual=residual)
+    return a, sol, residual
 
 
 @dataclass(frozen=True)
@@ -384,10 +385,10 @@ def norm_weight_crosscheck(m, zeta: float, chain: str) -> CrosscheckReport:
     its terms' magnitudes (its rounding scale); orthogonality_max is the
     largest sum.
     """
-    shift, spec, count = _plan_entry(m, zeta, chain)
+    _, spec, count = _plan_entry(m, zeta, chain)
     solution = solve_chain(spec, count, zeta)
     values = solution.values
-    w = np.array(_weight_table(chain, solution, shift).weights())
+    w = _weight_solve(solution)[1]
     devs = []
     ok = True
     for n in range(count + 1):

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from qespoly import cli
 from qespoly.cli import main
 
 
@@ -13,6 +14,15 @@ def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def _src_env() -> dict:
+    """The environment for a fresh interpreter that imports qespoly from ./src."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    return env
 
 
 class TestFamilyCommand:
@@ -425,14 +435,10 @@ class TestOverflowAndGridDomain:
     def test_oracle_rejects_non_finite_domain_l(self, value):
         # run as a process, so stderr is exactly what a user sees: warnings
         # printed by the interpreter included
-        src = str(Path(__file__).resolve().parent.parent / "src")
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
         proc = subprocess.run(
             [sys.executable, "-m", "qespoly.cli", "oracle", "--family", "dshg", "--m", "3",
              "--zeta", "1", "--domain-l", value],
-            env=env, capture_output=True, text=True, timeout=60,
+            env=_src_env(), capture_output=True, text=True, timeout=60,
         )
         assert proc.returncode == 1
         assert proc.stdout == ""
@@ -483,15 +489,87 @@ class TestOverflowAndGridDomain:
     def test_kink_oracle_on_a_wide_domain_is_clean(self):
         # sinh**2 overflowed past |x| ~ 355 before the line formula was
         # rewritten; run as a process, so interpreter warnings would show
-        src = str(Path(__file__).resolve().parent.parent / "src")
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
         proc = subprocess.run(
             [sys.executable, "-m", "qespoly.cli", "oracle", "--family", "phi6_kink",
              "--domain-l", "400", "--count", "2"],
-            env=env, capture_output=True, text=True, timeout=60,
+            env=_src_env(), capture_output=True, text=True, timeout=60,
         )
         assert proc.returncode == 0
         assert proc.stderr == ""
 
+
+_SCIPY_AFTER_MAIN = """
+import contextlib, io, json, sys
+{setup}
+loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+print(json.dumps([code, loaded[:3]]))
+"""
+
+
+class TestColdStart:
+    """Only the oracle loads scipy, and main builds its parser once."""
+
+    @staticmethod
+    def _fresh(setup: str) -> list:
+        # a fresh interpreter: the test session itself has scipy loaded
+        proc = subprocess.run(
+            [sys.executable, "-c", _SCIPY_AFTER_MAIN.format(setup=setup)],
+            env=_src_env(), capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        return json.loads(proc.stdout)
+
+    def test_import_loads_no_scipy(self):
+        assert self._fresh("import qespoly\ncode = 0") == [0, []]
+
+    @pytest.mark.parametrize("argv", [
+        ["family"],
+        ["norms"],
+        ["spectrum", "--m", "3", "--zeta", "1"],
+        ["weights", "--m", "3", "--zeta", "1"],
+        ["moments", "--m", "3", "--zeta", "1"],
+        ["duality", "--m", "3", "--zeta", "1"],
+        ["wavefunction", "--m", "3", "--zeta", "1", "--level", "0"],
+    ], ids=lambda argv: argv[0])
+    def test_commands_without_the_oracle_load_no_scipy(self, argv):
+        setup = ("from qespoly.cli import main\n"
+                 "with contextlib.redirect_stdout(io.StringIO()):\n"
+                 f"    code = main({argv!r})")
+        assert self._fresh(setup) == [0, []]
+
+    def test_oracle_loads_scipy_at_its_solve(self):
+        setup = ("from qespoly.cli import main\n"
+                 "with contextlib.redirect_stdout(io.StringIO()):\n"
+                 "    code = main(['oracle', '--family', 'dshg', '--m', '3', '--zeta', '1'])")
+        code, loaded = self._fresh(setup)
+        assert code == 0
+        assert loaded
+
+    def test_parser_is_built_once_per_process(self, monkeypatch, capsys):
+        built = []
+        true_build = cli.build_parser
+
+        def counting():
+            built.append(1)
+            return true_build()
+
+        monkeypatch.setattr(cli, "build_parser", counting)
+        cli._parser_and_value_options.cache_clear()
+        for _ in range(3):
+            assert main(["spectrum", "--m", "3", "--zeta", "1"]) == 0
+        capsys.readouterr()
+        assert len(built) == 1
+
+    def test_reused_parser_answers_as_a_fresh_one(self, capsys):
+        argvs = (["spectrum", "--zeta", "1"], ["spectrum", "--m", "3", "--zeta", "1"],
+                 ["spectrum", "--m=-1/2"])
+        separate = []
+        for argv in argvs:
+            cli._parser_and_value_options.cache_clear()
+            separate.append(run(capsys, *argv))
+        cli._parser_and_value_options.cache_clear()
+        together = [run(capsys, *argv) for argv in argvs]
+        assert together == separate
+        assert [code for code, _, _ in together] == [2, 0, 2]
+        assert "the following arguments are required: --m" in together[0][2]
+        assert together[2][2] == "usage error: this command needs --zeta <real>\n"

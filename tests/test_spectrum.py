@@ -459,15 +459,13 @@ class TestCrosscheckScale:
         assert rep.orthogonality_max > 1e-9
 
     def test_one_perturbed_weight_fails(self, monkeypatch):
-        true_table = spectrum._weight_table
+        true_solve = spectrum._weight_solve
 
         def perturbed(*args):
-            table = true_table(*args)
-            (e0, w0), *rest = table.support
-            return WeightTable(table.chain, ((e0, w0 * (1 + 1e-6)), *rest),
-                               table.condition, table.residual)
+            a, w, residual = true_solve(*args)
+            return a, np.concatenate([w[:1] * (1 + 1e-6), w[1:]]), residual
 
-        monkeypatch.setattr(spectrum, "_weight_table", perturbed)
+        monkeypatch.setattr(spectrum, "_weight_solve", perturbed)
         assert not norm_weight_crosscheck(8, 1.0, "Q").ok
 
 
@@ -494,10 +492,17 @@ class TestOneChainSolve:
         assert norm_weight_crosscheck(8, 1.0, "Q").ok
         assert (len(roots), len(values), len(weight_calls)) == (1, 1, 0)
 
+    def test_only_the_weight_table_computes_its_condition(self, monkeypatch):
+        conds = _counting(monkeypatch, np.linalg, "cond")
+        assert norm_weight_crosscheck(8, 1.0, "Q").ok
+        assert len(conds) == 0
+        assert spectrum.weights(8, 1.0, "Q").condition > 1.0
+        assert len(conds) == 1
+
     def test_moments_read_the_roots_and_steps_alone(self, monkeypatch):
         roots = _counting(monkeypatch, spectrum, "chain_roots")
         table_reads = [_counting(monkeypatch, spectrum, name)
-                       for name in ("weights", "_weight_table", "family_values")]
+                       for name in ("weights", "_weight_solve", "family_values")]
         moments(8, 1.0, "Q", 12)
         assert len(roots) == 1
         assert table_reads == [[], [], []]
