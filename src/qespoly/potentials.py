@@ -123,21 +123,19 @@ def potential_eval(spec: PotentialSpec, x):
 def sextic_qes_levels(m: int, a: float = 1.0, b: float = 1.0) -> list:
     """Algebraic levels of the sextic well x**2 (a x**2 + b)**2 - a(2M+3) x**2.
 
-    The polynomial sector has parity M mod 2 and dimension floor(M/2) + 1;
-    its energies are the eigenvalues of the small sector matrix.  The minus
-    well is the same formula with b negated.
+    The polynomial sector has parity p = M mod 2 and dimension floor(M/2) + 1;
+    its energies are the eigenvalues of the tridiagonal sector matrix.  For
+    a > 0 its off-diagonal products 2a(M - p - 2j + 2)(2j + p)(2j - 1 + p) are
+    positive, so it is similar to the symmetric matrix with their square
+    roots off the diagonal, whose eigenvalues are real.  The minus well is
+    the same formula with b negated.
     """
     m = _sextic_m(m)
+    if not 0 < a < np.inf:
+        raise ValueError("a must be positive and finite")
     p = m % 2
-    size = (m - p) // 2 + 1
-    t = np.zeros((size, size))
-    for j in range(size):
-        t[j, j] = b * (4 * j + 2 * p + 1)
-        if j > 0:
-            t[j, j - 1] = 2.0 * a * (2 * j - 2 + p - m)
-        if j + 1 < size:
-            t[j, j + 1] = -(2 * j + 2 + p) * (2 * j + 1 + p)
-    vals = np.linalg.eigvals(t)
-    if np.max(np.abs(vals.imag)) > 1e-9 * (1.0 + np.max(np.abs(vals))):
-        raise RuntimeError("sextic sector produced complex energies")
-    return sorted(float(v) for v in vals.real)
+    j = np.arange((m - p) // 2 + 1)
+    k = j[1:]
+    off = np.sqrt(2.0 * a * (m - p - 2 * k + 2) * (2 * k + p) * (2 * k - 1 + p))
+    t = np.diag(b * (4.0 * j + 2 * p + 1)) + np.diag(off, 1) + np.diag(off, -1)
+    return np.linalg.eigvalsh(t).tolist()

@@ -23,16 +23,17 @@ their tables from it.  The moments need none: the weights send p_0 to 1,
 p_1..p_{N-1} and every multiple of p_N to 0, so mu_n is the p_0
 coordinate of E**n mod p_N, which the three-term recursion gives.
 
-solve_chain(spec, n, zeta) is the one solve of a chain at one zeta, shared
+solve_chain(m, zeta, kind) is the one entry to a solved chain, shared
 through a two-entry memo by levels, weights, moments, the crosscheck and the
-states (wavefunctions).  A miss runs chain_roots, the uncached certifier, on
-the chain's steps alone: it takes the roots of the critical member N from
-the eigenvalues of the chain's Jacobi matrix, polishes them by Newton on the
-float recursion and certifies them by exact sign changes between
-neighbouring roots, on the integer recursion (families.member_signs).  The
-read-only ChainSolution adds, on first read, members 0..N+2 at those roots
-in floats (families.family_values), for the weights, the crosscheck sums
-and the states.  Only the factorization check builds bivariate chains.
+states (wavefunctions).  A miss checks the domain, finds chain `kind` in the
+plan, keeps the shift (M + zeta)**2 and runs chain_roots, the uncached
+certifier, on the chain's steps alone: it takes the roots of the critical
+member N from the eigenvalues of the chain's Jacobi matrix, polishes them by
+Newton on the float recursion and certifies them by exact sign changes
+between neighbouring roots, on the integer recursion (families.member_signs).
+The read-only ChainSolution adds, on first read, members 0..N+2 at those
+roots in floats (families.family_values), for the weights, the crosscheck
+sums and the states.  Only the factorization check builds bivariate chains.
 """
 
 from __future__ import annotations
@@ -144,15 +145,6 @@ def chain_plan(m) -> tuple:
                  for kind, s, _, crit in terminating_chains(m) if crit)
 
 
-def _plan_entry(m, zeta: float, kind: str) -> tuple:
-    """(shift, ChainSpec, level count) of chain `kind` of the plan, domain checked."""
-    m, shift = require_qes_domain(m, zeta)
-    for spec, count in chain_plan(m):
-        if spec.kind == kind:
-            return shift, spec, count
-    raise QESDomainError(f"chain {kind} carries no QES levels at M={m}")
-
-
 def chain_roots(spec: ChainSpec, n: int, zeta: float) -> list:
     """The n simple real roots, ascending, of member n of a chain at zeta,
     from the chain's steps (B_k, C_k) alone.
@@ -198,10 +190,12 @@ def chain_roots(spec: ChainSpec, n: int, zeta: float) -> list:
 
 @dataclass(frozen=True)
 class ChainSolution:
-    """The certified roots (shifted energy, ascending) of member n of a chain
-    at zeta; values: members 0..n+2 at them, read-only, on first read."""
+    """The certified roots (shifted energy, ascending) of a chain's critical
+    member at zeta, and the shift (M + zeta)**2 back to E; values: members
+    0..N+2 at the roots, read-only, on first read."""
     spec: ChainSpec
     zeta: float
+    shift: float
     roots: tuple
 
     @cached_property
@@ -212,21 +206,27 @@ class ChainSolution:
         return tuple(values)
 
 
-# two entries: every (M, zeta) has at most two chains in its plan (chain_plan)
-@lru_cache(maxsize=2)
-def solve_chain(spec: ChainSpec, n: int, zeta: float) -> ChainSolution:
-    """The one solve of a chain at zeta, shared by every consumer; a miss
-    certifies it by chain_roots, and a solve that raises is not kept."""
-    return ChainSolution(spec, zeta, tuple(chain_roots(spec, n, zeta)))
+# two entries: every (M, zeta) has at most two chains in its plan (chain_plan);
+# typed, so that zeta = 1 and zeta = 1.0 keep their own shift
+@lru_cache(maxsize=2, typed=True)
+def solve_chain(m, zeta: float, kind: str) -> ChainSolution:
+    """The one solve of chain `kind` of the plan at (M, zeta), shared by every
+    consumer: a miss checks the domain, finds the chain and certifies its
+    roots by chain_roots, and a solve that raises is not kept."""
+    m, shift = require_qes_domain(m, zeta)
+    for spec, count in chain_plan(m):
+        if spec.kind == kind:
+            return ChainSolution(spec, zeta, shift, tuple(chain_roots(spec, count, zeta)))
+    raise QESDomainError(f"chain {kind} carries no QES levels at M={m}")
 
 
 def qes_energies(m, zeta: float) -> SpectrumReport:
     """The M algebraic levels, sorted, with node counts and chain labels."""
-    m, shift = require_qes_domain(m, zeta)
     levels = []
-    for parity, (spec, count) in enumerate(chain_plan(m)):
-        levels += [QESLevel(root + shift, root, parity + 2 * rank, spec.kind)
-                   for rank, root in enumerate(solve_chain(spec, count, zeta).roots)]
+    for parity, (spec, _) in enumerate(chain_plan(m)):
+        solution = solve_chain(m, zeta, spec.kind)
+        levels += [QESLevel(root + solution.shift, root, parity + 2 * rank, spec.kind)
+                   for rank, root in enumerate(solution.roots)]
     levels.sort(key=lambda lv: lv.energy)
     for lo, hi in zip(levels, levels[1:]):
         if lo.nodes > hi.nodes:
@@ -345,10 +345,9 @@ def weights(m, zeta: float, chain: str) -> WeightTable:
     residual must stay within 1e-10 and the condition number is recorded.
     Every table comes from this float solve, so its `exact` flag is False.
     """
-    shift, spec, count = _plan_entry(m, zeta, chain)
-    solution = solve_chain(spec, count, zeta)
+    solution = solve_chain(m, zeta, chain)
     a, sol, residual = _weight_solve(solution)
-    support = tuple((r + shift, float(w)) for r, w in zip(solution.roots, sol))
+    support = tuple((r + solution.shift, float(w)) for r, w in zip(solution.roots, sol))
     return WeightTable(chain, support, condition=float(np.linalg.cond(a)), residual=residual)
 
 
@@ -385,9 +384,8 @@ def norm_weight_crosscheck(m, zeta: float, chain: str) -> CrosscheckReport:
     its terms' magnitudes (its rounding scale); orthogonality_max is the
     largest sum.
     """
-    _, spec, count = _plan_entry(m, zeta, chain)
-    solution = solve_chain(spec, count, zeta)
-    values = solution.values
+    solution = solve_chain(m, zeta, chain)
+    spec, count, values = solution.spec, len(solution.roots), solution.values
     w = _weight_solve(solution)[1]
     devs = []
     ok = True
@@ -419,11 +417,12 @@ def moments(m, zeta: float, chain: str, n_max: int) -> MomentSequence:
     atomic measure; the coarser comparator (M + zeta)**2 is reported
     alongside, not asserted.
     """
-    shift, spec, count = _plan_entry(m, zeta, chain)
+    solution = solve_chain(m, zeta, chain)
     if n_max < 0:
         raise ValueError("order must be nonnegative")
-    max_abs_energy = max(abs(root + shift) for root in solve_chain(spec, count, zeta).roots)
-    bs, cs = np.array(float_steps(spec, count, zeta)).T
+    shift, count = solution.shift, len(solution.roots)
+    max_abs_energy = max(abs(root + shift) for root in solution.roots)
+    bs, cs = np.array(float_steps(solution.spec, count, zeta)).T
     a, values = np.eye(1, count)[0], [1.0]    # E**0 = p_0
     with np.errstate(over="ignore", invalid="ignore"):
         for n in range(1, n_max + 1):

@@ -13,9 +13,10 @@ z**(1/2) is taken odd, sgn(x) * sqrt(cosh 2x - 1) = sqrt(2) sinh x, so s = 0
 states are even in x and s = 1/2 states are odd.
 
 Each chain carries one parity of levels, so the state with k nodes is root
-k // 2 of the chain at index k % 2 of the level plan (spectrum.chain_plan);
-no float sort is involved.  One solve per (spec, n, zeta) is shared through
-a two-entry memo (spectrum.solve_chain); chain_roots is the uncached certifier.
+k // 2 of the chain at index k % 2 of the level plan (spectrum.chain_plan,
+which lists families.terminating_chains); no float sort is involved.  One
+solve per (M, zeta, kind) is shared through a two-entry memo
+(spectrum.solve_chain); chain_roots is the uncached certifier.
 
 The same coefficients evaluated with cosh -> cos give the state's circle
 image on the double sine-Gordon side, whose half-turn character the chain
@@ -30,9 +31,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .families import series_index
+from .families import series_index, terminating_chains
 from .potentials import PotentialSpec, potential_eval
-from .spectrum import QESDomainError, chain_plan, require_qes_domain, solve_chain
+from .spectrum import QESDomainError, require_qes_domain, solve_chain
 
 
 @dataclass(frozen=True)
@@ -88,11 +89,12 @@ def build_qes_state(m: int, zeta: float, level: int) -> QESState:
     the chain of node parity level % 2.  Two members past the critical index
     are certified finite and vanishing (relative 1e-9) at every root of that
     chain, so the truncation is exact rather than approximate."""
-    m, shift = require_qes_domain(m, zeta)
+    m, _ = require_qes_domain(m, zeta)
     if not 0 <= level < m:
         raise QESDomainError(f"level must be in 0..{m - 1}")
-    spec, crit = chain_plan(m)[level % 2]
-    solution = solve_chain(spec, crit, zeta)
+    # the chain of node parity level % 2 (the s = 0 chain carries even nodes)
+    solution = solve_chain(m, zeta, terminating_chains(m)[level % 2][0])
+    spec, crit = solution.spec, len(solution.roots)
     factorials = [float(math.factorial(series_index(spec.kind, j))) for j in range(crit + 3)]
     coeffs = np.array(solution.values) / np.array(factorials)[:, None]
     tail = np.abs(coeffs[crit:])
@@ -106,7 +108,7 @@ def build_qes_state(m: int, zeta: float, level: int) -> QESState:
     coeffs[crit:] = 0.0
     root = solution.roots[level // 2]
     return QESState(m=m, zeta=zeta, level=level, chain=spec.kind, s=spec.s,
-                    coeffs=tuple(coeffs[:, level // 2].tolist()), energy=root + shift,
+                    coeffs=tuple(coeffs[:, level // 2].tolist()), energy=root + solution.shift,
                     script_energy=root, critical_index=crit)
 
 

@@ -342,7 +342,20 @@ class TestSexticLevels:
         assert sextic_qes_levels(2) == pytest.approx(want, rel=1e-12)
 
     def test_duality_pairing_is_negate_reverse(self):
-        for m in (1, 2, 3, 4):
+        for m in (1, 2, 3, 4, 159, 160, 200, 1000):
             plus = sextic_qes_levels(m)
             minus = sextic_qes_levels(m, 1.0, -1.0)
             assert minus == pytest.approx(dual_energies(plus), rel=1e-10, abs=1e-10)
+
+    @pytest.mark.parametrize("m", [160, 200, 1000])
+    def test_large_m_levels_are_real_and_ascending(self, m):
+        # from M = 160 a nonsymmetric eigensolver returns complex pairs here
+        levels = sextic_qes_levels(m)
+        assert len(levels) == m // 2 + 1
+        assert all(type(e) is float and math.isfinite(e) for e in levels)
+        assert levels == sorted(levels)
+
+    @pytest.mark.parametrize("a", [0.0, -1.0, float("nan"), float("inf")])
+    def test_nonpositive_or_nonfinite_a_rejected(self, a):
+        with pytest.raises(ValueError, match="a must be positive and finite"):
+            sextic_qes_levels(3, a)

@@ -9,6 +9,7 @@ import pytest
 
 from qespoly import spectrum
 from qespoly.cli import main
+from qespoly.duality import dsg_weights_moments
 from qespoly.exactpoly import ParamPoly, RootCountMismatch, real_roots
 from qespoly.families import (
     QUOTIENT_KINDS,
@@ -34,6 +35,7 @@ from qespoly.spectrum import (
     qes_energies,
     weights,
 )
+from qespoly.wavefunctions import build_qes_state
 
 HALF = Fraction(1, 2)
 SQRT5 = math.sqrt(5.0)
@@ -636,11 +638,11 @@ class TestChainMemo:
     """The memoized solve is read-only, equal to a fresh solve, and keeps no
     failure."""
 
-    SPEC = ChainSpec("Q", Fraction(8), Fraction(0))
-
     def test_solution_is_read_only(self):
-        solution = spectrum.solve_chain(self.SPEC, 4, 1.0)
-        assert isinstance(solution.roots, tuple)
+        solution = spectrum.solve_chain(8, 1.0, "Q")
+        assert solution.spec == ChainSpec("Q", Fraction(8), Fraction(0))
+        assert solution.shift == (8 + 1.0) ** 2
+        assert isinstance(solution.roots, tuple) and len(solution.roots) == 4
         for member in solution.values:
             with pytest.raises(ValueError):
                 member[0] = 0.0
@@ -648,21 +650,121 @@ class TestChainMemo:
             solution.roots = ()
 
     def test_memo_hit_equals_a_fresh_solve(self):
-        spectrum.solve_chain(self.SPEC, 4, 1.0)
-        hit = spectrum.solve_chain(self.SPEC, 4, 1.0)
+        spectrum.solve_chain(8, 1.0, "Q")
+        hit = spectrum.solve_chain(8, 1.0, "Q")
         assert spectrum.solve_chain.cache_info().hits == 1
-        fresh = spectrum.solve_chain.__wrapped__(self.SPEC, 4, 1.0)
+        fresh = spectrum.solve_chain.__wrapped__(8, 1.0, "Q")
         assert fresh is not hit
-        assert fresh.roots == hit.roots
+        assert (fresh.spec, fresh.zeta, fresh.shift, fresh.roots) == (
+            hit.spec, hit.zeta, hit.shift, hit.roots)
         assert len(fresh.values) == len(hit.values) == 7
         for a, b in zip(fresh.values, hit.values):
             assert a.tobytes() == b.tobytes()
 
     def test_failing_solve_raises_on_every_call(self, monkeypatch):
         roots = _counting(monkeypatch, spectrum, "chain_roots")
-        spec = ChainSpec("P", 151, 0)
         for _ in range(2):
             with pytest.raises(RootCountMismatch, match="non-finite root"):
-                spectrum.solve_chain(spec, 76, 1.0)
-        assert len(roots) == 2
+                spectrum.solve_chain(151, 1.0, "P")
+        assert [(args[0], args[1]) for args in roots] == [(ChainSpec("P", 151, 0), 76)] * 2
+        assert spectrum.solve_chain.cache_info().currsize == 0
+
+    @pytest.mark.parametrize("first, second", [(1.0, 1), (1, 1.0)])
+    def test_int_and_float_zeta_keep_their_own_shift(self, first, second):
+        # 1 and 1.0 are equal keys to an untyped memo; a hit must still
+        # return what a fresh solve at the caller's own zeta returns
+        moments(3, first, "P", 2)
+        comparator = moments(3, second, "P", 2).leading_order_comparator
+        assert comparator == 16 and type(comparator) is type(second)
+        hit = spectrum.solve_chain(3, second, "P")
+        fresh = spectrum.solve_chain.__wrapped__(3, second, "P")
+        assert (type(hit.zeta), type(hit.shift)) == (type(fresh.zeta), type(fresh.shift))
+        assert hit.roots == fresh.roots
+
+
+class TestMemoHit:
+    def test_a_memo_hit_does_no_plan_lookup(self, monkeypatch):
+        qes_energies(9, 1.0)
+        roots = _counting(monkeypatch, spectrum, "chain_roots")
+        plans = _counting(monkeypatch, spectrum, "chain_plan")
+        for kind in ("P", "Q"):
+            weights(9, 1.0, kind)
+            moments(9, 1.0, kind, 12)
+            norm_weight_crosscheck(9, 1.0, kind)
+        assert (roots, plans) == ([], [])
+        assert [build_qes_state(9, 1.0, level).level for level in range(9)] == list(range(9))
+        assert (roots, plans) == ([], [])
+
+
+OVERFLOW = "the shift (M + zeta)**2 overflows a float at M=3, zeta=1e+160"
+NOT_AN_M = "QES requires positive integer M"
+NO_Q_AT_1 = "chain Q carries no QES levels at M=1"
+
+# every public entry to a solved chain, as (m, zeta, chain) -> result
+DOMAIN_CALLS = {
+    "qes_energies": lambda m, zeta, chain: qes_energies(m, zeta),
+    "weights": weights,
+    "moments": lambda m, zeta, chain: moments(m, zeta, chain, 4),
+    "norm_weight_crosscheck": norm_weight_crosscheck,
+    "build_qes_state": lambda m, zeta, chain: build_qes_state(m, zeta, 0),
+    "dsg_weights_moments": dsg_weights_moments,
+}
+
+
+def _raises(call, *args, error=QESDomainError):
+    """The message of the exception call(*args) raises, checked to be exactly
+    of type `error`."""
+    with pytest.raises(Exception) as info:
+        call(*args)
+    assert type(info.value) is error
+    return str(info.value)
+
+
+class TestDomainErrors:
+    """Each entry raises the same error at the same precedence: M, then zeta,
+    then the shift, then the chain, then the order or level; none leaves a
+    solve in the memo."""
+
+    @pytest.mark.parametrize("m, zeta, chain, message", [
+        (0, 1.0, "P", NOT_AN_M),
+        (Fraction(3, 2), 1.0, "P", NOT_AN_M),
+        (0, 0.0, "Q", NOT_AN_M),
+        (Fraction(3, 2), float("nan"), "P", NOT_AN_M),
+        (3, 0.0, "P", "zeta must be positive"),
+        (3, float("nan"), "Q", "zeta must be positive"),
+        (1, 0.0, "Q", "zeta must be positive"),
+        (3, 1e160, "P", OVERFLOW),
+    ])
+    @pytest.mark.parametrize("name", DOMAIN_CALLS)
+    def test_domain_error(self, name, m, zeta, chain, message):
+        assert _raises(DOMAIN_CALLS[name], m, zeta, chain) == message
+        assert spectrum.solve_chain.cache_info().currsize == 0
+
+    @pytest.mark.parametrize("name", ["weights", "moments", "norm_weight_crosscheck",
+                                      "dsg_weights_moments"])
+    def test_chain_without_levels(self, name):
+        assert _raises(DOMAIN_CALLS[name], 1, 1.0, "Q") == NO_Q_AT_1
+        assert spectrum.solve_chain.cache_info().currsize == 0
+
+    @pytest.mark.parametrize("m, zeta, chain, message", [
+        (0, 1.0, "P", NOT_AN_M),
+        (3, float("nan"), "P", "zeta must be positive"),
+        (3, 1e160, "P", OVERFLOW),
+        (1, 1.0, "Q", NO_Q_AT_1),
+    ])
+    def test_order_comes_last(self, m, zeta, chain, message):
+        assert _raises(moments, m, zeta, chain, -1) == message
+        assert spectrum.solve_chain.cache_info().currsize == 0
+        assert _raises(moments, 3, 1.0, "P", -1, error=ValueError) == (
+            "order must be nonnegative")
+
+    @pytest.mark.parametrize("m, zeta, level, message", [
+        (0, 1.0, 5, NOT_AN_M),
+        (3, 0.0, 5, "zeta must be positive"),
+        (3, 1e160, -1, OVERFLOW),
+        (1, 1.0, 1, "level must be in 0..0"),
+        (3, 1.0, 3, "level must be in 0..2"),
+    ])
+    def test_level_comes_last(self, m, zeta, level, message):
+        assert _raises(build_qes_state, m, zeta, level) == message
         assert spectrum.solve_chain.cache_info().currsize == 0
