@@ -27,6 +27,7 @@ from . import __version__
 from .duality import DsgRejection, dsg_spectrum, dual_energies
 from .exactpoly import ExactDivisionError, RootCountMismatch
 from .families import (
+    CHAIN_KINDS,
     ChainSpec,
     ChainSpecError,
     MAIN_KINDS,
@@ -41,7 +42,6 @@ from .oracle import (
     OracleConfig,
     OracleError,
     lowest_eigenvalues,
-    verify_duality_pair,
     verify_qes,
 )
 from .potentials import (
@@ -522,8 +522,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("family", help="generate a polynomial chain")
-    p.add_argument("--chain", default="P",
-                   choices=("P", "Q", "R", "Pbar", "Qbar", "Rbar", "Sbar"))
+    p.add_argument("--chain", default="P", choices=CHAIN_KINDS)
     p.add_argument("--m", default="3")
     p.add_argument("--s", default="0")
     p.add_argument("--order", type=int, default=4)
@@ -537,13 +536,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("weights", help="discrete weight table of one chain")
     p.add_argument("--m", required=True)
-    p.add_argument("--chain", default="P", choices=("P", "Q"))
+    p.add_argument("--chain", default="P", choices=MAIN_KINDS)
     add_common(p)
     p.set_defaults(func=_cmd_weights)
 
     p = sub.add_parser("norms", help="closed-form norms, checked against the recursion")
-    p.add_argument("--chain", default="P",
-                   choices=("P", "Q", "Pbar", "Qbar", "Rbar", "Sbar"))
+    p.add_argument("--chain", default="P", choices=MAIN_KINDS + QUOTIENT_KINDS)
     p.add_argument("--m", default="3")
     p.add_argument("--s", default="0")
     p.add_argument("--order", type=int, default=6)
@@ -552,7 +550,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("moments", help="moments of the discrete weight")
     p.add_argument("--m", required=True)
-    p.add_argument("--chain", default="P", choices=("P", "Q"))
+    p.add_argument("--chain", default="P", choices=MAIN_KINDS)
     p.add_argument("--order", type=int, default=12)
     add_common(p)
     p.set_defaults(func=_cmd_moments)

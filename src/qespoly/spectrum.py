@@ -25,15 +25,17 @@ coordinate of E**n mod p_N, which the three-term recursion gives.
 
 solve_chain(m, zeta, kind) is the one entry to a solved chain, shared
 through a two-entry memo by levels, weights, moments, the crosscheck and the
-states (wavefunctions).  A miss checks the domain, finds chain `kind` in the
-plan, keeps the shift (M + zeta)**2 and runs chain_roots, the uncached
-certifier, on the chain's steps alone: it takes the roots of the critical
-member N from the eigenvalues of the chain's Jacobi matrix, polishes them by
-Newton on the float recursion and certifies them by exact sign changes
-between neighbouring roots, on the integer recursion (families.member_signs).
-The read-only ChainSolution adds, on first read, members 0..N+2 at those
-roots in floats (families.family_values), for the weights, the crosscheck
-sums and the states.  Only the factorization check builds bivariate chains.
+states (wavefunctions).  The memo keys on values: equal (M, zeta, kind), as
+M = 3 and 3.0, share one entry, whose zeta and shift are floats.  A miss
+checks the domain, finds chain `kind` in the plan, keeps the shift
+(M + zeta)**2 and runs chain_roots, the uncached certifier, on the chain's
+steps alone: it takes the roots of the critical member N from the
+eigenvalues of the chain's Jacobi matrix, polishes them by Newton on the
+float recursion and certifies them by exact sign changes between
+neighbouring roots, on the integer recursion (families.member_signs).  The
+read-only ChainSolution adds, on first read, members 0..N+2 at those roots
+in floats (families.family_values), for the weights, the crosscheck sums
+and the states.  Only the factorization check builds bivariate chains.
 """
 
 from __future__ import annotations
@@ -128,7 +130,7 @@ def require_qes_domain(m, zeta: float) -> tuple:
     if not zeta > 0:
         raise QESDomainError("zeta must be positive")
     try:
-        shift = (m + zeta) ** 2
+        shift = (m + float(zeta)) ** 2
     except OverflowError:
         shift = math.inf
     if not math.isfinite(shift):
@@ -206,9 +208,8 @@ class ChainSolution:
         return tuple(values)
 
 
-# two entries: every (M, zeta) has at most two chains in its plan (chain_plan);
-# typed, so that zeta = 1 and zeta = 1.0 keep their own shift
-@lru_cache(maxsize=2, typed=True)
+# two entries: every (M, zeta) has at most two chains in its plan (chain_plan)
+@lru_cache(maxsize=2)
 def solve_chain(m, zeta: float, kind: str) -> ChainSolution:
     """The one solve of chain `kind` of the plan at (M, zeta), shared by every
     consumer: a miss checks the domain, finds the chain and certifies its
@@ -216,7 +217,7 @@ def solve_chain(m, zeta: float, kind: str) -> ChainSolution:
     m, shift = require_qes_domain(m, zeta)
     for spec, count in chain_plan(m):
         if spec.kind == kind:
-            return ChainSolution(spec, zeta, shift, tuple(chain_roots(spec, count, zeta)))
+            return ChainSolution(spec, float(zeta), shift, tuple(chain_roots(spec, count, zeta)))
     raise QESDomainError(f"chain {kind} carries no QES levels at M={m}")
 
 

@@ -57,8 +57,14 @@ class QESState:
         return self.eval(x)
 
     def eval(self, x):
-        """State value on the line; accepts scalars or arrays."""
-        return self._series(x, np.cosh, np.sinh)
+        """State value on the line; accepts scalars or arrays.  It is 0 where
+        the prefactor exp(-(zeta/2) cosh 2x) underflows, also where cosh 2x
+        (from |x| ~ 355), cosh x, sinh x or the series overflow and 0 * inf
+        is NaN.  Overflow raises no warning."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            damp, v = self._series(x, np.cosh, np.sinh)
+        v = np.where((damp == 0.0) & np.isnan(v), 0.0, v)
+        return v if v.shape else float(v)
 
     def eval_dual(self, theta):
         """Circle image of the state under x -> i*theta (cosh -> cos).
@@ -67,21 +73,21 @@ class QESState:
         comparisons against closed circle states are made after projecting
         out scale and global sign anyway.
         """
-        return self._series(theta, np.cos, np.sin)
+        v = self._series(theta, np.cos, np.sin)[1]
+        return v if v.shape else float(v)
 
     def _series(self, x, even, odd):
-        """Prefactor times series with u = even(x); odd(x) is the odd branch."""
+        """exp(-(zeta/2) even(2x)) and the state, that exponential times the
+        series in u = even(x); odd(x) is the odd branch."""
         x = np.asarray(x, dtype=float)
         u = even(x)
         series = np.zeros_like(u)
         for j, c in enumerate(self.coeffs):
             if c:
                 series = series + c * u ** self.series_exponent(j)
-        pref = np.exp(-0.5 * self.zeta * even(2.0 * x))
-        if self.s:
-            pref = pref * np.sqrt(2.0) * odd(x)
-        v = pref * series
-        return v if v.shape else float(v)
+        damp = np.exp(-0.5 * self.zeta * even(2.0 * x))
+        pref = damp * np.sqrt(2.0) * odd(x) if self.s else damp
+        return damp, pref * series
 
 
 def build_qes_state(m: int, zeta: float, level: int) -> QESState:

@@ -22,6 +22,8 @@ from qespoly.families import (
     recursion_coeffs,
     three_term_form,
 )
+from qespoly.oracle import verify_duality_pair
+from qespoly.potentials import dsg, dshg
 from qespoly.spectrum import (
     QESDomainError,
     WeightTable,
@@ -669,17 +671,32 @@ class TestChainMemo:
         assert [(args[0], args[1]) for args in roots] == [(ChainSpec("P", 151, 0), 76)] * 2
         assert spectrum.solve_chain.cache_info().currsize == 0
 
-    @pytest.mark.parametrize("first, second", [(1.0, 1), (1, 1.0)])
-    def test_int_and_float_zeta_keep_their_own_shift(self, first, second):
-        # 1 and 1.0 are equal keys to an untyped memo; a hit must still
-        # return what a fresh solve at the caller's own zeta returns
-        moments(3, first, "P", 2)
-        comparator = moments(3, second, "P", 2).leading_order_comparator
-        assert comparator == 16 and type(comparator) is type(second)
-        hit = spectrum.solve_chain(3, second, "P")
-        fresh = spectrum.solve_chain.__wrapped__(3, second, "P")
-        assert (type(hit.zeta), type(hit.shift)) == (type(fresh.zeta), type(fresh.shift))
-        assert hit.roots == fresh.roots
+    def test_equal_values_share_one_entry(self, monkeypatch):
+        # the memo keys on values, so M = 3, 3.0 and Fraction(3) and zeta = 1
+        # and 1.0 meet in one entry per chain, whose shift is a float
+        points = [(3, 1), (3, 1.0), (3.0, 1.0), (Fraction(3), 1.0)]
+        roots = _counting(monkeypatch, spectrum, "chain_roots")
+        hits = {(m, zeta, kind): spectrum.solve_chain(m, zeta, kind)
+                for m, zeta in points for kind in ("P", "Q")}
+        assert [args[0] for args in roots] == [ChainSpec("P", 3, 0), ChainSpec("Q", 3, HALF)]
+        for m, zeta in points:
+            comparator = moments(m, zeta, "P", 2).leading_order_comparator
+            assert type(comparator) is float and comparator == 16.0
+        assert len(roots) == 2
+        for (m, zeta, kind), hit in hits.items():
+            fresh = spectrum.solve_chain.__wrapped__(m, zeta, kind)
+            assert type(hit.shift) is type(fresh.shift) is float and hit.shift == 16.0
+            assert type(hit.zeta) is type(fresh.zeta) is float
+            assert (hit.spec, hit.zeta) == (fresh.spec, fresh.zeta)
+            assert np.array(hit.roots).tobytes() == np.array(fresh.roots).tobytes()
+
+    def test_a_float_m_from_a_potential_hits_the_int_m_solve(self, monkeypatch):
+        # every PotentialSpec stores M as a float; the duality pair reads the
+        # levels through it and must find the solves that qes_energies made
+        roots = _counting(monkeypatch, spectrum, "chain_roots")
+        qes_energies(3, 1.0)
+        verify_duality_pair(dshg(3, 1.0), dsg(3, 1.0))
+        assert len(roots) == 2
 
 
 class TestMemoHit:
@@ -734,6 +751,10 @@ class TestDomainErrors:
         (3, float("nan"), "Q", "zeta must be positive"),
         (1, 0.0, "Q", "zeta must be positive"),
         (3, 1e160, "P", OVERFLOW),
+        # an int zeta too large for a float, not just a shift too large
+        pytest.param(3, 10**200, "P",
+                     f"the shift (M + zeta)**2 overflows a float at M=3, zeta={10**200}",
+                     id="3-10**200-P-shift-overflow"),
     ])
     @pytest.mark.parametrize("name", DOMAIN_CALLS)
     def test_domain_error(self, name, m, zeta, chain, message):

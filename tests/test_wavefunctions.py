@@ -76,6 +76,26 @@ class TestParity:
         assert state.eval(0.0) == 0.0
 
 
+class TestFarField:
+    """Where exp(-(zeta/2) cosh 2x) underflows the state is 0: cosh 2x
+    overflows from |x| ~ 355 and cosh x, sinh x from ~710, and neither may
+    warn (an error in this suite) or leave 0 * inf = NaN."""
+
+    @pytest.mark.parametrize("x", [400.0, 720.0, 1e300])
+    @pytest.mark.parametrize("level", [0, 1])     # even (P) and odd (Q) at M = 3
+    def test_state_is_zero_far_out(self, level, x):
+        state = build_qes_state(3, 1.0, level)
+        assert state.eval(np.array([-x, x])).tolist() == [0.0, 0.0]
+        assert [state.eval(-x), state.eval(x)] == [0.0, 0.0]
+
+    def test_csv_has_no_nan(self, capsys):
+        argv = ["wavefunction", "--m", "3", "--zeta", "1", "--level", "1",
+                "--domain-l", "720", "--format", "csv"]
+        assert main(argv) == 0
+        out, err = capsys.readouterr()
+        assert "nan" not in out.lower() and err == ""
+
+
 class TestNodes:
     @pytest.mark.parametrize("m", range(1, 9))
     @pytest.mark.parametrize("zeta", [0.5, 1.0, 2.0])
