@@ -94,8 +94,9 @@ def potential_eval(spec: PotentialSpec, x):
     family = _PREIMAGE.get(spec.family, spec.family)
     circle = family != spec.family
     if family == "dshg":
-        c2 = np.cos(2.0 * x) if circle else np.cosh(2.0 * x)
-        v = (p["zeta"] * c2 - p["m"]) ** 2
+        with np.errstate(over="ignore"):    # past |x| ~ 178 on the line V rounds to inf
+            c2 = np.cos(2.0 * x) if circle else np.cosh(2.0 * x)
+            v = (p["zeta"] * c2 - p["m"]) ** 2
     elif family == "phi6_kink":
         mu = p["mu"]
         inv2 = 1.0 / p["epsilon_sq"]

@@ -16,11 +16,11 @@ parity of its levels, and it carries as many as its critical index.
 The discrete weight function supported on a chain's own levels makes that
 chain an orthogonal set; weights are generically indefinite here, which the
 sign pattern of the recursion (all a_k < 0 before termination) predicts.
-They have one solve path: the float linear system sum_k p_n(E_k) w_k =
-delta_n0 at the isolated roots, with its residual bounded and its condition
-number reported.  The norm crosscheck and the sine-Gordon weights take
-their tables from it.  The moments need none: the weights send p_0 to 1,
-p_1..p_{N-1} and every multiple of p_N to 0, so mu_n is the p_0
+They have one solve per chain: the float linear system sum_k p_n(E_k) w_k
+= delta_n0 at the isolated roots, residual bounded, kept on its
+ChainSolution with its condition number; the crosscheck and the
+sine-Gordon weights read it too.  The moments need none: the weights send
+p_0 to 1, p_1..p_{N-1} and every multiple of p_N to 0, so mu_n is the p_0
 coordinate of E**n mod p_N, which the three-term recursion gives.
 
 solve_chain(m, zeta, kind) is the one entry to a solved chain, shared
@@ -193,8 +193,9 @@ def chain_roots(spec: ChainSpec, n: int, zeta: float) -> list:
 @dataclass(frozen=True)
 class ChainSolution:
     """The certified roots (shifted energy, ascending) of a chain's critical
-    member at zeta, and the shift (M + zeta)**2 back to E; values: members
-    0..N+2 at the roots, read-only, on first read."""
+    member at zeta, and the shift (M + zeta)**2 back to E; on first read,
+    members 0..N+2 at the roots (values), the weight solve and its
+    condition number, which only the weight table reads."""
     spec: ChainSpec
     zeta: float
     shift: float
@@ -206,6 +207,26 @@ class ChainSolution:
         for v in values:
             v.flags.writeable = False
         return tuple(values)
+
+    @cached_property
+    def weight_solve(self) -> tuple:
+        """(read-only weights, residual) of sum_k p_n(E_k) w_k = delta_n0, n < N,
+        by partial pivoting; QESDomainError, not kept, for a residual > 1e-10."""
+        a = np.array(self.values[:len(self.roots)])
+        rhs = np.eye(1, len(self.roots))[0]
+        try:
+            w = np.linalg.solve(a, rhs)
+        except np.linalg.LinAlgError as exc:
+            raise QESDomainError("degenerate support") from exc
+        residual = float(np.max(np.abs(a @ w - rhs)))
+        if residual > 1e-10:
+            raise QESDomainError(f"weight system residual {residual} above tolerance")
+        w.flags.writeable = False
+        return w, residual
+
+    @cached_property
+    def condition(self) -> float:
+        return float(np.linalg.cond(np.array(self.values[:len(self.roots)])))
 
 
 # two entries: every (M, zeta) has at most two chains in its plan (chain_plan)
@@ -339,33 +360,13 @@ def norms_from_recursion(form: ThreeTermForm) -> NormSequence:
 # ----------------------------------------------------------------------
 
 def weights(m, zeta: float, chain: str) -> WeightTable:
-    """Discrete weights on a chain's own levels from sum_k p_n(E_k) w_k = delta_n0.
-
-    The square system runs over n = 0 .. (level count - 1) at the chain's
-    certified roots (solve_chain) and is solved by partial pivoting.  The
-    residual must stay within 1e-10 and the condition number is recorded.
-    Every table comes from this float solve, so its `exact` flag is False.
-    """
+    """Discrete weights on a chain's own levels: the chain's one float solve of
+    sum_k p_n(E_k) w_k = delta_n0, n < level count, at its certified roots
+    (ChainSolution.weight_solve), with the system's condition number."""
     solution = solve_chain(m, zeta, chain)
-    a, sol, residual = _weight_solve(solution)
-    support = tuple((r + solution.shift, float(w)) for r, w in zip(solution.roots, sol))
-    return WeightTable(chain, support, condition=float(np.linalg.cond(a)), residual=residual)
-
-
-def _weight_solve(solution: ChainSolution) -> tuple:
-    """The weight solve on a chain's certified roots: matrix, weights, residual."""
-    count = len(solution.roots)
-    a = np.array(solution.values[:count])
-    rhs = np.zeros(count)
-    rhs[0] = 1.0
-    try:
-        sol = np.linalg.solve(a, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise QESDomainError("degenerate support") from exc
-    residual = float(np.max(np.abs(a @ sol - rhs)))
-    if residual > 1e-10:
-        raise QESDomainError(f"weight system residual {residual} above tolerance")
-    return a, sol, residual
+    w, residual = solution.weight_solve
+    support = tuple((r + solution.shift, float(x)) for r, x in zip(solution.roots, w))
+    return WeightTable(chain, support, condition=solution.condition, residual=residual)
 
 
 @dataclass(frozen=True)
@@ -387,7 +388,7 @@ def norm_weight_crosscheck(m, zeta: float, chain: str) -> CrosscheckReport:
     """
     solution = solve_chain(m, zeta, chain)
     spec, count, values = solution.spec, len(solution.roots), solution.values
-    w = _weight_solve(solution)[1]
+    w = solution.weight_solve[0]
     devs = []
     ok = True
     for n in range(count + 1):

@@ -157,7 +157,9 @@ def schrodinger_residual(psi, energy: float, potential, grid) -> float:
         -padded[:-4] + 16 * padded[1:-3] - 30 * padded[2:-2]
         + 16 * padded[3:-1] - padded[4:]
     ) / (12 * h * h)
-    res = -second + (v - energy) * padded[2:-2]
+    inner = padded[2:-2]
+    with np.errstate(invalid="ignore"):     # V = inf where psi = 0: the term is 0
+        res = -second + np.where(inner == 0.0, 0.0, (v - energy) * inner)
     scale = np.max(np.abs(values))
     if scale == 0.0:
         raise ValueError("state vanishes identically on the grid")

@@ -8,6 +8,7 @@ import pytest
 
 from qespoly import cli
 from qespoly.cli import main
+from qespoly.exactpoly import ParamPoly
 
 
 def run(capsys, *argv):
@@ -312,7 +313,7 @@ class TestCliContract:
 
     def test_verify_all_m3(self, capsys):
         code, out, _ = run(capsys, "verify-all", "--m", "3", "--zeta", "1",
-                           "--seed", "7", "--format", "pretty")
+                           "--format", "pretty")
         assert code == 0
         body = [line for line in out.splitlines() if not line.startswith("#")]
         assert all(line.startswith("PASS") for line in body)
@@ -330,6 +331,47 @@ class TestCliContract:
         assert code == 1
         assert {check["name"]: check["ok"] for check in doc["checks"]}["duality"] is True
         assert doc["ok"] is False
+
+
+class TestNormsClosedForm:
+    """verify-all's norms-closed-form check and `qespoly norms` run one
+    comparison of the closed gamma_n with the recursion's, so a wrong closed
+    norm fails both."""
+
+    @pytest.fixture
+    def wrong_gamma_3(self, monkeypatch):
+        """Shift the closed gamma_3 of one chain kind by 1."""
+        true = cli.norms_closed
+
+        def patch(kind):
+            def perturbed(chain, m, s, n):
+                gamma = true(chain, m, s, n)
+                return gamma + ParamPoly.const(1) if (chain, n) == (kind, 3) else gamma
+            monkeypatch.setattr(cli, "norms_closed", perturbed)
+        return patch
+
+    # gamma_3 of P at M = 3 is 0 past termination; the quotient ones are positive
+    @pytest.mark.parametrize("kind,m,s", [("P", "3", "0"), ("Q", "4", "0"), ("Pbar", "3", "0"),
+                                          ("Qbar", "3", "1/2"), ("Sbar", "4", "0"),
+                                          ("Rbar", "4", "1/2")])
+    def test_a_wrong_norm_fails_both_commands(self, capsys, wrong_gamma_3, kind, m, s):
+        wrong_gamma_3(kind)
+        code, out, _ = run(capsys, "verify-all", "--m", m, "--zeta", "1")
+        assert code == 1
+        assert out.splitlines()[2] == "FAIL norms-closed-form"
+        assert [line for line in out.splitlines()[1:] if line.startswith("FAIL")] == [
+            "FAIL norms-closed-form", "FAIL overall"]
+        code, out, _ = run(capsys, "norms", "--chain", kind, "--m", m, "--s", s)
+        assert code == 0
+        assert out.splitlines()[-1] == "recursion matches closed form: False"
+
+    def test_seed_changes_only_the_manifest(self, capsys):
+        outs = [run(capsys, "verify-all", "--m", "3", "--zeta", "1", "--seed", seed)[1]
+                for seed in ("1", "2")]
+        first, second = (out.splitlines() for out in outs)
+        assert first[0] != second[0]
+        assert first[1:] == second[1:]
+        assert first[2] == "PASS norms-closed-form"
 
 
 class TestOverflowAndGridDomain:

@@ -463,13 +463,13 @@ class TestCrosscheckScale:
         assert rep.orthogonality_max > 1e-9
 
     def test_one_perturbed_weight_fails(self, monkeypatch):
-        true_solve = spectrum._weight_solve
+        true_solve = spectrum.ChainSolution.weight_solve.func
 
-        def perturbed(*args):
-            a, w, residual = true_solve(*args)
-            return a, np.concatenate([w[:1] * (1 + 1e-6), w[1:]]), residual
+        def perturbed(solution):
+            w, residual = true_solve(solution)
+            return np.concatenate([w[:1] * (1 + 1e-6), w[1:]]), residual
 
-        monkeypatch.setattr(spectrum, "_weight_solve", perturbed)
+        monkeypatch.setattr(spectrum.ChainSolution, "weight_solve", property(perturbed))
         assert not norm_weight_crosscheck(8, 1.0, "Q").ok
 
 
@@ -505,11 +505,31 @@ class TestOneChainSolve:
 
     def test_moments_read_the_roots_and_steps_alone(self, monkeypatch):
         roots = _counting(monkeypatch, spectrum, "chain_roots")
-        table_reads = [_counting(monkeypatch, spectrum, name)
-                       for name in ("weights", "_weight_solve", "family_values")]
+        table_reads = [_counting(monkeypatch, spectrum, name) for name in ("weights", "family_values")]
+        solves = _counting(monkeypatch, np.linalg, "solve")
         moments(8, 1.0, "Q", 12)
         assert len(roots) == 1
-        assert table_reads == [[], [], []]
+        assert table_reads == [[], []]
+        assert solves == []
+
+    @pytest.mark.parametrize("m", [9, 10])
+    def test_one_weight_solve_and_condition_per_chain(self, monkeypatch, m):
+        # the tables, moments and crosschecks of both chains, then the
+        # sine-Gordon table at odd M, which reads the P chain's solve again
+        solves = _counting(monkeypatch, np.linalg, "solve")
+        conds = _counting(monkeypatch, np.linalg, "cond")
+        for spec, _ in chain_plan(m):
+            weights(m, 1.0, spec.kind)
+            moments(m, 1.0, spec.kind, 12)
+            assert norm_weight_crosscheck(m, 1.0, spec.kind).ok
+        if m % 2:
+            dsg_weights_moments(m, 1.0)
+        assert (len(solves), len(conds)) == (2, 2)
+
+    def test_solved_weights_are_read_only(self):
+        w, _ = spectrum.solve_chain(8, 1.0, "Q").weight_solve
+        with pytest.raises(ValueError):
+            w[0] = 0.0
 
     def test_levels_evaluate_no_member(self, monkeypatch):
         values = _counting(monkeypatch, spectrum, "family_values")

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from qespoly.cli import main
-from qespoly.potentials import dshg, phi6_kink_dual
+from qespoly.potentials import dshg, phi6_kink_dual, potential_eval
 from qespoly.spectrum import QESDomainError
 from qespoly.wavefunctions import (
     build_qes_state,
@@ -87,6 +87,21 @@ class TestFarField:
         state = build_qes_state(3, 1.0, level)
         assert state.eval(np.array([-x, x])).tolist() == [0.0, 0.0]
         assert [state.eval(-x), state.eval(x)] == [0.0, 0.0]
+
+    @pytest.mark.parametrize("x", [200.0, 400.0, 1e300])
+    def test_potential_rounds_to_inf_far_out(self, x):
+        # (zeta cosh 2x - M)**2 overflows from |x| ~ 178 and cosh 2x from ~355
+        assert potential_eval(dshg(3, 1.0), np.array([-x, x])).tolist() == [math.inf] * 2
+        assert potential_eval(dshg(3, 1.0), x) == math.inf
+
+    @pytest.mark.parametrize("level", [0, 1])
+    def test_residual_past_the_overflow_of_the_potential(self, level):
+        # V = inf where the state is exactly 0 adds nothing: the residual is
+        # that of the grid's part on [-20, 20]
+        state, spec = build_qes_state(3, 1.0, level), dshg(3, 1.0)
+        grid = np.linspace(-200.0, 200.0, 2001)
+        assert residual(state, spec, grid) == pytest.approx(
+            residual(state, spec, grid[900:1101]), rel=1e-9)
 
     def test_csv_has_no_nan(self, capsys):
         argv = ["wavefunction", "--m", "3", "--zeta", "1", "--level", "1",
