@@ -11,7 +11,8 @@ first, so the lowest k levels are the lowest ceil(k/2) even and floor(k/2)
 odd ones, and `verify_qes` matches the level with k nodes to line level k.
 Every solve is repeated on the half-resolution grid so convergence can be
 judged from the Richardson pair; the grid spacing of each geometry has one
-formula, in discretize.  A circle family's analytic levels are the dual
+formula, in discretize.  The dsg well's analytic levels are dsg_spectrum's,
+none at even M (the paper's rule); the kink-dual well's are the dual
 energies of its line preimage's (potentials.line_preimage).
 
 A line block is solved only on the rows its requested levels reach.  Past
@@ -48,7 +49,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .duality import dual_energies
+from .duality import DsgRejection, dsg_spectrum, dual_energies
 from .potentials import (
     PotentialSpec,
     dshg,
@@ -351,9 +352,14 @@ def verify_qes(m: int, zeta: float, tolerance: float = 1e-4) -> OracleResult:
 
 
 def analytic_qes_levels(spec: PotentialSpec) -> list:
-    """The algebraic levels a potential family is known to hold; a circle
-    family holds the dual energies of its line preimage's levels."""
+    """The algebraic levels a potential family is known to hold; the dsg
+    well has none at even M, an OracleError with duality.dsg_spectrum's reason."""
     p = spec.params
+    if spec.family == "dsg":
+        outcome = dsg_spectrum(p["m"], p["zeta"])
+        if isinstance(outcome, DsgRejection):
+            raise OracleError(f"no dsg levels at M = {outcome.m}: {outcome.reason}")
+        return outcome.energies()
     if spec.is_circle():
         return dual_energies(analytic_qes_levels(line_preimage(spec)))
     if spec.family == "dshg":

@@ -96,7 +96,8 @@ def potential_eval(spec: PotentialSpec, x):
     if family == "dshg":
         with np.errstate(over="ignore"):    # past |x| ~ 178 on the line V rounds to inf
             c2 = np.cos(2.0 * x) if circle else np.cosh(2.0 * x)
-            v = (p["zeta"] * c2 - p["m"]) ** 2
+            # zeta = 0 is the constant well M**2, also where 0 * cosh 2x is NaN
+            v = (p["zeta"] * c2 - p["m"]) ** 2 if p["zeta"] else np.full(x.shape, p["m"] ** 2)
     elif family == "phi6_kink":
         mu = p["mu"]
         inv2 = 1.0 / p["epsilon_sq"]

@@ -33,9 +33,10 @@ steps alone: it takes the roots of the critical member N from the
 eigenvalues of the chain's Jacobi matrix, polishes them by Newton on the
 float recursion and certifies them by exact sign changes between
 neighbouring roots, on the integer recursion (families.member_signs).  The
-read-only ChainSolution adds, on first read, members 0..N+2 at those roots
-in floats (families.family_values), for the weights, the crosscheck sums
-and the states.  Only the factorization check builds bivariate chains.
+read-only ChainSolution adds, on first read, its value matrix: one read-only
+float array, rows p_0..p_{N+2}, a column per root (families.family_values),
+that the weights, the states and the crosscheck's Gram matrix slice.  Only
+the factorization check builds bivariate chains.
 """
 
 from __future__ import annotations
@@ -192,27 +193,27 @@ def chain_roots(spec: ChainSpec, n: int, zeta: float) -> list:
 
 @dataclass(frozen=True)
 class ChainSolution:
-    """The certified roots (shifted energy, ascending) of a chain's critical
-    member at zeta, and the shift (M + zeta)**2 back to E; on first read,
-    members 0..N+2 at the roots (values), the weight solve and its
-    condition number, which only the weight table reads."""
+    """Certified roots (shifted energy, ascending) of a chain's critical member
+    at zeta, the shift (M + zeta)**2 back to E and, on first read, the value
+    matrix (read-only, (N+3, N), row n p_n at the roots; the crosscheck checks
+    its Gram matrix under the weights), the weight solve and its condition."""
     spec: ChainSpec
     zeta: float
     shift: float
     roots: tuple
 
     @cached_property
-    def values(self) -> tuple:
-        values = family_values(self.spec, len(self.roots) + 2, self.zeta, np.array(self.roots))
-        for v in values:
-            v.flags.writeable = False
-        return tuple(values)
+    def values(self) -> np.ndarray:
+        values = np.array(family_values(self.spec, len(self.roots) + 2, self.zeta,
+                                        np.array(self.roots)))
+        values.flags.writeable = False
+        return values
 
     @cached_property
     def weight_solve(self) -> tuple:
         """(read-only weights, residual) of sum_k p_n(E_k) w_k = delta_n0, n < N,
         by partial pivoting; QESDomainError, not kept, for a residual > 1e-10."""
-        a = np.array(self.values[:len(self.roots)])
+        a = self.values[:len(self.roots)]
         rhs = np.eye(1, len(self.roots))[0]
         try:
             w = np.linalg.solve(a, rhs)
@@ -226,7 +227,7 @@ class ChainSolution:
 
     @cached_property
     def condition(self) -> float:
-        return float(np.linalg.cond(np.array(self.values[:len(self.roots)])))
+        return float(np.linalg.cond(self.values[:len(self.roots)]))
 
 
 # two entries: every (M, zeta) has at most two chains in its plan (chain_plan)
@@ -379,34 +380,25 @@ class CrosscheckReport:
 
 
 def norm_weight_crosscheck(m, zeta: float, chain: str) -> CrosscheckReport:
-    """Verify sum_k w_k p_n(E_k)^2 = gamma_n and the off-diagonal vanishing.
+    """Verify sum_k w_k p_m(E_k) p_n(E_k) = gamma_n delta_mn as one Gram
+    matrix identity, V diag(w) V^T = diag(gamma), with V the rows p_0..p_N of
+    the chain solve's values and w its weights.
 
-    The weights and the sums use one chain solve: members 0..N at the
-    certified roots.  An orthogonality sum passes within 1e-9 of the sum of
-    its terms' magnitudes (its rounding scale); orthogonality_max is the
-    largest sum.
+    A norm passes within 1e-9 (1 + |gamma_n|).  An orthogonality sum, an
+    entry of the strict upper triangle over p_0..p_{N-1}, passes within 1e-9
+    of the matching entry of |V| diag(|w|) |V|^T, the sum of its terms'
+    magnitudes (its rounding scale); orthogonality_max is the largest sum.
     """
     solution = solve_chain(m, zeta, chain)
-    spec, count, values = solution.spec, len(solution.roots), solution.values
-    w = solution.weight_solve[0]
-    devs = []
-    ok = True
-    for n in range(count + 1):
-        gamma = norms_closed(chain, spec.m, spec.s, n).eval_float(zeta)
-        total = float(np.dot(w, values[n] ** 2))
-        dev = abs(total - gamma)
-        devs.append(dev)
-        if dev > 1e-9 * (1.0 + abs(gamma)):
-            ok = False
-    ortho = 0.0
-    for i in range(count):
-        for j in range(i + 1, count):
-            terms = w * values[i] * values[j]
-            total = abs(float(np.sum(terms)))
-            ortho = max(ortho, total)
-            if total > 1e-9 * float(np.sum(np.abs(terms))):
-                ok = False
-    return CrosscheckReport(chain, zeta, tuple(devs), ortho, ok)
+    spec, count = solution.spec, len(solution.roots)
+    v, w = solution.values[:count + 1], solution.weight_solve[0]
+    gammas = np.array([norms_closed(chain, spec.m, spec.s, n).eval_float(zeta)
+                       for n in range(count + 1)])
+    gram, scale = (v * w) @ v.T, (np.abs(v) * np.abs(w)) @ np.abs(v).T
+    upper = np.triu_indices(count, 1)    # pairs among p_0..p_{N-1}
+    devs, sums = np.abs(np.diag(gram) - gammas), np.abs(gram[upper])
+    ok = not (np.any(devs > 1e-9 * (1.0 + np.abs(gammas))) or np.any(sums > 1e-9 * scale[upper]))
+    return CrosscheckReport(chain, zeta, tuple(devs.tolist()), float(sums.max(initial=0.0)), ok)
 
 
 def moments(m, zeta: float, chain: str, n_max: int) -> MomentSequence:

@@ -102,7 +102,7 @@ def build_qes_state(m: int, zeta: float, level: int) -> QESState:
     solution = solve_chain(m, zeta, terminating_chains(m)[level % 2][0])
     spec, crit = solution.spec, len(solution.roots)
     factorials = [float(math.factorial(series_index(spec.kind, j))) for j in range(crit + 3)]
-    coeffs = np.array(solution.values) / np.array(factorials)[:, None]
+    coeffs = solution.values / np.array(factorials)[:, None]
     tail = np.abs(coeffs[crit:])
     scale = np.max(np.abs(coeffs), axis=0)
     # a NaN tail fails "<=", and an inf scale, which any tail is within, fails

@@ -9,6 +9,7 @@ import scipy.linalg
 
 from qespoly import oracle
 from qespoly.cli import main
+from qespoly.duality import dsg_spectrum
 from qespoly.oracle import (
     Discretization,
     OracleConfig,
@@ -451,6 +452,17 @@ class TestAnalyticLevels:
         assert analytic_qes_levels(phi6_kink_dual(0.5, 1.0)) == pytest.approx([-0.75, 0.0])
         assert analytic_qes_levels(phi6_kink_dual(0.5, 2.0)) == pytest.approx([-3.0, 0.0])
         assert analytic_qes_levels(phi6_kink_dual(0.3, 1.0)) == pytest.approx([0.0])
+
+    @pytest.mark.parametrize("m", [2, 4, 24])
+    def test_no_dsg_levels_at_even_m(self, m):
+        # the candidate states change sign under a half turn (duality.dsg_spectrum)
+        with pytest.raises(OracleError, match=f"no dsg levels at M = {m}: candidate states"
+                                              " change sign under a half turn"):
+            analytic_qes_levels(dsg(m, 1.0))
+
+    @pytest.mark.parametrize("m", [1, 3, 9])
+    def test_dsg_levels_at_odd_m_are_the_dsg_spectrum(self, m):
+        assert analytic_qes_levels(dsg(m, 1.0)) == dsg_spectrum(m, 1.0).energies()
 
     def test_non_integer_m_is_a_domain_error(self):
         # not truncated to the M = 2 levels

@@ -472,6 +472,85 @@ class TestCrosscheckScale:
         monkeypatch.setattr(spectrum.ChainSolution, "weight_solve", property(perturbed))
         assert not norm_weight_crosscheck(8, 1.0, "Q").ok
 
+    def test_orthogonality_alone_fails(self, monkeypatch):
+        # w_0 scaled by 1 + 1e-6, and the closed norms replaced by the sums
+        # the perturbed weights give, so that only the off-diagonal sums fail
+        true_solve = spectrum.ChainSolution.weight_solve.func
+
+        def perturbed(solution):
+            w, residual = true_solve(solution)
+            return np.concatenate([w[:1] * (1 + 1e-6), w[1:]]), residual
+
+        monkeypatch.setattr(spectrum.ChainSolution, "weight_solve", property(perturbed))
+        solution = spectrum.solve_chain(8, 1.0, "Q")
+        v, w = solution.values, solution.weight_solve[0]
+        sums = [Fraction(float(np.dot(w, v[n] ** 2))) for n in range(5)]
+        monkeypatch.setattr(spectrum, "norms_closed",
+                            lambda chain, m, s, n: ParamPoly.const(sums[n]))
+        rep = norm_weight_crosscheck(8, 1.0, "Q")
+        assert all(d <= 1e-9 * (1 + abs(g)) for d, g in zip(rep.norm_deviations, sums))
+        assert not rep.ok
+
+    def test_one_perturbed_norm_fails(self, monkeypatch):
+        true_norms = spectrum.norms_closed
+
+        def perturbed(chain, m, s, n):
+            gamma = true_norms(chain, m, s, n)
+            return gamma * ParamPoly.const(Fraction(1_000_001, 1_000_000)) if n == 1 else gamma
+
+        assert norm_weight_crosscheck(8, 1.0, "Q").ok
+        monkeypatch.setattr(spectrum, "norms_closed", perturbed)
+        rep = norm_weight_crosscheck(8, 1.0, "Q")
+        assert not rep.ok
+        assert rep.norm_deviations[1] == pytest.approx(144e-6, rel=1e-6)   # gamma_1 = -144
+
+
+def _pairwise_crosscheck(m, zeta, kind) -> tuple:
+    """(ok, norm deviations, orthogonality_max, per-entry term scales) by one
+    sum per member and per pair of members."""
+    solution = spectrum.solve_chain(m, zeta, kind)
+    count, values, w = len(solution.roots), solution.values, solution.weight_solve[0]
+    spec = solution.spec
+    ok, devs, ortho, scales = True, [], 0.0, []
+    for n in range(count + 1):
+        gamma = norms_closed(kind, spec.m, spec.s, n).eval_float(zeta)
+        devs.append(abs(float(np.dot(w, values[n] ** 2)) - gamma))
+        scales.append(float(np.dot(np.abs(w), values[n] ** 2)))
+        ok = ok and devs[-1] <= 1e-9 * (1.0 + abs(gamma))
+    for i in range(count):
+        for j in range(i + 1, count):
+            terms = w * values[i] * values[j]
+            total = abs(float(np.sum(terms)))
+            ortho = max(ortho, total)
+            scales.append(float(np.sum(np.abs(terms))))
+            ok = ok and total <= 1e-9 * scales[-1]
+    return ok, devs, ortho, scales
+
+
+class TestCrosscheckGram:
+    """The Gram matrix identity V diag(w) V^T = diag(gamma) decides as the
+    sums taken one member and one pair at a time do."""
+
+    @pytest.mark.parametrize("m", range(3, 11))
+    @pytest.mark.parametrize("zeta", [0.5, 1.0, 2.0])
+    def test_matches_the_pairwise_sums(self, m, zeta):
+        for spec, _ in chain_plan(m):
+            rep = norm_weight_crosscheck(m, zeta, spec.kind)
+            ok, devs, ortho, scales = _pairwise_crosscheck(m, zeta, spec.kind)
+            scale = max(scales)
+            assert rep.ok is ok
+            assert all(type(d) is float for d in rep.norm_deviations)
+            assert rep.norm_deviations == pytest.approx(devs, rel=0, abs=1e-12 * scale)
+            assert rep.orthogonality_max == pytest.approx(ortho, rel=0, abs=1e-12 * scale)
+
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_a_single_level_chain_has_no_orthogonality_sum(self, m):
+        for spec, count in chain_plan(m):
+            assert count == 1
+            rep = norm_weight_crosscheck(m, 1.0, spec.kind)
+            assert rep.ok and rep.orthogonality_max == 0.0
+            assert type(rep.orthogonality_max) is float and len(rep.norm_deviations) == 2
+
 
 def _counting(monkeypatch, module, name) -> list:
     """Wrap module.name so that each call appends its arguments to a list."""
@@ -665,9 +744,12 @@ class TestChainMemo:
         assert solution.spec == ChainSpec("Q", Fraction(8), Fraction(0))
         assert solution.shift == (8 + 1.0) ** 2
         assert isinstance(solution.roots, tuple) and len(solution.roots) == 4
-        for member in solution.values:
-            with pytest.raises(ValueError):
-                member[0] = 0.0
+        # one matrix: members p_0..p_6 (N + 3 rows) at the N = 4 roots
+        assert isinstance(solution.values, np.ndarray) and solution.values.shape == (7, 4)
+        with pytest.raises(ValueError):
+            solution.values[1] = 0.0
+        with pytest.raises(ValueError):
+            solution.values[1][0] = 0.0
         with pytest.raises(dataclasses.FrozenInstanceError):
             solution.roots = ()
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from qespoly.cli import main
-from qespoly.potentials import dshg, phi6_kink_dual, potential_eval
+from qespoly.potentials import dsg, dshg, phi6_kink_dual, potential_eval
 from qespoly.spectrum import QESDomainError
 from qespoly.wavefunctions import (
     build_qes_state,
@@ -93,6 +93,21 @@ class TestFarField:
         # (zeta cosh 2x - M)**2 overflows from |x| ~ 178 and cosh 2x from ~355
         assert potential_eval(dshg(3, 1.0), np.array([-x, x])).tolist() == [math.inf] * 2
         assert potential_eval(dshg(3, 1.0), x) == math.inf
+
+    @pytest.mark.parametrize("x", [0.0, 1.0, 400.0, 1e300])
+    def test_constant_well_is_m_squared_far_out(self, x):
+        # at zeta = 0 the well is the constant M**2, also where cosh 2x
+        # overflows and 0 * cosh 2x would be NaN; its circle image is -M**2
+        assert potential_eval(dshg(3, 0.0), np.array([-x, x])).tolist() == [9.0, 9.0]
+        assert potential_eval(dshg(3, 0.0), x) == 9.0
+        assert potential_eval(dsg(3, 0.0), x) == -9.0
+
+    def test_constant_well_has_no_bound_state(self, capsys):
+        argv = ["oracle", "--family", "dshg", "--m", "3", "--zeta", "0",
+                "--domain-l", "400", "--count", "2"]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "domain too small" in err
 
     @pytest.mark.parametrize("level", [0, 1])
     def test_residual_past_the_overflow_of_the_potential(self, level):
