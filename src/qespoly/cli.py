@@ -34,8 +34,8 @@ from .families import (
     gen_R,
     gen_family,
     gen_quotient,
+    recursion_form,
     terminating_chains,
-    three_term_form,
 )
 from .oracle import (
     OracleConfig,
@@ -285,8 +285,7 @@ def _norms_against_recursion(kind: str, m, s, order: int) -> tuple:
     """The closed gamma_0..gamma_order of a chain, and per n whether the
     recursion's gamma_n equals it exactly."""
     closed = [norms_closed(kind, m, s, n) for n in range(order + 1)]
-    fam = (gen_family if kind in MAIN_KINDS else gen_quotient)(ChainSpec(kind, m, s), order + 1)
-    rec = norms_from_recursion(three_term_form(fam))
+    rec = norms_from_recursion(recursion_form(ChainSpec(kind, m, s), order + 1))
     return closed, [c == r for c, r in zip(closed, rec.values)]
 
 

@@ -291,20 +291,26 @@ def gen_R(spec: ChainSpec, order: int) -> PolyFamily:
     return PolyFamily(spec, members, _termination(spec))
 
 
-def three_term_form(family: PolyFamily) -> ThreeTermForm:
-    """Read the (A_n = 1, B_n, C_n) data off a generated P/Q/quotient chain."""
-    spec = family.spec
+def recursion_form(spec: ChainSpec, order: int) -> ThreeTermForm:
+    """The (A_n = 1, B_n, C_n) data of steps 1..order of a P/Q/quotient chain,
+    read off recursion_coeffs and the termination index: no member is generated."""
     if spec.kind == "R":
         raise ChainSpecError("the combined chain is not an adjacent three-term system")
-    order = len(family.members) - 1
+    if order < 0:
+        raise ValueError("order must be nonnegative")
     bs, cs = [], []
     for n in range(1, order + 1):
         b, c = recursion_coeffs(spec, n)
         bs.append(b)
         cs.append(c)
-    end = family.termination_index
+    end = _termination(spec)
     first_zero = end if end is not None and end <= order else None
     return ThreeTermForm(spec, tuple(bs), tuple(cs), first_zero)
+
+
+def three_term_form(family: PolyFamily) -> ThreeTermForm:
+    """The (A_n = 1, B_n, C_n) data of a generated P/Q/quotient chain's steps."""
+    return recursion_form(family.spec, len(family.members) - 1)
 
 
 def finkel_form(form: ThreeTermForm, zeta: float) -> FinkelForm:

@@ -340,9 +340,11 @@ def match_levels(analytic, eigenvalues) -> tuple:
 
 
 def verify_qes(m: int, zeta: float, tolerance: float = 1e-4) -> OracleResult:
-    """Match the algebraic sinh-Gordon level with k nodes to line level k."""
+    """Match the algebraic sinh-Gordon level with k nodes to line level k.
+
+    The line oracle solves the M levels it matches, k = 0..M-1, and no more."""
     report = qes_energies(m, zeta)
-    result = lowest_eigenvalues(_default_config(dshg(m, zeta), m + 3))
+    result = lowest_eigenvalues(_default_config(dshg(m, zeta), m))
     matches = tuple(LevelMatch(lv.energy, result.eigenvalues[lv.nodes], lv.nodes)
                     for lv in report.levels)
     worst = max(mt.deviation for mt in matches)

@@ -230,17 +230,25 @@ class ChainSolution:
         return float(np.linalg.cond(self.values[:len(self.roots)]))
 
 
+def _planned_chain(m, zeta: float, kind: str) -> tuple:
+    """(ChainSpec, level count, shift) of chain `kind` of the plan at (M, zeta),
+    after the domain check: the errors of a chain solve that come before its
+    roots are certified, in the order M, zeta, shift, chain."""
+    m, shift = require_qes_domain(m, zeta)
+    for spec, count in chain_plan(m):
+        if spec.kind == kind:
+            return spec, count, shift
+    raise QESDomainError(f"chain {kind} carries no QES levels at M={m}")
+
+
 # two entries: every (M, zeta) has at most two chains in its plan (chain_plan)
 @lru_cache(maxsize=2)
 def solve_chain(m, zeta: float, kind: str) -> ChainSolution:
     """The one solve of chain `kind` of the plan at (M, zeta), shared by every
-    consumer: a miss checks the domain, finds the chain and certifies its
-    roots by chain_roots, and a solve that raises is not kept."""
-    m, shift = require_qes_domain(m, zeta)
-    for spec, count in chain_plan(m):
-        if spec.kind == kind:
-            return ChainSolution(spec, float(zeta), shift, tuple(chain_roots(spec, count, zeta)))
-    raise QESDomainError(f"chain {kind} carries no QES levels at M={m}")
+    consumer: a miss checks the domain, finds the chain (_planned_chain) and
+    certifies its roots by chain_roots, and a solve that raises is not kept."""
+    spec, count, shift = _planned_chain(m, zeta, kind)
+    return ChainSolution(spec, float(zeta), shift, tuple(chain_roots(spec, count, zeta)))
 
 
 def qes_energies(m, zeta: float) -> SpectrumReport:
@@ -320,31 +328,32 @@ def norms_closed(chain: str, m, s, n: int) -> ParamPoly:
     """Closed-form squared norm gamma_n as an exact monomial in zeta.
 
     Main chains alternate in sign and vanish at the termination index;
-    quotient-chain norms are positive for zeta > 0.
+    quotient-chain norms are positive for zeta > 0.  With M = a/b and
+    t = 2s each factor is an integer over b (P, Q) or b**2 (the quotient
+    chains), so gamma_n is one product of ints over b**n or b**(2n).
     """
     m = as_rational(m)
     s = as_rational(s)
     if n < 0:
         raise ValueError("n must be nonnegative")
-    spec = ChainSpec(chain, m, s)  # validates the chain/parity combination
-    coef = Fraction(1)
+    ChainSpec(chain, m, s)  # validates the chain/parity combination
+    a, b, t, ks = m.numerator, m.denominator, s.numerator, range(1, n + 1)
     if chain == "P":
-        for k in range(1, n + 1):
-            coef *= Fraction(-8) * k * (2 * k - 1) * (m - 2 * s - 2 * k + 1)
+        factors, den = (-8 * k * (2 * k - 1) * (a - b * (t + 2 * k - 1)) for k in ks), b ** n
     elif chain == "Q":
-        for k in range(1, n + 1):
-            coef *= Fraction(-8) * k * (2 * k + 1) * (m - 2 * s - 2 * k)
+        factors, den = (-8 * k * (2 * k + 1) * (a - b * (t + 2 * k)) for k in ks), b ** n
     elif chain in ("Pbar", "Sbar"):
-        for k in range(1, n + 1):
-            coef *= Fraction(4) * (m + 2 * k + 1) * (m + 2 * k) * (2 * k + 2 * s)
+        factors = (4 * (a + b * (2 * k + 1)) * (a + 2 * k * b) * (2 * k + t) for k in ks)
+        den = b ** (2 * n)
     elif chain in ("Qbar", "Rbar"):
-        for k in range(1, n + 1):
-            coef *= Fraction(4) * (m + 2 * k) * (m + 2 * k - 1) * (2 * k + 2 * s - 1)
+        factors = (4 * (a + 2 * k * b) * (a + b * (2 * k - 1)) * (2 * k + t - 1) for k in ks)
+        den = b ** (2 * n)
     else:
         raise QESDomainError(f"no norm formula for chain {chain!r}")
+    coef = math.prod(factors)
     if coef == 0:
         return ParamPoly.zero()
-    return ParamPoly.monomial(coef, n)
+    return ParamPoly.monomial(Fraction(coef, den), n)
 
 
 def norms_from_recursion(form: ThreeTermForm) -> NormSequence:
@@ -411,9 +420,10 @@ def moments(m, zeta: float, chain: str, n_max: int) -> MomentSequence:
     atomic measure; the coarser comparator (M + zeta)**2 is reported
     alongside, not asserted.
     """
-    solution = solve_chain(m, zeta, chain)
-    if n_max < 0:
+    if n_max < 0:    # after the domain and chain errors, before any root is certified
+        _planned_chain(m, zeta, chain)
         raise ValueError("order must be nonnegative")
+    solution = solve_chain(m, zeta, chain)
     shift, count = solution.shift, len(solution.roots)
     max_abs_energy = max(abs(root + shift) for root in solution.roots)
     bs, cs = np.array(float_steps(solution.spec, count, zeta)).T

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from qespoly import cli
+from qespoly import cli, families
 from qespoly.cli import main
 from qespoly.exactpoly import ParamPoly
 
@@ -364,6 +364,47 @@ class TestNormsClosedForm:
         code, out, _ = run(capsys, "norms", "--chain", kind, "--m", m, "--s", s)
         assert code == 0
         assert out.splitlines()[-1] == "recursion matches closed form: False"
+
+    @pytest.fixture
+    def generated(self, monkeypatch):
+        """The chains families._generate builds, and the ones it builds inside
+        the comparison _norms_against_recursion."""
+        calls = {"all": [], "comparison": []}
+        generate, compare = families._generate, cli._norms_against_recursion
+        inside = []
+
+        def counting_generate(spec, order):
+            calls["all"].append(spec.kind)
+            if inside:
+                calls["comparison"].append(spec.kind)
+            return generate(spec, order)
+
+        def marked_compare(*args):
+            inside.append(True)
+            try:
+                return compare(*args)
+            finally:
+                inside.pop()
+
+        monkeypatch.setattr(families, "_generate", counting_generate)
+        monkeypatch.setattr(cli, "_norms_against_recursion", marked_compare)
+        return calls
+
+    @pytest.mark.parametrize("kind,m,s", [("P", "3", "0"), ("Q", "7/2", "1/2"),
+                                          ("Qbar", "3", "1/2"), ("Sbar", "4", "0")])
+    def test_norms_generates_no_chain(self, capsys, generated, kind, m, s):
+        code, out, _ = run(capsys, "norms", "--chain", kind, "--m", m, "--s", s,
+                           "--order", "12", "--zeta", "1")
+        assert code == 0
+        assert out.splitlines()[-1] == "recursion matches closed form: True"
+        assert generated == {"all": [], "comparison": []}
+
+    @pytest.mark.parametrize("m", ["3", "4"])
+    def test_the_norms_check_generates_no_chain(self, capsys, generated, m):
+        code, out, _ = run(capsys, "verify-all", "--m", m, "--zeta", "1")
+        assert code == 0 and out.splitlines()[2] == "PASS norms-closed-form"
+        # symbolic-monic-degree and factorization-exact still generate theirs
+        assert generated["all"] and generated["comparison"] == []
 
     def test_seed_changes_only_the_manifest(self, capsys):
         outs = [run(capsys, "verify-all", "--m", "3", "--zeta", "1", "--seed", seed)[1]

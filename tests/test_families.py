@@ -17,6 +17,7 @@ from qespoly.families import (
     gen_quotient,
     member_signs,
     recursion_coeffs,
+    recursion_form,
     three_term_form,
 )
 
@@ -171,6 +172,22 @@ class TestThreeTerm:
         fam = gen_family(ChainSpec("Q", Fraction(4), Fraction(0)), 4)
         form = three_term_form(fam)
         assert form.c[0].is_zero()   # C_1 = 0
+
+    @pytest.mark.parametrize("kind,m,s", [("P", 3, 0), ("Q", 3, HALF), ("P", 4, HALF),
+                                          ("Q", Fraction(7, 2), 0), ("Pbar", 5, 0),
+                                          ("Qbar", 3, HALF), ("Rbar", 4, HALF), ("Sbar", 4, 0)])
+    def test_form_from_steps_alone(self, kind, m, s):
+        # recursion_form reads no member: the same data as a generated chain's
+        spec = ChainSpec(kind, Fraction(m), Fraction(s))
+        gen = gen_family if kind in ("P", "Q") else gen_quotient
+        for order in (0, 1, 2, 3, 9):
+            assert recursion_form(spec, order) == three_term_form(gen(spec, order))
+
+    def test_form_errors(self):
+        with pytest.raises(ChainSpecError, match="not an adjacent three-term system"):
+            recursion_form(ChainSpec("R", Fraction(3), Fraction(0)), 4)
+        with pytest.raises(ValueError, match="order must be nonnegative"):
+            recursion_form(ChainSpec("P", Fraction(3), Fraction(0)), -1)
 
     def test_reconstruction(self):
         spec = ChainSpec("Q", Fraction(5), HALF)

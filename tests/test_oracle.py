@@ -28,6 +28,7 @@ from qespoly.potentials import (
     harmonic,
     phi6_kink,
     phi6_kink_dual,
+    potential_eval,
     sextic_minus,
     sextic_plus,
 )
@@ -101,13 +102,15 @@ class TestHarmonicSanity:
 class TestVerifyQes:
     @pytest.mark.parametrize("m", [1, 3, 4])
     def test_line_match(self, m):
+        # the oracle solves the M levels it matches and no more
         res = verify_qes(m, 1.0, 1e-4)
-        assert len(res.matches) == m
+        assert res.config.count == m
+        assert len(res.eigenvalues) == len(res.richardson) == len(res.matches) == m
         assert max(mt.deviation for mt in res.matches) < 1e-4
 
     def test_config_is_the_default_dshg_config(self):
         res = verify_qes(3, 1.0)
-        assert res.config == oracle._default_config(dshg(3, 1.0), 6)
+        assert res.config == oracle._default_config(dshg(3, 1.0), 3)
 
     def test_matched_levels_are_prefix_of_spectrum(self):
         # the M algebraic levels are the lowest M levels of the well
@@ -278,8 +281,10 @@ def _sextic_config(family, m):
     return oracle._default_config(family(m), len(levels) + 4, max(levels))
 
 
-# each line configuration the oracle runs: verify_qes, both sides of the
-# sextic pairs, the kink well's pair side, and a domain that must be enlarged
+# each line configuration the oracle runs: the dshg grids at M + 3 levels
+# (an `oracle` command can ask for them), both sides of the sextic pairs, the
+# kink well's pair side, and a domain that must be enlarged; verify_qes's own
+# configs, at M levels, are VERIFY_QES_CONFIGS
 REACHED_CONFIGS = (
     [pytest.param(oracle._default_config(dshg(m, zeta), m + 3), id=f"dshg-m{m}-z{zeta}")
      for m in range(1, 11) for zeta in (0.5, 1.0, 2.0)]
@@ -288,6 +293,10 @@ REACHED_CONFIGS = (
     + [pytest.param(oracle._default_config(phi6_kink(0.5, 1.0), 6, 0.75), id="phi6_kink"),
        pytest.param(OracleConfig(dshg(3, 1.0), l=1.0, n=4000, count=6), id="enlarged")]
 )
+# the configs verify_qes solves: the default dshg grids at the M levels it matches
+VERIFY_QES_CONFIGS = [
+    pytest.param(oracle._default_config(dshg(m, zeta), m), id=f"dshg-m{m}-z{zeta}-count{m}")
+    for m in range(1, 11) for zeta in (0.5, 1.0, 2.0)]
 
 
 @pytest.fixture
@@ -313,6 +322,22 @@ class TestReachedRows:
                           (res.config.n // 2, res.richardson)):
             want = _tight_line_levels(replace(res.config, n=size), len(got))
             assert np.max(np.abs(np.array(got) - want)) <= 1e-10 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("config", VERIFY_QES_CONFIGS)
+    def test_matched_levels_are_within_the_kept_blocks_tolerance(self, config):
+        # bisection stops at ulp * ||T||_1 of the kept rows, at most
+        # 4/h^2 + V at the outermost kept row: about 6e-10 on the fine grids,
+        # above 1e-10 of the top level where that level is near 2 (M = 1)
+        res = lowest_eigenvalues(config)
+        assert res.config == config    # no enlargement: the solves below are its own
+        fine = oracle._solve(config)
+        coarse = oracle._solve(replace(config, n=config.n // 2), fine[2])
+        assert (res.eigenvalues, res.richardson) == (tuple(fine[0]), tuple(coarse[0]))
+        for size, (got, h, reach) in ((config.n, fine), (config.n // 2, coarse)):
+            assert len(got) == config.count
+            norm = 4.0 / h**2 + float(potential_eval(config.spec, reach))
+            want = _tight_line_levels(replace(config, n=size), config.count)
+            assert np.max(np.abs(got - want)) <= np.finfo(float).eps * norm
 
     def test_rows_past_the_reach_are_dropped(self, solved_blocks):
         # dshg(7, 2) at x = 5 is 4.8e8, against levels up to about 130: the

@@ -376,6 +376,61 @@ class TestNorms:
                 assert (gamma.coeffs[-1] > 0) == (n % 2 == 0)
 
 
+def _reference_norm(chain, m, s, n) -> Fraction:
+    """gamma_n's coefficient as a product of Fraction factors, one per k."""
+    m, s, coef = Fraction(m), Fraction(s), Fraction(1)
+    for k in range(1, n + 1):
+        if chain == "P":
+            coef *= Fraction(-8) * k * (2 * k - 1) * (m - 2 * s - 2 * k + 1)
+        elif chain == "Q":
+            coef *= Fraction(-8) * k * (2 * k + 1) * (m - 2 * s - 2 * k)
+        elif chain in ("Pbar", "Sbar"):
+            coef *= Fraction(4) * (m + 2 * k + 1) * (m + 2 * k) * (2 * k + 2 * s)
+        else:
+            coef *= Fraction(4) * (m + 2 * k) * (m + 2 * k - 1) * (2 * k + 2 * s - 1)
+    return coef
+
+
+class TestNormsIntegerProduct:
+    """norms_closed forms gamma_n as one integer product over b**n or b**(2n)
+    (M = a/b); it equals the product of the Fraction factors term by term."""
+
+    @pytest.mark.parametrize("m", [3, 8, Fraction(7, 2), Fraction(-5, 3), -4, Fraction(1, 9)])
+    @pytest.mark.parametrize("chain", ["P", "Q"])
+    def test_main_chains(self, chain, m):
+        for s in (Fraction(0), HALF):
+            for n in range(17):
+                want = _reference_norm(chain, m, s, n)
+                assert norms_closed(chain, m, s, n) == ParamPoly.monomial(want, n)
+
+    @pytest.mark.parametrize("chain,parity", [("Pbar", 1), ("Qbar", 1), ("Rbar", 0),
+                                              ("Sbar", 0)])
+    def test_quotient_chains(self, chain, parity):
+        for m in range(2 - parity, 14, 2):
+            for s in (Fraction(0), HALF):
+                for n in range(17):
+                    try:
+                        got = norms_closed(chain, m, s, n)
+                    except ChainSpecError as exc:   # the wrong s for this quotient
+                        assert str(exc) == "invalid quotient chain"
+                        continue
+                    assert got == ParamPoly.monomial(_reference_norm(chain, m, s, n), n)
+                    assert got.coeffs[-1] > 0
+
+    @pytest.mark.parametrize("args,error,message", [
+        (("P", 3, 0, -1), ValueError, "n must be nonnegative"),
+        (("X", 3, 0, 2), ChainSpecError, "unknown chain kind 'X'"),
+        (("R", 3, 0, 2), QESDomainError, "no norm formula for chain 'R'"),
+        (("Pbar", 4, 0, 2), ChainSpecError, "invalid quotient chain"),
+        (("Rbar", 3, HALF, 2), ChainSpecError, "invalid quotient chain"),
+        (("Pbar", 3, HALF, 2), ChainSpecError, "invalid quotient chain"),
+    ])
+    def test_errors(self, args, error, message):
+        with pytest.raises(error) as info:
+            norms_closed(*args)
+        assert type(info.value) is error and str(info.value) == message
+
+
 class TestWeights:
     def test_m3_p_closed_form(self):
         for zeta in (0.25, 0.5, 1.0, 2.0):
@@ -880,6 +935,15 @@ class TestDomainErrors:
         assert spectrum.solve_chain.cache_info().currsize == 0
         assert _raises(moments, 3, 1.0, "P", -1, error=ValueError) == (
             "order must be nonnegative")
+
+    def test_order_comes_before_the_roots(self, monkeypatch):
+        # the roots of M = 151 overflow in the Newton polish; a negative
+        # order is rejected before any root is certified
+        roots = _counting(monkeypatch, spectrum, "chain_roots")
+        assert _raises(moments, 151, 1.0, "P", -1, error=ValueError) == (
+            "order must be nonnegative")
+        assert roots == []
+        assert spectrum.solve_chain.cache_info().currsize == 0
 
     @pytest.mark.parametrize("m, zeta, level, message", [
         (0, 1.0, 5, NOT_AN_M),
