@@ -24,7 +24,7 @@ import numpy as np
 
 from . import __version__
 from .duality import DsgRejection, dsg_spectrum, dual_energies
-from .exactpoly import ExactDivisionError, RootCountMismatch
+from .exactpoly import ExactDivisionError, RootCountMismatch, render_in_e
 from .families import (
     CHAIN_KINDS,
     ChainSpec,
@@ -143,10 +143,10 @@ def _parse_zeta(text: str | None, allow_symbolic: bool):
 
 
 def _check_domain_l(args) -> None:
-    """--domain-l, the half-width of a line grid, must be positive and finite."""
-    if not 0 < args.domain_l < math.inf:
-        raise QESDomainError(f"--domain-l must be positive and finite, got "
-                             f"{args.domain_l} (the line half-width)")
+    """--domain-l, a line grid's half-width l, must be positive with 2l finite."""
+    if not 0 < 2 * args.domain_l < math.inf:
+        raise QESDomainError(f"--domain-l must be positive and finite, and so must the "
+                             f"grid width 2l, got {args.domain_l} (the line half-width)")
 
 
 def _fmt(x: float) -> str:
@@ -154,23 +154,10 @@ def _fmt(x: float) -> str:
 
 
 def _render_numeric(coeffs) -> str:
-    """Descending-power text for a float univariate polynomial in E."""
-    deg = len(coeffs) - 1
-    if deg < 0:
-        return "0"
-    parts = []
-    for k in range(deg, -1, -1):
-        c = coeffs[k]
-        if c == 0 and deg > 0:
-            continue
-        body = f"{c:.12g}"
-        if k == 1:
-            parts.append(f"({body})E")
-        elif k > 1:
-            parts.append(f"({body})E^{k}")
-        else:
-            parts.append(f"({body})")
-    return " + ".join(parts) if parts else "0"
+    """Descending-power text for a float univariate polynomial in E; a zero
+    coefficient is left out unless it is the only one."""
+    return render_in_e((k, f"({c:.12g})") for k in range(len(coeffs) - 1, -1, -1)
+                       if (c := coeffs[k]) != 0 or len(coeffs) == 1)
 
 
 def _level_table(report) -> tuple:
@@ -399,10 +386,9 @@ def _cmd_oracle(args) -> int:
     half_width = None if spec.is_circle() else args.domain_l
     config = OracleConfig(spec, l=half_width, n=args.grid_n, count=args.count)
     result = lowest_eigenvalues(config)
-    # lowest_eigenvalues pairs no analytic levels, so "matches" is empty
     payload = {"eigenvalues": list(result.eigenvalues), "h": result.h,
                "richardson": list(result.richardson),
-               "extrapolated": list(result.extrapolated), "matches": []}
+               "extrapolated": list(result.extrapolated)}
     rows = [["k", "eigenvalue", "coarse", "extrapolated"]]
     rows += [[k, repr(e), repr(c), repr(x)] for k, (e, c, x) in enumerate(
         zip(result.eigenvalues, result.richardson, result.extrapolated))]

@@ -8,7 +8,8 @@ A ParamPoly is a polynomial in zeta with Fraction coefficients; an
 EnergyPoly hands out its rows as ParamPoly views (coeffs, coeff) only when
 a caller reads them.  Both are immutable and canonical (trailing zeros
 stripped; the zero polynomial is empty), so generated families compare
-coefficient for coefficient.
+coefficient for coefficient.  Their ring plumbing (_Poly) is written
+once, and one joiner (render_in_e) writes every polynomial in E.
 
 One set of row helpers (_add, _product, _horner) does the arithmetic of
 both classes, the one exact long division (poly_divide_exact, which also
@@ -37,7 +38,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import zip_longest
 from math import lcm
-from operator import add
+from operator import add, attrgetter
 
 import numpy as np
 
@@ -127,8 +128,53 @@ def _horner(coeffs, x):
     return acc
 
 
+class _Poly:
+    """Ring plumbing of ParamPoly and EnergyPoly over their canonical terms
+    (_terms: coeffs or rows).  A subclass defines __add__, __neg__ and
+    __mul__; _coerce makes any other operand a constant of the class."""
+
+    @classmethod
+    def const(cls, value):
+        return cls((value,))
+
+    @classmethod
+    def zero(cls):
+        return cls(())
+
+    @classmethod
+    def _coerce(cls, x):
+        """x itself if it is of the class, otherwise the constant x."""
+        return x if isinstance(x, cls) else cls.const(x)
+
+    def is_zero(self) -> bool:
+        return not self._terms
+
+    def degree(self) -> int:
+        """Degree in the class's variable; the zero polynomial has degree -1."""
+        return len(self._terms) - 1
+
+    def __sub__(self, other):
+        return self + (-self._coerce(other))
+
+    def __radd__(self, other):
+        return self + other
+
+    def __rmul__(self, other):
+        return self * other
+
+    def scale(self, factor):
+        return self * factor
+
+
+def render_in_e(terms) -> str:
+    """Join (k, coefficient text) pairs, descending k, as a polynomial in E:
+    'text', 'textE' or 'textE^k' separated by ' + ', and '0' for no terms."""
+    parts = [text if k == 0 else f"{text}E" if k == 1 else f"{text}E^{k}" for k, text in terms]
+    return " + ".join(parts) or "0"
+
+
 @dataclass(frozen=True)
-class ParamPoly:
+class ParamPoly(_Poly):
     """Polynomial in the coupling zeta with Fraction coefficients.
 
     coeffs[k] multiplies zeta**k.  The zero polynomial is ParamPoly(()).
@@ -141,46 +187,24 @@ class ParamPoly:
             self, "coeffs", tuple(_trim([as_rational(c) for c in self.coeffs]))
         )
 
-    @staticmethod
-    def const(value) -> "ParamPoly":
-        return ParamPoly((as_rational(value),))
-
-    @staticmethod
-    def zero() -> "ParamPoly":
-        return ParamPoly(())
+    _terms = property(attrgetter("coeffs"))
 
     @staticmethod
     def monomial(value, power: int) -> "ParamPoly":
-        return ParamPoly((0,) * power + (as_rational(value),))
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def degree(self) -> int:
-        """Degree in zeta; the zero polynomial has degree -1."""
-        return len(self.coeffs) - 1
+        return ParamPoly((0,) * power + (value,))
 
     def __bool__(self):
         return not self.is_zero()
 
     def __add__(self, other):
-        return ParamPoly(_add(self.coeffs, _coerce_param(other).coeffs))
-
-    def __sub__(self, other):
-        return self + (-_coerce_param(other))
+        return ParamPoly(_add(self.coeffs, self._coerce(other).coeffs))
 
     def __neg__(self):
         return ParamPoly(tuple(-c for c in self.coeffs))
 
     def __mul__(self, other):
-        rows = _product((self.coeffs,), (_coerce_param(other).coeffs,))
+        rows = _product((self.coeffs,), (self._coerce(other).coeffs,))
         return ParamPoly(rows[0] if rows else ())
-
-    __radd__ = __add__
-    __rmul__ = __mul__
-
-    def scale(self, factor) -> "ParamPoly":
-        return self * factor
 
     def eval_float(self, zeta: float) -> float:
         return _horner(self.coeffs, float(zeta))
@@ -210,22 +234,16 @@ class ParamPoly:
         return text
 
 
-def _coerce_param(x) -> ParamPoly:
-    if isinstance(x, ParamPoly):
-        return x
-    return ParamPoly.const(x)
-
-
 def _row(c) -> tuple:
     """c as a row: a tuple is taken as one; a ParamPoly or a number is
     converted, with its integral coefficients as ints."""
     if isinstance(c, tuple):
         return c
-    return tuple(map(plain, _coerce_param(c).coeffs))
+    return tuple(map(plain, ParamPoly._coerce(c).coeffs))
 
 
 @dataclass(frozen=True)
-class EnergyPoly:
+class EnergyPoly(_Poly):
     """Polynomial in the shifted energy variable E, stored as coefficient rows.
 
     rows[k][j] multiplies E**k zeta**j.  The constructor takes one entry per
@@ -239,23 +257,11 @@ class EnergyPoly:
     def __post_init__(self):
         object.__setattr__(self, "rows", tuple(_trim([_row(c) for c in self.rows])))
 
-    @staticmethod
-    def const(value) -> "EnergyPoly":
-        return EnergyPoly((value,))
-
-    @staticmethod
-    def zero() -> "EnergyPoly":
-        return EnergyPoly(())
+    _terms = property(attrgetter("rows"))
 
     @property
     def coeffs(self) -> tuple:
         return tuple(ParamPoly(row) for row in self.rows)
-
-    def is_zero(self) -> bool:
-        return not self.rows
-
-    def degree(self) -> int:
-        return len(self.rows) - 1
 
     def is_monic(self) -> bool:
         return self.rows[-1:] == ((1,),)
@@ -264,23 +270,14 @@ class EnergyPoly:
         return ParamPoly(self.rows[k] if 0 <= k < len(self.rows) else ())
 
     def __add__(self, other):
-        pairs = zip_longest(self.rows, _coerce_energy(other).rows, fillvalue=())
+        pairs = zip_longest(self.rows, self._coerce(other).rows, fillvalue=())
         return EnergyPoly(tuple(_add(a, b) for a, b in pairs))
-
-    def __sub__(self, other):
-        return self + (-_coerce_energy(other))
 
     def __neg__(self):
         return EnergyPoly(tuple(tuple(-x for x in row) for row in self.rows))
 
     def __mul__(self, other):
-        return EnergyPoly(tuple(_product(self.rows, _coerce_energy(other).rows)))
-
-    __radd__ = __add__
-    __rmul__ = __mul__
-
-    def scale(self, factor) -> "EnergyPoly":
-        return EnergyPoly(tuple(_product(self.rows, (_row(factor),))))
+        return EnergyPoly(tuple(_product(self.rows, self._coerce(other).rows)))
 
     def specialize(self, zeta) -> list:
         """Exact univariate coefficients in E at a rational zeta value."""
@@ -293,29 +290,12 @@ class EnergyPoly:
 
     def render(self) -> str:
         """Canonical text, descending E powers: 'E^2 + (12ζ+4)E + (20ζ^2+24ζ)'."""
-        if self.is_zero():
-            return "0"
-        deg = self.degree()
-        if deg == 0:
+        lead = self.degree()
+        if lead < 1:
             return self.coeff(0).render()
-        parts = []
-        for k in range(deg, -1, -1):
-            c = self.coeff(k)
-            if c.is_zero():
-                continue
-            head = "" if k == deg and self.is_monic() else f"({c.render()})"
-            if k == 0:
-                term = head if head else "(1)"
-            elif k == 1:
-                term = f"{head}E"
-            else:
-                term = f"{head}E^{k}"
-            parts.append(term)
-        return " + ".join(parts)
-
-
-def _coerce_energy(x) -> EnergyPoly:
-    return x if isinstance(x, EnergyPoly) else EnergyPoly((x,))
+        bare = self.is_monic()
+        return render_in_e((k, "" if bare and k == lead else f"({c.render()})")
+                           for k in range(lead, -1, -1) if (c := self.coeff(k)))
 
 
 ENERGY_ONE = EnergyPoly.const(1)

@@ -506,15 +506,23 @@ class TestOverflowAndGridDomain:
         assert err.startswith("error: count must be at most n // 2 - 1 = 1023")
         assert err.count("\n") == 1
 
-    @pytest.mark.parametrize("value", ["nan", "inf", "-1", "0"])
+    # at 9e307 the grid width 2l overflows, and np.linspace(-l, l, n) with it
+    @pytest.mark.parametrize("value", ["nan", "inf", "-1", "0", "9e307"])
     def test_wavefunction_rejects_bad_domain_l(self, capsys, value):
         code, out, err = run(capsys, "wavefunction", "--m", "3", "--zeta", "1",
                              "--level", "1", "--domain-l", value)
         assert code == 1
         assert out == ""
         assert err.startswith("error: --domain-l must be positive and finite")
+        assert err.count("\n") == 1
 
-    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_the_widest_finite_grid_is_accepted(self, capsys):
+        code, out, err = run(capsys, "wavefunction", "--m", "3", "--zeta", "1",
+                             "--level", "1", "--domain-l", "8.9e307", "--format", "json")
+        assert code == 0 and err == ""
+        assert json.loads(out)["E"] > 0
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "9e307"])
     def test_oracle_rejects_non_finite_domain_l(self, value):
         # run as a process, so stderr is exactly what a user sees: warnings
         # printed by the interpreter included

@@ -16,6 +16,7 @@ from qespoly.exactpoly import (
     step_rows,
     sturm_real_root_count,
 )
+from qespoly.cli import _render_numeric
 from qespoly.families import ChainSpec, gen_family
 
 
@@ -408,3 +409,122 @@ class TestRendering:
     def test_rational_m_member_renders_unambiguously(self):
         fam = gen_family(ChainSpec("P", Fraction(1, 3), Fraction(0)), 2)
         assert fam[2].render() == "E^2 + (12ζ+4)E + (20ζ^2+(8/3)ζ)"
+
+
+def reference_energy_render(p) -> str:
+    """EnergyPoly.render as written before it called render_in_e."""
+    if p.is_zero():
+        return "0"
+    deg = p.degree()
+    if deg == 0:
+        return p.coeff(0).render()
+    parts = []
+    for k in range(deg, -1, -1):
+        c = p.coeff(k)
+        if c.is_zero():
+            continue
+        head = "" if k == deg and p.is_monic() else f"({c.render()})"
+        if k == 0:
+            term = head if head else "(1)"
+        elif k == 1:
+            term = f"{head}E"
+        else:
+            term = f"{head}E^{k}"
+        parts.append(term)
+    return " + ".join(parts)
+
+
+def reference_render_numeric(coeffs) -> str:
+    """cli._render_numeric as written before it called render_in_e."""
+    deg = len(coeffs) - 1
+    if deg < 0:
+        return "0"
+    parts = []
+    for k in range(deg, -1, -1):
+        c = coeffs[k]
+        if c == 0 and deg > 0:
+            continue
+        body = f"{c:.12g}"
+        if k == 1:
+            parts.append(f"({body})E")
+        elif k > 1:
+            parts.append(f"({body})E^{k}")
+        else:
+            parts.append(f"({body})")
+    return " + ".join(parts) if parts else "0"
+
+
+def rand_energy_poly(rng, degree: int, monic: bool) -> EnergyPoly:
+    """An EnergyPoly of the given degree (-1 for zero) with int or Fraction
+    rows, some inner rows zero, led by 1 when monic."""
+    def row():
+        return ParamPoly(tuple(rand_entry(rng, rng.choice(KINDS)) for _ in range(rng.randint(1, 3))))
+    rows = [ParamPoly.zero() if rng.random() < 0.3 else row() for _ in range(max(degree, 0))]
+    if degree >= 0:
+        lead = ParamPoly.const(1) if monic else row()
+        rows.append(lead or ParamPoly.const(rng.choice((-1, 2, Fraction(1, 3)))))
+    return EnergyPoly(tuple(rows))
+
+
+def rand_float(rng) -> float:
+    return rng.choice((0.0, -0.0, 1.0, -1.0, rng.uniform(-1e3, 1e3),
+                       rng.uniform(-1, 1) * 10.0 ** rng.randint(-300, 300)))
+
+
+class TestRenderInE:
+    """One joiner writes both polynomials in E: parity with the two loops it replaced."""
+
+    def test_joiner(self):
+        assert exactpoly.render_in_e([]) == "0"
+        assert exactpoly.render_in_e([(3, ""), (1, "(2)"), (0, "(5)")]) == "E^3 + (2)E + (5)"
+
+    @pytest.mark.parametrize("monic", [True, False])
+    @pytest.mark.parametrize("degree", range(-1, 7))
+    def test_energy_render_parity(self, degree, monic):
+        rng = random.Random(f"render-{degree}-{monic}")
+        for _ in range(40):
+            p = rand_energy_poly(rng, degree, monic)
+            assert p.degree() == degree
+            assert p.render() == reference_energy_render(p)
+
+    @pytest.mark.parametrize("length", range(8))
+    def test_numeric_render_parity(self, length):
+        rng = random.Random(f"numeric-{length}")
+        cases = [[0.0] * length, [-1.0] * length]
+        cases += [[rand_float(rng) for _ in range(length)] for _ in range(60)]
+        for coeffs in cases:
+            assert _render_numeric(coeffs) == reference_render_numeric(coeffs)
+        assert _render_numeric([]) == "0" and _render_numeric([0.0]) == "(0)"
+
+
+def rand_param_poly(rng) -> ParamPoly:
+    return ParamPoly(tuple(rand_entry(rng, rng.choice(KINDS)) for _ in range(rng.randint(0, 4))))
+
+
+class TestRingPlumbing:
+    """The shared plumbing against the operations it is built from, for both classes."""
+
+    @pytest.mark.parametrize("cls", [ParamPoly, EnergyPoly])
+    def test_constructors_return_the_subclass(self, cls):
+        assert type(cls.zero()) is cls and cls.zero().is_zero()
+        assert type(cls.const(3)) is cls and cls.const(3).degree() == 0
+
+    @pytest.mark.parametrize("cls", [ParamPoly, EnergyPoly])
+    def test_derived_operations(self, cls):
+        make = rand_param_poly if cls is ParamPoly else lambda rng: rand_rows(rng, "mixed", 4)
+        rng = random.Random(cls.__name__)
+        for _ in range(60):
+            p, q = make(rng), make(rng)
+            f = rng.choice((0, 2, Fraction(-3, 4), rand_param_poly(rng)))
+            assert p.scale(f) == p * f
+            assert p - q == p + (-q)
+            assert p - 1 == p + (-1)
+            assert 2 * p == p * 2
+            assert 1 + p == p + 1
+
+    def test_energy_scale_rows(self):
+        rng = random.Random("scale-rows")
+        for _ in range(60):
+            p = rand_rows(rng, "mixed", 4)
+            f = rng.choice((0, 3, Fraction(5, 2), rand_param_poly(rng)))
+            assert p.scale(f).rows == tuple(exactpoly._product(p.rows, (exactpoly._row(f),)))

@@ -48,3 +48,9 @@ def test_duality_json_keys_match_readme(m, label, capsys):
     assert main(["duality", "--m", str(m), "--zeta", "1", "--format", "json"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert set(doc) - {"manifest"} == _schema_keys(label)
+
+
+def test_oracle_json_keys_match_readme(capsys):
+    assert main(["oracle", "--family", "dshg", "--m", "3", "--zeta", "1", "--format", "json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert set(doc) - {"manifest"} == _schema_keys("`oracle`")
