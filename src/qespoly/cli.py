@@ -349,9 +349,13 @@ def _cmd_wavefunction(args) -> int:
     state = build_qes_state(_parse_m(args.m), zeta, args.level)
     grid = np.linspace(-args.domain_l, args.domain_l, args.grid_n)
     values = state.eval(grid)
+    nodes = node_count(values, grid)
+    if nodes != state.level:    # a grid too coarse for the state, or a wrong state
+        raise ValueError(f"the state of level {state.level} changes sign {nodes} times on the "
+                         f"grid, at grid spacing {2 * args.domain_l / (args.grid_n - 1)!r}")
     payload = {"m": state.m, "zeta": state.zeta, "level": state.level, "chain": state.chain,
                "s": float(state.s), "coeffs": list(state.coeffs), "E": state.energy,
-               "nodes": node_count(values, grid)}
+               "nodes": nodes}
     rows = [["x", "psi"]] + [[repr(float(x)), repr(float(p))]
                              for x, p in zip(grid, values)]
     lines = [f"E = {_fmt(state.energy)}  chain={state.chain}  s={float(state.s)}",

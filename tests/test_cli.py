@@ -516,11 +516,21 @@ class TestOverflowAndGridDomain:
         assert err.startswith("error: --domain-l must be positive and finite")
         assert err.count("\n") == 1
 
-    def test_the_widest_finite_grid_is_accepted(self, capsys):
-        code, out, err = run(capsys, "wavefunction", "--m", "3", "--zeta", "1",
-                             "--level", "1", "--domain-l", "8.9e307", "--format", "json")
-        assert code == 0 and err == ""
-        assert json.loads(out)["E"] > 0
+    # 2l = 1.78e308 passes the domain check; at that spacing, and at 100,
+    # the 1-node state is 0 at x = 0 and underflows everywhere else.  At
+    # (33, 1, level 30) the float root leaves the state with 14 nodes.
+    @pytest.mark.parametrize("m, level, domain_l, nodes, spacing", [
+        ("3", 1, "8.9e307", 0, 8.9e304),
+        ("3", 1, "1e5", 0, 100.0),
+        ("33", 30, "5", 14, 0.005),
+    ])
+    def test_a_node_count_other_than_the_level_is_one_error_line(
+            self, capsys, m, level, domain_l, nodes, spacing):
+        code, out, err = run(capsys, "wavefunction", "--m", m, "--zeta", "1", "--level",
+                             str(level), "--domain-l", domain_l, "--format", "json")
+        assert code == 1 and out == ""
+        assert err == (f"error: the state of level {level} changes sign {nodes} times on "
+                       f"the grid, at grid spacing {spacing!r}\n")
 
     @pytest.mark.parametrize("value", ["nan", "inf", "9e307"])
     def test_oracle_rejects_non_finite_domain_l(self, value):

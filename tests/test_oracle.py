@@ -15,7 +15,6 @@ from qespoly.oracle import (
     OracleConfig,
     OracleError,
     analytic_qes_levels,
-    circle_eigenvalues,
     discretize,
     lowest_eigenvalues,
     match_levels,
@@ -183,7 +182,7 @@ class TestReflectionSplit:
         # mult potential periods: the circle's length is the spec's period
         cfg = OracleConfig(replace(spec, period=mult * spec.period), n=n, count=10)
         disc = discretize(cfg)
-        split = circle_eigenvalues(disc, 10)
+        split = np.sort(np.concatenate(oracle._solve(cfg, (10, 10))[0]))[:10]
         dense = _dense_periodic_levels(disc, 10)
         assert len(split) == 10
         assert np.max(np.abs(split - dense)) <= 1e-13 * 4.0 / disc.h**2
@@ -202,7 +201,7 @@ class TestReflectionSplit:
         diag = 2.0 / h**2 + np.sin(grid)   # odd in theta
         disc = Discretization(diag, np.full(n - 1, -1.0 / h**2), -1.0 / h**2, grid, h)
         with pytest.raises(OracleError, match="not even in theta"):
-            circle_eigenvalues(disc, 4)
+            oracle._circle_blocks(disc)
 
 
 def _unsplit_line_levels(disc, k):
@@ -265,15 +264,20 @@ class TestLineReflectionSplit:
             assert np.max(np.abs(np.array(doc[key]) - want)) <= 4.0 * accuracy
 
 
-def _tight_line_levels(config, k):
-    """The k lowest levels of the whole even and odd blocks of a line grid,
-    bisected to an absolute 1e-14 instead of ulp * ||T||_1."""
+def _tight_block_levels(config, counts):
+    """The lowest counts[b] levels of each whole reflection block b of a line
+    or circle grid, bisected to an absolute 1e-14 instead of ulp * ||T||_1."""
     disc = discretize(config)
-    blocks = oracle._reflection_blocks(disc.diag, disc.offdiag, "x")
-    return np.sort(np.concatenate([
-        scipy.linalg.eigvalsh_tridiagonal(diag, off, select="i",
-                                          select_range=(0, count - 1), tol=1e-14)
-        for (diag, off), count in zip(blocks, ((k + 1) // 2, k // 2)) if count]))
+    blocks = (oracle._circle_blocks(disc) if disc.corner is not None
+              else oracle._reflection_blocks(disc.diag, disc.offdiag, "x"))
+    return [scipy.linalg.eigvalsh_tridiagonal(diag, off, select="i",
+                                              select_range=(0, count - 1), tol=1e-14)
+            if count else np.empty(0) for (diag, off), count in zip(blocks, counts)]
+
+
+def _tight_line_levels(config, k):
+    """The k lowest levels of a line grid, from _tight_block_levels."""
+    return np.sort(np.concatenate(_tight_block_levels(config, ((k + 1) // 2, k // 2))))
 
 
 def _sextic_config(family, m):
@@ -281,10 +285,11 @@ def _sextic_config(family, m):
     return oracle._default_config(family(m), len(levels) + 4, max(levels))
 
 
-# each line configuration the oracle runs: the dshg grids at M + 3 levels
-# (an `oracle` command can ask for them), both sides of the sextic pairs, the
-# kink well's pair side, and a domain that must be enlarged; verify_qes's own
-# configs, at M levels, are VERIFY_QES_CONFIGS
+# line configurations of lowest_eigenvalues: the dshg grids at M + 3 levels and
+# the sextic grids at their algebraic levels plus 4 (an `oracle` command can
+# ask for them), the kink well, and a domain that must be enlarged;
+# verify_qes's own configs, at M levels, are VERIFY_QES_CONFIGS, and the
+# duality pairs' block solves are PAIRS
 REACHED_CONFIGS = (
     [pytest.param(oracle._default_config(dshg(m, zeta), m + 3), id=f"dshg-m{m}-z{zeta}")
      for m in range(1, 11) for zeta in (0.5, 1.0, 2.0)]
@@ -297,6 +302,31 @@ REACHED_CONFIGS = (
 VERIFY_QES_CONFIGS = [
     pytest.param(oracle._default_config(dshg(m, zeta), m), id=f"dshg-m{m}-z{zeta}-count{m}")
     for m in range(1, 11) for zeta in (0.5, 1.0, 2.0)]
+
+
+# the duality pairs whose block solves are checked, with the (even, odd)
+# block counts their labels ask of each side
+PAIRS = (
+    [pytest.param(dshg(m, 1.0), dsg(m, 1.0), counts, id=f"dshg-dsg-m{m}")
+     for m, counts in ((1, (1, 0)), (7, (4, 3)), (19, (10, 9)))]
+    + [pytest.param(sextic_plus(8), sextic_minus(8), (5, 0), id="sextic-m8"),
+       pytest.param(phi6_kink(0.5, 1.0), phi6_kink_dual(0.5, 1.0), (2, 0), id="phi6_kink")]
+)
+
+
+@pytest.fixture
+def block_solves(monkeypatch):
+    """(config, counts, result) of every oracle._solve call."""
+    solves = []
+    solve = oracle._solve
+
+    def recording(config, counts, reach=None):
+        result = solve(config, counts, reach)
+        solves.append((config, counts, result))
+        return result
+
+    monkeypatch.setattr(oracle, "_solve", recording)
+    return solves
 
 
 @pytest.fixture
@@ -330,8 +360,11 @@ class TestReachedRows:
         # above 1e-10 of the top level where that level is near 2 (M = 1)
         res = lowest_eigenvalues(config)
         assert res.config == config    # no enlargement: the solves below are its own
-        fine = oracle._solve(config)
-        coarse = oracle._solve(replace(config, n=config.n // 2), fine[2])
+        counts = ((config.count + 1) // 2, config.count // 2)
+        fine = oracle._solve(config, counts)
+        coarse = oracle._solve(replace(config, n=config.n // 2), counts, fine[2])
+        fine, coarse = ((np.sort(np.concatenate(blocks)), h, reach)
+                        for blocks, h, reach in (fine, coarse))
         assert (res.eigenvalues, res.richardson) == (tuple(fine[0]), tuple(coarse[0]))
         for size, (got, h, reach) in ((config.n, fine), (config.n // 2, coarse)):
             assert len(got) == config.count
@@ -339,11 +372,28 @@ class TestReachedRows:
             want = _tight_line_levels(replace(config, n=size), config.count)
             assert np.max(np.abs(got - want)) <= np.finfo(float).eps * norm
 
+    @pytest.mark.parametrize("spec_a, spec_b, counts", PAIRS)
+    def test_labelled_levels_are_within_the_kept_blocks_tolerance(
+            self, block_solves, spec_a, spec_b, counts):
+        # each side's blocks are solved up to its top label, at the default
+        # grid and its half; bisection stops at ulp * ||T||_1 of the kept
+        # rows, at most 4/h^2 + V at the highest kept row (every row on a circle)
+        assert not verify_duality_pair(spec_a, spec_b).rejected
+        # two sides, each at two resolutions, none enlarged
+        assert [asked for _, asked, _ in block_solves] == [counts] * 4
+        for config, _, (levels, h, reach) in block_solves:
+            kept = discretize(config).grid if reach is None else reach
+            v = float(np.max(potential_eval(config.spec, kept)))
+            want = _tight_block_levels(config, counts)
+            for got, tight in zip(levels, want):
+                assert len(got) == len(tight)
+                assert np.max(np.abs(got - tight), initial=0.0) <= np.finfo(float).eps * (4.0 / h**2 + v)
+
     def test_rows_past_the_reach_are_dropped(self, solved_blocks):
         # dshg(7, 2) at x = 5 is 4.8e8, against levels up to about 130: the
         # first block's window covers its reach, the second keeps only that
         config = oracle._default_config(dshg(7, 2.0), 10)
-        _, h, reach = oracle._solve(config)
+        _, h, reach = oracle._solve(config, (5, 5))
         assert -0.5 * config.l < reach < 0.0
         assert solved_blocks[0] == (config.n // 2 * 5 // 8, 5)
         assert solved_blocks[1] == (round(-reach / h + 0.5), 5)
@@ -378,8 +428,10 @@ class TestReachedRows:
         assert solved_blocks == [(3000, 3), (3000, 3), (1500, 3), (1500, 3)]
         disc = discretize(res.config)
         even, odd = oracle._reflection_blocks(disc.diag, disc.offdiag, "x")
-        assert np.array_equal(res.eigenvalues, oracle._merged_lowest(even, odd, 3, 3))
-        assert oracle._solve(res.config)[2] == disc.grid[0]
+        merged = np.sort(np.concatenate([oracle._lowest_tridiagonal(*even, 3),
+                                         oracle._lowest_tridiagonal(*odd, 3)]))
+        assert np.array_equal(res.eigenvalues, merged)
+        assert oracle._solve(res.config, (3, 3))[2] == disc.grid[0]
 
     def test_enlargement_is_logged(self, caplog, capsys):
         with caplog.at_level(logging.INFO, logger="qespoly.oracle"):
@@ -462,6 +514,56 @@ class TestDualityPairs:
         assert not rep.rejected
         assert rep.source == pytest.approx([0.0, 0.75])
         assert rep.dual == pytest.approx([-0.75, 0.0])
+
+    # matched by label, no doublet is ambiguous and no sextic level is left
+    # uncomputed; by nearest neighbour, dshg/dsg (7, 0.5), (9, 0.5) and (9, 1)
+    # raised "ambiguous", sextic M = 8..10 were rejected and M >= 11 raised
+    @pytest.mark.parametrize("m", range(1, 20, 2))
+    @pytest.mark.parametrize("zeta", [0.5, 1.0, 2.0])
+    def test_dshg_dsg_gate(self, m, zeta):
+        rep = verify_duality_pair(dshg(m, zeta), dsg(m, zeta))
+        assert not rep.rejected, rep.reason
+
+    @pytest.mark.parametrize("m", range(31))
+    def test_sextic_gate(self, m):
+        rep = verify_duality_pair(sextic_plus(m), sextic_minus(m))
+        assert not rep.rejected, rep.reason
+
+    @pytest.mark.parametrize("spec_a, spec_b", [
+        (dshg(9, 1.0), dsg(9, 1.0)), (sextic_plus(8), sextic_minus(8))])
+    @pytest.mark.parametrize("index", [0, -1])
+    def test_a_shifted_level_is_rejected(self, monkeypatch, spec_a, spec_b, index):
+        levels = analytic_qes_levels(spec_a)
+        levels[index] += 2e-3
+        monkeypatch.setattr(oracle, "analytic_qes_levels", lambda spec: list(levels))
+        rep = verify_duality_pair(spec_a, spec_b)
+        assert rep.rejected
+        assert float(rep.reason.split()[2]) == pytest.approx(2e-3, abs=1e-5)
+
+    @pytest.mark.parametrize("spec_a, spec_b, i, j", [
+        (dshg(9, 1.0), dsg(9, 1.0), 0, 2),     # even block ranks 0 and 1
+        (dshg(9, 1.0), dsg(9, 1.0), 7, 5),     # odd block ranks 3 and 2
+        (sextic_plus(8), sextic_minus(8), 0, 1),
+        (phi6_kink(0.5, 1.0), phi6_kink_dual(0.5, 1.0), 0, 1),
+    ])
+    def test_a_swapped_rank_label_is_rejected(self, monkeypatch, spec_a, spec_b, i, j):
+        labels = oracle._block_labels
+
+        def swapped(spec, count):
+            out = labels(spec, count)
+            assert out[i][0] == out[j][0]
+            out[i], out[j] = out[j], out[i]
+            return out
+
+        monkeypatch.setattr(oracle, "_block_labels", swapped)
+        assert verify_duality_pair(spec_a, spec_b).rejected
+
+    @pytest.mark.parametrize("epsilon_sq", [0.3, 0.5, 0.8])
+    def test_the_kink_duals_zero_level_is_even_rank_one(self, epsilon_sq):
+        # the circle's nodeless ground state lies below E = 0 at every
+        # coupling; it is algebraic only at epsilon^2 = 1/2
+        rep = verify_duality_pair(phi6_kink(epsilon_sq, 1.0), phi6_kink_dual(epsilon_sq, 1.0))
+        assert not rep.rejected, rep.reason
 
 
 class TestAnalyticLevels:
