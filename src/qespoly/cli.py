@@ -210,6 +210,14 @@ def _emit(args, payload: dict, rows: list, lines: list) -> None:
 # subcommand handlers
 # ----------------------------------------------------------------------
 
+def _rounded(value, what: str, zeta) -> float:
+    """An exact value rounded once to a float; an overflow is one named error."""
+    try:
+        return float(value)
+    except OverflowError:
+        raise QESDomainError(f"{what} overflows a float at zeta={zeta}") from None
+
+
 def _cmd_family(args) -> int:
     zeta = _parse_zeta(args.zeta, allow_symbolic=True)
     spec = ChainSpec(args.chain, _parse_rational(args.m), _parse_rational(args.s))
@@ -223,13 +231,8 @@ def _cmd_family(args) -> int:
         rendered = [p.render() for p in fam.members]
         coeff_payload = rendered
     else:
-        coeff_payload = []
-        for n, p in enumerate(fam.members):
-            try:
-                coeff_payload.append([float(c) for c in p.specialize(Fraction(zeta))])
-            except OverflowError:
-                raise QESDomainError(f"member {n} of chain {args.chain} overflows a float"
-                                     f" at zeta={zeta}") from None
+        coeff_payload = [[_rounded(c, f"member {n} of chain {args.chain}", zeta)
+                          for c in p.specialize(Fraction(zeta))] for n, p in enumerate(fam.members)]
         rendered = [_render_numeric(coeffs) for coeffs in coeff_payload]
     payload = {
         "family": {
@@ -293,10 +296,7 @@ def _cmd_norms(args) -> int:
     rows += [[n, rendered[n], agree[n]] for n in range(len(rendered))]
     lines = [f"gamma_{n} = {rendered[n]}" for n in range(len(rendered))]
     if zeta is not None:
-        numeric = [g.eval_float(zeta) for g in closed]
-        for n, gamma in enumerate(numeric):
-            if not math.isfinite(gamma):
-                raise QESDomainError(f"gamma_{n} overflows a float at zeta={zeta}")
+        numeric = [_rounded(g.specialize(zeta), f"gamma_{n}", zeta) for n, g in enumerate(closed)]
         payload["zeta"] = zeta
         payload["norms_numeric"] = numeric
         lines += [f"gamma_{n}({zeta}) = {gamma:.12g}" for n, gamma in enumerate(numeric)]

@@ -1,15 +1,16 @@
 """Exact arithmetic layer: rational polynomials in the coupling and energy.
 
 Everything symbolic in this package lives in Q[zeta][E], and an exact
-polynomial has one stored form: an EnergyPoly holds coefficient rows,
-rows[k][j] multiplying E**k zeta**j, whose entries are plain ints when
-integral (every entry of a chain at integer M) and Fractions otherwise.
-A ParamPoly is a polynomial in zeta with Fraction coefficients; an
-EnergyPoly hands out its rows as ParamPoly views (coeffs, coeff) only when
-a caller reads them.  Both are immutable and canonical (trailing zeros
-stripped; the zero polynomial is empty), so generated families compare
-coefficient for coefficient.  Their ring plumbing (_Poly) is written
-once, and one joiner (render_in_e) writes every polynomial in E.
+polynomial has one stored form, a canonical row: plain ints where an entry
+is integral (every entry of a chain at integer M) and Fractions only where
+a rational M or a float input makes one.  A ParamPoly, a polynomial in
+zeta, holds one row, coeffs[j] multiplying zeta**j; an EnergyPoly holds
+rows, rows[k][j] multiplying E**k zeta**j, and hands a row out as a
+ParamPoly (coeffs, coeff) by wrapping it, with no conversion.  Both are
+immutable and canonical (trailing zeros stripped; the zero polynomial is
+empty), so generated families compare coefficient for coefficient.  Their
+ring plumbing (_Poly) is written once, and one joiner (render_in_e) writes
+every polynomial in E.
 
 One set of row helpers (_add, _product, _horner) does the arithmetic of
 both classes, the one exact long division (poly_divide_exact, which also
@@ -103,8 +104,12 @@ def _add(a, b) -> tuple:
 
 def _product(a, b) -> list:
     """a * b on lists of rows: the integer rows over each operand's
-    denominator are convolved in place, and each entry divided once."""
-    (da, a), (db, b) = _integral(a), _integral(b)
+    denominator are convolved (_convolve), and each entry divided once."""
+    return _convolve(*_integral(a), *_integral(b))
+
+
+def _convolve(da, a, db, b) -> list:
+    """(a / da) * (b / db) for integer rows a and b, as canonical rows."""
     d = da * db
     out = [[] for _ in range(len(a) + len(b) - 1)]
     for i, ra in enumerate(a):
@@ -175,17 +180,19 @@ def render_in_e(terms) -> str:
 
 @dataclass(frozen=True)
 class ParamPoly(_Poly):
-    """Polynomial in the coupling zeta with Fraction coefficients.
+    """Polynomial in the coupling zeta, stored as one canonical row.
 
-    coeffs[k] multiplies zeta**k.  The zero polynomial is ParamPoly(()).
+    coeffs[k] multiplies zeta**k: an int where integral, a Fraction
+    otherwise.  The constructor takes ints, Fractions and binary floats;
+    the zero polynomial is ParamPoly(()).
     """
 
     coeffs: tuple
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "coeffs", tuple(_trim([as_rational(c) for c in self.coeffs]))
-        )
+        # the stored form: ints as they are, every other integral entry made one
+        object.__setattr__(self, "coeffs", tuple(_trim(
+            [c if type(c) is int else plain(as_rational(c)) for c in self.coeffs])))
 
     _terms = property(attrgetter("coeffs"))
 
@@ -197,49 +204,45 @@ class ParamPoly(_Poly):
         return not self.is_zero()
 
     def __add__(self, other):
-        return ParamPoly(_add(self.coeffs, self._coerce(other).coeffs))
+        return _wrap(_add(self.coeffs, self._coerce(other).coeffs))
 
     def __neg__(self):
-        return ParamPoly(tuple(-c for c in self.coeffs))
+        return _wrap(tuple(-c for c in self.coeffs))
 
     def __mul__(self, other):
         rows = _product((self.coeffs,), (self._coerce(other).coeffs,))
-        return ParamPoly(rows[0] if rows else ())
+        return _wrap(rows[0] if rows else ())
+
+    def specialize(self, zeta):
+        """Exact value at a rational zeta."""
+        return _horner(self.coeffs, as_rational(zeta))
 
     def eval_float(self, zeta: float) -> float:
         return _horner(self.coeffs, float(zeta))
 
     def render(self) -> str:
         """Canonical text form, descending zeta powers, e.g. '20ζ^2+24ζ'."""
-        if self.is_zero():
-            return "0"
         parts = []
         for k in range(len(self.coeffs) - 1, -1, -1):
-            c = self.coeffs[k]
-            if not c:
-                continue
-            sign = "-" if c < 0 else "+"
-            mag = -c if c < 0 else c
-            if k == 0:
-                body = str(mag)
-            else:
-                var = ZETA_SYMBOL if k == 1 else f"{ZETA_SYMBOL}^{k}"
-                num = "" if mag == 1 else mag if mag.denominator == 1 else f"({mag})"
-                body = f"{num}{var}"  # a bare 8/3ζ would read as 8/(3ζ)
-            parts.append((sign, body))
-        first_sign, first_body = parts[0]
-        text = ("-" if first_sign == "-" else "") + first_body
-        for sign, body in parts[1:]:
-            text += sign + body
-        return text
+            if c := self.coeffs[k]:
+                mag, var = abs(c), "" if k == 0 else ZETA_SYMBOL if k == 1 else f"{ZETA_SYMBOL}^{k}"
+                # a bare 8/3ζ would read as 8/(3ζ)
+                num = "" if var and mag == 1 else mag if not var or mag.denominator == 1 else f"({mag})"
+                parts.append(f"{'-' if c < 0 else '+'}{num}{var}")
+        return "".join(parts).removeprefix("+") or "0"
+
+
+def _wrap(row: tuple) -> ParamPoly:
+    """A canonical row as a ParamPoly, without converting an entry."""
+    p = object.__new__(ParamPoly)
+    object.__setattr__(p, "coeffs", row)
+    return p
 
 
 def _row(c) -> tuple:
-    """c as a row: a tuple is taken as one; a ParamPoly or a number is
-    converted, with its integral coefficients as ints."""
-    if isinstance(c, tuple):
-        return c
-    return tuple(map(plain, ParamPoly._coerce(c).coeffs))
+    """c as a row: a tuple is taken as one, a ParamPoly gives its own, and a
+    number is made canonical."""
+    return c if isinstance(c, tuple) else ParamPoly._coerce(c).coeffs
 
 
 @dataclass(frozen=True)
@@ -248,8 +251,8 @@ class EnergyPoly(_Poly):
 
     rows[k][j] multiplies E**k zeta**j.  The constructor takes one entry per
     power of E: a ParamPoly, a number, or a canonical row tuple, which it
-    keeps as it is.  coeffs[k] hands out row k as a ParamPoly.  Families
-    generated elsewhere are monic in E.
+    keeps as it is.  coeffs[k] wraps row k as a ParamPoly, converting no
+    entry.  Families generated elsewhere are monic in E.
     """
 
     rows: tuple
@@ -261,13 +264,13 @@ class EnergyPoly(_Poly):
 
     @property
     def coeffs(self) -> tuple:
-        return tuple(ParamPoly(row) for row in self.rows)
+        return tuple(map(_wrap, self.rows))
 
     def is_monic(self) -> bool:
         return self.rows[-1:] == ((1,),)
 
     def coeff(self, k: int) -> ParamPoly:
-        return ParamPoly(self.rows[k] if 0 <= k < len(self.rows) else ())
+        return _wrap(self.rows[k] if 0 <= k < len(self.rows) else ())
 
     def __add__(self, other):
         pairs = zip_longest(self.rows, self._coerce(other).rows, fillvalue=())
@@ -350,13 +353,14 @@ def poly_divide_exact(a: EnergyPoly, b: EnergyPoly):
         raise ExactDivisionError("non-divisible leading coefficient")
     inv = plain(Fraction(1, b.rows[-1][0]))
     db = len(b.rows) - 1
-    minus_lower = [tuple(-x * inv for x in row) for row in b.rows[:db]]
+    # the integral form of -(b / lead) below its top row, held across steps
+    minus_lower = _integral([tuple(-x * inv for x in row) for row in b.rows[:db]])
     rem = list(a.rows)
     quo = [()] * max(len(rem) - db, 0)
     while len(rem) > db:  # divide by b / lead, whose top row cancels rem's
         shift = len(rem) - 1 - db
         quo[shift] = top = rem.pop()
-        sub = zip_longest(rem[shift:], _product((top,), minus_lower), fillvalue=())
+        sub = zip_longest(rem[shift:], _convolve(*_integral((top,)), *minus_lower), fillvalue=())
         rem[shift:] = [_add(x, y) for x, y in sub]
         _trim(rem)
     if inv != 1:
@@ -391,13 +395,9 @@ def sturm_real_root_count(coeffs) -> int:
         chain.append(-r)
 
     def sign_changes(at_plus_inf: bool) -> int:
-        signs = []
-        for p in chain:
-            s = 1 if p.rows[-1][0] > 0 else -1
-            if not at_plus_inf and p.degree() % 2 == 1:
-                s = -s
-            signs.append(s)
-        return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+        # the sign of each member's leading term, flipped at -inf for an odd degree
+        signs = [(p.rows[-1][0] > 0) != (not at_plus_inf and p.degree() % 2 == 1) for p in chain]
+        return sum(a != b for a, b in zip(signs, signs[1:]))
 
     return sign_changes(False) - sign_changes(True)
 

@@ -79,7 +79,7 @@ class ChainSpec:
             raise ChainSpecError(f"unknown chain kind {self.kind!r}")
         object.__setattr__(self, "m", as_rational(self.m))
         object.__setattr__(self, "s", as_rational(self.s))
-        if self.s not in (Fraction(0), Fraction(1, 2)):
+        if (self.s.numerator, self.s.denominator) not in ((0, 1), (1, 2)):
             raise ChainSpecError("s must be 0 or 1/2")
         if self.kind in QUOTIENT_KINDS:
             m = self.m
@@ -298,14 +298,10 @@ def recursion_form(spec: ChainSpec, order: int) -> ThreeTermForm:
         raise ChainSpecError("the combined chain is not an adjacent three-term system")
     if order < 0:
         raise ValueError("order must be nonnegative")
-    bs, cs = [], []
-    for n in range(1, order + 1):
-        b, c = recursion_coeffs(spec, n)
-        bs.append(b)
-        cs.append(c)
+    bs, cs = tuple(zip(*(recursion_coeffs(spec, n) for n in range(1, order + 1)))) or ((), ())
     end = _termination(spec)
     first_zero = end if end is not None and end <= order else None
-    return ThreeTermForm(spec, tuple(bs), tuple(cs), first_zero)
+    return ThreeTermForm(spec, bs, cs, first_zero)
 
 
 def three_term_form(family: PolyFamily) -> ThreeTermForm:
@@ -322,7 +318,5 @@ def finkel_form(form: ThreeTermForm, zeta: float) -> FinkelForm:
     b = tuple(-bn for bn, _ in steps)
     a = tuple(-cn for _, cn in steps)
     stop = form.first_zero_C - 1 if form.first_zero_C is not None else len(a)
-    signs = tuple(
-        1 if a[k] > 0 else (-1 if a[k] < 0 else 0) for k in range(1, stop)
-    )
+    signs = tuple((x > 0) - (x < 0) for x in a[1:stop])
     return FinkelForm(zeta, b, a, signs)

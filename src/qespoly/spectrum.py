@@ -351,17 +351,21 @@ def norms_closed(chain: str, m, s, n: int) -> ParamPoly:
     else:
         raise QESDomainError(f"no norm formula for chain {chain!r}")
     coef = math.prod(factors)
-    if coef == 0:
-        return ParamPoly.zero()
-    return ParamPoly.monomial(Fraction(coef, den), n)
+    return ParamPoly.monomial(coef // den if coef % den == 0 else Fraction(coef, den), n)
 
 
 def norms_from_recursion(form: ThreeTermForm) -> NormSequence:
-    """Norms by the monic identity gamma_n = -C_{n+1} gamma_{n-1}, exactly."""
-    gammas = [ParamPoly.const(1)]
+    """Norms by the monic identity gamma_n = -C_{n+1} gamma_{n-1}, exactly.
+
+    Every C_k of the form is c1_k*zeta, so gamma_n = (prod_{k=2}^{n+1} -c1_k)
+    * zeta**n: one running product of ints (Fractions for a rational M)."""
+    gammas, coef = [ParamPoly.const(1)], 1
     # form.c[k] is C_{k+1}; gamma_n needs C_2..C_{n+1}
-    for k in range(1, len(form.c)):
-        gammas.append(gammas[-1] * (-form.c[k]))
+    for n, c in enumerate(form.c[1:], 1):
+        if c.coeffs[:1] not in ((), (0,)) or c.degree() > 1:
+            raise ValueError(f"C_{n + 1} = {c.render()} is not c1*zeta")
+        coef *= -c.coeffs[1] if c else 0
+        gammas.append(ParamPoly.monomial(coef, n))
     return NormSequence(form.spec.kind, tuple(gammas))
 
 

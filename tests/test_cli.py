@@ -1,7 +1,9 @@
 import json
+import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -128,6 +130,17 @@ class TestOtherCommands:
         assert code == 0
         assert "gamma_1 = -16ζ" in out
         assert "recursion matches closed form: True" in out
+
+    def test_norms_past_a_float_coefficient_are_finite(self, capsys):
+        # gamma_60's coefficient exceeds a float; its value at zeta = 1e-5 does not
+        code, out, _ = run(capsys, "norms", "--chain", "P", "--m", "3/2", "--order", "60",
+                           "--zeta", "1e-5", "--format", "json")
+        assert code == 0
+        numeric = json.loads(out)["norms_numeric"]
+        coef = cli.norms_closed("P", Fraction(3, 2), 0, 60).coeffs[-1]
+        assert abs(coef) > 1e308 and len(numeric) == 61
+        assert all(map(math.isfinite, numeric))
+        assert numeric[60] == float(coef * Fraction(1e-5) ** 60)
 
     def test_moments_pretty(self, capsys):
         code, out, _ = run(capsys, "moments", "--m", "3", "--zeta", "1",
@@ -450,6 +463,8 @@ class TestOverflowAndGridDomain:
           "--format", "json"), "gamma_2 overflows a float at zeta=1e+200"),
         (("norms", "--chain", "Qbar", "--m", "3", "--s", "1/2", "--zeta", "1e200",
           "--order", "4", "--format", "json"), "gamma_2 overflows a float at zeta=1e+200"),
+        (("norms", "--chain", "P", "--m", "3/2", "--order", "200", "--zeta", "1"),
+         "gamma_57 overflows a float at zeta=1.0"),
         (("family", "--chain", "P", "--m", "3", "--order", "3", "--zeta", "1e160"),
          "member 2 of chain P overflows a float at zeta=1e+160"),
         (("family", "--chain", "P", "--m", "2", "--s", "1/2", "--order", "4",

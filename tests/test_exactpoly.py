@@ -147,7 +147,7 @@ class TestIntegralProduct:
             f = ParamPoly(tuple(rand_entry(rng, kind) for _ in range(rng.randint(0, width))))
             g = ParamPoly(tuple(rand_entry(rng, kind) for _ in range(rng.randint(0, width))))
             assert entries(((f * g).coeffs,)) == schoolbook((f.coeffs,), (g.coeffs,))
-            assert all(type(x) is Fraction for x in (f * g).coeffs)
+            assert ints_where_integral((f.coeffs, g.coeffs, (f * g).coeffs))
             scaled = a.scale(f)
             assert entries(scaled.rows) == schoolbook(a.rows, (f.coeffs,))
             assert ints_where_integral(scaled.rows)
@@ -251,8 +251,8 @@ class TestDivision:
         assert q == e_poly((0, Fraction(-1, 9)), Fraction(1, 3))
         assert r == e_poly((0, 1, Fraction(1, 9)))
         assert q * b + r == e_poly((0, 1), 0, 1)
-        for p in (q, r):
-            assert all(type(x) is Fraction for c in p.coeffs for x in c.coeffs)
+        assert [list(map(type, c.coeffs)) for c in q.coeffs] == [[int, Fraction], [Fraction]]
+        assert [list(map(type, c.coeffs)) for c in r.coeffs] == [[int, int, Fraction]]
 
     def test_constant_divisor(self):
         q, r = poly_divide_exact(E_PLUS_18Z_16, EnergyPoly.const(2))
@@ -301,10 +301,22 @@ class TestRows:
         assert [type(x) for row in built.rows for x in row] == \
             [type(x) for row in rows for x in row]
 
-    def test_coefficient_views_are_fractions(self):
+    def test_equal_rows_of_ints_and_fractions_are_one_value(self):
+        a, b = ParamPoly((1, Fraction(2))), ParamPoly((Fraction(1), 2))
+        assert a == b and hash(a) == hash(b)
+        assert a.coeffs == b.coeffs == (1, 2)
+        assert all(type(x) is int for x in a.coeffs + b.coeffs)
+        assert ParamPoly((0.5, 2.0)).coeffs == (Fraction(1, 2), 2)
+        assert ints_where_integral((ParamPoly((0.5, 2.0, Fraction(6, 3))).coeffs,))
+
+    def test_coefficient_views_wrap_rows(self):
         p = from_rows(((0, 32, 36), (16, 20), (1,)))
         assert p.coeffs == (ParamPoly((0, 32, 36)), ParamPoly((16, 20)), ParamPoly.const(1))
-        assert all(type(x) is Fraction for c in p.coeffs for x in c.coeffs)
+        assert all(c.coeffs is row for c, row in zip(p.coeffs, p.rows))
+        assert all(type(x) is int for c in p.coeffs for x in c.coeffs)
+        half = from_rows(((Fraction(1, 2), 3),))
+        assert half.coeff(0).coeffs is half.rows[0]
+        assert ints_where_integral((half.coeff(0).coeffs,))
         assert p.coeff(1) == ParamPoly((16, 20)) and p.coeff(3).is_zero()
         assert repr(ENERGY_ONE) == "EnergyPoly(rows=((1,),))"
 
@@ -409,6 +421,43 @@ class TestRendering:
     def test_rational_m_member_renders_unambiguously(self):
         fam = gen_family(ChainSpec("P", Fraction(1, 3), Fraction(0)), 2)
         assert fam[2].render() == "E^2 + (12ζ+4)E + (20ζ^2+(8/3)ζ)"
+
+
+def reference_param_render(coeffs) -> str:
+    """ParamPoly.render as written when every stored entry was a Fraction."""
+    c = [Fraction(x) for x in coeffs]
+    while c and not c[-1]:
+        c.pop()
+    if not c:
+        return "0"
+    parts = []
+    for k in range(len(c) - 1, -1, -1):
+        if not c[k]:
+            continue
+        sign = "-" if c[k] < 0 else "+"
+        mag = -c[k] if c[k] < 0 else c[k]
+        if k == 0:
+            body = str(mag)
+        else:
+            var = "ζ" if k == 1 else f"ζ^{k}"
+            num = "" if mag == 1 else mag if mag.denominator == 1 else f"({mag})"
+            body = f"{num}{var}"
+        parts.append((sign, body))
+    text = ("-" if parts[0][0] == "-" else "") + parts[0][1]
+    return text + "".join(sign + body for sign, body in parts[1:])
+
+
+class TestParamRenderParity:
+    """Ints where integral render as the Fractions they replaced."""
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_random_rows(self, kind):
+        rng = random.Random(f"param-render-{kind}")
+        for _ in range(300):
+            coeffs = tuple(rng.choice((0, 1, -1, rand_entry(rng, kind), Fraction(rng.randint(-9, 9)),
+                                       rng.randint(-10**30, 10**30)))
+                           for _ in range(rng.randint(0, 6)))
+            assert ParamPoly(coeffs).render() == reference_param_render(coeffs)
 
 
 def reference_energy_render(p) -> str:

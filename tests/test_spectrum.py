@@ -15,11 +15,13 @@ from qespoly.families import (
     QUOTIENT_KINDS,
     ChainSpec,
     ChainSpecError,
+    ThreeTermForm,
     critical_index,
     gen_family,
     gen_quotient,
     member_signs,
     recursion_coeffs,
+    recursion_form,
     three_term_form,
 )
 from qespoly.oracle import verify_duality_pair
@@ -429,6 +431,49 @@ class TestNormsIntegerProduct:
         with pytest.raises(error) as info:
             norms_closed(*args)
         assert type(info.value) is error and str(info.value) == message
+
+
+def _reference_recursion_norms(form) -> tuple:
+    """gamma_0.. by one general ParamPoly product per n, gamma_n =
+    gamma_{n-1} * (-C_{n+1}), independent of the C_k's monomial shape."""
+    gammas = [ParamPoly.const(1)]
+    for c in form.c[1:]:
+        gammas.append(gammas[-1] * (-c))
+    return tuple(gammas)
+
+
+_RECURSION_NORM_CASES = [
+    (kind, m, s) for kind in ("P", "Q")
+    for m in (3, 4, 9, Fraction(7, 2), Fraction(-5, 3), Fraction(1, 9)) for s in (Fraction(0), HALF)
+] + [("Pbar", 3, Fraction(0)), ("Pbar", 7, Fraction(0)), ("Qbar", 3, HALF), ("Qbar", 5, HALF),
+     ("Rbar", 4, HALF), ("Rbar", 8, HALF), ("Sbar", 4, Fraction(0)), ("Sbar", 6, Fraction(0))]
+
+
+class TestNormsRunningProduct:
+    """norms_from_recursion's one running product of the c1_k equals the
+    general product of the C_k, and keeps the canonical stored form."""
+
+    @pytest.mark.parametrize("kind,m,s", _RECURSION_NORM_CASES)
+    def test_matches_the_general_product(self, kind, m, s):
+        for order in range(21):
+            form = recursion_form(ChainSpec(kind, Fraction(m), s), order + 1)
+            got = norms_from_recursion(form)
+            assert got.chain == kind and len(got.values) == order + 1
+            assert got.values == _reference_recursion_norms(form)
+            assert all(type(x) is int if x.denominator == 1 else type(x) is Fraction
+                       for gamma in got.values for x in gamma.coeffs)
+
+    def test_integer_m_norms_are_ints(self):
+        form = recursion_form(ChainSpec("Pbar", Fraction(9), Fraction(0)), 21)
+        assert all(type(x) is int for gamma in norms_from_recursion(form).values
+                   for x in gamma.coeffs)
+
+    @pytest.mark.parametrize("c", [ParamPoly((1, 2)), ParamPoly((0, 0, 3)), ParamPoly.const(5)])
+    def test_a_lag_not_proportional_to_zeta_is_rejected(self, c):
+        spec = ChainSpec("P", Fraction(3), Fraction(0))
+        form = ThreeTermForm(spec, (ParamPoly.const(1),) * 2, (ParamPoly.zero(), c), None)
+        with pytest.raises(ValueError, match=r"C_2 = .* is not c1\*zeta"):
+            norms_from_recursion(form)
 
 
 class TestWeights:
