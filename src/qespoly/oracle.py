@@ -46,6 +46,12 @@ A block in which even the potential's minimum decays by less than D,
 a bounded well or levels above the potential at the line's end, keeps
 every row, as do the circle blocks.
 
+The same walk is the one test of a line's width: it accepts the domain once
+the top solved level decays by DOMAIN_DECAY e-folds from its outer turning
+point (not from x = 0, which passes a wall just past that point, as in the
+dshg wells at small zeta) to the line's end.  A level at or above the
+potential there, such as a bounded well's box state, never decays.
+
 This solver shares nothing with the polynomial route except the potential
 evaluators, which is what makes the comparison a genuine cross-check.  It is
 the package's only user of scipy, which it imports at its first solve.
@@ -71,11 +77,12 @@ from .spectrum import qes_energies
 
 _log = logging.getLogger("qespoly.oracle")
 
-# e-folds of decay past which a line block's rows are dropped (see above),
-# and the share of a block's rows, centre side, in the first window of a
-# line solve: the rows the levels of the default dshg and sextic grids
-# reach fit in it, so those solves need no regrowth
+# e-folds of decay past which a line block's rows are dropped and that
+# accept a line's width (see above), and the share of a block's rows, centre
+# side, in the first window of a line solve: the rows the levels of the
+# default dshg and sextic grids reach fit in it, so those need no regrowth
 REACH_DECAY = 40.0
+DOMAIN_DECAY = 5.5
 FIRST_WINDOW = 0.625
 
 
@@ -89,7 +96,6 @@ class OracleConfig:
     l: float | None = None        # half-width of the truncated line
     n: int = 2048                 # interior points (line) or circle points
     count: int = 4                # eigenvalues requested
-    e_max_hint: float | None = None
 
     def __post_init__(self):
         if self.spec.is_circle():
@@ -171,7 +177,8 @@ def discretize(config: OracleConfig) -> Discretization:
 def _solve(config: OracleConfig, counts: tuple, reach: float | None = None) -> tuple:
     """The lowest counts[b] eigenvalues of reflection block b (0 even, 1 odd),
     the grid spacing they were computed at and, on the line, the x of the
-    outermost row the solve kept.
+    outermost row the solve kept and the top level's decay to the line's end
+    (both None on a circle).
 
     A line solve's first window starts at the row of `reach` (at the inner
     FIRST_WINDOW of the line when None), but never inside the rows that a
@@ -184,23 +191,24 @@ def _solve(config: OracleConfig, counts: tuple, reach: float | None = None) -> t
     disc = discretize(config)
     if disc.corner is not None:
         return (tuple(_lowest_tridiagonal(*block, k)
-                      for block, k in zip(_circle_blocks(disc), counts)), disc.h, None)
+                      for block, k in zip(_circle_blocks(disc), counts)), disc.h, None, None)
     blocks = _reflection_blocks(disc.diag, disc.offdiag, "x")
     start = (round(len(blocks[0][0]) * (1.0 - FIRST_WINDOW)) if reach is None
              else max(int(np.searchsorted(disc.grid, reach, side="right")) - 1, 0))
     floor = disc.diag.min() - 2.0 / disc.h**2
-    start = min(start, _first_reached_row(blocks[0][0], disc.h, floor))
+    start = min(start, _first_reached_row(blocks[0][0], disc.h, floor)[0])
     first = 0 if counts[0] > counts[1] else 1
     levels = [None, None]
-    levels[first], cut = _reached_lowest(blocks[first], counts[first], disc.h, start)
-    levels[1 - first], rest_cut = _reached_lowest(
+    levels[first], cut, decay = _reached_lowest(blocks[first], counts[first], disc.h, start)
+    levels[1 - first], rest_cut, _ = _reached_lowest(
         blocks[1 - first], counts[1 - first], disc.h, cut)
-    return tuple(levels), disc.h, float(disc.grid[min(cut, rest_cut)])
+    return tuple(levels), disc.h, float(disc.grid[min(cut, rest_cut)]), decay
 
 
 def _reached_lowest(block, k: int, h: float, start: int) -> tuple:
     """The k lowest eigenvalues of a line block, solved on the rows its
-    levels reach, and the first of those rows.
+    levels reach, the first of those rows and the decay to the line's end
+    of the level that placed it.
 
     The rows from `start` to the centre are solved first; by interlacing the
     window's top level bounds the block's from above, so the rows it reaches
@@ -209,18 +217,19 @@ def _reached_lowest(block, k: int, h: float, start: int) -> tuple:
     """
     diag, off = block
     if k < 1:
-        return np.empty(0), start
+        return np.empty(0), start, np.inf
     start = max(min(start, len(diag) - k), 0)
     levels = _lowest_tridiagonal(diag[start:], off[start:], k)
-    cut = _first_reached_row(diag, h, levels[-1])
+    cut, decay = _first_reached_row(diag, h, levels[-1])
     if cut < start:
         levels = _lowest_tridiagonal(diag[cut:], off[cut:], k)
-    return levels, cut
+    return levels, cut, decay
 
 
-def _first_reached_row(diag, h: float, e_up: float) -> int:
+def _first_reached_row(diag, h: float, e_up: float) -> tuple:
     """The outermost row of a line block (outer edge first, centre last)
-    that a level at or below e_up reaches.
+    that a level at or below e_up reaches, and e_up's decay out to the
+    line's end.
 
     Walking outward from the outer turning point of e_up, the discrete
     decaying solution falls by arccosh(1 + h^2 (V_i - e_up) / 2) at row i;
@@ -230,12 +239,12 @@ def _first_reached_row(diag, h: float, e_up: float) -> int:
     with np.errstate(over="ignore", invalid="ignore"):
         excess = h * h * diag[:-1] - 2.0 - h * h * e_up    # h^2 (V_i - e_up)
     if not np.all(np.isfinite(excess)):    # h^2 V overflows: keep every row
-        return 0
+        return 0, np.inf
     allowed = np.flatnonzero(excess <= 0.0)
     turn = int(allowed[0]) if allowed.size else len(excess)
     decay = np.cumsum(np.arccosh(1.0 + 0.5 * excess[:turn][::-1]))
     walked = int(np.searchsorted(decay, REACH_DECAY))
-    return turn - 1 - walked if walked < turn else 0
+    return (turn - 1 - walked if walked < turn else 0), float(decay[-1]) if turn else 0.0
 
 
 def _lowest_tridiagonal(diag, offdiag, k: int) -> np.ndarray:
@@ -283,42 +292,28 @@ def _circle_blocks(disc: Discretization) -> tuple:
     return even, odd
 
 
-def _line_domain_ok(spec: PotentialSpec, l: float, e_max: float) -> bool:
-    edge = float(potential_eval(spec, l))
-    if edge >= 10.0 * (e_max + 1.0):
-        return True
-    # bounded wells never satisfy the dominance rule; accept once the
-    # evanescent tail exp(-2*kappa*l) is negligible at the cut
-    if edge > e_max:
-        kappa = np.sqrt(edge - e_max)
-        return kappa * l >= 5.5
-    return False
-
-
 def _solve_on_domain(config: OracleConfig, counts: tuple) -> tuple:
     """The block levels of _solve at config's n and at n // 2, with the
     config they were solved on and the fine grid's spacing.
 
-    Line domains are auto-enlarged until the edge value of the potential
-    dominates e_max_hint, or the top solved level without one (for bounded
-    wells, until the decay tail at the cut is negligible).  The half-
-    resolution solve starts its first window at the fine solve's cut.
+    A line domain is enlarged by 1.5 until the top solved level decays by
+    DOMAIN_DECAY e-folds from its outer turning point to the line's end (a
+    box state never does).  The half-resolution solve starts its first
+    window at the fine solve's cut.
     """
     cfg, reach = config, None
     for _ in range(8):
-        fine, h, reach = _solve(cfg, counts, reach)
-        if cfg.spec.is_circle():
+        fine, h, reach, decay = _solve(cfg, counts, reach)
+        if cfg.spec.is_circle() or decay >= DOMAIN_DECAY:
             break
-        e_top = (cfg.e_max_hint if cfg.e_max_hint is not None
-                 else max(float(levels[-1]) for levels in fine if len(levels)))
-        if _line_domain_ok(cfg.spec, cfg.l, e_top):
-            break
+        last, cfg = cfg.l, replace(cfg, l=1.5 * cfg.l)
         _log.info("enlarging the line domain of %s from l = %r to l = %r",
-                  cfg.spec.family, cfg.l, 1.5 * cfg.l)
-        cfg = replace(cfg, l=1.5 * cfg.l)
+                  cfg.spec.family, last, cfg.l)
     else:
-        raise OracleError("domain too small")
-    coarse, _, _ = _solve(replace(cfg, n=cfg.n // 2), counts, reach)
+        top = max(float(levels[-1]) for levels in fine if len(levels))
+        raise OracleError(f"domain too small: the top level {top:.6g} decays by {decay:.3g} "
+                          f"of {DOMAIN_DECAY} e-folds to the line's end at l = {last:.6g}")
+    coarse = _solve(replace(cfg, n=cfg.n // 2), counts, reach)[0]
     return cfg, h, fine, coarse
 
 
@@ -404,11 +399,10 @@ def analytic_qes_levels(spec: PotentialSpec) -> list:
 
 
 _DEFAULT_LINE = {"dshg": (5.0, 8000), "sextic_plus": (8.0, 6000),
-                 "sextic_minus": (8.0, 6000), "phi6_kink": (12.0, 6000)}
+                 "sextic_minus": (8.0, 6000), "phi6_kink": (18.0, 6000)}
 
 
-def _default_config(spec: PotentialSpec, count: int,
-                    e_max_hint: float | None = None) -> OracleConfig:
+def _default_config(spec: PotentialSpec, count: int) -> OracleConfig:
     if spec.is_circle():
         # the E = 0 state of the kink-dual well is antiperiodic over one
         # potential period, so it only shows up on the doubled cover
@@ -416,7 +410,7 @@ def _default_config(spec: PotentialSpec, count: int,
             return OracleConfig(replace(spec, period=2 * spec.period), n=4096, count=count)
         return OracleConfig(spec, n=2048, count=count)
     l, n = _DEFAULT_LINE.get(spec.family, (8.0, 6000))
-    return OracleConfig(spec, l=l, n=n, count=count, e_max_hint=e_max_hint)
+    return OracleConfig(spec, l=l, n=n, count=count)
 
 
 def _block_labels(spec: PotentialSpec, count: int) -> list:
@@ -450,8 +444,7 @@ def _labelled_deviation(spec: PotentialSpec, levels: list) -> float:
     labels = _block_labels(spec, len(levels))
     counts = tuple(max((rank + 1 for b, rank in labels if b == block), default=0)
                    for block in (0, 1))
-    _, _, fine, coarse = _solve_on_domain(
-        _default_config(spec, len(levels), max(levels)), counts)
+    _, _, fine, coarse = _solve_on_domain(_default_config(spec, len(levels)), counts)
     return max(abs((4.0 * fine[b][rank] - coarse[b][rank]) / 3.0 - e)
                for e, (b, rank) in zip(levels, labels))
 

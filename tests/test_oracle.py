@@ -1,6 +1,7 @@
 import json
 import logging
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -65,11 +66,6 @@ class TestDiscretize:
         with pytest.raises(ValueError, match="positive finite half-width"):
             OracleConfig(dshg(3, 1.0), l=l, n=256)
 
-    def test_hint_leaves_domain_check_to_the_solve(self):
-        # the domain rule belongs to lowest_eigenvalues, which can enlarge
-        cfg = OracleConfig(harmonic(), l=1.0, n=128, e_max_hint=100.0)
-        assert len(discretize(cfg).diag) == 128
-
 
 class TestHarmonicSanity:
     def test_spectrum_and_richardson(self):
@@ -86,8 +82,9 @@ class TestHarmonicSanity:
 
     @pytest.mark.parametrize("spec, l", [(harmonic(), 10.0), (dsg(3, 1.0), None)])
     def test_count_is_bounded_by_the_half_resolution_grid(self, spec, l):
-        # the zero hint keeps the harmonic line at l = 10 (no enlargement)
-        res = lowest_eigenvalues(OracleConfig(spec, l=l, n=64, count=31, e_max_hint=0.0))
+        # the top of the 31 harmonic levels on this coarse grid decays by
+        # DOMAIN_DECAY before x = 10, so the line stays at l = 10
+        res = lowest_eigenvalues(OracleConfig(spec, l=l, n=64, count=31))
         assert len(res.eigenvalues) == len(res.richardson) == len(res.extrapolated) == 31
         with pytest.raises(ValueError, match=r"count must be at most n // 2 - 1 = 31, .* 32"):
             lowest_eigenvalues(OracleConfig(spec, l=l, n=64, count=32))
@@ -99,10 +96,15 @@ class TestHarmonicSanity:
 
 
 class TestVerifyQes:
-    @pytest.mark.parametrize("m", [1, 3, 4])
-    def test_line_match(self, m):
+    # at zeta = 1e-3 the top level turns near x = 5, so the default l = 5
+    # ends its decay almost at once, and the line is enlarged
+    @pytest.mark.parametrize("m, zeta", [
+        pytest.param(1, 1.0, id="1"), pytest.param(3, 1.0, id="3"), pytest.param(4, 1.0, id="4"),
+        pytest.param(2, 1e-3, id="2-z0.001"), pytest.param(3, 1e-3, id="3-z0.001"),
+        pytest.param(5, 1e-3, id="5-z0.001")])
+    def test_line_match(self, m, zeta):
         # the oracle solves the M levels it matches and no more
-        res = verify_qes(m, 1.0, 1e-4)
+        res = verify_qes(m, zeta, 1e-4)
         assert res.config.count == m
         assert len(res.eigenvalues) == len(res.richardson) == len(res.matches) == m
         assert max(mt.deviation for mt in res.matches) < 1e-4
@@ -129,6 +131,48 @@ class TestVerifyQes:
     def test_match_injectivity_guard(self):
         with pytest.raises(OracleError, match="ambiguous"):
             match_levels([1.0, 1.001], [1.0005, 25.0])
+
+
+class TestLineDomain:
+    """A line domain is accepted once the top solved level decays by
+    DOMAIN_DECAY e-folds from its outer turning point to the line's end."""
+
+    def test_small_zeta_doublets_by_label(self):
+        levels = qes_energies(9, 2e-3).energies()
+        assert oracle._labelled_deviation(dshg(9, 2e-3), levels) <= 1e-4
+
+    def test_kink_levels_on_the_default_domain(self):
+        assert oracle._labelled_deviation(phi6_kink(0.5, 1.0), [0.0, 0.75]) <= 1e-6
+
+    def test_oracle_command_at_small_zeta(self, capsys):
+        args = ["--m", "5", "--zeta", "0.001", "--format", "json"]
+        assert main(["oracle", "--family", "dshg", "--count", "5", *args]) == 0
+        extrapolated = json.loads(capsys.readouterr().out)["extrapolated"]
+        assert main(["spectrum", *args]) == 0
+        levels = [lv["E"] for lv in json.loads(capsys.readouterr().out)["levels"]]
+        assert len(extrapolated) == len(levels) == 5
+        assert max(abs(a - b) for a, b in zip(extrapolated, levels)) <= 1e-4
+
+    def test_the_decay_is_walked_from_the_turning_point(self):
+        # at (5, 1e-3) the top level turns at x = 4.95, and l = 5 ends its
+        # decay there, though sqrt(V(5) - E) * 5 = 16.6 counted from x = 0
+        config = oracle._default_config(dshg(5, 1e-3), 5)
+        disc = discretize(config)
+        even, _ = oracle._reflection_blocks(disc.diag, disc.offdiag, "x")
+        e_top = qes_energies(5, 1e-3).energies()[-1]
+        _, decay = oracle._first_reached_row(even[0], disc.h, e_top)
+        assert 0.0 < decay < oracle.DOMAIN_DECAY
+        # a level above the potential at the line's end does not decay
+        e_box = float(potential_eval(config.spec, config.l)) + 1.0
+        assert oracle._first_reached_row(even[0], disc.h, e_box)[1] == 0.0
+
+    def test_box_states_end_in_a_named_error(self, capsys):
+        # the kink well's levels from the fifth up lie at or above sup V = 1
+        assert main(["oracle", "--family", "phi6_kink"]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert re.fullmatch(r"error: domain too small: the top level 1\.00\d* decays by 0 of "
+                            r"5\.5 e-folds to the line's end at l = 85\.4297\n", err)
 
 
 class TestCircleOracle:
@@ -214,27 +258,30 @@ def _unsplit_line_levels(disc, k):
     return levels, np.finfo(float).eps * norm1
 
 
-# (spec, half-width, e_max_hint); the kink well is bounded by mu^2 = 1, so its
-# upper levels are box states and its domain rule needs the hint
+# (spec, half-width, counts); the kink well is bounded by mu^2 = 1, so its
+# levels from the fifth up are box states, which never decay and which no
+# line domain holds; l = 18 holds its lowest three bound states
 LINE_SPECS = [
-    pytest.param(dshg(3, 1.0), 5.0, None, id="dshg-m3"),
-    pytest.param(dshg(9, 1.0), 5.0, None, id="dshg-m9"),
-    pytest.param(sextic_plus(2), 8.0, None, id="sextic_plus-m2"),
-    pytest.param(sextic_minus(3), 8.0, None, id="sextic_minus-m3"),
-    pytest.param(phi6_kink(0.5, 1.0), 12.0, 0.75, id="phi6_kink"),
-    pytest.param(harmonic(), 10.0, None, id="harmonic"),
+    pytest.param(spec, l, count, id=f"{name}-{count}")
+    for spec, l, counts, name in [
+        (dshg(3, 1.0), 5.0, (9, 10), "dshg-m3"),
+        (dshg(9, 1.0), 5.0, (9, 10), "dshg-m9"),
+        (sextic_plus(2), 8.0, (9, 10), "sextic_plus-m2"),
+        (sextic_minus(3), 8.0, (9, 10), "sextic_minus-m3"),
+        (phi6_kink(0.5, 1.0), 18.0, (2, 3), "phi6_kink"),
+        (harmonic(), 10.0, (9, 10), "harmonic"),
+    ]
+    for count in counts
 ]
 
 
 class TestLineReflectionSplit:
     @pytest.mark.parametrize("n", [64, 65, 1000, 1001])
-    @pytest.mark.parametrize("count", [9, 10])
-    @pytest.mark.parametrize("spec, l, hint", LINE_SPECS)
-    def test_matches_unsplit_solve(self, spec, l, hint, n, count):
+    @pytest.mark.parametrize("spec, l, count", LINE_SPECS)
+    def test_matches_unsplit_solve(self, spec, l, count, n):
         # split and unsplit bisection each land within eps * ||T||_1 of the
         # true eigenvalue, so they agree to a few times that
-        res = lowest_eigenvalues(
-            OracleConfig(spec, l=l, n=n, count=count, e_max_hint=hint))
+        res = lowest_eigenvalues(OracleConfig(spec, l=l, n=n, count=count))
         for size, got in ((n, res.eigenvalues), (n // 2, res.richardson)):
             disc = discretize(replace(res.config, n=size))
             want, accuracy = _unsplit_line_levels(disc, count)
@@ -282,12 +329,13 @@ def _tight_line_levels(config, k):
 
 def _sextic_config(family, m):
     levels = analytic_qes_levels(family(m))
-    return oracle._default_config(family(m), len(levels) + 4, max(levels))
+    return oracle._default_config(family(m), len(levels) + 4)
 
 
 # line configurations of lowest_eigenvalues: the dshg grids at M + 3 levels and
 # the sextic grids at their algebraic levels plus 4 (an `oracle` command can
-# ask for them), the kink well, and a domain that must be enlarged;
+# ask for them), the kink well at its lowest three bound states, and a domain
+# that must be enlarged;
 # verify_qes's own configs, at M levels, are VERIFY_QES_CONFIGS, and the
 # duality pairs' block solves are PAIRS
 REACHED_CONFIGS = (
@@ -295,13 +343,18 @@ REACHED_CONFIGS = (
      for m in range(1, 11) for zeta in (0.5, 1.0, 2.0)]
     + [pytest.param(_sextic_config(family, m), id=f"{family.__name__}-m{m}")
        for family in (sextic_plus, sextic_minus) for m in range(8)]
-    + [pytest.param(oracle._default_config(phi6_kink(0.5, 1.0), 6, 0.75), id="phi6_kink"),
+    + [pytest.param(oracle._default_config(phi6_kink(0.5, 1.0), 3), id="phi6_kink"),
        pytest.param(OracleConfig(dshg(3, 1.0), l=1.0, n=4000, count=6), id="enlarged")]
 )
-# the configs verify_qes solves: the default dshg grids at the M levels it matches
+# the configs verify_qes solves: the default dshg grids at the M levels it
+# matches; at small zeta the wells sit near the line's ends, and the levels
+# are accepted one enlargement on, at l = 7.5
 VERIFY_QES_CONFIGS = [
     pytest.param(oracle._default_config(dshg(m, zeta), m), id=f"dshg-m{m}-z{zeta}-count{m}")
-    for m in range(1, 11) for zeta in (0.5, 1.0, 2.0)]
+    for m in range(1, 11) for zeta in (0.5, 1.0, 2.0)] + [
+    pytest.param(replace(oracle._default_config(dshg(m, zeta), m), l=7.5),
+                 id=f"dshg-m{m}-z{zeta}-count{m}-l7.5")
+    for m, zeta in ((2, 1e-3), (3, 1e-3), (5, 1e-3), (9, 2e-3))]
 
 
 # the duality pairs whose block solves are checked, with the (even, odd)
@@ -364,7 +417,7 @@ class TestReachedRows:
         fine = oracle._solve(config, counts)
         coarse = oracle._solve(replace(config, n=config.n // 2), counts, fine[2])
         fine, coarse = ((np.sort(np.concatenate(blocks)), h, reach)
-                        for blocks, h, reach in (fine, coarse))
+                        for blocks, h, reach, _ in (fine, coarse))
         assert (res.eigenvalues, res.richardson) == (tuple(fine[0]), tuple(coarse[0]))
         for size, (got, h, reach) in ((config.n, fine), (config.n // 2, coarse)):
             assert len(got) == config.count
@@ -381,7 +434,7 @@ class TestReachedRows:
         assert not verify_duality_pair(spec_a, spec_b).rejected
         # two sides, each at two resolutions, none enlarged
         assert [asked for _, asked, _ in block_solves] == [counts] * 4
-        for config, _, (levels, h, reach) in block_solves:
+        for config, _, (levels, h, reach, _) in block_solves:
             kept = discretize(config).grid if reach is None else reach
             v = float(np.max(potential_eval(config.spec, kept)))
             want = _tight_block_levels(config, counts)
@@ -393,7 +446,7 @@ class TestReachedRows:
         # dshg(7, 2) at x = 5 is 4.8e8, against levels up to about 130: the
         # first block's window covers its reach, the second keeps only that
         config = oracle._default_config(dshg(7, 2.0), 10)
-        _, h, reach = oracle._solve(config, (5, 5))
+        _, h, reach, _ = oracle._solve(config, (5, 5))
         assert -0.5 * config.l < reach < 0.0
         assert solved_blocks[0] == (config.n // 2 * 5 // 8, 5)
         assert solved_blocks[1] == (round(-reach / h + 0.5), 5)
@@ -402,14 +455,14 @@ class TestReachedRows:
         disc = discretize(oracle._default_config(dshg(3, 1.0), 6))
         even, _ = oracle._reflection_blocks(disc.diag, disc.offdiag, "x")
         rows = len(even[0])
-        levels, cut = oracle._reached_lowest(even, 3, disc.h, rows - 10)
+        levels, cut, _ = oracle._reached_lowest(even, 3, disc.h, rows - 10)
         assert solved_blocks == [(10, 3), (rows - cut, 3)]
         assert 0 < cut < rows - 10
         want = scipy.linalg.eigvalsh_tridiagonal(
             *even, select="i", select_range=(0, 2), tol=1e-14)
         assert np.max(np.abs(levels - want)) <= 1e-10 * np.max(np.abs(want))
         # the grown window covers the rows its own top level reaches
-        assert oracle._first_reached_row(even[0], disc.h, levels[-1]) >= cut
+        assert oracle._first_reached_row(even[0], disc.h, levels[-1])[0] >= cut
 
     def test_the_first_window_grows_on_a_slowly_rising_well(self, solved_blocks):
         # x^2 rises too slowly for the rows its levels reach to fit the
@@ -423,15 +476,15 @@ class TestReachedRows:
     def test_a_bounded_well_keeps_every_row(self, solved_blocks):
         # the kink well is bounded by mu^2 = 1: even a level at its minimum
         # decays by less than REACH_DECAY out to the line's end
-        config = oracle._default_config(phi6_kink(0.5, 1.0), 6, 0.75)
+        config = oracle._default_config(phi6_kink(0.5, 1.0), 3)
         res = lowest_eigenvalues(config)
-        assert solved_blocks == [(3000, 3), (3000, 3), (1500, 3), (1500, 3)]
+        assert solved_blocks == [(3000, 2), (3000, 1), (1500, 2), (1500, 1)]
         disc = discretize(res.config)
         even, odd = oracle._reflection_blocks(disc.diag, disc.offdiag, "x")
-        merged = np.sort(np.concatenate([oracle._lowest_tridiagonal(*even, 3),
-                                         oracle._lowest_tridiagonal(*odd, 3)]))
+        merged = np.sort(np.concatenate([oracle._lowest_tridiagonal(*even, 2),
+                                         oracle._lowest_tridiagonal(*odd, 1)]))
         assert np.array_equal(res.eigenvalues, merged)
-        assert oracle._solve(res.config, (3, 3))[2] == disc.grid[0]
+        assert oracle._solve(res.config, (2, 1))[2] == disc.grid[0]
 
     def test_enlargement_is_logged(self, caplog, capsys):
         with caplog.at_level(logging.INFO, logger="qespoly.oracle"):
@@ -473,14 +526,16 @@ class TestKinkWells:
         assert min(abs(e) for e in res.eigenvalues) < 1e-4
 
     def test_bounded_well_domain_rule(self):
-        # the 10x dominance rule can never hold for sup V = mu^2; the tail
-        # criterion accepts a wide enough box instead
+        # the potential never exceeds mu^2, so the top level's decay past
+        # its turning point, not the potential at the line's end, decides
         spec = phi6_kink(0.5, 1.0)
         res = lowest_eigenvalues(OracleConfig(spec, l=12.0, n=4000, count=3))
         assert len(res.eigenvalues) == 3
 
-    def test_hinted_domain_is_enlarged(self):
-        cfg = OracleConfig(phi6_kink(0.5, 0.5), l=12.0, n=6000, count=2, e_max_hint=0.1875)
+    def test_a_shallow_kink_domain_is_enlarged(self):
+        # at mu = 0.5 the well is twice as wide and four times shallower:
+        # its level 3/4 mu^2 = 0.1875 decays too slowly to end by x = 12
+        cfg = OracleConfig(phi6_kink(0.5, 0.5), l=12.0, n=6000, count=3)
         assert lowest_eigenvalues(cfg).config.l > 12.0
 
 
