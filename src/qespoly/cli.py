@@ -390,7 +390,7 @@ def _cmd_oracle(args) -> int:
     half_width = None if spec.is_circle() else args.domain_l
     config = OracleConfig(spec, l=half_width, n=args.grid_n, count=args.count)
     result = lowest_eigenvalues(config)
-    payload = {"eigenvalues": list(result.eigenvalues), "h": result.h,
+    payload = {"eigenvalues": list(result.eigenvalues), "h": result.h, "l": result.config.l,
                "richardson": list(result.richardson),
                "extrapolated": list(result.extrapolated)}
     rows = [["k", "eigenvalue", "coarse", "extrapolated"]]

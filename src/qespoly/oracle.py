@@ -4,16 +4,25 @@ Second-order three-point discretization of -psi'' + V psi on either a
 truncated line with Dirichlet ends or a circle with periodic wrap.  Every
 potential is even (in x or theta) on a grid symmetric about 0, so the
 reflection commutes with the stencil and splits the matrix exactly into
-an even and an odd symmetric tridiagonal block, each solved by bisection
-on its Sturm sequence (LAPACK stebz) at O(rows) memory and time per level.
-On the line the discrete node theorem makes the parities alternate, even
-first, so the lowest k levels are the lowest ceil(k/2) even and floor(k/2)
-odd ones, and `verify_qes` matches the level with k nodes to line level k.
-Every solve is repeated on the half-resolution grid so convergence can be
-judged from the Richardson pair; the grid spacing of each geometry has one
-formula, in discretize.  The dsg well's analytic levels are dsg_spectrum's,
-none at even M (the paper's rule); the kink-dual well's are the dual
-energies of its line preimage's (potentials.line_preimage).
+an even and an odd symmetric tridiagonal block, at O(rows) memory.  On the
+line the discrete node theorem makes the parities alternate, even first,
+so the lowest k levels are the lowest ceil(k/2) even and floor(k/2) odd
+ones, and `verify_qes` matches the level with k nodes to line level k.
+Every solve is paired with one on the half-resolution grid so convergence
+can be judged from the Richardson pair; the grid spacing of each geometry
+has one formula, in discretize.  The half grid is solved first, each block
+by bisection on its Sturm sequence (LAPACK stebz).  Its levels, about
+h^2 away, seed the full grid's: each is refined by one inverse-iteration
+step at its seed and Rayleigh-quotient steps (LAPACK gtsv solves) until its
+residual ||T x - rho x|| stops falling or reaches rounding.  A level then
+holds an eigenvalue within that residual plus a rounding allowance, and the
+block is accepted when those intervals are disjoint and one Sturm count
+puts exactly as many eigenvalues at or below the top interval as there are
+levels, one in each.  Otherwise the block is bisected, and an INFO line on
+the qespoly.oracle logger names the fallback.  The dsg well's analytic
+levels are dsg_spectrum's, none at even M (the paper's rule); the
+kink-dual well's are the dual energies of its line preimage's
+(potentials.line_preimage).
 
 The duality pairs match by label, not by nearest neighbour, which a
 tunnelling doublet closer than the grid error would make ambiguous.  Each
@@ -31,25 +40,29 @@ arccosh(1 + h^2 (V_i - E) / 2) at row i; the rows beyond the one where that
 sum reaches D = REACH_DECAY are dropped.  Cutting the block where a level's
 eigenvector is down to e^-D puts a Dirichlet end under an amplitude of
 e^-D and a coupling of 1/h^2, which moves the level by about e^(-2D)/h^2.
-Bisection stops at ulp * ||T||_1 of the kept block, and ||T||_1 >= 4/h^2,
-so any D above ln(1 / (4 ulp)) / 2 = 17.3 leaves that move below it; D = 40
-leaves a further e^-45 for the prefactors the decay estimate ignores.  The
-kept block is also solved more tightly: the whole block's norm, and with it
-the bisection tolerance, is set by the potential at the line's end (4.8e8
-for dshg(7, 2) at x = 5, a tolerance near 1e-7), the kept block's by 4/h^2
-plus the potential at the cut (near 6e-10 on the default dshg grid).  The
-levels come from a central window first: by interlacing its top requested
-level E_up lies at or above the whole block's, so the rows E_up reaches
-hold those of every requested level.  A window that misses some of them
-is grown once to all of them, since E_up only falls as the window grows.
-A block in which even the potential's minimum decays by less than D,
-a bounded well or levels above the potential at the line's end, keeps
-every row, as do the circle blocks.
+Both solves stop at the rounding of the kept block, ulp * ||T||_1: bisection
+by its tolerance, a refined level by its residual, which cannot fall below
+the rounding of T x.  ||T||_1 >= 4/h^2, so any D above
+ln(1 / (4 ulp)) / 2 = 17.3 leaves that move below it; D = 40 leaves a
+further e^-45 for the prefactors the decay estimate ignores.  The kept
+block is also solved more tightly: the whole block's norm, and with it the
+rounding, is set by the potential at the line's end (4.8e8 for dshg(7, 2)
+at x = 5, a bisection tolerance near 1e-7), the kept block's by 4/h^2 plus
+the potential at the cut (near 6e-10 on the default dshg grid).  The half
+grid's levels come from a central window first: by interlacing its top
+requested level E_up lies at or above the whole block's, so the rows E_up
+reaches hold those of every requested level.  A window that misses some of
+them is grown once to all of them, since E_up only falls as the window
+grows.  The full grid keeps the rows its seeds' top level reaches, and is
+grown once if the refined top level reaches further.  A block in which even
+the potential's minimum decays by less than D, a bounded well or levels
+above the potential at the line's end, keeps every row, as do the circle
+blocks.
 
 The same walk is the one test of a line's width: it accepts the domain once
-the top solved level decays by DOMAIN_DECAY e-folds from its outer turning
-point (not from x = 0, which passes a wall just past that point, as in the
-dshg wells at small zeta) to the line's end.  A level at or above the
+the full grid's top level decays by DOMAIN_DECAY e-folds from its outer
+turning point (not from x = 0, which passes a wall just past that point, as
+in the dshg wells at small zeta) to the line's end.  A level at or above the
 potential there, such as a bounded well's box state, never decays.
 
 This solver shares nothing with the polynomial route except the potential
@@ -79,11 +92,16 @@ _log = logging.getLogger("qespoly.oracle")
 
 # e-folds of decay past which a line block's rows are dropped and that
 # accept a line's width (see above), and the share of a block's rows, centre
-# side, in the first window of a line solve: the rows the levels of the
-# default dshg and sextic grids reach fit in it, so those need no regrowth
+# side, in the first window of a bisected line solve: the rows the levels of
+# the default dshg and sextic half grids reach fit in it, so those need no
+# regrowth
 REACH_DECAY = 40.0
 DOMAIN_DECAY = 5.5
 FIRST_WINDOW = 0.625
+# the cap on a refined level's shift-invert steps, and the multiple of
+# eps * ||T||_1 its radius adds to its residual for rounding (_shift_invert)
+REFINE_STEPS = 8
+ROUNDING = 16.0
 
 
 class OracleError(RuntimeError):
@@ -174,27 +192,34 @@ def discretize(config: OracleConfig) -> Discretization:
     return Discretization(diag, offdiag, -coupling if spec.is_circle() else None, grid, h)
 
 
-def _solve(config: OracleConfig, counts: tuple, reach: float | None = None) -> tuple:
+def _solve(config: OracleConfig, counts: tuple, seeds: tuple | None = None) -> tuple:
     """The lowest counts[b] eigenvalues of reflection block b (0 even, 1 odd),
     the grid spacing they were computed at and, on the line, the x of the
     outermost row the solve kept and the top level's decay to the line's end
     (both None on a circle).
 
-    A line solve's first window starts at the row of `reach` (at the inner
-    FIRST_WINDOW of the line when None), but never inside the rows that a
-    level at the potential's minimum, the lowest a level can be, reaches.
-    By the node theorem a line block's rank r level has 2r (even) or 2r + 1
-    (odd) nodes; the block whose top requested level has more nodes goes
-    first, and the other block's levels lie lower, so they reach no row
-    beyond its cut.
+    Without seeds every block is bisected.  A line solve's first window then
+    starts at the inner FIRST_WINDOW of the line, but never inside the rows
+    that a level at the potential's minimum, the lowest a level can be,
+    reaches.  By the node theorem a line block's rank r level has 2r (even)
+    or 2r + 1 (odd) nodes; the block whose top requested level has more
+    nodes goes first, and the other block's levels lie lower, so they reach
+    no row beyond its cut.  With seeds, each block's levels on a coarser
+    grid, every block is refined from them instead (_refined_lowest).
     """
     disc = discretize(config)
     if disc.corner is not None:
-        return (tuple(_lowest_tridiagonal(*block, k)
-                      for block, k in zip(_circle_blocks(disc), counts)), disc.h, None, None)
+        blocks = _circle_blocks(disc)
+        if seeds is None:
+            return tuple(_lowest_tridiagonal(*block, k)
+                         for block, k in zip(blocks, counts)), disc.h, None, None
+        return tuple(_refined_lowest(*block, k, s)
+                     for block, k, s in zip(blocks, counts, seeds)), disc.h, None, None
     blocks = _reflection_blocks(disc.diag, disc.offdiag, "x")
-    start = (round(len(blocks[0][0]) * (1.0 - FIRST_WINDOW)) if reach is None
-             else max(int(np.searchsorted(disc.grid, reach, side="right")) - 1, 0))
+    if seeds is not None:
+        levels, cut, decay = _refined_line(blocks, counts, seeds, disc.h)
+        return levels, disc.h, float(disc.grid[cut]), decay
+    start = round(len(blocks[0][0]) * (1.0 - FIRST_WINDOW))
     floor = disc.diag.min() - 2.0 / disc.h**2
     start = min(start, _first_reached_row(blocks[0][0], disc.h, floor)[0])
     first = 0 if counts[0] > counts[1] else 1
@@ -203,6 +228,29 @@ def _solve(config: OracleConfig, counts: tuple, reach: float | None = None) -> t
     levels[1 - first], rest_cut, _ = _reached_lowest(
         blocks[1 - first], counts[1 - first], disc.h, cut)
     return tuple(levels), disc.h, float(disc.grid[min(cut, rest_cut)]), decay
+
+
+def _refined_line(blocks, counts, seeds, h: float) -> tuple:
+    """Both line blocks' levels refined from seeds on the rows the seeds' top
+    level reaches, the first of those rows and the refined top level's decay
+    to the line's end.  If the refined top reaches further out, both blocks
+    are refined once more on its rows, from the refined levels."""
+    diag = blocks[0][0]
+
+    def reached(levels):
+        return _first_reached_row(diag, h, max(float(lv[-1]) for lv in levels if len(lv)))
+
+    def refined(cut, seeds):
+        return tuple(_refined_lowest(block_diag[cut:], block_off[cut:], k, s)
+                     for (block_diag, block_off), k, s in zip(blocks, counts, seeds))
+
+    cut = reached(seeds)[0]
+    levels = refined(cut, seeds)
+    grown, decay = reached(levels)
+    if grown < cut:
+        cut, levels = grown, refined(grown, levels)
+        decay = reached(levels)[1]
+    return levels, cut, decay
 
 
 def _reached_lowest(block, k: int, h: float, start: int) -> tuple:
@@ -248,12 +296,102 @@ def _first_reached_row(diag, h: float, e_up: float) -> tuple:
 
 
 def _lowest_tridiagonal(diag, offdiag, k: int) -> np.ndarray:
+    """The k lowest eigenvalues of a symmetric tridiagonal block, bisected on
+    its Sturm sequence (LAPACK stebz) to ulp * ||T||_1."""
     k = min(k, len(diag))
     if k < 1:
         return np.empty(0)
-    from scipy.linalg import eigvalsh_tridiagonal    # here: only the oracle needs scipy
-    return eigvalsh_tridiagonal(
-        diag, offdiag, select="i", select_range=(0, k - 1))
+    from scipy.linalg.lapack import dstebz    # here: only the oracle needs scipy
+    found, levels, _, _, info = dstebz(diag, offdiag, 2, 0.0, 0.0, 1, k, 0.0, "E")
+    if info:
+        raise OracleError(f"bisection of a {len(diag)}-row block failed (stebz info {info})")
+    return levels[:found]
+
+
+def _refined_lowest(diag, offdiag, k: int, seeds) -> np.ndarray:
+    """The k lowest eigenvalues of a symmetric tridiagonal block, refined from
+    seeds, the same block's levels on a coarser grid (_shift_invert), and
+    bisected where the refinement is not certified; that fallback is logged."""
+    if k < 1:
+        return np.empty(0)
+    levels = _shift_invert(diag, offdiag, seeds) if len(seeds) == k else None
+    if levels is None:
+        _log.info("bisecting a %d-row block for %d levels: %d seeds from %.6g to %.6g "
+                  "gave no certified refinement", len(diag), k, len(seeds), seeds[0], seeds[-1])
+        return _lowest_tridiagonal(diag, offdiag, k)
+    return levels
+
+
+def _shift_invert(diag, offdiag, seeds):
+    """The eigenvalues of a symmetric tridiagonal block T nearest seeds,
+    certified as its len(seeds) lowest, or None.
+
+    Each level starts from a fixed unit vector x at its seed s: y = (T - s)^-1 x,
+    the Rayleigh quotient s + (x . y) / (y . y) and x = y / ||y||.  The shift
+    stays at the seed until that quotient lies nearer the seed than half the
+    gap to a neighbouring seed, so that a start vector poor in the wanted
+    level cannot lead to another one; from then on the quotient is the shift
+    (Rayleigh-quotient iteration).  1 / ||y|| is y's residual at the shift,
+    and the steps stop once it stops falling or reaches eps * ||T||_1, or
+    after REFINE_STEPS.  A level rho with unit vector x has an eigenvalue
+    within ||T x - rho x|| of it; that residual plus ROUNDING * eps * ||T||_1,
+    for the rounding of the residual and of the count, is its radius.  The
+    levels are certified when their intervals are disjoint and one Sturm
+    count finds exactly len(seeds) eigenvalues at or below the top one's
+    upper end: one in each interval and none below.  T is first scaled by
+    the power of 2 that brings ||T||_1 into [1/2, 1), which rounds nothing.
+    """
+    from scipy.linalg.lapack import dgtsv, dstebz
+    eps = np.finfo(float).eps
+    off = np.abs(offdiag)
+    norm = float(np.max(np.abs(diag) + np.append(off, 0.0) + np.append(0.0, off)))
+    scale = np.ldexp(1.0, -np.frexp(norm)[1])
+    diag, offdiag, seeds, norm = diag * scale, offdiag * scale, np.asarray(seeds) * scale, norm * scale
+    half_gap = np.diff(seeds) / 2.0
+    margin = (np.concatenate([half_gap[:1], half_gap, half_gap[-1:]]) if half_gap.size
+              else np.full(2, np.inf))
+    lower, upper = seeds - margin[:-1], seeds + margin[1:]
+    rows = np.arange(len(diag))
+    # quadratic residues mod a prime spread over every mode; a constant or a
+    # ramp start is orthogonal to a circle block's higher cosines
+    start = (rows * rows % 65521) / 65521 - 0.5
+    start /= np.sqrt((start * start).sum())
+
+    def shifted_solve(shift, x):
+        y, info = dgtsv(offdiag, diag - shift, offdiag, x[:, None])[3:]
+        if info:    # the shift is a level to working precision: step off it
+            y, info = dgtsv(offdiag, diag - (shift + eps * norm), offdiag, x[:, None])[3:]
+        return y[:, 0], info
+
+    levels, radii = [], []
+    with np.errstate(all="ignore"):
+        for seed, low, high in zip(seeds, lower, upper):
+            shift, x, residual, captured = seed, start, np.inf, False
+            for _ in range(REFINE_STEPS):
+                y, info = shifted_solve(shift, x)
+                if info:
+                    return None
+                yy = (y * y).sum()
+                size = np.sqrt(yy)
+                if captured and 1.0 / size >= residual:
+                    break
+                level, x, residual = shift + (x * y).sum() / yy, y / size, 1.0 / size
+                if residual <= eps * norm:
+                    break
+                captured = captured or low < level < high
+                if captured:
+                    shift = level
+            r = diag * x - level * x
+            r[:-1] += offdiag * x[1:]
+            r[1:] += offdiag * x[:-1]
+            levels.append(level)
+            radii.append(np.sqrt((r * r).sum()) + ROUNDING * eps * norm)
+    levels, radii = np.array(levels), np.array(radii)
+    if not np.all(np.isfinite(levels + radii)) or np.any(
+            levels[1:] - radii[1:] <= levels[:-1] + radii[:-1]):
+        return None
+    found = dstebz(diag, offdiag, 1, -np.inf, levels[-1] + radii[-1], 0, 0, np.inf, "E")[0]
+    return levels / scale if found == len(levels) else None
 
 
 def _reflection_blocks(diag, offdiag, variable: str):
@@ -293,36 +431,35 @@ def _circle_blocks(disc: Discretization) -> tuple:
 
 
 def _solve_on_domain(config: OracleConfig, counts: tuple) -> tuple:
-    """The block levels of _solve at config's n and at n // 2, with the
-    config they were solved on and the fine grid's spacing.
+    """The config the levels were solved on, the fine grid's spacing, and
+    the block levels at its n and at n // 2: those at n // 2 are bisected
+    and seed the refinement of those at n.
 
-    A line domain is enlarged by 1.5 until the top solved level decays by
-    DOMAIN_DECAY e-folds from its outer turning point to the line's end (a
-    box state never does).  The half-resolution solve starts its first
-    window at the fine solve's cut.
+    A line domain is enlarged by 1.5 until the fine grid's top level decays
+    by DOMAIN_DECAY e-folds from its outer turning point to the line's end
+    (a box state never does); each enlargement solves both grids again.
     """
-    cfg, reach = config, None
+    cfg = config
     for _ in range(8):
-        fine, h, reach, decay = _solve(cfg, counts, reach)
+        coarse = _solve(replace(cfg, n=cfg.n // 2), counts)[0]
+        fine, h, _, decay = _solve(cfg, counts, coarse)
         if cfg.spec.is_circle() or decay >= DOMAIN_DECAY:
-            break
+            return cfg, h, fine, coarse
         last, cfg = cfg.l, replace(cfg, l=1.5 * cfg.l)
         _log.info("enlarging the line domain of %s from l = %r to l = %r",
                   cfg.spec.family, last, cfg.l)
-    else:
-        top = max(float(levels[-1]) for levels in fine if len(levels))
-        raise OracleError(f"domain too small: the top level {top:.6g} decays by {decay:.3g} "
-                          f"of {DOMAIN_DECAY} e-folds to the line's end at l = {last:.6g}")
-    coarse = _solve(replace(cfg, n=cfg.n // 2), counts, reach)[0]
-    return cfg, h, fine, coarse
+    top = max(float(levels[-1]) for levels in fine if len(levels))
+    raise OracleError(f"domain too small: the top level {top:.6g} decays by {decay:.3g} "
+                      f"of {DOMAIN_DECAY} e-folds to the line's end at l = {last:.6g}")
 
 
 def lowest_eigenvalues(config: OracleConfig) -> OracleResult:
     """The requested lowest eigenvalues plus their half-resolution pair:
     ceil(k/2) even and floor(k/2) odd levels on the line, k from each block
-    on a circle, merged.  The bounds on n and count are checked here, not
-    in OracleConfig, because the half-resolution solve runs on a config
-    with n // 2.
+    on a circle, merged.  The half-resolution levels are bisected and seed
+    the full grid's, which are refined and certified (_solve_on_domain).
+    The bounds on n and count are checked here, not in OracleConfig,
+    because the half-resolution solve runs on a config with n // 2.
     """
     if config.n < 64:
         raise ValueError("need at least 64 grid points")

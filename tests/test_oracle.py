@@ -153,6 +153,16 @@ class TestLineDomain:
         assert len(extrapolated) == len(levels) == 5
         assert max(abs(a - b) for a, b in zip(extrapolated, levels)) <= 1e-4
 
+    def test_the_json_names_the_solved_half_width(self, capsys):
+        # the levels at (5, 1e-3) come from one enlargement on, at l = 7.5
+        args = ["--family", "dshg", "--m", "5", "--zeta", "0.001", "--format", "json"]
+        assert main(["oracle", *args]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert (doc["manifest"]["params"]["domain_l"], doc["l"]) == (5.0, 7.5)
+        # a circle has no half-width
+        assert main(["oracle", "--family", "dsg", "--m", "3", "--zeta", "1", "--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out)["l"] is None
+
     def test_the_decay_is_walked_from_the_turning_point(self):
         # at (5, 1e-3) the top level turns at x = 4.95, and l = 5 ends its
         # decay there, though sqrt(V(5) - E) * 5 = 16.6 counted from x = 0
@@ -334,8 +344,8 @@ def _sextic_config(family, m):
 
 # line configurations of lowest_eigenvalues: the dshg grids at M + 3 levels and
 # the sextic grids at their algebraic levels plus 4 (an `oracle` command can
-# ask for them), the kink well at its lowest three bound states, and a domain
-# that must be enlarged;
+# ask for them), the kink well at its lowest three bound states, a domain
+# that must be enlarged, and a lone level near 2, whose 1e-10 is the tightest;
 # verify_qes's own configs, at M levels, are VERIFY_QES_CONFIGS, and the
 # duality pairs' block solves are PAIRS
 REACHED_CONFIGS = (
@@ -344,7 +354,8 @@ REACHED_CONFIGS = (
     + [pytest.param(_sextic_config(family, m), id=f"{family.__name__}-m{m}")
        for family in (sextic_plus, sextic_minus) for m in range(8)]
     + [pytest.param(oracle._default_config(phi6_kink(0.5, 1.0), 3), id="phi6_kink"),
-       pytest.param(OracleConfig(dshg(3, 1.0), l=1.0, n=4000, count=6), id="enlarged")]
+       pytest.param(OracleConfig(dshg(3, 1.0), l=1.0, n=4000, count=6), id="enlarged"),
+       pytest.param(oracle._default_config(dshg(1, 1.0), 1), id="dshg-m1-z1.0-count1")]
 )
 # the configs verify_qes solves: the default dshg grids at the M levels it
 # matches; at small zeta the wells sit near the line's ends, and the levels
@@ -373,8 +384,8 @@ def block_solves(monkeypatch):
     solves = []
     solve = oracle._solve
 
-    def recording(config, counts, reach=None):
-        result = solve(config, counts, reach)
+    def recording(config, counts, seeds=None):
+        result = solve(config, counts, seeds)
         solves.append((config, counts, result))
         return result
 
@@ -384,15 +395,21 @@ def block_solves(monkeypatch):
 
 @pytest.fixture
 def solved_blocks(monkeypatch):
-    """The (rows, count) of every tridiagonal block the oracle solves."""
+    """The (rows, count) of every tridiagonal block the oracle bisects or
+    refines, in the order it solves them."""
     sizes = []
-    solve = oracle._lowest_tridiagonal
+    bisect, refine = oracle._lowest_tridiagonal, oracle._refined_lowest
 
-    def recording(diag, offdiag, k):
+    def bisecting(diag, offdiag, k):
         sizes.append((len(diag), k))
-        return solve(diag, offdiag, k)
+        return bisect(diag, offdiag, k)
 
-    monkeypatch.setattr(oracle, "_lowest_tridiagonal", recording)
+    def refining(diag, offdiag, k, seeds):
+        sizes.append((len(diag), k))
+        return refine(diag, offdiag, k, seeds)
+
+    monkeypatch.setattr(oracle, "_lowest_tridiagonal", bisecting)
+    monkeypatch.setattr(oracle, "_refined_lowest", refining)
     return sizes
 
 
@@ -414,8 +431,8 @@ class TestReachedRows:
         res = lowest_eigenvalues(config)
         assert res.config == config    # no enlargement: the solves below are its own
         counts = ((config.count + 1) // 2, config.count // 2)
-        fine = oracle._solve(config, counts)
-        coarse = oracle._solve(replace(config, n=config.n // 2), counts, fine[2])
+        coarse = oracle._solve(replace(config, n=config.n // 2), counts)
+        fine = oracle._solve(config, counts, coarse[0])
         fine, coarse = ((np.sort(np.concatenate(blocks)), h, reach)
                         for blocks, h, reach, _ in (fine, coarse))
         assert (res.eigenvalues, res.richardson) == (tuple(fine[0]), tuple(coarse[0]))
@@ -478,13 +495,16 @@ class TestReachedRows:
         # decays by less than REACH_DECAY out to the line's end
         config = oracle._default_config(phi6_kink(0.5, 1.0), 3)
         res = lowest_eigenvalues(config)
-        assert solved_blocks == [(3000, 2), (3000, 1), (1500, 2), (1500, 1)]
+        # the half grid is bisected, then the fine grid refined from it
+        assert solved_blocks == [(1500, 2), (1500, 1), (3000, 2), (3000, 1)]
+        coarse = oracle._solve(replace(res.config, n=res.config.n // 2), (2, 1))
         disc = discretize(res.config)
         even, odd = oracle._reflection_blocks(disc.diag, disc.offdiag, "x")
-        merged = np.sort(np.concatenate([oracle._lowest_tridiagonal(*even, 2),
-                                         oracle._lowest_tridiagonal(*odd, 1)]))
+        merged = np.sort(np.concatenate([oracle._refined_lowest(*even, 2, coarse[0][0]),
+                                         oracle._refined_lowest(*odd, 1, coarse[0][1])]))
         assert np.array_equal(res.eigenvalues, merged)
         assert oracle._solve(res.config, (2, 1))[2] == disc.grid[0]
+        assert oracle._solve(res.config, (2, 1), coarse[0])[2] == disc.grid[0]
 
     def test_enlargement_is_logged(self, caplog, capsys):
         with caplog.at_level(logging.INFO, logger="qespoly.oracle"):
@@ -497,6 +517,73 @@ class TestReachedRows:
         assert main(["oracle", "--family", "dshg", "--m", "3", "--zeta", "1",
                      "--domain-l", "1", "--format", "json"]) == 0
         assert capsys.readouterr().err == ""
+
+
+# a clean refinement per geometry: a line, a circle and a sextic sector
+REFINED_CONFIGS = [
+    pytest.param(OracleConfig(dshg(7, 1.0), l=5.0, n=1024, count=8), id="dshg-m7"),
+    pytest.param(OracleConfig(dsg(5, 1.0), n=1024, count=8), id="dsg-m5"),
+    pytest.param(_sextic_config(sextic_plus, 6), id="sextic_plus-m6"),
+]
+
+
+def _fallbacks(caplog) -> list:
+    return [rec for rec in caplog.records
+            if rec.name == "qespoly.oracle" and rec.getMessage().startswith("bisecting")]
+
+
+class TestRefinement:
+    """The fine grid's levels are refined from the half grid's by shift-invert
+    iteration, and bisected only where the refinement is not certified."""
+
+    @pytest.mark.parametrize("config", REFINED_CONFIGS)
+    def test_a_clean_solve_logs_nothing_and_matches_a_tight_bisection(self, caplog, config):
+        with caplog.at_level(logging.INFO, logger="qespoly.oracle"):
+            res = lowest_eigenvalues(config)
+        assert [rec for rec in caplog.records if rec.name == "qespoly.oracle"] == []
+        counts = (config.count,) * 2 if config.spec.is_circle() else (
+            (config.count + 1) // 2, config.count // 2)
+        coarse = oracle._solve(replace(config, n=config.n // 2), counts)[0]
+        levels, h, reach, _ = oracle._solve(config, counts, coarse)
+        assert res.eigenvalues == tuple(np.sort(np.concatenate(levels))[:config.count])
+        # the refined levels are as close to the true ones as bisection's
+        # ulp * ||T||_1 of the kept rows, at most 4/h^2 + V at the cut
+        kept = discretize(config).grid if reach is None else reach
+        norm = 4.0 / h**2 + float(np.max(potential_eval(config.spec, kept)))
+        for got, tight in zip(levels, _tight_block_levels(config, counts)):
+            assert len(got) == len(tight)
+            assert np.max(np.abs(got - tight), initial=0.0) <= np.finfo(float).eps * norm
+
+    @pytest.mark.parametrize("bad", ["one level twice", "the other block's", "one rank up"])
+    def test_uncertified_seeds_are_bisected_and_logged(self, caplog, bad):
+        # seeds that converge on one level give overlapping intervals; the
+        # other block's give levels that are not the lowest, as do seeds one
+        # rank up, which the Sturm count rejects
+        config = OracleConfig(dsg(5, 1.0), n=1024, count=8)
+        coarse = oracle._solve(replace(config, n=512), (9, 9))[0]
+        good = coarse[1][:8]
+        seeds = {"one level twice": np.repeat(coarse[0][:4], 2),
+                 "the other block's": coarse[1][:8],
+                 "one rank up": coarse[0][1:9]}[bad]
+        even, odd = oracle._circle_blocks(discretize(config))
+        with caplog.at_level(logging.INFO, logger="qespoly.oracle"):
+            levels = oracle._solve(config, (8, 8), (seeds, good))[0]
+        assert np.array_equal(levels[0], oracle._lowest_tridiagonal(*even, 8))
+        assert [rec.getMessage().split(":")[0] for rec in _fallbacks(caplog)] == [
+            "bisecting a 513-row block for 8 levels"]
+        # the odd block, from its own seeds, is refined and certified
+        assert np.max(np.abs(levels[1] - oracle._lowest_tridiagonal(*odd, 8))) <= 1e-9
+
+    def test_a_line_block_falls_back_on_its_kept_rows(self, caplog):
+        config = oracle._default_config(dshg(3, 1.0), 6)
+        coarse = oracle._solve(replace(config, n=config.n // 2), (3, 3))[0]
+        with caplog.at_level(logging.INFO, logger="qespoly.oracle"):
+            levels, _, reach, _ = oracle._solve(config, (3, 3), (coarse[0][[0, 0, 1]], coarse[1]))
+        disc = discretize(config)
+        even, _ = oracle._reflection_blocks(disc.diag, disc.offdiag, "x")
+        cut = int(np.searchsorted(disc.grid, reach))
+        assert np.array_equal(levels[0], oracle._lowest_tridiagonal(even[0][cut:], even[1][cut:], 3))
+        assert len(_fallbacks(caplog)) == 1
 
 
 class TestKinkWells:
