@@ -40,9 +40,9 @@ arccosh(1 + h^2 (V_i - E) / 2) at row i; the rows beyond the one where that
 sum reaches D = REACH_DECAY are dropped.  Cutting the block where a level's
 eigenvector is down to e^-D puts a Dirichlet end under an amplitude of
 e^-D and a coupling of 1/h^2, which moves the level by about e^(-2D)/h^2.
-Both solves stop at the rounding of the kept block, ulp * ||T||_1: bisection
-by its tolerance, a refined level by its residual, which cannot fall below
-the rounding of T x.  ||T||_1 >= 4/h^2, so any D above
+Both solves stop at the rounding of the rows they solve on, ulp * ||T||_1:
+bisection by its tolerance, a refined level by its residual, which cannot
+fall below the rounding of T x.  ||T||_1 >= 4/h^2, so any D above
 ln(1 / (4 ulp)) / 2 = 17.3 leaves that move below it; D = 40 leaves a
 further e^-45 for the prefactors the decay estimate ignores.  The kept
 block is also solved more tightly: the whole block's norm, and with it the
@@ -53,11 +53,12 @@ grid's levels come from a central window first: by interlacing its top
 requested level E_up lies at or above the whole block's, so the rows E_up
 reaches hold those of every requested level.  A window that misses some of
 them is grown once to all of them, since E_up only falls as the window
-grows.  The full grid keeps the rows its seeds' top level reaches, and is
-grown once if the refined top level reaches further.  A block in which even
-the potential's minimum decays by less than D, a bounded well or levels
-above the potential at the line's end, keeps every row, as do the circle
-blocks.
+grows; one that holds them is kept whole, so the half grid has the
+rounding of its window, which can reach past the cut it returns.  The full
+grid keeps the rows its seeds' top level reaches, and is grown once if the
+refined top level reaches further.  A block in which even the potential's
+minimum decays by less than D, a bounded well or levels above the
+potential at the line's end, keeps every row, as do the circle blocks.
 
 The same walk is the one test of a line's width: it accepts the domain once
 the full grid's top level decays by DOMAIN_DECAY e-folds from its outer
@@ -195,8 +196,9 @@ def discretize(config: OracleConfig) -> Discretization:
 def _solve(config: OracleConfig, counts: tuple, seeds: tuple | None = None) -> tuple:
     """The lowest counts[b] eigenvalues of reflection block b (0 even, 1 odd),
     the grid spacing they were computed at and, on the line, the x of the
-    outermost row the solve kept and the top level's decay to the line's end
-    (both None on a circle).
+    outermost row the levels reach (the cut) and the top level's decay to the
+    line's end (both None on a circle).  A bisected solve can keep rows past
+    the cut, and has their rounding (_reached_lowest).
 
     Without seeds every block is bisected.  A line solve's first window then
     starts at the inner FIRST_WINDOW of the line, but never inside the rows
@@ -254,14 +256,15 @@ def _refined_line(blocks, counts, seeds, h: float) -> tuple:
 
 
 def _reached_lowest(block, k: int, h: float, start: int) -> tuple:
-    """The k lowest eigenvalues of a line block, solved on the rows its
-    levels reach, the first of those rows and the decay to the line's end
-    of the level that placed it.
+    """The k lowest eigenvalues of a line block, the first of the rows its
+    levels reach (the cut) and the decay to the line's end of the level that
+    placed it.
 
     The rows from `start` to the centre are solved first; by interlacing the
     window's top level bounds the block's from above, so the rows it reaches
     hold every requested level's.  If the window misses some of them it is
     grown once to all of them: the bound only falls as the window grows.
+    Else the window is kept whole, with the rounding of its rows past the cut.
     """
     diag, off = block
     if k < 1:

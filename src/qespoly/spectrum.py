@@ -35,8 +35,8 @@ float recursion and certifies them by exact sign changes between
 neighbouring roots, on the integer recursion (families.member_signs).  The
 read-only ChainSolution adds, on first read, its value matrix: one read-only
 float array, rows p_0..p_{N+2}, a column per root (families.family_values),
-that the weights, the states and the crosscheck's Gram matrix slice.  Only
-the factorization check builds bivariate chains.
+that the weights, the crosscheck's Gram matrix and the states' table of
+c_n = p_n / e_n! read.  Only the factorization check builds bivariate chains.
 """
 
 from __future__ import annotations
@@ -63,6 +63,7 @@ from .families import (
     gen_family,
     gen_quotient,
     member_signs,
+    series_index,
     terminating_chains,
 )
 
@@ -196,7 +197,7 @@ class ChainSolution:
     """Certified roots (shifted energy, ascending) of a chain's critical member
     at zeta, the shift (M + zeta)**2 back to E and, on first read, the value
     matrix (read-only, (N+3, N), row n p_n at the roots; the crosscheck checks
-    its Gram matrix under the weights), the weight solve and its condition."""
+    its Gram matrix under the weights), weight solve, condition, series table."""
     spec: ChainSpec
     zeta: float
     shift: float
@@ -228,6 +229,24 @@ class ChainSolution:
     @cached_property
     def condition(self) -> float:
         return float(np.linalg.cond(self.values[:len(self.roots)]))
+
+    @cached_property
+    def series_coeffs(self) -> tuple:
+        """c_j = p_j / e_j!, e_j = series_index(kind, j), j <= N+2, one tuple per
+        root; members N..N+2, certified finite and within 1e-9 of max |c| at
+        every root (QESDomainError, not kept, otherwise), are zeroed."""
+        crit = len(self.roots)
+        factorials = [float(math.factorial(series_index(self.spec.kind, j))) for j in range(crit + 3)]
+        coeffs = self.values / np.array(factorials)[:, None]
+        tail, scale = np.abs(coeffs[crit:]), np.max(np.abs(coeffs), axis=0)
+        # a NaN tail fails "<=", and an inf scale, which any tail is within, fails
+        bad = np.argwhere(~(tail <= 1e-9 * scale) | ~np.isfinite(scale))
+        if bad.size:
+            j, k = bad[0]
+            raise QESDomainError(f"series does not terminate: |c_{crit + j}| = {tail[j, k]}"
+                                 f" against max |c| = {scale[k]}")
+        coeffs[crit:] = 0.0
+        return tuple(map(tuple, coeffs.T.tolist()))
 
 
 def _planned_chain(m, zeta: float, kind: str) -> tuple:

@@ -8,7 +8,8 @@ polynomials evaluated at that level's shifted energy:
 with z = cosh 2x - 1, series exponents e_j = 2j for a P-chain level and
 2j + 1 for a Q-chain level, and c_j = (chain polynomial at the level) / e_j!.
 At an algebraic level the critical polynomial vanishes, the factorization
-kills every later member, and the series is a finite sum.  The branch of
+kills every later member, and the series is a finite sum, evaluated by
+Horner's rule in cosh(x)**2 from its top nonzero term.  The branch of
 z**(1/2) is taken odd, sgn(x) * sqrt(cosh 2x - 1) = sqrt(2) sinh x, so s = 0
 states are even in x and s = 1/2 states are odd.
 
@@ -16,7 +17,7 @@ Each chain carries one parity of levels, so the state with k nodes is root
 k // 2 of the chain at index k % 2 of the level plan (spectrum.chain_plan,
 which lists families.terminating_chains); no float sort is involved.  One
 solve per (M, zeta, kind) is shared through a two-entry memo
-(spectrum.solve_chain); chain_roots is the uncached certifier.
+(spectrum.solve_chain), whose one coefficient table the states read by column.
 
 The same coefficients evaluated with cosh -> cos give the state's circle
 image on the double sine-Gordon side, whose half-turn character the chain
@@ -25,13 +26,12 @@ alone fixes (duality.dsg_spectrum).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .families import series_index, terminating_chains
+from .families import terminating_chains
 from .potentials import PotentialSpec, potential_eval
 from .spectrum import QESDomainError, require_qes_domain, solve_chain
 
@@ -49,9 +49,6 @@ class QESState:
     energy: float
     script_energy: float
     critical_index: int
-
-    def series_exponent(self, j: int) -> int:
-        return series_index(self.chain, j)
 
     def __call__(self, x):
         return self.eval(x)
@@ -81,10 +78,14 @@ class QESState:
         series in u = even(x); odd(x) is the odd branch."""
         x = np.asarray(x, dtype=float)
         u = even(x)
-        series = np.zeros_like(u)
-        for j, c in enumerate(self.coeffs):
-            if c:
-                series = series + c * u ** self.series_exponent(j)
+        w, top = u * u, max(j for j, c in enumerate(self.coeffs) if c)
+        # Horner in w = u**2 from the top nonzero c_j; e_j = 2j (P) or 2j + 1 (Q)
+        series = np.full_like(w, self.coeffs[top])
+        for c in reversed(self.coeffs[:top]):
+            series *= w
+            series += c
+        if self.chain == "Q":
+            series *= u
         damp = np.exp(-0.5 * self.zeta * even(2.0 * x))
         pref = damp * np.sqrt(2.0) * odd(x) if self.s else damp
         return damp, pref * series
@@ -92,30 +93,17 @@ class QESState:
 
 def build_qes_state(m: int, zeta: float, level: int) -> QESState:
     """Assemble the series state for one algebraic level: root level // 2 of
-    the chain of node parity level % 2.  Two members past the critical index
-    are certified finite and vanishing (relative 1e-9) at every root of that
-    chain, so the truncation is exact rather than approximate."""
+    the chain of node parity level % 2, and that root's column of the chain's
+    certified series coefficients (spectrum.ChainSolution.series_coeffs)."""
     m, _ = require_qes_domain(m, zeta)
     if not 0 <= level < m:
         raise QESDomainError(f"level must be in 0..{m - 1}")
     # the chain of node parity level % 2 (the s = 0 chain carries even nodes)
     solution = solve_chain(m, zeta, terminating_chains(m)[level % 2][0])
-    spec, crit = solution.spec, len(solution.roots)
-    factorials = [float(math.factorial(series_index(spec.kind, j))) for j in range(crit + 3)]
-    coeffs = solution.values / np.array(factorials)[:, None]
-    tail = np.abs(coeffs[crit:])
-    scale = np.max(np.abs(coeffs), axis=0)
-    # a NaN tail fails "<=", and an inf scale, which any tail is within, fails
-    bad = np.argwhere(~(tail <= 1e-9 * scale) | ~np.isfinite(scale))
-    if bad.size:
-        j, k = bad[0]
-        raise QESDomainError(f"series does not terminate: |c_{crit + j}| = {tail[j, k]}"
-                             f" against max |c| = {scale[k]}")
-    coeffs[crit:] = 0.0
-    root = solution.roots[level // 2]
+    spec, root = solution.spec, solution.roots[level // 2]
     return QESState(m=m, zeta=zeta, level=level, chain=spec.kind, s=spec.s,
-                    coeffs=tuple(coeffs[:, level // 2].tolist()), energy=root + solution.shift,
-                    script_energy=root, critical_index=crit)
+                    coeffs=solution.series_coeffs[level // 2], energy=root + solution.shift,
+                    script_energy=root, critical_index=len(solution.roots))
 
 
 def node_count(state, grid) -> int:

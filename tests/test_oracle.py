@@ -367,6 +367,12 @@ VERIFY_QES_CONFIGS = [
                  id=f"dshg-m{m}-z{zeta}-count{m}-l7.5")
     for m, zeta in ((2, 1e-3), (3, 1e-3), (5, 1e-3), (9, 2e-3))]
 
+# the dshg grids of the golden `oracle --count 4` records (tests/golden):
+# the command's default domain and grid, l = 5 and n = 2048, at M = 1..5
+CLI_CONFIGS = [
+    pytest.param(OracleConfig(dshg(m, zeta), l=5.0, n=2048, count=4), id=f"dshg-m{m}-z{zeta}")
+    for m in range(1, 6) for zeta in (0.5, 1.0, 2.0)]
+
 
 # the duality pairs whose block solves are checked, with the (even, odd)
 # block counts their labels ask of each side
@@ -441,6 +447,26 @@ class TestReachedRows:
             norm = 4.0 / h**2 + float(potential_eval(config.spec, reach))
             want = _tight_line_levels(replace(config, n=size), config.count)
             assert np.max(np.abs(got - want)) <= np.finfo(float).eps * norm
+
+    @pytest.mark.parametrize("config", CLI_CONFIGS)
+    def test_half_grid_levels_are_within_the_bisected_windows_tolerance(
+            self, solved_blocks, config):
+        # the half grid bisects its first window whole when the levels' cut
+        # lies inside it, so its rounding is that of the window: ulp * ||T||_1
+        # of the rows bisected, at most 4/h^2 + V at the outermost of them,
+        # which lies beyond the cut the solve returns
+        assert lowest_eigenvalues(config).config == config
+        half = replace(config, n=config.n // 2)
+        counts = ((config.count + 1) // 2, config.count // 2)
+        del solved_blocks[:]
+        levels, h, reach, _ = oracle._solve(half, counts)
+        grid = discretize(half).grid
+        outermost = grid[half.n // 2 - max(rows for rows, _ in solved_blocks)]
+        assert outermost <= reach
+        norm = 4.0 / h**2 + float(potential_eval(config.spec, outermost))
+        for got, tight in zip(levels, _tight_block_levels(half, counts)):
+            assert len(got) == len(tight)
+            assert np.max(np.abs(got - tight)) <= np.finfo(float).eps * norm
 
     @pytest.mark.parametrize("spec_a, spec_b, counts", PAIRS)
     def test_labelled_levels_are_within_the_kept_blocks_tolerance(

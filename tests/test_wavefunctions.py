@@ -1,12 +1,15 @@
 import json
 import math
+from functools import cached_property
 
 import numpy as np
 import pytest
 
+from qespoly import spectrum
 from qespoly.cli import main
 from qespoly.potentials import dsg, dshg, phi6_kink_dual, potential_eval
-from qespoly.spectrum import QESDomainError
+from qespoly.families import series_index, terminating_chains
+from qespoly.spectrum import QESDomainError, solve_chain
 from qespoly.wavefunctions import (
     build_qes_state,
     node_count,
@@ -17,9 +20,16 @@ from qespoly.wavefunctions import (
 
 def normalized(values):
     v = np.asarray(values, dtype=float)
-    v = v / np.max(np.abs(v))
-    peak = np.argmax(np.abs(v))
-    return v * np.sign(v[peak])
+    return v / np.max(np.abs(v))
+
+
+def aligned(got, want):
+    """got and want, each scaled to max |v| = 1, got with the sign that makes
+    their inner product positive.  A state's global sign is arbitrary, and a
+    sign read off the largest sample ties where equal peaks alternate in sign
+    (four of them for M = 2, level 0, on the circle)."""
+    got, want = normalized(got), normalized(want)
+    return got * np.sign(got @ want), want
 
 
 class TestConstruction:
@@ -28,15 +38,15 @@ class TestConstruction:
         assert state.coeffs[0] == pytest.approx(1.0)
         assert all(c == 0.0 for c in state.coeffs[1:])
         x = np.linspace(-3, 3, 101)
-        want = np.exp(-0.5 * np.cosh(2 * x))
-        assert normalized(state.eval(x)) == pytest.approx(list(normalized(want)), abs=1e-12)
+        got, want = aligned(state.eval(x), np.exp(-0.5 * np.cosh(2 * x)))
+        assert got == pytest.approx(list(want), abs=1e-12)
 
     def test_m3_level1_is_sinh2x(self):
         state = build_qes_state(3, 1.0, 1)
         assert state.chain == "Q"
         x = np.linspace(-3, 3, 101)
-        want = np.sinh(2 * x) * np.exp(-0.5 * np.cosh(2 * x))
-        assert normalized(state.eval(x)) == pytest.approx(list(normalized(want)), abs=1e-10)
+        got, want = aligned(state.eval(x), np.sinh(2 * x) * np.exp(-0.5 * np.cosh(2 * x)))
+        assert got == pytest.approx(list(want), abs=1e-10)
 
     def test_coefficients_terminate(self):
         for level in (0, 2):
@@ -172,6 +182,120 @@ class TestStatesFromTheirChain:
         assert len(calls) == 3
 
 
+def per_level_coeffs(m, zeta, level):
+    """The reference for one state's series coefficients, computed for that
+    state alone: the whole (N+3) x N table and its termination certificate,
+    keeping column level // 2."""
+    solution = solve_chain(m, zeta, terminating_chains(m)[level % 2][0])
+    spec, crit = solution.spec, len(solution.roots)
+    factorials = [float(math.factorial(series_index(spec.kind, j))) for j in range(crit + 3)]
+    coeffs = solution.values / np.array(factorials)[:, None]
+    tail = np.abs(coeffs[crit:])
+    scale = np.max(np.abs(coeffs), axis=0)
+    assert np.all(tail <= 1e-9 * scale) and np.all(np.isfinite(scale))
+    coeffs[crit:] = 0.0
+    return tuple(coeffs[:, level // 2].tolist())
+
+
+@pytest.fixture
+def certified(monkeypatch):
+    """The chain kind of every run of ChainSolution.series_coeffs's body."""
+    runs = []
+    body = spectrum.ChainSolution.series_coeffs.func
+
+    def counting(self):
+        runs.append(self.spec.kind)
+        return body(self)
+
+    prop = cached_property(counting)
+    prop.__set_name__(spectrum.ChainSolution, "series_coeffs")
+    monkeypatch.setattr(spectrum.ChainSolution, "series_coeffs", prop)
+    return runs
+
+
+class TestSeriesTable:
+    """Each chain solve keeps one certified coefficient table; every state
+    of the chain reads its column."""
+
+    def test_one_certificate_per_chain(self, certified):
+        first = [build_qes_state(9, 1.0, level) for level in range(9)]
+        assert sorted(certified) == ["P", "Q"]
+        second = [build_qes_state(9, 1.0, level) for level in range(9)]
+        assert len(certified) == 2 and second == first
+
+    def test_a_failed_certificate_is_raised_on_every_call(self, certified):
+        errors = []
+        for _ in range(2):
+            with pytest.raises(QESDomainError, match="series does not terminate") as exc:
+                build_qes_state(3, 1e120, 0)
+            errors.append(str(exc.value))
+        assert errors[0] == errors[1] and certified == ["P", "P"]
+        assert "series_coeffs" not in vars(solve_chain(3, 1e120, "P"))
+
+    @pytest.mark.parametrize("zeta", [0.3, 0.5, 1.0, 2.0])
+    def test_coeffs_match_the_per_level_computation(self, zeta):
+        for m in range(1, 26):
+            for level in range(m):
+                state = build_qes_state(m, zeta, level)
+                assert state.coeffs == per_level_coeffs(m, zeta, level), (m, zeta, level)
+
+
+def power_sum(state, x, even, odd):
+    """The reference for Horner's rule: (exponential, state, scale) with the
+    series summed term by term with float powers u**e_j, and the scale
+    sum_j |c_j u**e_j| * |prefactor|."""
+    x = np.asarray(x, dtype=float)
+    u = even(x)
+    series, scale = np.zeros_like(u), np.zeros_like(u)
+    for j, c in enumerate(state.coeffs):
+        if c:
+            series = series + c * u ** series_index(state.chain, j)
+            scale = scale + abs(c * u ** series_index(state.chain, j))
+    damp = np.exp(-0.5 * state.zeta * even(2.0 * x))
+    pref = damp * np.sqrt(2.0) * odd(x) if state.s else damp
+    return damp, pref * series, np.abs(pref) * scale
+
+
+def assert_horner_parity(state, new, x, even, odd, far_field_rule):
+    with np.errstate(over="ignore", invalid="ignore"):
+        damp, old, scale = power_sum(state, x, even, odd)
+    if far_field_rule:
+        old = np.where((damp == 0.0) & np.isnan(old), 0.0, old)
+    new, old = np.asarray(new), np.asarray(old)
+    assert np.array_equal(new == 0.0, old == 0.0), state
+    assert np.array_equal(np.isfinite(new), np.isfinite(old)), state
+    check = np.isfinite(old) & (old != 0.0)
+    # where the prefactor is subnormal, the last product on each side rounds
+    # by up to half the smallest subnormal, whatever the scale
+    k, tiny = sum(1 for c in state.coeffs if c), np.finfo(float).smallest_subnormal
+    bound = 2 * (k + 1) * np.finfo(float).eps * scale + tiny
+    assert np.all(np.abs(new - old)[check] <= bound[check]), state
+
+
+class TestHorner:
+    """Horner in w = cosh(x)**2 against the float power sum it replaced, within
+    the summation bound 2(K+1) eps sum_j |c_j u**e_j| |prefactor|, K nonzero
+    coefficients (Higham, Accuracy and Stability of Numerical Algorithms,
+    section 5.1), with the same zeros and non-finite values."""
+
+    @pytest.mark.parametrize("zeta", [0.3, 0.5, 1.0, 2.0])
+    def test_matches_the_power_sum(self, zeta):
+        line = np.linspace(-5.0, 5.0, 2001)
+        far = np.array([-1e300, -720.0, -400.0, 400.0, 720.0, 1e300])
+        circle = np.linspace(0.0, 2 * np.pi, 512, endpoint=False)
+        for m in range(1, 26):
+            for level in range(m):
+                state = build_qes_state(m, zeta, level)
+                for x in (line, far):
+                    assert_horner_parity(state, state.eval(x), x, np.cosh, np.sinh, True)
+                for x in far:
+                    value = state.eval(x)
+                    assert isinstance(value, float)
+                    assert_horner_parity(state, value, x, np.cosh, np.sinh, True)
+                assert_horner_parity(state, state.eval_dual(circle), circle, np.cos, np.sin,
+                                     False)
+
+
 class TestResidual:
     def test_free_particle_constant(self):
         grid = np.linspace(-1, 1, 201)
@@ -229,24 +353,23 @@ class TestDualityOfStates:
         closed = self.closed_dsg_m3(zeta)
         for k in range(3):
             source = build_qes_state(3, zeta, 2 - k)
-            got = normalized(source.eval_dual(theta))
-            want = normalized(closed[k](theta))
+            got, want = aligned(source.eval_dual(theta), closed[k](theta))
             assert np.max(np.abs(got - want)) < 1e-9
 
     def test_m1_closed_form(self):
         zeta = 1.0
         theta = np.linspace(0.0, 2 * np.pi, 512, endpoint=False)
         source = build_qes_state(1, zeta, 0)
-        want = normalized(np.exp(-0.5 * zeta * np.cos(2 * theta)))
-        assert np.max(np.abs(normalized(source.eval_dual(theta)) - want)) < 1e-12
+        got, want = aligned(source.eval_dual(theta), np.exp(-0.5 * zeta * np.cos(2 * theta)))
+        assert np.max(np.abs(got - want)) < 1e-12
 
     def test_m2_candidates_are_half_turn_odd(self):
         zeta = 1.0
         theta = np.linspace(0.0, 2 * np.pi, 512, endpoint=False)
         # the would-be dual states of the even-M well are sin/cos theta types
-        want0 = normalized(np.sin(theta) * np.exp(-0.5 * zeta * np.cos(2 * theta)))
-        want2 = normalized(np.cos(theta) * np.exp(-0.5 * zeta * np.cos(2 * theta)))
-        got0 = normalized(build_qes_state(2, zeta, 1).eval_dual(theta))
-        got2 = normalized(build_qes_state(2, zeta, 0).eval_dual(theta))
+        got0, want0 = aligned(build_qes_state(2, zeta, 1).eval_dual(theta),
+                              np.sin(theta) * np.exp(-0.5 * zeta * np.cos(2 * theta)))
+        got2, want2 = aligned(build_qes_state(2, zeta, 0).eval_dual(theta),
+                              np.cos(theta) * np.exp(-0.5 * zeta * np.cos(2 * theta)))
         assert np.max(np.abs(got0 - want0)) < 1e-9
         assert np.max(np.abs(got2 - want2)) < 1e-9
