@@ -27,10 +27,10 @@ seeds it with companion-matrix eigenvalues, clusters the results into
 multiplicities, checks the count of distinct real roots against an exact
 Sturm chain and bounds each simple root's residual.  The numeric pipelines
 (levels, weights, states, duality) never expand a bivariate chain or use
-this finder: they run the three-term recursion at the given zeta
-(families.float_steps, families.member_signs), and spectrum.chain_roots
-seeds the same Newton loop with Jacobi-matrix eigenvalues and certifies the
-roots by exact signs, with no Sturm chain.
+this finder: they run the three-term recursion on a chain's steps at the
+given zeta (families.chain_steps), and spectrum.chain_roots seeds the same
+Newton loop with Jacobi-matrix eigenvalues and certifies the roots by exact
+signs (families.member_signs), with no Sturm chain.
 """
 
 from __future__ import annotations

@@ -24,11 +24,10 @@ chains' validation and index offset, and the termination index read them.
 Every chain is generated on exactpoly coefficient rows, one step_rows call
 per member (integers throughout for integer M), and those rows are what each
 member stores: from_rows wraps them as an EnergyPoly without converting an
-entry.  The numeric work at one zeta reads the same step coefficients and
-expands no member: float_steps gives the steps (B_n, C_n) in floats, which
-family_values recurses on, and member_signs gives the exact sign of a member
-at float points by the recursion on integers, with the denominators of zeta
-and of the point cleared.
+entry.  The numeric work at one zeta reads each step once, into one
+ChainSteps value (chain_steps), and expands no member: family_values and
+finkel_form read its float steps, and member_signs the exact sign of its
+last member at float points from its integer steps.
 """
 
 from __future__ import annotations
@@ -132,6 +131,21 @@ class FinkelForm:
     a_signs_before_termination: tuple
 
 
+@dataclass(frozen=True)
+class ChainSteps:
+    """Steps 1..n of a monic recursion p_k = (E + B_k) p_{k-1} + C_k p_{k-2} at
+    one zeta = a/d: the float (B_k, C_k), and the exact (d*B_k, d**2*C_k) over
+    den = d, ints (Fractions only through a rational M)."""
+
+    den: int
+    floats: tuple
+    exact: tuple
+
+    def head(self, n: int) -> ChainSteps:
+        """Steps 1..n."""
+        return ChainSteps(self.den, self.floats[:n], self.exact[:n])
+
+
 def critical_index(kind: str, m, s: Fraction):
     """Index of the critical (terminating) member, P: (M+1-2s)/2, Q: (M-2s)/2.
 
@@ -187,33 +201,20 @@ def _step(spec: ChainSpec, n: int) -> tuple:
     return _r_step(m, t, series_index(kind, n) - 2)
 
 
-def recursion_coeffs(spec: ChainSpec, n: int):
-    """(B_n, C_n) of the monic step at index n >= 1; C_1 is identically zero.
-
-    Quotient chains reuse the parent recursion with the index offset past
-    the critical member, which is exactly what long division of the parent
-    chain produces (the offset lands index 1 on the vanished lag term).
-    """
-    b0, b1, c1 = _step(spec, n)
-    return ParamPoly((b0, b1)), ParamPoly.monomial(c1, 1)
+def chain_steps(spec: ChainSpec, order: int, zeta) -> ChainSteps:
+    """Steps 1..order of a P/Q/quotient chain at zeta, one _step each: floats
+    float(b1)*zeta + float(b0) and float(c1)*zeta, exact b0*d + b1*a and c1*a*d."""
+    a, d = as_rational(zeta).as_integer_ratio()
+    rows = [_step(spec, n) for n in range(1, order + 1)]
+    return ChainSteps(d, tuple((float(b1) * zeta + float(b0), float(c1) * zeta) for b0, b1, c1 in rows),
+                      tuple((b0 * d + b1 * a, c1 * a * d) for b0, b1, c1 in rows))
 
 
-def float_steps(spec: ChainSpec, order: int, zeta: float) -> list:
-    """(B_n, C_n) of steps 1..order at a float zeta: the monic recursion
-    p_n = (E + B_n) p_{n-1} + C_n p_{n-2} in floats."""
-    return [(float(b1) * zeta + float(b0), float(c1) * zeta)
-            for b0, b1, c1 in (_step(spec, n) for n in range(1, order + 1))]
-
-
-def member_signs(spec: ChainSpec, n: int, zeta, points) -> list:
-    """Exact signs of member n at a rational zeta and at float points, +-inf
-    included: at zeta = a/d and t = u/v, q_n = (d*v)**n p_n(t) by the
-    recursion q_k = (d*u + (b0*d + b1*a)*v) q_{k-1} + c1*a*d*v**2 q_{k-2} on
-    ints (Fractions only through a rational M's c1)."""
-    z = as_rational(zeta)
-    a, d = z.numerator, z.denominator
-    steps = [(b0 * d + b1 * a, c1 * a * d)
-             for b0, b1, c1 in (_step(spec, k) for k in range(1, n + 1))]
+def member_signs(steps: ChainSteps, points) -> list:
+    """Exact signs of the steps' last member p_n at float points, +-inf included:
+    at zeta = a/d and t = u/v, q_n = (d*v)**n p_n(t) by the recursion
+    q_k = (d*u + (d*B_k)*v) q_{k-1} + (d**2*C_k)*v**2 q_{k-2} on the exact steps."""
+    d, n = steps.den, len(steps.exact)
     signs = []
     for t in points:
         if math.isinf(t):  # a monic member of degree n
@@ -221,22 +222,19 @@ def member_signs(spec: ChainSpec, n: int, zeta, points) -> list:
             continue
         u, v = t.as_integer_ratio()
         prev, cur = 0, 1
-        for shift, lag in steps:
+        for shift, lag in steps.exact:
             prev, cur = cur, (d * u + shift * v) * cur + lag * v * v * prev
         signs.append((cur > 0) - (cur < 0))
     return signs
 
 
-def family_values(spec: ChainSpec, order: int, zeta: float, eps) -> list:
-    """p_0..p_order at float (zeta, shifted energy eps) by forward recursion
-    on float_steps.
-
-    eps may be a float or a numpy array of shifted energies; the values
-    then have its shape.  An overflow gives inf or nan without a warning.
-    """
+def family_values(steps: ChainSteps, eps) -> list:
+    """p_0..p_n of the steps at the shifted energy eps, a float or a numpy array
+    whose shape the values take, by forward recursion on the float steps.  An
+    overflow gives inf or nan without a warning."""
     values = [eps * 0.0, eps * 0.0 + 1.0]  # p_{-1} = 0 meets C_1 = 0
     with np.errstate(over="ignore", invalid="ignore"):
-        for b, c in float_steps(spec, order, zeta):
+        for b, c in steps.floats:
             values.append((eps + b) * values[-1] + c * values[-2])
     return values[1:]
 
@@ -293,12 +291,14 @@ def gen_R(spec: ChainSpec, order: int) -> PolyFamily:
 
 def recursion_form(spec: ChainSpec, order: int) -> ThreeTermForm:
     """The (A_n = 1, B_n, C_n) data of steps 1..order of a P/Q/quotient chain,
-    read off recursion_coeffs and the termination index: no member is generated."""
+    read off _step and the termination index: no member is generated."""
     if spec.kind == "R":
         raise ChainSpecError("the combined chain is not an adjacent three-term system")
     if order < 0:
         raise ValueError("order must be nonnegative")
-    bs, cs = tuple(zip(*(recursion_coeffs(spec, n) for n in range(1, order + 1)))) or ((), ())
+    rows = [_step(spec, n) for n in range(1, order + 1)]
+    bs = tuple(ParamPoly((b0, b1)) for b0, b1, _ in rows)
+    cs = tuple(ParamPoly.monomial(c1, 1) for _, _, c1 in rows)
     end = _termination(spec)
     first_zero = end if end is not None and end <= order else None
     return ThreeTermForm(spec, bs, cs, first_zero)
@@ -310,11 +310,11 @@ def three_term_form(family: PolyFamily) -> ThreeTermForm:
 
 
 def finkel_form(form: ThreeTermForm, zeta: float) -> FinkelForm:
-    """Specialize a three-term form at numeric zeta > 0 to the
+    """Specialize a three-term form at a finite zeta > 0 to the
     (E - b_k, -a_k) normalization and report the sign pattern of a_k."""
-    if zeta <= 0:
-        raise ValueError("zeta must be positive")
-    steps = float_steps(form.spec, len(form.b), zeta)
+    if not 0 < zeta < math.inf:
+        raise ValueError("zeta must be positive and finite")
+    steps = chain_steps(form.spec, len(form.b), zeta).floats
     b = tuple(-bn for bn, _ in steps)
     a = tuple(-cn for _, cn in steps)
     stop = form.first_zero_C - 1 if form.first_zero_C is not None else len(a)

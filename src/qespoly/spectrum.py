@@ -26,17 +26,15 @@ coordinate of E**n mod p_N, which the three-term recursion gives.
 solve_chain(m, zeta, kind) is the one entry to a solved chain, shared
 through a two-entry memo by levels, weights, moments, the crosscheck and the
 states (wavefunctions).  The memo keys on values: equal (M, zeta, kind), as
-M = 3 and 3.0, share one entry, whose zeta and shift are floats.  A miss
-checks the domain, finds chain `kind` in the plan, keeps the shift
-(M + zeta)**2 and runs chain_roots, the uncached certifier, on the chain's
-steps alone: it takes the roots of the critical member N from the
-eigenvalues of the chain's Jacobi matrix, polishes them by Newton on the
-float recursion and certifies them by exact sign changes between
-neighbouring roots, on the integer recursion (families.member_signs).  The
-read-only ChainSolution adds, on first read, its value matrix: one read-only
-float array, rows p_0..p_{N+2}, a column per root (families.family_values),
-that the weights, the crosscheck's Gram matrix and the states' table of
-c_n = p_n / e_n! read.  Only the factorization check builds bivariate chains.
+M = 3 and 3.0, share one entry, whose shift is a float.  A miss checks the
+domain, finds chain `kind` in the plan, keeps the shift (M + zeta)**2 and
+the chain's steps 1..N+2 at zeta, read once (families.chain_steps), and
+certifies the roots of the critical member N by chain_roots, the uncached
+certifier, on the first N steps.  The moments read the kept steps, and the
+weights, the crosscheck's Gram matrix and the states' table of c_n =
+p_n / e_n! read the value matrix the read-only ChainSolution adds on first
+read: rows p_0..p_{N+2}, a column per root (families.family_values).  Only
+the factorization check builds bivariate chains.
 """
 
 from __future__ import annotations
@@ -57,9 +55,10 @@ from .exactpoly import (
 )
 from .families import (
     ChainSpec,
+    ChainSteps,
     ThreeTermForm,
+    chain_steps,
     family_values,
-    float_steps,
     gen_family,
     gen_quotient,
     member_signs,
@@ -149,9 +148,9 @@ def chain_plan(m) -> tuple:
                  for kind, s, _, crit in terminating_chains(m) if crit)
 
 
-def chain_roots(spec: ChainSpec, n: int, zeta: float) -> list:
-    """The n simple real roots, ascending, of member n of a chain at zeta,
-    from the chain's steps (B_k, C_k) alone.
+def chain_roots(steps: ChainSteps) -> list:
+    """The n simple real roots, ascending, of the last member p_n of the steps
+    (B_k, C_k), k = 1..n, from the steps alone.
 
     Seeds are the eigenvalues of the Jacobi matrix with diagonal -B_k and
     off-diagonals sqrt|C_{k+1}| above, -sign(C_{k+1}) sqrt|C_{k+1}| below (each
@@ -163,22 +162,22 @@ def chain_roots(spec: ChainSpec, n: int, zeta: float) -> list:
     ("isolated k of n roots"), for a residual above 1e-10*(1+max|root|**n),
     or for a root that Newton left non-finite (p_n overflows from M ~ 151).
     """
-    steps = float_steps(spec, n, zeta)
+    n = len(steps.floats)
 
     def value_slope(x):
         p, q, dp, dq = 1.0, 0.0, 0.0, 0.0  # p_n, p_{n-1} and their slopes
-        for b, c in steps:
+        for b, c in steps.floats:
             p, q, dp, dq = (x + b) * p + c * q, p, p + (x + b) * dp + c * dq, dp
         return p, dp
 
-    bs, cs = np.array(steps).T
+    bs, cs = np.array(steps.floats).T
     root_c = np.sqrt(np.abs(cs[1:]))
     jacobi = np.diag(-bs) + np.diag(root_c, 1) - np.diag(np.sign(cs[1:]) * root_c, -1)
     roots = sorted(newton(value_slope, float(x.real)) for x in np.linalg.eigvals(jacobi))
     if not all(map(math.isfinite, roots)):
         raise RootCountMismatch(f"Newton polish left a non-finite root: p_{n} overflows floats")
     mids = [(x + y) / 2 for x, y in zip(roots, roots[1:])]
-    signs = member_signs(spec, n, zeta, [-math.inf, *mids, math.inf])
+    signs = member_signs(steps, [-math.inf, *mids, math.inf])
     isolated = sum(1 for u, v in zip(signs, signs[1:]) if u * v < 0)
     if isolated != n:
         raise RootCountMismatch(f"isolated {isolated} of {n} roots")
@@ -194,19 +193,17 @@ def chain_roots(spec: ChainSpec, n: int, zeta: float) -> list:
 
 @dataclass(frozen=True)
 class ChainSolution:
-    """Certified roots (shifted energy, ascending) of a chain's critical member
-    at zeta, the shift (M + zeta)**2 back to E and, on first read, the value
-    matrix (read-only, (N+3, N), row n p_n at the roots; the crosscheck checks
-    its Gram matrix under the weights), weight solve, condition, series table."""
+    """Certified roots (shifted, ascending) of a chain's critical member N, the shift
+    (M + zeta)**2 back to E, the steps 1..N+2 at zeta and, on first read, the value
+    matrix (read-only, (N+3, N), p_n at the roots), weight solve, condition, series table."""
     spec: ChainSpec
-    zeta: float
     shift: float
+    steps: ChainSteps
     roots: tuple
 
     @cached_property
     def values(self) -> np.ndarray:
-        values = np.array(family_values(self.spec, len(self.roots) + 2, self.zeta,
-                                        np.array(self.roots)))
+        values = np.array(family_values(self.steps, np.array(self.roots)))
         values.flags.writeable = False
         return values
 
@@ -264,10 +261,12 @@ def _planned_chain(m, zeta: float, kind: str) -> tuple:
 @lru_cache(maxsize=2)
 def solve_chain(m, zeta: float, kind: str) -> ChainSolution:
     """The one solve of chain `kind` of the plan at (M, zeta), shared by every
-    consumer: a miss checks the domain, finds the chain (_planned_chain) and
-    certifies its roots by chain_roots, and a solve that raises is not kept."""
+    consumer: a miss checks the domain, finds the chain (_planned_chain), reads
+    its steps 1..N+2 and certifies its roots by chain_roots on the first N,
+    and a solve that raises is not kept."""
     spec, count, shift = _planned_chain(m, zeta, kind)
-    return ChainSolution(spec, float(zeta), shift, tuple(chain_roots(spec, count, zeta)))
+    steps = chain_steps(spec, count + 2, zeta)
+    return ChainSolution(spec, shift, steps, tuple(chain_roots(steps.head(count))))
 
 
 def qes_energies(m, zeta: float) -> SpectrumReport:
@@ -435,7 +434,7 @@ def norm_weight_crosscheck(m, zeta: float, chain: str) -> CrosscheckReport:
 
 def moments(m, zeta: float, chain: str, n_max: int) -> MomentSequence:
     """Power moments of the discrete weight, mu_n = sum_k w_k E_k**n, from
-    the chain's steps alone: the p_0 coordinates of E**n mod p_N (module
+    the chain solve's steps alone: the p_0 coordinates of E**n mod p_N (module
     docstring).  E maps the coordinates a of E**n in p_0..p_{N-1} to those
     of E**(n+1) by (E a)_j = a_{j-1} + (shift - B_{j+1}) a_j - C_{j+2} a_{j+1}.
 
@@ -449,7 +448,7 @@ def moments(m, zeta: float, chain: str, n_max: int) -> MomentSequence:
     solution = solve_chain(m, zeta, chain)
     shift, count = solution.shift, len(solution.roots)
     max_abs_energy = max(abs(root + shift) for root in solution.roots)
-    bs, cs = np.array(float_steps(solution.spec, count, zeta)).T
+    bs, cs = np.array(solution.steps.floats[:count]).T
     a, values = np.eye(1, count)[0], [1.0]    # E**0 = p_0
     with np.errstate(over="ignore", invalid="ignore"):
         for n in range(1, n_max + 1):

@@ -1,6 +1,8 @@
-"""Golden CLI outputs for M = 1..5 at zeta in {0.5, 1, 2}.
+"""Golden CLI outputs for M = 1..5 at zeta in {0.5, 1, 2}, and of the numeric
+commands at zeta in {0.7, 1.3}.
 
-Every subcommand's output in json, csv and pretty form (stdout, stderr and
+At the dyadic zetas every float step b1*zeta + b0 of a chain is exact, so
+only the second file sees how the float steps round.  Every subcommand's output in json, csv and pretty form (stdout, stderr and
 exit code) is compared with the recorded file byte for byte.  The floats of
 `weights`, `moments` and `wavefunction` are the one exception: they are
 evaluated by float recursion, so they are compared at 1e-11 relative, and
@@ -8,7 +10,7 @@ a number printed to fewer digits may also differ by one unit of its last
 printed digit.  Every json output must also parse as strict JSON, with no
 NaN or Infinity token.
 
-Regenerate the file, after a change that is meant to alter outputs, with
+Regenerate the files, after a change that is meant to alter outputs, with
 
     PYTHONPATH=src python tests/test_cli_golden.py
 """
@@ -25,23 +27,28 @@ from qespoly.cli import main
 
 GOLDEN = Path(__file__).parent / "golden" / "cli_m1_5.json"
 ZETAS = ("0.5", "1", "2")
+GOLDEN_ROUNDED = Path(__file__).parent / "golden" / "cli_m1_5_rounded_zeta.json"
+ROUNDED_ZETAS = ("0.7", "1.3")
+ROUNDED_COMMANDS = ("spectrum", "duality", "weights", "moments", "wavefunction")
 FLOAT_COMMANDS = ("weights", "moments", "wavefunction")
 FLOAT_REL = 1e-11
 FORMATS = ("json", "csv", "pretty")
 NUMBER = re.compile(r"-?\d+\.\d*(?:e[-+]?\d+)?|-?\d+e[-+]?\d+")
 
 
-def _cases() -> list:
-    """Every argv of the golden file, the json ones first."""
-    return [argv + ["--format", fmt] for fmt in FORMATS for argv in _commands()]
+def _cases(zetas=ZETAS, commands=None) -> list:
+    """Every argv of a golden file, the json ones first: every command at
+    zetas, or only those named in commands."""
+    return [argv + ["--format", fmt] for fmt in FORMATS for argv in _commands(zetas)
+            if commands is None or argv[0] in commands]
 
 
-def _commands() -> list:
+def _commands(zetas) -> list:
     cases = []
     for m in range(1, 6):
         quotient, qs = ("Pbar", "0") if m % 2 else ("Rbar", "1/2")
         cases.append(["family", "--chain", "P", "--m", str(m), "--order", "4"])
-        for z in ZETAS:
+        for z in zetas:
             common = ["--m", str(m), "--zeta", z]
             for chain, s in (("P", "0"), ("Q", "1/2"), ("R", "0"), (quotient, qs)):
                 cases.append(["family", "--chain", chain, "--s", s, "--order", "4"] + common)
@@ -111,19 +118,40 @@ def _strict_json(text: str):
     return json.loads(text, parse_constant=reject)
 
 
+def _load(path) -> dict:
+    records = json.loads(path.read_text(encoding="utf-8"))
+    return {tuple(rec["argv"]): rec for rec in records}
+
+
 @pytest.fixture(scope="module")
 def golden() -> dict:
-    records = json.loads(GOLDEN.read_text(encoding="utf-8"))
-    return {tuple(rec["argv"]): rec for rec in records}
+    return _load(GOLDEN)
+
+
+@pytest.fixture(scope="module")
+def golden_rounded() -> dict:
+    return _load(GOLDEN_ROUNDED)
 
 
 def test_cases_match_recorded_file(golden):
     assert list(golden) == [tuple(argv) for argv in _cases()]
 
 
+def test_rounded_zeta_cases_match_recorded_file(golden_rounded):
+    assert list(golden_rounded) == [tuple(argv) for argv in _cases(ROUNDED_ZETAS, ROUNDED_COMMANDS)]
+
+
 @pytest.mark.parametrize("argv", _cases(), ids=" ".join)
 def test_cli_output_matches_golden(golden, argv):
-    rec = golden[tuple(argv)]
+    _check(golden[tuple(argv)], argv)
+
+
+@pytest.mark.parametrize("argv", _cases(ROUNDED_ZETAS, ROUNDED_COMMANDS), ids=" ".join)
+def test_cli_output_matches_golden_at_rounded_zeta(golden_rounded, argv):
+    _check(golden_rounded[tuple(argv)], argv)
+
+
+def _check(rec, argv) -> None:
     got = _run(argv)
     assert (got["exit"], got["stderr"]) == (rec["exit"], rec["stderr"])
     doc = _strict_json(got["stdout"]) if argv[-1] == "json" and got["stdout"] else None
@@ -137,7 +165,7 @@ def test_cli_output_matches_golden(golden, argv):
 
 if __name__ == "__main__":
     GOLDEN.parent.mkdir(exist_ok=True)
-    records = [_run(argv) for argv in _cases()]
-    GOLDEN.write_text(json.dumps(records, indent=1, ensure_ascii=False) + "\n",
-                      encoding="utf-8")
-    print(f"wrote {len(records)} cases to {GOLDEN}")
+    for path, cases in ((GOLDEN, _cases()), (GOLDEN_ROUNDED, _cases(ROUNDED_ZETAS, ROUNDED_COMMANDS))):
+        records = [_run(argv) for argv in cases]
+        path.write_text(json.dumps(records, indent=1, ensure_ascii=False) + "\n", encoding="utf-8")
+        print(f"wrote {len(records)} cases to {path}")

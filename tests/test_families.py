@@ -9,6 +9,7 @@ from qespoly.exactpoly import ENERGY_ONE, EnergyPoly, ParamPoly, poly_divide_exa
 from qespoly.families import (
     ChainSpec,
     ChainSpecError,
+    chain_steps,
     critical_index,
     family_values,
     finkel_form,
@@ -16,7 +17,6 @@ from qespoly.families import (
     gen_family,
     gen_quotient,
     member_signs,
-    recursion_coeffs,
     recursion_form,
     three_term_form,
 )
@@ -210,8 +210,9 @@ def _reference_chain(spec: ChainSpec, order: int) -> list:
     for R the combined recursion written out from its docstring."""
     if spec.kind != "R":
         members = [ENERGY_ONE]
+        form = recursion_form(spec, order)
         for n in range(1, order + 1):
-            b, c = recursion_coeffs(spec, n)
+            b, c = form.b[n - 1], form.c[n - 1]
             new = _linear(b) * members[n - 1]
             if n >= 2:
                 new = new + members[n - 2].scale(c)
@@ -369,6 +370,14 @@ class TestFinkel:
         # |a_1| = 4*zeta*(M+3)(M+2)(2) = 240 at M=3, zeta=1
         assert fin.a[1] == pytest.approx(240.0)
 
+    @pytest.mark.parametrize("zeta", [0.0, -1.0, math.nan, math.inf, -math.inf])
+    def test_zeta_outside_the_positive_reals_rejected(self, zeta):
+        # a NaN zeta gave all-NaN steps with signs (0, 0, 0), an infinite
+        # one signs (-1, -1, -1) from infinite steps
+        form = recursion_form(ChainSpec("P", Fraction(7), Fraction(0)), 6)
+        with pytest.raises(ValueError, match="zeta must be positive"):
+            finkel_form(form, zeta)
+
 
 def _specialized_signs(member, zeta, points) -> list:
     """Signs of a bivariate member specialized at zeta, by exact Fractions."""
@@ -402,7 +411,8 @@ class TestRecursionAtZeta:
         fam = gen_family(spec, order)
         points = _dyadic_points(m, (m + 2) ** 2 / 2)
         for n in range(order + 1):
-            assert member_signs(spec, n, zr, points) == _specialized_signs(fam[n], zr, points)
+            steps = chain_steps(spec, n, zr)
+            assert member_signs(steps, points) == _specialized_signs(fam[n], zr, points)
 
     def test_quotient_chain_member_signs(self):
         spec = ChainSpec("Qbar", Fraction(5), HALF)
@@ -410,7 +420,8 @@ class TestRecursionAtZeta:
         points = _dyadic_points(5, 200.0)
         for zr in (Fraction(3, 8), Fraction(0.7)):
             for n, p in enumerate(fam.members):
-                assert member_signs(spec, n, zr, points) == _specialized_signs(p, zr, points)
+                steps = chain_steps(spec, n, zr)
+                assert member_signs(steps, points) == _specialized_signs(p, zr, points)
 
     def test_rational_m_member_signs(self):
         # a rational M carries Fractions in C_n only; the signs stay exact
@@ -418,7 +429,7 @@ class TestRecursionAtZeta:
         fam = gen_family(spec, 4)
         points = _dyadic_points(7, 100.0)
         for n, p in enumerate(fam.members):
-            assert (member_signs(spec, n, Fraction(0.7), points)
+            assert (member_signs(chain_steps(spec, n, Fraction(0.7)), points)
                     == _specialized_signs(p, Fraction(0.7), points))
 
     def test_exact_zero_next_to_its_neighbours(self):
@@ -426,12 +437,12 @@ class TestRecursionAtZeta:
         # the floats on either side of it carry the signs of either side
         spec = ChainSpec("P", Fraction(3), Fraction(0))
         points = [-math.inf, math.nextafter(-1.0, -2.0), -1.0, math.nextafter(-1.0, 0.0), math.inf]
-        assert member_signs(spec, 1, HALF, points) == [-1, -1, 0, 1, 1]
+        assert member_signs(chain_steps(spec, 1, HALF), points) == [-1, -1, 0, 1, 1]
         # at zeta = 7/20 it vanishes at -7/10, which no float equals
         want = 1 if Fraction(-0.7) > Fraction(-7, 10) else -1
-        assert member_signs(spec, 1, Fraction(7, 20), [-0.7]) == [want]
+        assert member_signs(chain_steps(spec, 1, Fraction(7, 20)), [-0.7]) == [want]
         # a monic member of even degree is positive at both infinities
-        assert member_signs(spec, 2, HALF, [-math.inf, math.inf]) == [1, 1]
+        assert member_signs(chain_steps(spec, 2, HALF), [-math.inf, math.inf]) == [1, 1]
 
     @pytest.mark.parametrize("kind,m,s", [("P", 9, Fraction(0)), ("Q", 10, Fraction(0)),
                                           ("P", 17, HALF), ("Q", 4, HALF)])
@@ -441,7 +452,8 @@ class TestRecursionAtZeta:
         order = m // 2 + 2
         fam = gen_family(spec, order)
         eps = np.array([-61.3, -7.25, -0.4, 0.0, 3.1, 48.0])
-        values = family_values(spec, order, zeta, eps)
+        steps = chain_steps(spec, order, zeta)
+        values = family_values(steps, eps)
         assert len(values) == order + 1
         for n, p in enumerate(fam.members):
             for k, x in enumerate(eps):
@@ -449,4 +461,4 @@ class TestRecursionAtZeta:
                 scale = sum(abs(c.eval_float(zeta)) * abs(x) ** j
                             for j, c in enumerate(p.coeffs))
                 assert abs(values[n][k] - p.eval_numeric(zeta, x)) <= 1e-13 * scale
-                assert family_values(spec, n, zeta, float(x))[n] == values[n][k]
+                assert family_values(steps.head(n), float(x))[n] == values[n][k]

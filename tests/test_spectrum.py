@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from qespoly import spectrum
+from qespoly import families, spectrum
 from qespoly.cli import main
 from qespoly.duality import dsg_weights_moments
 from qespoly.exactpoly import ParamPoly, RootCountMismatch, real_roots
@@ -16,11 +16,11 @@ from qespoly.families import (
     ChainSpec,
     ChainSpecError,
     ThreeTermForm,
+    chain_steps,
     critical_index,
     gen_family,
     gen_quotient,
     member_signs,
-    recursion_coeffs,
     recursion_form,
     three_term_form,
 )
@@ -223,12 +223,12 @@ class TestChainRoots:
         """chain_roots on the M = 5 chain with these seeds, left unpolished."""
         monkeypatch.setattr(spectrum.np.linalg, "eigvals", lambda a: np.array(seeds))
         monkeypatch.setattr(spectrum, "newton", lambda value_slope, x: x)
-        return chain_roots(self.SPEC, 3, 1.0)
+        return chain_roots(chain_steps(self.SPEC, 3, 1.0))
 
     def test_well_separated_roots(self):
-        assert chain_roots(self.SPEC, 3, 1.0) == pytest.approx(self.ROOTS, abs=1e-13)
+        assert chain_roots(chain_steps(self.SPEC, 3, 1.0)) == pytest.approx(self.ROOTS, abs=1e-13)
         # M = 3: -8 -+ 2 sqrt 5
-        got = chain_roots(ChainSpec("P", Fraction(3), Fraction(0)), 2, 1.0)
+        got = chain_roots(chain_steps(ChainSpec("P", Fraction(3), Fraction(0)), 2, 1.0))
         assert got == pytest.approx([-8 - 2 * SQRT5, -8 + 2 * SQRT5], abs=1e-14)
 
     @pytest.mark.parametrize("seeds", [
@@ -257,7 +257,7 @@ class TestChainRoots:
     def test_roots_agree_with_exact_bisection(self):
         for m, zeta, kind in ((9, 2.0, "P"), (17, 2.0, "P"), (18, 2.0, "Q")):
             spec, n = next((spec, n) for spec, n in chain_plan(m) if spec.kind == kind)
-            got = chain_roots(spec, n, zeta)
+            got = chain_roots(chain_steps(spec, n, zeta))
             assert max(_relative_errors(got, _bisected_roots(spec, n, zeta, got))) <= 1e-13
 
     @pytest.mark.parametrize("m", [9, 10, 17, 18])
@@ -266,7 +266,7 @@ class TestChainRoots:
         # the general finder runs Newton on the expanded member's float
         # coefficients, which is accurate to about 1e-12 here
         for spec, n in chain_plan(m):
-            got = chain_roots(spec, n, zeta)
+            got = chain_roots(chain_steps(spec, n, zeta))
             want = _bisected_roots(spec, n, zeta, got)
             general = [r for r, _ in real_roots(gen_family(spec, n)[n], zeta)]
             assert max(_relative_errors(got, want)) <= 1e-13
@@ -276,15 +276,16 @@ class TestChainRoots:
         # the Jacobi eigenvalues alone are off by up to 1e-10 of the largest
         # root here; exact signs bracket each polished root far closer
         spec = ChainSpec("P", Fraction(65), Fraction(0))
-        roots = chain_roots(spec, 33, 1.0)
+        steps = chain_steps(spec, 33, 1.0)
+        roots = chain_roots(steps)
         width = 1e-11 * max(map(abs, roots))
-        signs = member_signs(spec, 33, 1.0, [x for r in roots for x in (r - width, r + width)])
+        signs = member_signs(steps, [x for r in roots for x in (r - width, r + width)])
         assert all(lo * hi < 0 for lo, hi in zip(signs[::2], signs[1::2]))
 
     def test_residual_bound_past_the_float_range(self):
         # at M = 150 the bound 1e-10 * (1 + max|root|**75) is about 1e317
         spec = ChainSpec("P", Fraction(150), Fraction(0))
-        roots = chain_roots(spec, 75, 1.0)
+        roots = chain_roots(chain_steps(spec, 75, 1.0))
         assert len(roots) == 75 and roots == sorted(roots)
         with pytest.raises(OverflowError):
             max(map(abs, roots)) ** 75
@@ -292,7 +293,7 @@ class TestChainRoots:
     def test_overflowing_recursion_is_named(self):
         # from M = 151 p_n overflows the float recursion at the outer seeds
         with pytest.raises(RootCountMismatch, match="non-finite root"):
-            chain_roots(ChainSpec("P", Fraction(151), Fraction(0)), 76, 1.0)
+            chain_roots(chain_steps(ChainSpec("P", Fraction(151), Fraction(0)), 76, 1.0))
 
     @pytest.mark.parametrize("m", ["150", "151"])
     def test_large_m_spectrum_names_its_failing_check(self, capsys, m):
@@ -305,7 +306,7 @@ class TestChainRoots:
     def test_every_chain_certifies_up_to_m65(self, zeta):
         for m in range(1, 66):
             for spec, n in chain_plan(m):
-                roots = chain_roots(spec, n, zeta)
+                roots = chain_roots(chain_steps(spec, n, zeta))
                 assert len(roots) == n
 
 
@@ -675,6 +676,18 @@ class TestOneChainSolve:
         assert norm_weight_crosscheck(8, 1.0, "Q").ok
         assert (len(roots), len(values), len(weight_calls)) == (1, 1, 0)
 
+    def test_one_steps_build_per_chain_solve(self, monkeypatch):
+        # levels, weights, moments, crosschecks and every state at (9, 1)
+        # read steps 1..N+2 of each chain once: 7 for P (N = 5), 6 for Q (N = 4)
+        steps = _counting(monkeypatch, families, "_step")
+        assert len(qes_energies(9, 1.0).levels) == 9
+        for kind in ("P", "Q"):
+            weights(9, 1.0, kind)
+            moments(9, 1.0, kind, 12)
+            assert norm_weight_crosscheck(9, 1.0, kind).ok
+        assert [build_qes_state(9, 1.0, level).level for level in range(9)] == list(range(9))
+        assert len(steps) == 13
+
     def test_only_the_weight_table_computes_its_condition(self, monkeypatch):
         conds = _counting(monkeypatch, np.linalg, "cond")
         assert norm_weight_crosscheck(8, 1.0, "Q").ok
@@ -720,8 +733,8 @@ class TestOneChainSolve:
         roots = _counting(monkeypatch, spectrum, "chain_roots")
         main(["verify-all", "--m", str(m), "--zeta", "1"])
         capsys.readouterr()
-        assert sorted(args[0].kind for args in roots) == sorted(
-            spec.kind for spec, _ in chain_plan(m))
+        assert {args[0] for args in roots} == {
+            chain_steps(spec, n, 1) for spec, n in chain_plan(m)}
         assert len(roots) == 2
 
     def test_sorted_spectrum_still_fails_below_one_ulp(self):
@@ -802,8 +815,9 @@ class TestMoments:
         # the coordinates of E**n mod p_N, run in Fractions at Fraction(zeta)
         z = Fraction(zeta)
         for spec, count in chain_plan(m):
-            steps = [[sum(c * z**k for k, c in enumerate(p.coeffs))
-                      for p in recursion_coeffs(spec, n)] for n in range(1, count + 1)]
+            form = recursion_form(spec, count)
+            steps = [[sum(c * z**k for k, c in enumerate(p.coeffs)) for p in bc]
+                     for bc in zip(form.b, form.c)]
             shift = (m + z) ** 2
             a, want = [Fraction(1)] + [Fraction(0)] * (count - 1), [Fraction(1)]
             for _ in range(40):
@@ -844,6 +858,9 @@ class TestChainMemo:
         assert solution.spec == ChainSpec("Q", Fraction(8), Fraction(0))
         assert solution.shift == (8 + 1.0) ** 2
         assert isinstance(solution.roots, tuple) and len(solution.roots) == 4
+        # steps 1..N+2, read once; zeta is not kept beside them
+        assert solution.steps == chain_steps(solution.spec, 6, 1.0) and not hasattr(solution, "zeta")
+        assert spectrum.solve_chain.cache_info().maxsize == 2
         # one matrix: members p_0..p_6 (N + 3 rows) at the N = 4 roots
         assert isinstance(solution.values, np.ndarray) and solution.values.shape == (7, 4)
         with pytest.raises(ValueError):
@@ -859,8 +876,8 @@ class TestChainMemo:
         assert spectrum.solve_chain.cache_info().hits == 1
         fresh = spectrum.solve_chain.__wrapped__(8, 1.0, "Q")
         assert fresh is not hit
-        assert (fresh.spec, fresh.zeta, fresh.shift, fresh.roots) == (
-            hit.spec, hit.zeta, hit.shift, hit.roots)
+        assert (fresh.spec, fresh.shift, fresh.steps, fresh.roots) == (
+            hit.spec, hit.shift, hit.steps, hit.roots)
         assert len(fresh.values) == len(hit.values) == 7
         for a, b in zip(fresh.values, hit.values):
             assert a.tobytes() == b.tobytes()
@@ -870,7 +887,7 @@ class TestChainMemo:
         for _ in range(2):
             with pytest.raises(RootCountMismatch, match="non-finite root"):
                 spectrum.solve_chain(151, 1.0, "P")
-        assert [(args[0], args[1]) for args in roots] == [(ChainSpec("P", 151, 0), 76)] * 2
+        assert [args[0] for args in roots] == [chain_steps(ChainSpec("P", 151, 0), 76, 1.0)] * 2
         assert spectrum.solve_chain.cache_info().currsize == 0
 
     def test_equal_values_share_one_entry(self, monkeypatch):
@@ -880,7 +897,8 @@ class TestChainMemo:
         roots = _counting(monkeypatch, spectrum, "chain_roots")
         hits = {(m, zeta, kind): spectrum.solve_chain(m, zeta, kind)
                 for m, zeta in points for kind in ("P", "Q")}
-        assert [args[0] for args in roots] == [ChainSpec("P", 3, 0), ChainSpec("Q", 3, HALF)]
+        assert [args[0] for args in roots] == [chain_steps(ChainSpec("P", 3, 0), 2, 1),
+                                               chain_steps(ChainSpec("Q", 3, HALF), 1, 1)]
         for m, zeta in points:
             comparator = moments(m, zeta, "P", 2).leading_order_comparator
             assert type(comparator) is float and comparator == 16.0
@@ -888,8 +906,9 @@ class TestChainMemo:
         for (m, zeta, kind), hit in hits.items():
             fresh = spectrum.solve_chain.__wrapped__(m, zeta, kind)
             assert type(hit.shift) is type(fresh.shift) is float and hit.shift == 16.0
-            assert type(hit.zeta) is type(fresh.zeta) is float
-            assert (hit.spec, hit.zeta) == (fresh.spec, fresh.zeta)
+            assert all(type(x) is float for step in hit.steps.floats + fresh.steps.floats
+                       for x in step)
+            assert (hit.spec, hit.steps) == (fresh.spec, fresh.steps)
             assert np.array(hit.roots).tobytes() == np.array(fresh.roots).tobytes()
 
     def test_a_float_m_from_a_potential_hits_the_int_m_solve(self, monkeypatch):
