@@ -10,16 +10,25 @@ so the lowest k levels are the lowest ceil(k/2) even and floor(k/2) odd
 ones, and `verify_qes` matches the level with k nodes to line level k.
 Every solve is paired with one on the half-resolution grid so convergence
 can be judged from the Richardson pair; the grid spacing of each geometry
-has one formula, in discretize.  The half grid is solved first, each block
-by bisection on its Sturm sequence (LAPACK stebz).  Its levels, about
-h^2 away, seed the full grid's: each is refined by one inverse-iteration
-step at its seed and Rayleigh-quotient steps (LAPACK gtsv solves) until its
-residual ||T x - rho x|| stops falling or reaches rounding.  A level then
-holds an eigenvalue within that residual plus a rounding allowance, and the
-block is accepted when those intervals are disjoint and one Sturm count
-puts exactly as many eigenvalues at or below the top interval as there are
-levels, one in each.  Otherwise the block is bisected, and an INFO line on
-the qespoly.oracle logger names the fallback.  The dsg well's analytic
+has one formula, in discretize.  Only the coarsest grid is bisected, each
+block on its Sturm sequence (LAPACK stebz): the base grid of
+n // BASE_DIVISION points where it resolves the requested levels, else the
+half grid.  The base resolves them when one Sturm count per block at
+E* = V_min + (BASE_RESOLUTION / h_base)^2, the energy whose local
+wavenumber sqrt(E - V_min) times the base spacing is BASE_RESOLUTION, finds
+at least that block's levels; a base that does not leaves the half grid
+bisected, as if there were none.  Each grid's levels seed the next finer
+grid's, base to half and half to full: each is refined by one
+inverse-iteration step at its seed and Rayleigh-quotient steps (LAPACK gtsv
+solves) until its residual ||T x - rho x|| stops falling or reaches
+rounding.  A level then holds an eigenvalue within that residual plus a
+rounding allowance, and the block is accepted when those intervals are
+disjoint, one Sturm count puts exactly as many eigenvalues at or below the
+top interval as there are levels, one in each, and each level's Kato-Temple
+bound, its squared residual over the gap to its neighbours' intervals, is
+within the rounding allowance: a level is accepted converged, not only
+enclosed.  Otherwise the block is bisected, and an INFO line on the
+qespoly.oracle logger names the fallback.  The dsg well's analytic
 levels are dsg_spectrum's, none at even M (the paper's rule); the
 kink-dual well's are the dual energies of its line preimage's
 (potentials.line_preimage).
@@ -48,13 +57,13 @@ further e^-45 for the prefactors the decay estimate ignores.  The kept
 block is also solved more tightly: the whole block's norm, and with it the
 rounding, is set by the potential at the line's end (4.8e8 for dshg(7, 2)
 at x = 5, a bisection tolerance near 1e-7), the kept block's by 4/h^2 plus
-the potential at the cut (near 6e-10 on the default dshg grid).  The half
-grid's levels come from a central window first: by interlacing its top
+the potential at the cut (near 6e-10 on the default dshg grid).  A
+bisected grid's levels come from a central window first: by interlacing its top
 requested level E_up lies at or above the whole block's, so the rows E_up
 reaches hold those of every requested level.  A window that misses some of
 them is grown once to all of them, since E_up only falls as the window
-grows; one that holds them is kept whole, so the half grid has the
-rounding of its window, which can reach past the cut it returns.  The full
+grows; one that holds them is kept whole, so the bisected grid has the
+rounding of its window, which can reach past the cut it returns.  A refined
 grid keeps the rows its seeds' top level reaches, and is grown once if the
 refined top level reaches further.  A block in which even the potential's
 minimum decays by less than D, a bounded well or levels above the
@@ -94,8 +103,8 @@ _log = logging.getLogger("qespoly.oracle")
 # e-folds of decay past which a line block's rows are dropped and that
 # accept a line's width (see above), and the share of a block's rows, centre
 # side, in the first window of a bisected line solve: the rows the levels of
-# the default dshg and sextic half grids reach fit in it, so those need no
-# regrowth
+# the default dshg grids up to M = 9 and of the sextic grids reach, at the
+# base grid or the half, fit in it, so those need no regrowth
 REACH_DECAY = 40.0
 DOMAIN_DECAY = 5.5
 FIRST_WINDOW = 0.625
@@ -103,6 +112,18 @@ FIRST_WINDOW = 0.625
 # eps * ||T||_1 its radius adds to its residual for rounding (_shift_invert)
 REFINE_STEPS = 8
 ROUNDING = 16.0
+# the base grid has n // BASE_DIVISION points, and its bisected levels seed
+# the half grid's where sqrt(E - V_min) * h_base <= BASE_RESOLUTION
+# (_base_levels).  Bisection costs about 3 times a refinement per row and
+# level, so bisecting an 8th of the half grid's rows and refining the half
+# grid costs under half of bisecting it; at n // 32 the gate declined 22 of
+# the oracle benchmark's solves a pass, against 2 at n // 16.  At 0.3 the
+# base's levels lie within 0.3^2 / 12, under 1 %, of their kinetic energy;
+# without the gate the dshg wells from M = 40 and the dense dsg circles
+# failed the certificate and ran up to 1.6 times slower than the bisected
+# half grid
+BASE_DIVISION = 16
+BASE_RESOLUTION = 0.3
 
 
 class OracleError(RuntimeError):
@@ -339,10 +360,15 @@ def _shift_invert(diag, offdiag, seeds):
     after REFINE_STEPS.  A level rho with unit vector x has an eigenvalue
     within ||T x - rho x|| of it; that residual plus ROUNDING * eps * ||T||_1,
     for the rounding of the residual and of the count, is its radius.  The
-    levels are certified when their intervals are disjoint and one Sturm
-    count finds exactly len(seeds) eigenvalues at or below the top one's
-    upper end: one in each interval and none below.  T is first scaled by
-    the power of 2 that brings ||T||_1 into [1/2, 1), which rounds nothing.
+    levels are certified when their intervals are disjoint, one Sturm count
+    finds exactly len(seeds) eigenvalues at or below a point t above the top
+    one's upper end, one in each interval and none below, and each level is
+    converged: its Kato-Temple bound ||r||^2 / gap, the gap running from it
+    to the nearer of its neighbours' intervals (to t above the top level),
+    is at most ROUNDING * eps * ||T||_1.  t lies ||r||^2 / (ROUNDING * eps *
+    ||T||_1) above the top interval, so the top level's gap above meets the
+    bound by construction and one count serves both tests.  T is first scaled
+    by the power of 2 that brings ||T||_1 into [1/2, 1), which rounds nothing.
     """
     from scipy.linalg.lapack import dgtsv, dstebz
     eps = np.finfo(float).eps
@@ -366,7 +392,7 @@ def _shift_invert(diag, offdiag, seeds):
             y, info = dgtsv(offdiag, diag - (shift + eps * norm), offdiag, x[:, None])[3:]
         return y[:, 0], info
 
-    levels, radii = [], []
+    levels, residuals = [], []
     with np.errstate(all="ignore"):
         for seed, low, high in zip(seeds, lower, upper):
             shift, x, residual, captured = seed, start, np.inf, False
@@ -388,12 +414,19 @@ def _shift_invert(diag, offdiag, seeds):
             r[:-1] += offdiag * x[1:]
             r[1:] += offdiag * x[:-1]
             levels.append(level)
-            radii.append(np.sqrt((r * r).sum()) + ROUNDING * eps * norm)
-    levels, radii = np.array(levels), np.array(radii)
+            residuals.append(np.sqrt((r * r).sum()))
+    levels, residuals = np.array(levels), np.array(residuals)
+    rounding = ROUNDING * eps * norm
+    radii = residuals + rounding
+    top = levels[-1] + radii[-1] + residuals[-1] ** 2 / rounding
     if not np.all(np.isfinite(levels + radii)) or np.any(
             levels[1:] - radii[1:] <= levels[:-1] + radii[:-1]):
         return None
-    found = dstebz(diag, offdiag, 1, -np.inf, levels[-1] + radii[-1], 0, 0, np.inf, "E")[0]
+    below = levels - np.append(-np.inf, levels[:-1] + radii[:-1])
+    above = np.append(levels[1:] - radii[1:], top) - levels
+    if np.any(residuals ** 2 > rounding * np.minimum(below, above)):
+        return None
+    found = dstebz(diag, offdiag, 1, -np.inf, top, 0, 0, np.inf, "E")[0]
     return levels / scale if found == len(levels) else None
 
 
@@ -433,18 +466,46 @@ def _circle_blocks(disc: Discretization) -> tuple:
     return even, odd
 
 
+def _base_levels(config: OracleConfig, counts: tuple):
+    """The block levels on the base grid of config.n // BASE_DIVISION points,
+    bisected, or None if that grid does not resolve them.
+
+    A level E is resolved where its largest local wavenumber, sqrt(E - V_min),
+    times the base grid's spacing is at most BASE_RESOLUTION: one Sturm count
+    per block at E* = V_min + (BASE_RESOLUTION / h)^2 must find at least the
+    levels asked of it, before any of them is bisected.  A block with no
+    more rows than levels resolves none of them.
+    """
+    base = replace(config, n=config.n // BASE_DIVISION)
+    try:
+        disc = discretize(base)
+    except OracleError:    # h_base^2 can overflow where the finer grids' does not
+        return None
+    blocks = (_circle_blocks(disc) if disc.corner is not None
+              else _reflection_blocks(disc.diag, disc.offdiag, "x"))
+    resolved = disc.diag.min() - 2.0 / disc.h**2 + (BASE_RESOLUTION / disc.h) ** 2
+    from scipy.linalg.lapack import dstebz
+    for (diag, offdiag), k in zip(blocks, counts):
+        if k > 0 and (k >= len(diag) or dstebz(
+                diag, offdiag, 1, -np.inf, resolved, 0, 0, np.inf, "E")[0] < k):
+            return None
+    return _solve(base, counts)[0]
+
+
 def _solve_on_domain(config: OracleConfig, counts: tuple) -> tuple:
     """The config the levels were solved on, the fine grid's spacing, and
-    the block levels at its n and at n // 2: those at n // 2 are bisected
-    and seed the refinement of those at n.
+    the block levels at its n and at n // 2.  Those at n // 2 are refined
+    from the bisected levels of the base grid, n // BASE_DIVISION, where that
+    grid resolves them (_base_levels), and bisected where it does not; they
+    seed the refinement of those at n.
 
     A line domain is enlarged by 1.5 until the fine grid's top level decays
     by DOMAIN_DECAY e-folds from its outer turning point to the line's end
-    (a box state never does); each enlargement solves both grids again.
+    (a box state never does); each enlargement solves all its grids again.
     """
     cfg = config
     for _ in range(8):
-        coarse = _solve(replace(cfg, n=cfg.n // 2), counts)[0]
+        coarse = _solve(replace(cfg, n=cfg.n // 2), counts, _base_levels(cfg, counts))[0]
         fine, h, _, decay = _solve(cfg, counts, coarse)
         if cfg.spec.is_circle() or decay >= DOMAIN_DECAY:
             return cfg, h, fine, coarse
@@ -459,8 +520,10 @@ def _solve_on_domain(config: OracleConfig, counts: tuple) -> tuple:
 def lowest_eigenvalues(config: OracleConfig) -> OracleResult:
     """The requested lowest eigenvalues plus their half-resolution pair:
     ceil(k/2) even and floor(k/2) odd levels on the line, k from each block
-    on a circle, merged.  The half-resolution levels are bisected and seed
-    the full grid's, which are refined and certified (_solve_on_domain).
+    on a circle, merged.  The half-resolution levels are refined from a
+    bisected base grid n // BASE_DIVISION points wide, or bisected where
+    that grid does not resolve them, and seed the full grid's, which are
+    refined and certified (_solve_on_domain).
     The bounds on n and count are checked here, not in OracleConfig,
     because the half-resolution solve runs on a config with n // 2.
     """

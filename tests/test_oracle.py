@@ -375,26 +375,43 @@ CLI_CONFIGS = [
 
 
 # the duality pairs whose block solves are checked, with the (even, odd)
-# block counts their labels ask of each side
+# block counts their labels ask of each side and whether both sides' base
+# grids resolve those levels (_base_levels)
 PAIRS = (
-    [pytest.param(dshg(m, 1.0), dsg(m, 1.0), counts, id=f"dshg-dsg-m{m}")
-     for m, counts in ((1, (1, 0)), (7, (4, 3)), (19, (10, 9)))]
-    + [pytest.param(sextic_plus(8), sextic_minus(8), (5, 0), id="sextic-m8"),
-       pytest.param(phi6_kink(0.5, 1.0), phi6_kink_dual(0.5, 1.0), (2, 0), id="phi6_kink")]
+    [pytest.param(dshg(m, 1.0), dsg(m, 1.0), counts, based, id=f"dshg-dsg-m{m}")
+     for m, counts, based in ((1, (1, 0), True), (7, (4, 3), True), (19, (10, 9), False))]
+    + [pytest.param(sextic_plus(8), sextic_minus(8), (5, 0), False, id="sextic-m8"),
+       pytest.param(phi6_kink(0.5, 1.0), phi6_kink_dual(0.5, 1.0), (2, 0), True, id="phi6_kink")]
 )
+
+
+def _replay(config, counts):
+    """The solves of lowest_eigenvalues on config's domain, fine grid and
+    half grid: the base grid's levels, or None where it does not resolve
+    them, seed the half grid's, which seed the fine grid's."""
+    base = oracle._base_levels(config, counts)
+    coarse = oracle._solve(replace(config, n=config.n // 2), counts, base)
+    return oracle._solve(config, counts, coarse[0]), coarse
 
 
 @pytest.fixture
 def block_solves(monkeypatch):
-    """(config, counts, result) of every oracle._solve call."""
-    solves = []
-    solve = oracle._solve
+    """(config, counts, result, rows) of every oracle._solve call, where rows
+    is the most rows it bisected in one block (0 if it bisected none)."""
+    solves, bisected = [], []
+    solve, bisect = oracle._solve, oracle._lowest_tridiagonal
+
+    def bisecting(diag, offdiag, k):
+        bisected.append(len(diag))
+        return bisect(diag, offdiag, k)
 
     def recording(config, counts, seeds=None):
+        del bisected[:]
         result = solve(config, counts, seeds)
-        solves.append((config, counts, result))
+        solves.append((config, counts, result, max(bisected, default=0)))
         return result
 
+    monkeypatch.setattr(oracle, "_lowest_tridiagonal", bisecting)
     monkeypatch.setattr(oracle, "_solve", recording)
     return solves
 
@@ -437,10 +454,8 @@ class TestReachedRows:
         res = lowest_eigenvalues(config)
         assert res.config == config    # no enlargement: the solves below are its own
         counts = ((config.count + 1) // 2, config.count // 2)
-        coarse = oracle._solve(replace(config, n=config.n // 2), counts)
-        fine = oracle._solve(config, counts, coarse[0])
         fine, coarse = ((np.sort(np.concatenate(blocks)), h, reach)
-                        for blocks, h, reach, _ in (fine, coarse))
+                        for blocks, h, reach, _ in _replay(config, counts))
         assert (res.eigenvalues, res.richardson) == (tuple(fine[0]), tuple(coarse[0]))
         for size, (got, h, reach) in ((config.n, fine), (config.n // 2, coarse)):
             assert len(got) == config.count
@@ -468,17 +483,28 @@ class TestReachedRows:
             assert len(got) == len(tight)
             assert np.max(np.abs(got - tight)) <= np.finfo(float).eps * norm
 
-    @pytest.mark.parametrize("spec_a, spec_b, counts", PAIRS)
+    @pytest.mark.parametrize("spec_a, spec_b, counts, based", PAIRS)
     def test_labelled_levels_are_within_the_kept_blocks_tolerance(
-            self, block_solves, spec_a, spec_b, counts):
+            self, block_solves, spec_a, spec_b, counts, based):
         # each side's blocks are solved up to its top label, at the default
-        # grid and its half; bisection stops at ulp * ||T||_1 of the kept
-        # rows, at most 4/h^2 + V at the highest kept row (every row on a circle)
+        # grid, its half and, where it resolves them, its base grid;
+        # bisection stops at ulp * ||T||_1 of the kept rows, at most
+        # 4/h^2 + V at the highest kept row (every row on a circle).  The
+        # base grid only seeds the half grid's levels: it is held to the
+        # rows it bisected, which can reach past the cut it returns
         assert not verify_duality_pair(spec_a, spec_b).rejected
-        # two sides, each at two resolutions, none enlarged
-        assert [asked for _, asked, _ in block_solves] == [counts] * 4
-        for config, _, (levels, h, reach, _) in block_solves:
-            kept = discretize(config).grid if reach is None else reach
+        # two sides, each at two or three resolutions, none enlarged
+        sizes = []
+        for spec in (spec_a, spec_b):
+            n = oracle._default_config(spec, 1).n
+            sizes += [(n // oracle.BASE_DIVISION, True)] * based + [(n // 2, False), (n, False)]
+        assert [(config.n, asked) for config, asked, _, _ in block_solves] == [
+            (n, counts) for n, _ in sizes]
+        for (config, _, (levels, h, reach, _), rows), (_, base) in zip(block_solves, sizes):
+            grid = discretize(config).grid
+            kept = grid if reach is None else reach
+            if base and reach is not None:
+                kept = min(reach, grid[len(grid) // 2 - rows])
             v = float(np.max(potential_eval(config.spec, kept)))
             want = _tight_block_levels(config, counts)
             for got, tight in zip(levels, want):
@@ -521,14 +547,18 @@ class TestReachedRows:
         # decays by less than REACH_DECAY out to the line's end
         config = oracle._default_config(phi6_kink(0.5, 1.0), 3)
         res = lowest_eigenvalues(config)
-        # the half grid is bisected, then the fine grid refined from it
-        assert solved_blocks == [(1500, 2), (1500, 1), (3000, 2), (3000, 1)]
-        coarse = oracle._solve(replace(res.config, n=res.config.n // 2), (2, 1))
+        # the base grid is bisected, the half grid refined from it, then the
+        # fine grid from the half grid
+        assert solved_blocks == [(188, 2), (187, 1), (1500, 2), (1500, 1), (3000, 2), (3000, 1)]
+        half = replace(res.config, n=res.config.n // 2)
+        base = oracle._base_levels(res.config, (2, 1))
+        coarse = oracle._solve(half, (2, 1), base)
         disc = discretize(res.config)
         even, odd = oracle._reflection_blocks(disc.diag, disc.offdiag, "x")
         merged = np.sort(np.concatenate([oracle._refined_lowest(*even, 2, coarse[0][0]),
                                          oracle._refined_lowest(*odd, 1, coarse[0][1])]))
         assert np.array_equal(res.eigenvalues, merged)
+        assert coarse[2] == discretize(half).grid[0]
         assert oracle._solve(res.config, (2, 1))[2] == disc.grid[0]
         assert oracle._solve(res.config, (2, 1), coarse[0])[2] == disc.grid[0]
 
@@ -559,8 +589,10 @@ def _fallbacks(caplog) -> list:
 
 
 class TestRefinement:
-    """The fine grid's levels are refined from the half grid's by shift-invert
-    iteration, and bisected only where the refinement is not certified."""
+    """The half grid's levels are refined from the base grid's where that
+    grid resolves them, and the fine grid's from the half grid's, by
+    shift-invert iteration; a block is bisected where its refinement is not
+    certified."""
 
     @pytest.mark.parametrize("config", REFINED_CONFIGS)
     def test_a_clean_solve_logs_nothing_and_matches_a_tight_bisection(self, caplog, config):
@@ -569,8 +601,7 @@ class TestRefinement:
         assert [rec for rec in caplog.records if rec.name == "qespoly.oracle"] == []
         counts = (config.count,) * 2 if config.spec.is_circle() else (
             (config.count + 1) // 2, config.count // 2)
-        coarse = oracle._solve(replace(config, n=config.n // 2), counts)[0]
-        levels, h, reach, _ = oracle._solve(config, counts, coarse)
+        levels, h, reach, _ = _replay(config, counts)[0]
         assert res.eigenvalues == tuple(np.sort(np.concatenate(levels))[:config.count])
         # the refined levels are as close to the true ones as bisection's
         # ulp * ||T||_1 of the kept rows, at most 4/h^2 + V at the cut
@@ -610,6 +641,70 @@ class TestRefinement:
         cut = int(np.searchsorted(disc.grid, reach))
         assert np.array_equal(levels[0], oracle._lowest_tridiagonal(even[0][cut:], even[1][cut:], 3))
         assert len(_fallbacks(caplog)) == 1
+
+    def test_a_refined_level_must_be_converged_not_only_enclosed(self, caplog):
+        # from the base grid's seeds, the even block's rank 19 level at
+        # n = 4000 stops 0.026 below its eigenvalue with an interval that
+        # still encloses it; its Kato-Temple bound is far above rounding
+        base = oracle._default_config(dshg(40, 2.0), 40)
+        seeds = oracle._solve(replace(base, n=base.n // 16), (20, 20))[0]
+        config = replace(base, n=4000)
+        with caplog.at_level(logging.INFO, logger="qespoly.oracle"):
+            levels, h, reach, _ = oracle._solve(config, (20, 20), seeds)
+        disc = discretize(config)
+        cut = int(np.searchsorted(disc.grid, reach))
+        norm = 4.0 / h**2 + float(potential_eval(config.spec, reach))
+        for got, (diag, off) in zip(levels, oracle._reflection_blocks(disc.diag, disc.offdiag, "x")):
+            tight = scipy.linalg.eigvalsh_tridiagonal(
+                diag[cut:], off[cut:], select="i", select_range=(0, 19), tol=1e-14)
+            assert np.max(np.abs(got - tight)) <= np.finfo(float).eps * norm
+        # both blocks fall back to bisection
+        assert len(_fallbacks(caplog)) == 2
+
+
+class TestBaseGrid:
+    """The half grid is refined from a base grid n // BASE_DIVISION points
+    wide where one Sturm count per block finds every requested level at a
+    wavenumber times base spacing of at most BASE_RESOLUTION, and is
+    bisected as before where it does not."""
+
+    def test_a_resolved_solve_bisects_only_the_base_grid(self, monkeypatch):
+        bisected = []
+        bisect = oracle._lowest_tridiagonal
+
+        def counting(diag, offdiag, k):
+            bisected.append(len(diag))
+            return bisect(diag, offdiag, k)
+
+        monkeypatch.setattr(oracle, "_lowest_tridiagonal", counting)
+        config = oracle._default_config(dshg(9, 1.0), 9)
+        lowest_eigenvalues(config)
+        assert bisected and max(bisected) <= config.n // oracle.BASE_DIVISION // 2
+
+    def test_a_base_whose_stencil_overflows_is_declined(self):
+        # at l = 2e156 the base grid's h^2 overflows a float, the half
+        # grid's does not, so the half grid is bisected instead
+        config = OracleConfig(phi6_kink(0.5, 1.0), l=2e156, n=2048, count=2)
+        with pytest.raises(OracleError, match="overflows a float"):
+            discretize(replace(config, n=config.n // oracle.BASE_DIVISION))
+        assert oracle._base_levels(config, (1, 1)) is None
+        assert len(oracle._solve(replace(config, n=config.n // 2), (1, 1))[0][0]) == 1
+
+    @pytest.mark.parametrize("config, counts", [
+        pytest.param(OracleConfig(dsg(5, 1.0), n=2048, count=8), (8, 8), id="dsg-m5-n2048"),
+        pytest.param(oracle._default_config(dshg(40, 2.0), 40), (20, 20), id="dshg-m40-z2"),
+        # a nearly flat circle: its 4-point base resolves the even block's
+        # lowest level, but the odd block has a single row
+        pytest.param(OracleConfig(dsg(3, 1e-9), n=64, count=1), (1, 1), id="dsg-flat-n64"),
+    ])
+    def test_an_unresolved_base_keeps_the_bisected_half_grid(self, config, counts):
+        assert oracle._base_levels(config, counts) is None
+        res = lowest_eigenvalues(config)
+        coarse = oracle._solve(replace(config, n=config.n // 2), counts)[0]
+        fine = oracle._solve(config, counts, coarse)[0]
+        assert (res.eigenvalues, res.richardson) == tuple(
+            tuple(float(v) for v in np.sort(np.concatenate(blocks))[:config.count])
+            for blocks in (fine, coarse))
 
 
 class TestKinkWells:
