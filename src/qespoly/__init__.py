@@ -15,11 +15,7 @@ from .exactpoly import (
     EnergyPoly,
     ExactDivisionError,
     ParamPoly,
-    eval_numeric,
-    poly_arith,
     poly_divide_exact,
-    real_roots,
-    sturm_real_root_count,
 )
 from .families import (
     ChainSpec,

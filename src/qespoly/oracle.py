@@ -8,17 +8,20 @@ an even and an odd symmetric tridiagonal block, at O(rows) memory.  On the
 line the discrete node theorem makes the parities alternate, even first,
 so the lowest k levels are the lowest ceil(k/2) even and floor(k/2) odd
 ones, and `verify_qes` matches the level with k nodes to line level k.
-Every solve is paired with one on the half-resolution grid so convergence
-can be judged from the Richardson pair; the grid spacing of each geometry
-has one formula, in discretize.  Only the coarsest grid is bisected, each
-block on its Sturm sequence (LAPACK stebz): the base grid of
-n // BASE_DIVISION points where it resolves the requested levels, else the
-half grid.  The base resolves them when one Sturm count per block at
+Every solve climbs a ladder of grids, its rungs: the base grid of
+n // BASE_DIVISION points, the half grid of n // 2 and the fine grid of n,
+which is paired with the half grid so convergence can be judged from the
+Richardson pair.  Each rung is discretized once (discretize, which holds
+the grid spacing's one formula per geometry), split into its reflection
+blocks by _blocks and solved by _solve.  Only the coarsest rung solved is
+bisected, each block on its Sturm sequence (LAPACK stebz): the base grid
+where it resolves the requested levels, else the half grid.  The base
+resolves them when one Sturm count per block at
 E* = V_min + (BASE_RESOLUTION / h_base)^2, the energy whose local
 wavenumber sqrt(E - V_min) times the base spacing is BASE_RESOLUTION, finds
 at least that block's levels; a base that does not leaves the half grid
-bisected, as if there were none.  Each grid's levels seed the next finer
-grid's, base to half and half to full: each is refined by one
+bisected, as if there were none.  Each rung's levels seed the next finer
+rung's, base to half and half to fine: each is refined by one
 inverse-iteration step at its seed and Rayleigh-quotient steps (LAPACK gtsv
 solves) until its residual ||T x - rho x|| stops falling or reaches
 rounding.  A level then holds an eigenvalue within that residual plus a
@@ -70,10 +73,12 @@ minimum decays by less than D, a bounded well or levels above the
 potential at the line's end, keeps every row, as do the circle blocks.
 
 The same walk is the one test of a line's width: it accepts the domain once
-the full grid's top level decays by DOMAIN_DECAY e-folds from its outer
+the fine grid's top level decays by DOMAIN_DECAY e-folds from its outer
 turning point (not from x = 0, which passes a wall just past that point, as
 in the dshg wells at small zeta) to the line's end.  A level at or above the
-potential there, such as a bounded well's box state, never decays.
+potential there, such as a bounded well's box state, never decays; a circle
+has no end, so its decay is infinite and its one domain is accepted.  Each
+enlargement of the line by 1.5 climbs the whole ladder again.
 
 This solver shares nothing with the polynomial route except the potential
 evaluators, which is what makes the comparison a genuine cross-check.  It is
@@ -214,34 +219,32 @@ def discretize(config: OracleConfig) -> Discretization:
     return Discretization(diag, offdiag, -coupling if spec.is_circle() else None, grid, h)
 
 
-def _solve(config: OracleConfig, counts: tuple, seeds: tuple | None = None) -> tuple:
-    """The lowest counts[b] eigenvalues of reflection block b (0 even, 1 odd),
-    the grid spacing they were computed at and, on the line, the x of the
-    outermost row the levels reach (the cut) and the top level's decay to the
-    line's end (both None on a circle).  A bisected solve can keep rows past
-    the cut, and has their rounding (_reached_lowest).
+def _solve(disc: Discretization, counts: tuple, seeds: tuple | None = None) -> tuple:
+    """The lowest counts[b] eigenvalues of reflection block b (0 even, 1 odd)
+    on one rung of the grid ladder (see the module docstring), the x of the
+    outermost row the levels reach (the cut; None on a circle) and the top
+    level's decay to the line's end (infinite on a circle, which has no
+    end).  A bisected solve can keep rows past the cut, and has their
+    rounding (_reached_lowest).
 
-    Without seeds every block is bisected.  A line solve's first window then
-    starts at the inner FIRST_WINDOW of the line, but never inside the rows
-    that a level at the potential's minimum, the lowest a level can be,
-    reaches.  By the node theorem a line block's rank r level has 2r (even)
-    or 2r + 1 (odd) nodes; the block whose top requested level has more
-    nodes goes first, and the other block's levels lie lower, so they reach
-    no row beyond its cut.  With seeds, each block's levels on a coarser
-    grid, every block is refined from them instead (_refined_lowest).
+    With seeds, each block's levels on a coarser rung, every block is
+    refined from them (_refined_lowest); without, every block is bisected,
+    a circle block whole.  A line solve's first window then starts at the
+    inner FIRST_WINDOW of the line, but never inside the rows that a level
+    at the potential's minimum, the lowest a level can be, reaches.  By the
+    node theorem a line block's rank r level has 2r (even) or 2r + 1 (odd)
+    nodes; the block whose top requested level has more nodes goes first,
+    and the other block's levels lie lower, so they reach no row beyond its
+    cut.
     """
-    disc = discretize(config)
+    blocks = _blocks(disc)
     if disc.corner is not None:
-        blocks = _circle_blocks(disc)
-        if seeds is None:
-            return tuple(_lowest_tridiagonal(*block, k)
-                         for block, k in zip(blocks, counts)), disc.h, None, None
+        seeds = (None, None) if seeds is None else seeds
         return tuple(_refined_lowest(*block, k, s)
-                     for block, k, s in zip(blocks, counts, seeds)), disc.h, None, None
-    blocks = _reflection_blocks(disc.diag, disc.offdiag, "x")
+                     for block, k, s in zip(blocks, counts, seeds)), None, np.inf
     if seeds is not None:
         levels, cut, decay = _refined_line(blocks, counts, seeds, disc.h)
-        return levels, disc.h, float(disc.grid[cut]), decay
+        return levels, float(disc.grid[cut]), decay
     start = round(len(blocks[0][0]) * (1.0 - FIRST_WINDOW))
     floor = disc.diag.min() - 2.0 / disc.h**2
     start = min(start, _first_reached_row(blocks[0][0], disc.h, floor)[0])
@@ -250,7 +253,7 @@ def _solve(config: OracleConfig, counts: tuple, seeds: tuple | None = None) -> t
     levels[first], cut, decay = _reached_lowest(blocks[first], counts[first], disc.h, start)
     levels[1 - first], rest_cut, _ = _reached_lowest(
         blocks[1 - first], counts[1 - first], disc.h, cut)
-    return tuple(levels), disc.h, float(disc.grid[min(cut, rest_cut)]), decay
+    return tuple(levels), float(disc.grid[min(cut, rest_cut)]), decay
 
 
 def _refined_line(blocks, counts, seeds, h: float) -> tuple:
@@ -335,9 +338,10 @@ def _lowest_tridiagonal(diag, offdiag, k: int) -> np.ndarray:
 def _refined_lowest(diag, offdiag, k: int, seeds) -> np.ndarray:
     """The k lowest eigenvalues of a symmetric tridiagonal block, refined from
     seeds, the same block's levels on a coarser grid (_shift_invert), and
-    bisected where the refinement is not certified; that fallback is logged."""
-    if k < 1:
-        return np.empty(0)
+    bisected where the refinement is not certified, a fallback that is
+    logged; a block without seeds (None) is bisected, and nothing logged."""
+    if k < 1 or seeds is None:
+        return _lowest_tridiagonal(diag, offdiag, k)
     levels = _shift_invert(diag, offdiag, seeds) if len(seeds) == k else None
     if levels is None:
         _log.info("bisecting a %d-row block for %d levels: %d seeds from %.6g to %.6g "
@@ -451,14 +455,16 @@ def _reflection_blocks(diag, offdiag, variable: str):
     return (even_diag, even_off), (odd_diag, odd_off)
 
 
-def _circle_blocks(disc: Discretization) -> tuple:
-    """The even and odd blocks of a periodic stencil with an even potential.
+def _blocks(disc: Discretization) -> tuple:
+    """The even and odd blocks of a stencil with an even potential.
 
-    The reflection i -> n - i fixes the point 0 and splits the chain of
-    points 1..n-1; the even block adds the point 0, coupled with a factor
-    sqrt(2).  Either parity may come first, so a merged solve of k levels
-    takes k from each block.
+    A line's are _reflection_blocks'.  On a circle the reflection i -> n - i
+    fixes the point 0 and splits the chain of points 1..n-1; the even block
+    adds the point 0, coupled with a factor sqrt(2).  Either parity may come
+    first, so a merged solve of k levels takes k from each block.
     """
+    if disc.corner is None:
+        return _reflection_blocks(disc.diag, disc.offdiag, "x")
     (even_diag, even_off), odd = _reflection_blocks(
         disc.diag[1:], disc.offdiag[1:], "theta")
     even = (np.concatenate([disc.diag[:1], even_diag]),
@@ -481,34 +487,28 @@ def _base_levels(config: OracleConfig, counts: tuple):
         disc = discretize(base)
     except OracleError:    # h_base^2 can overflow where the finer grids' does not
         return None
-    blocks = (_circle_blocks(disc) if disc.corner is not None
-              else _reflection_blocks(disc.diag, disc.offdiag, "x"))
     resolved = disc.diag.min() - 2.0 / disc.h**2 + (BASE_RESOLUTION / disc.h) ** 2
     from scipy.linalg.lapack import dstebz
-    for (diag, offdiag), k in zip(blocks, counts):
+    for (diag, offdiag), k in zip(_blocks(disc), counts):
         if k > 0 and (k >= len(diag) or dstebz(
                 diag, offdiag, 1, -np.inf, resolved, 0, 0, np.inf, "E")[0] < k):
             return None
-    return _solve(base, counts)[0]
+    return _solve(disc, counts)[0]
 
 
 def _solve_on_domain(config: OracleConfig, counts: tuple) -> tuple:
     """The config the levels were solved on, the fine grid's spacing, and
-    the block levels at its n and at n // 2.  Those at n // 2 are refined
-    from the bisected levels of the base grid, n // BASE_DIVISION, where that
-    grid resolves them (_base_levels), and bisected where it does not; they
-    seed the refinement of those at n.
-
-    A line domain is enlarged by 1.5 until the fine grid's top level decays
-    by DOMAIN_DECAY e-folds from its outer turning point to the line's end
-    (a box state never does); each enlargement solves all its grids again.
+    the block levels on the fine and half rungs of its grid ladder, which
+    the line's domain enlargements climb again (see the module docstring).
     """
     cfg = config
     for _ in range(8):
-        coarse = _solve(replace(cfg, n=cfg.n // 2), counts, _base_levels(cfg, counts))[0]
-        fine, h, _, decay = _solve(cfg, counts, coarse)
-        if cfg.spec.is_circle() or decay >= DOMAIN_DECAY:
-            return cfg, h, fine, coarse
+        base = _base_levels(cfg, counts)
+        coarse = _solve(discretize(replace(cfg, n=cfg.n // 2)), counts, base)[0]
+        disc = discretize(cfg)
+        fine, _, decay = _solve(disc, counts, coarse)
+        if decay >= DOMAIN_DECAY:
+            return cfg, disc.h, fine, coarse
         last, cfg = cfg.l, replace(cfg, l=1.5 * cfg.l)
         _log.info("enlarging the line domain of %s from l = %r to l = %r",
                   cfg.spec.family, last, cfg.l)
@@ -520,10 +520,8 @@ def _solve_on_domain(config: OracleConfig, counts: tuple) -> tuple:
 def lowest_eigenvalues(config: OracleConfig) -> OracleResult:
     """The requested lowest eigenvalues plus their half-resolution pair:
     ceil(k/2) even and floor(k/2) odd levels on the line, k from each block
-    on a circle, merged.  The half-resolution levels are refined from a
-    bisected base grid n // BASE_DIVISION points wide, or bisected where
-    that grid does not resolve them, and seed the full grid's, which are
-    refined and certified (_solve_on_domain).
+    on a circle, merged, from the fine and half rungs of the grid ladder
+    (see the module docstring; _solve_on_domain).
     The bounds on n and count are checked here, not in OracleConfig,
     because the half-resolution solve runs on a config with n // 2.
     """

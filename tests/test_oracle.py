@@ -236,7 +236,7 @@ class TestReflectionSplit:
         # mult potential periods: the circle's length is the spec's period
         cfg = OracleConfig(replace(spec, period=mult * spec.period), n=n, count=10)
         disc = discretize(cfg)
-        split = np.sort(np.concatenate(oracle._solve(cfg, (10, 10))[0]))[:10]
+        split = np.sort(np.concatenate(oracle._solve(disc, (10, 10))[0]))[:10]
         dense = _dense_periodic_levels(disc, 10)
         assert len(split) == 10
         assert np.max(np.abs(split - dense)) <= 1e-13 * 4.0 / disc.h**2
@@ -255,7 +255,7 @@ class TestReflectionSplit:
         diag = 2.0 / h**2 + np.sin(grid)   # odd in theta
         disc = Discretization(diag, np.full(n - 1, -1.0 / h**2), -1.0 / h**2, grid, h)
         with pytest.raises(OracleError, match="not even in theta"):
-            oracle._circle_blocks(disc)
+            oracle._blocks(disc)
 
 
 def _unsplit_line_levels(disc, k):
@@ -321,20 +321,17 @@ class TestLineReflectionSplit:
             assert np.max(np.abs(np.array(doc[key]) - want)) <= 4.0 * accuracy
 
 
-def _tight_block_levels(config, counts):
+def _tight_block_levels(disc, counts):
     """The lowest counts[b] levels of each whole reflection block b of a line
     or circle grid, bisected to an absolute 1e-14 instead of ulp * ||T||_1."""
-    disc = discretize(config)
-    blocks = (oracle._circle_blocks(disc) if disc.corner is not None
-              else oracle._reflection_blocks(disc.diag, disc.offdiag, "x"))
     return [scipy.linalg.eigvalsh_tridiagonal(diag, off, select="i",
                                               select_range=(0, count - 1), tol=1e-14)
-            if count else np.empty(0) for (diag, off), count in zip(blocks, counts)]
+            if count else np.empty(0) for (diag, off), count in zip(oracle._blocks(disc), counts)]
 
 
 def _tight_line_levels(config, k):
     """The k lowest levels of a line grid, from _tight_block_levels."""
-    return np.sort(np.concatenate(_tight_block_levels(config, ((k + 1) // 2, k // 2))))
+    return np.sort(np.concatenate(_tight_block_levels(discretize(config), ((k + 1) // 2, k // 2))))
 
 
 def _sextic_config(family, m):
@@ -386,18 +383,19 @@ PAIRS = (
 
 
 def _replay(config, counts):
-    """The solves of lowest_eigenvalues on config's domain, fine grid and
-    half grid: the base grid's levels, or None where it does not resolve
-    them, seed the half grid's, which seed the fine grid's."""
+    """The (discretization, solve) of lowest_eigenvalues on config's domain,
+    fine grid and half grid: the base grid's levels, or None where it does
+    not resolve them, seed the half grid's, which seed the fine grid's."""
     base = oracle._base_levels(config, counts)
-    coarse = oracle._solve(replace(config, n=config.n // 2), counts, base)
-    return oracle._solve(config, counts, coarse[0]), coarse
+    half, fine = discretize(replace(config, n=config.n // 2)), discretize(config)
+    coarse = oracle._solve(half, counts, base)
+    return (fine, oracle._solve(fine, counts, coarse[0])), (half, coarse)
 
 
 @pytest.fixture
 def block_solves(monkeypatch):
-    """(config, counts, result, rows) of every oracle._solve call, where rows
-    is the most rows it bisected in one block (0 if it bisected none)."""
+    """(discretization, counts, result, rows) of every oracle._solve call,
+    where rows is the most rows it bisected in one block (0 if none)."""
     solves, bisected = [], []
     solve, bisect = oracle._solve, oracle._lowest_tridiagonal
 
@@ -405,10 +403,10 @@ def block_solves(monkeypatch):
         bisected.append(len(diag))
         return bisect(diag, offdiag, k)
 
-    def recording(config, counts, seeds=None):
+    def recording(disc, counts, seeds=None):
         del bisected[:]
-        result = solve(config, counts, seeds)
-        solves.append((config, counts, result, max(bisected, default=0)))
+        result = solve(disc, counts, seeds)
+        solves.append((disc, counts, result, max(bisected, default=0)))
         return result
 
     monkeypatch.setattr(oracle, "_lowest_tridiagonal", bisecting)
@@ -428,7 +426,8 @@ def solved_blocks(monkeypatch):
         return bisect(diag, offdiag, k)
 
     def refining(diag, offdiag, k, seeds):
-        sizes.append((len(diag), k))
+        if seeds is not None:    # a block without seeds is recorded as bisected
+            sizes.append((len(diag), k))
         return refine(diag, offdiag, k, seeds)
 
     monkeypatch.setattr(oracle, "_lowest_tridiagonal", bisecting)
@@ -454,8 +453,8 @@ class TestReachedRows:
         res = lowest_eigenvalues(config)
         assert res.config == config    # no enlargement: the solves below are its own
         counts = ((config.count + 1) // 2, config.count // 2)
-        fine, coarse = ((np.sort(np.concatenate(blocks)), h, reach)
-                        for blocks, h, reach, _ in _replay(config, counts))
+        fine, coarse = ((np.sort(np.concatenate(blocks)), disc.h, reach)
+                        for disc, (blocks, reach, _) in _replay(config, counts))
         assert (res.eigenvalues, res.richardson) == (tuple(fine[0]), tuple(coarse[0]))
         for size, (got, h, reach) in ((config.n, fine), (config.n // 2, coarse)):
             assert len(got) == config.count
@@ -474,12 +473,12 @@ class TestReachedRows:
         half = replace(config, n=config.n // 2)
         counts = ((config.count + 1) // 2, config.count // 2)
         del solved_blocks[:]
-        levels, h, reach, _ = oracle._solve(half, counts)
-        grid = discretize(half).grid
-        outermost = grid[half.n // 2 - max(rows for rows, _ in solved_blocks)]
+        disc = discretize(half)
+        levels, reach, _ = oracle._solve(disc, counts)
+        outermost = disc.grid[half.n // 2 - max(rows for rows, _ in solved_blocks)]
         assert outermost <= reach
-        norm = 4.0 / h**2 + float(potential_eval(config.spec, outermost))
-        for got, tight in zip(levels, _tight_block_levels(half, counts)):
+        norm = 4.0 / disc.h**2 + float(potential_eval(config.spec, outermost))
+        for got, tight in zip(levels, _tight_block_levels(disc, counts)):
             assert len(got) == len(tight)
             assert np.max(np.abs(got - tight)) <= np.finfo(float).eps * norm
 
@@ -497,16 +496,17 @@ class TestReachedRows:
         sizes = []
         for spec in (spec_a, spec_b):
             n = oracle._default_config(spec, 1).n
-            sizes += [(n // oracle.BASE_DIVISION, True)] * based + [(n // 2, False), (n, False)]
-        assert [(config.n, asked) for config, asked, _, _ in block_solves] == [
-            (n, counts) for n, _ in sizes]
-        for (config, _, (levels, h, reach, _), rows), (_, base) in zip(block_solves, sizes):
-            grid = discretize(config).grid
+            sizes += ([(spec, n // oracle.BASE_DIVISION, True)] * based
+                      + [(spec, n // 2, False), (spec, n, False)])
+        assert [(len(disc.grid), asked) for disc, asked, _, _ in block_solves] == [
+            (n, counts) for _, n, _ in sizes]
+        for (disc, _, (levels, reach, _), rows), (spec, _, base) in zip(block_solves, sizes):
+            grid, h = disc.grid, disc.h
             kept = grid if reach is None else reach
             if base and reach is not None:
                 kept = min(reach, grid[len(grid) // 2 - rows])
-            v = float(np.max(potential_eval(config.spec, kept)))
-            want = _tight_block_levels(config, counts)
+            v = float(np.max(potential_eval(spec, kept)))
+            want = _tight_block_levels(disc, counts)
             for got, tight in zip(levels, want):
                 assert len(got) == len(tight)
                 assert np.max(np.abs(got - tight), initial=0.0) <= np.finfo(float).eps * (4.0 / h**2 + v)
@@ -515,10 +515,11 @@ class TestReachedRows:
         # dshg(7, 2) at x = 5 is 4.8e8, against levels up to about 130: the
         # first block's window covers its reach, the second keeps only that
         config = oracle._default_config(dshg(7, 2.0), 10)
-        _, h, reach, _ = oracle._solve(config, (5, 5))
+        disc = discretize(config)
+        _, reach, _ = oracle._solve(disc, (5, 5))
         assert -0.5 * config.l < reach < 0.0
         assert solved_blocks[0] == (config.n // 2 * 5 // 8, 5)
-        assert solved_blocks[1] == (round(-reach / h + 0.5), 5)
+        assert solved_blocks[1] == (round(-reach / disc.h + 0.5), 5)
 
     def test_a_short_window_is_grown_once(self, solved_blocks):
         disc = discretize(oracle._default_config(dshg(3, 1.0), 6))
@@ -552,15 +553,16 @@ class TestReachedRows:
         assert solved_blocks == [(188, 2), (187, 1), (1500, 2), (1500, 1), (3000, 2), (3000, 1)]
         half = replace(res.config, n=res.config.n // 2)
         base = oracle._base_levels(res.config, (2, 1))
-        coarse = oracle._solve(half, (2, 1), base)
+        half_disc = discretize(half)
+        coarse = oracle._solve(half_disc, (2, 1), base)
         disc = discretize(res.config)
         even, odd = oracle._reflection_blocks(disc.diag, disc.offdiag, "x")
         merged = np.sort(np.concatenate([oracle._refined_lowest(*even, 2, coarse[0][0]),
                                          oracle._refined_lowest(*odd, 1, coarse[0][1])]))
         assert np.array_equal(res.eigenvalues, merged)
-        assert coarse[2] == discretize(half).grid[0]
-        assert oracle._solve(res.config, (2, 1))[2] == disc.grid[0]
-        assert oracle._solve(res.config, (2, 1), coarse[0])[2] == disc.grid[0]
+        assert coarse[1] == half_disc.grid[0]
+        assert oracle._solve(disc, (2, 1))[1] == disc.grid[0]
+        assert oracle._solve(disc, (2, 1), coarse[0])[1] == disc.grid[0]
 
     def test_enlargement_is_logged(self, caplog, capsys):
         with caplog.at_level(logging.INFO, logger="qespoly.oracle"):
@@ -601,13 +603,13 @@ class TestRefinement:
         assert [rec for rec in caplog.records if rec.name == "qespoly.oracle"] == []
         counts = (config.count,) * 2 if config.spec.is_circle() else (
             (config.count + 1) // 2, config.count // 2)
-        levels, h, reach, _ = _replay(config, counts)[0]
+        disc, (levels, reach, _) = _replay(config, counts)[0]
         assert res.eigenvalues == tuple(np.sort(np.concatenate(levels))[:config.count])
         # the refined levels are as close to the true ones as bisection's
         # ulp * ||T||_1 of the kept rows, at most 4/h^2 + V at the cut
-        kept = discretize(config).grid if reach is None else reach
-        norm = 4.0 / h**2 + float(np.max(potential_eval(config.spec, kept)))
-        for got, tight in zip(levels, _tight_block_levels(config, counts)):
+        kept = disc.grid if reach is None else reach
+        norm = 4.0 / disc.h**2 + float(np.max(potential_eval(config.spec, kept)))
+        for got, tight in zip(levels, _tight_block_levels(disc, counts)):
             assert len(got) == len(tight)
             assert np.max(np.abs(got - tight), initial=0.0) <= np.finfo(float).eps * norm
 
@@ -617,14 +619,15 @@ class TestRefinement:
         # other block's give levels that are not the lowest, as do seeds one
         # rank up, which the Sturm count rejects
         config = OracleConfig(dsg(5, 1.0), n=1024, count=8)
-        coarse = oracle._solve(replace(config, n=512), (9, 9))[0]
+        coarse = oracle._solve(discretize(replace(config, n=512)), (9, 9))[0]
         good = coarse[1][:8]
         seeds = {"one level twice": np.repeat(coarse[0][:4], 2),
                  "the other block's": coarse[1][:8],
                  "one rank up": coarse[0][1:9]}[bad]
-        even, odd = oracle._circle_blocks(discretize(config))
+        disc = discretize(config)
+        even, odd = oracle._blocks(disc)
         with caplog.at_level(logging.INFO, logger="qespoly.oracle"):
-            levels = oracle._solve(config, (8, 8), (seeds, good))[0]
+            levels = oracle._solve(disc, (8, 8), (seeds, good))[0]
         assert np.array_equal(levels[0], oracle._lowest_tridiagonal(*even, 8))
         assert [rec.getMessage().split(":")[0] for rec in _fallbacks(caplog)] == [
             "bisecting a 513-row block for 8 levels"]
@@ -633,10 +636,10 @@ class TestRefinement:
 
     def test_a_line_block_falls_back_on_its_kept_rows(self, caplog):
         config = oracle._default_config(dshg(3, 1.0), 6)
-        coarse = oracle._solve(replace(config, n=config.n // 2), (3, 3))[0]
-        with caplog.at_level(logging.INFO, logger="qespoly.oracle"):
-            levels, _, reach, _ = oracle._solve(config, (3, 3), (coarse[0][[0, 0, 1]], coarse[1]))
+        coarse = oracle._solve(discretize(replace(config, n=config.n // 2)), (3, 3))[0]
         disc = discretize(config)
+        with caplog.at_level(logging.INFO, logger="qespoly.oracle"):
+            levels, reach, _ = oracle._solve(disc, (3, 3), (coarse[0][[0, 0, 1]], coarse[1]))
         even, _ = oracle._reflection_blocks(disc.diag, disc.offdiag, "x")
         cut = int(np.searchsorted(disc.grid, reach))
         assert np.array_equal(levels[0], oracle._lowest_tridiagonal(even[0][cut:], even[1][cut:], 3))
@@ -647,13 +650,13 @@ class TestRefinement:
         # n = 4000 stops 0.026 below its eigenvalue with an interval that
         # still encloses it; its Kato-Temple bound is far above rounding
         base = oracle._default_config(dshg(40, 2.0), 40)
-        seeds = oracle._solve(replace(base, n=base.n // 16), (20, 20))[0]
+        seeds = oracle._solve(discretize(replace(base, n=base.n // 16)), (20, 20))[0]
         config = replace(base, n=4000)
-        with caplog.at_level(logging.INFO, logger="qespoly.oracle"):
-            levels, h, reach, _ = oracle._solve(config, (20, 20), seeds)
         disc = discretize(config)
+        with caplog.at_level(logging.INFO, logger="qespoly.oracle"):
+            levels, reach, _ = oracle._solve(disc, (20, 20), seeds)
         cut = int(np.searchsorted(disc.grid, reach))
-        norm = 4.0 / h**2 + float(potential_eval(config.spec, reach))
+        norm = 4.0 / disc.h**2 + float(potential_eval(config.spec, reach))
         for got, (diag, off) in zip(levels, oracle._reflection_blocks(disc.diag, disc.offdiag, "x")):
             tight = scipy.linalg.eigvalsh_tridiagonal(
                 diag[cut:], off[cut:], select="i", select_range=(0, 19), tol=1e-14)
@@ -688,7 +691,7 @@ class TestBaseGrid:
         with pytest.raises(OracleError, match="overflows a float"):
             discretize(replace(config, n=config.n // oracle.BASE_DIVISION))
         assert oracle._base_levels(config, (1, 1)) is None
-        assert len(oracle._solve(replace(config, n=config.n // 2), (1, 1))[0][0]) == 1
+        assert len(oracle._solve(discretize(replace(config, n=config.n // 2)), (1, 1))[0][0]) == 1
 
     @pytest.mark.parametrize("config, counts", [
         pytest.param(OracleConfig(dsg(5, 1.0), n=2048, count=8), (8, 8), id="dsg-m5-n2048"),
@@ -700,11 +703,35 @@ class TestBaseGrid:
     def test_an_unresolved_base_keeps_the_bisected_half_grid(self, config, counts):
         assert oracle._base_levels(config, counts) is None
         res = lowest_eigenvalues(config)
-        coarse = oracle._solve(replace(config, n=config.n // 2), counts)[0]
-        fine = oracle._solve(config, counts, coarse)[0]
+        coarse = oracle._solve(discretize(replace(config, n=config.n // 2)), counts)[0]
+        fine = oracle._solve(discretize(config), counts, coarse)[0]
         assert (res.eigenvalues, res.richardson) == tuple(
             tuple(float(v) for v in np.sort(np.concatenate(blocks))[:config.count])
             for blocks in (fine, coarse))
+
+
+
+class TestGridLadder:
+    """Each rung of the grid ladder, base, half and fine, is discretized once
+    per domain, whether the base is used or declined."""
+
+    @pytest.mark.parametrize("config, domains", [
+        pytest.param(oracle._default_config(dshg(9, 1.0), 9), 1, id="dshg-m9-base-used"),
+        pytest.param(OracleConfig(dsg(5, 1.0), n=2048, count=8), 1, id="dsg-m5-base-declined"),
+        pytest.param(OracleConfig(dshg(3, 1.0), l=1.0, n=4000, count=6), 3,
+                     id="dshg-m3-enlarged-twice"),
+    ])
+    def test_one_discretization_per_rung(self, monkeypatch, config, domains):
+        sizes = []
+        assemble = oracle.discretize
+
+        def counting(cfg):
+            sizes.append(cfg.n)
+            return assemble(cfg)
+
+        monkeypatch.setattr(oracle, "discretize", counting)
+        lowest_eigenvalues(config)
+        assert sizes == [config.n // oracle.BASE_DIVISION, config.n // 2, config.n] * domains
 
 
 class TestKinkWells:
