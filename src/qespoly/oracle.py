@@ -20,21 +20,27 @@ resolves them when one Sturm count per block at
 E* = V_min + (BASE_RESOLUTION / h_base)^2, the energy whose local
 wavenumber sqrt(E - V_min) times the base spacing is BASE_RESOLUTION, finds
 at least that block's levels; a base that does not leaves the half grid
-bisected, as if there were none.  Each rung's levels seed the next finer
-rung's, base to half and half to fine: each is refined by one
-inverse-iteration step at its seed and Rayleigh-quotient steps (LAPACK gtsv
-solves) until its residual ||T x - rho x|| stops falling or reaches
-rounding.  A level then holds an eigenvalue within that residual plus a
-rounding allowance, and the block is accepted when those intervals are
-disjoint, one Sturm count puts exactly as many eigenvalues at or below the
-top interval as there are levels, one in each, and each level's Kato-Temple
-bound, its squared residual over the gap to its neighbours' intervals, is
-within the rounding allowance: a level is accepted converged, not only
-enclosed.  Otherwise the block is bisected, and an INFO line on the
-qespoly.oracle logger names the fallback.  The dsg well's analytic
-levels are dsg_spectrum's, none at even M (the paper's rule); the
-kink-dual well's are the dual energies of its line preimage's
-(potentials.line_preimage).
+bisected, as if there were none.  The base levels seed the half rung's.
+Where the base was solved, each fine-rung level is seeded with the rungs'
+h^2 prediction (Richardson's deferred approach to the limit),
+E_half + (E_half - E_base) (h_fine^2 - h_half^2) / (h_half^2 - h_base^2),
+per block and rank, each h its rung's Discretization's; else the half
+levels are its seeds.  A merged circle solve, the k lowest levels of both
+blocks, solves each block on the half and fine rungs only up to its share
+of the coarsest rung's k lowest plus one spare, at most k: about k + 2
+levels, not 2k.  Each seeded level is refined by one inverse-iteration step
+at its seed and Rayleigh-quotient steps (LAPACK gtsv solves) until its
+residual ||T x - rho x|| stops falling or reaches rounding.  A level then
+holds an eigenvalue within that residual plus a rounding allowance, and the
+block is accepted when those intervals are disjoint, one Sturm count puts
+exactly as many eigenvalues at or below the top interval as there are
+levels, one in each, and each level's Kato-Temple bound, its squared
+residual over the gap to its neighbours' intervals, is within the rounding
+allowance: a level is accepted converged, not only enclosed.  Otherwise
+the block is bisected, and an INFO line on the qespoly.oracle logger names
+the fallback.  The dsg well's analytic levels are dsg_spectrum's, none at
+even M (the paper's rule); the kink-dual well's are the dual energies of
+its line preimage's (potentials.line_preimage).
 
 The duality pairs match by label, not by nearest neighbour, which a
 tunnelling doublet closer than the grid error would make ambiguous.  Each
@@ -227,15 +233,15 @@ def _solve(disc: Discretization, counts: tuple, seeds: tuple | None = None) -> t
     end).  A bisected solve can keep rows past the cut, and has their
     rounding (_reached_lowest).
 
-    With seeds, each block's levels on a coarser rung, every block is
-    refined from them (_refined_lowest); without, every block is bisected,
-    a circle block whole.  A line solve's first window then starts at the
-    inner FIRST_WINDOW of the line, but never inside the rows that a level
-    at the potential's minimum, the lowest a level can be, reaches.  By the
-    node theorem a line block's rank r level has 2r (even) or 2r + 1 (odd)
-    nodes; the block whose top requested level has more nodes goes first,
-    and the other block's levels lie lower, so they reach no row beyond its
-    cut.
+    With seeds, each block's levels on coarser rungs or their h^2
+    prediction, every block is refined from them (_refined_lowest); without,
+    every block is bisected, a circle block whole.  A line solve's first
+    window then starts at the inner FIRST_WINDOW of the line, but never
+    inside the rows that a level at the potential's minimum, the lowest a
+    level can be, reaches.  By the node theorem a line block's rank r level
+    has 2r (even) or 2r + 1 (odd) nodes; the block whose top requested level
+    has more nodes goes first, and the other block's levels lie lower, so
+    they reach no row beyond its cut.
     """
     blocks = _blocks(disc)
     if disc.corner is not None:
@@ -337,7 +343,7 @@ def _lowest_tridiagonal(diag, offdiag, k: int) -> np.ndarray:
 
 def _refined_lowest(diag, offdiag, k: int, seeds) -> np.ndarray:
     """The k lowest eigenvalues of a symmetric tridiagonal block, refined from
-    seeds, the same block's levels on a coarser grid (_shift_invert), and
+    seeds, the same block's levels from coarser grids (_shift_invert), and
     bisected where the refinement is not certified, a fallback that is
     logged; a block without seeds (None) is bisected, and nothing logged."""
     if k < 1 or seeds is None:
@@ -461,7 +467,8 @@ def _blocks(disc: Discretization) -> tuple:
     A line's are _reflection_blocks'.  On a circle the reflection i -> n - i
     fixes the point 0 and splits the chain of points 1..n-1; the even block
     adds the point 0, coupled with a factor sqrt(2).  Either parity may come
-    first, so a merged solve of k levels takes k from each block.
+    first, so a merged solve of k levels splits k between the blocks by the
+    coarsest rung's levels (_solve_on_domain).
     """
     if disc.corner is None:
         return _reflection_blocks(disc.diag, disc.offdiag, "x")
@@ -474,7 +481,7 @@ def _blocks(disc: Discretization) -> tuple:
 
 def _base_levels(config: OracleConfig, counts: tuple):
     """The block levels on the base grid of config.n // BASE_DIVISION points,
-    bisected, or None if that grid does not resolve them.
+    bisected, and that grid's spacing, or None if it does not resolve them.
 
     A level E is resolved where its largest local wavenumber, sqrt(E - V_min),
     times the base grid's spacing is at most BASE_RESOLUTION: one Sturm count
@@ -493,20 +500,32 @@ def _base_levels(config: OracleConfig, counts: tuple):
         if k > 0 and (k >= len(diag) or dstebz(
                 diag, offdiag, 1, -np.inf, resolved, 0, 0, np.inf, "E")[0] < k):
             return None
-    return _solve(disc, counts)[0]
+    return _solve(disc, counts)[0], disc.h
 
 
-def _solve_on_domain(config: OracleConfig, counts: tuple) -> tuple:
+def _solve_on_domain(config: OracleConfig, counts: tuple, merged: int | None = None) -> tuple:
     """The config the levels were solved on, the fine grid's spacing, and
     the block levels on the fine and half rungs of its grid ladder, which
     the line's domain enlargements climb again (see the module docstring).
+    With `merged`, a circle's k, the half and fine rungs solve each block up
+    to its share of the coarsest rung's k lowest levels, plus one spare.
     """
     cfg = config
     for _ in range(8):
         base = _base_levels(cfg, counts)
-        coarse = _solve(discretize(replace(cfg, n=cfg.n // 2)), counts, base)[0]
+        half = discretize(replace(cfg, n=cfg.n // 2))
+        coarsest = base[0] if base else _solve(half, counts)[0]
+        rungs = counts
+        if merged:
+            kth = np.sort(np.concatenate(coarsest))[merged - 1]
+            rungs = tuple(min(int(np.sum(levels <= kth)) + 1, merged) for levels in coarsest)
+        seeds = tuple(levels[:k] for levels, k in zip(coarsest, rungs))
+        coarse = _solve(half, rungs, seeds)[0] if base else coarsest
         disc = discretize(cfg)
-        fine, _, decay = _solve(disc, counts, coarse)
+        if base:
+            ratio = (disc.h**2 - half.h**2) / (half.h**2 - base[1] ** 2)
+            seeds = tuple(c + (c - b) * ratio for b, c in zip(seeds, coarse))
+        fine, _, decay = _solve(disc, rungs, seeds)
         if decay >= DOMAIN_DECAY:
             return cfg, disc.h, fine, coarse
         last, cfg = cfg.l, replace(cfg, l=1.5 * cfg.l)
@@ -519,9 +538,10 @@ def _solve_on_domain(config: OracleConfig, counts: tuple) -> tuple:
 
 def lowest_eigenvalues(config: OracleConfig) -> OracleResult:
     """The requested lowest eigenvalues plus their half-resolution pair:
-    ceil(k/2) even and floor(k/2) odd levels on the line, k from each block
-    on a circle, merged, from the fine and half rungs of the grid ladder
-    (see the module docstring; _solve_on_domain).
+    ceil(k/2) even and floor(k/2) odd levels on the line, on a circle the k
+    lowest of both blocks merged, each block solved up to its share of them
+    plus one (_solve_on_domain), from the fine and half rungs of the grid
+    ladder (see the module docstring).
     The bounds on n and count are checked here, not in OracleConfig,
     because the half-resolution solve runs on a config with n // 2.
     """
@@ -531,8 +551,9 @@ def lowest_eigenvalues(config: OracleConfig) -> OracleResult:
     if k > config.n // 2 - 1:
         raise ValueError(f"count must be at most n // 2 - 1 = {config.n // 2 - 1}, the levels "
                          f"the half-resolution grid can pair, got {k}")
-    counts = (k, k) if config.spec.is_circle() else ((k + 1) // 2, k // 2)
-    cfg, h, fine, coarse = _solve_on_domain(config, counts)
+    circle = config.spec.is_circle()
+    counts = (k, k) if circle else ((k + 1) // 2, k // 2)
+    cfg, h, fine, coarse = _solve_on_domain(config, counts, k if circle else None)
     fine, coarse = (tuple(float(v) for v in np.sort(np.concatenate(blocks))[:k])
                     for blocks in (fine, coarse))
     extrapolated = tuple((4.0 * f - c) / 3.0 for f, c in zip(fine, coarse))

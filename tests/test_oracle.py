@@ -382,14 +382,31 @@ PAIRS = (
 )
 
 
-def _replay(config, counts):
+def _replay(config, counts, merged=None):
     """The (discretization, solve) of lowest_eigenvalues on config's domain,
-    fine grid and half grid: the base grid's levels, or None where it does
-    not resolve them, seed the half grid's, which seed the fine grid's."""
+    fine grid and half grid, and the block counts those two rungs solved.
+
+    The coarsest rung solved is the base grid where it resolves the levels,
+    else the half grid, bisected.  With `merged`, a circle's k, each block's
+    count is its share of that rung's k lowest levels plus one, at most k.
+    The base grid's levels seed the half grid's; the fine grid is seeded
+    with the h^2 prediction from the base and half levels, or with the half
+    levels where there is no base."""
     base = oracle._base_levels(config, counts)
     half, fine = discretize(replace(config, n=config.n // 2)), discretize(config)
-    coarse = oracle._solve(half, counts, base)
-    return (fine, oracle._solve(fine, counts, coarse[0])), (half, coarse)
+    coarse = None if base else oracle._solve(half, counts)
+    coarsest = base[0] if base else coarse[0]
+    if merged:
+        blocks = np.repeat([0, 1], [len(coarsest[0]), len(coarsest[1])])
+        lowest = blocks[np.argsort(np.concatenate(coarsest), kind="stable")[:merged]]
+        counts = tuple(min(int(np.count_nonzero(lowest == b)) + 1, merged) for b in (0, 1))
+    seeds = [levels[:k] for levels, k in zip(coarsest, counts)]
+    if base:
+        coarse = oracle._solve(half, counts, tuple(seeds))
+        h_base = discretize(replace(config, n=config.n // oracle.BASE_DIVISION)).h
+        seeds = [c + (c - b) * (fine.h**2 - half.h**2) / (half.h**2 - h_base**2)
+                 for b, c in zip(seeds, coarse[0])]
+    return (fine, oracle._solve(fine, counts, tuple(seeds))), (half, coarse), counts
 
 
 @pytest.fixture
@@ -454,7 +471,7 @@ class TestReachedRows:
         assert res.config == config    # no enlargement: the solves below are its own
         counts = ((config.count + 1) // 2, config.count // 2)
         fine, coarse = ((np.sort(np.concatenate(blocks)), disc.h, reach)
-                        for disc, (blocks, reach, _) in _replay(config, counts))
+                        for disc, (blocks, reach, _) in _replay(config, counts)[:2])
         assert (res.eigenvalues, res.richardson) == (tuple(fine[0]), tuple(coarse[0]))
         for size, (got, h, reach) in ((config.n, fine), (config.n // 2, coarse)):
             assert len(got) == config.count
@@ -551,14 +568,14 @@ class TestReachedRows:
         # the base grid is bisected, the half grid refined from it, then the
         # fine grid from the half grid
         assert solved_blocks == [(188, 2), (187, 1), (1500, 2), (1500, 1), (3000, 2), (3000, 1)]
-        half = replace(res.config, n=res.config.n // 2)
-        base = oracle._base_levels(res.config, (2, 1))
-        half_disc = discretize(half)
-        coarse = oracle._solve(half_disc, (2, 1), base)
-        disc = discretize(res.config)
+        (disc, _), (half_disc, coarse), _ = _replay(res.config, (2, 1))
+        # the fine blocks are refined from the rungs' h^2 prediction
+        base, h_base = oracle._base_levels(res.config, (2, 1))
+        ratio = (disc.h**2 - half_disc.h**2) / (half_disc.h**2 - h_base**2)
+        seeds = [c + (c - b) * ratio for b, c in zip(base, coarse[0])]
         even, odd = oracle._reflection_blocks(disc.diag, disc.offdiag, "x")
-        merged = np.sort(np.concatenate([oracle._refined_lowest(*even, 2, coarse[0][0]),
-                                         oracle._refined_lowest(*odd, 1, coarse[0][1])]))
+        merged = np.sort(np.concatenate([oracle._refined_lowest(*even, 2, seeds[0]),
+                                         oracle._refined_lowest(*odd, 1, seeds[1])]))
         assert np.array_equal(res.eigenvalues, merged)
         assert coarse[1] == half_disc.grid[0]
         assert oracle._solve(disc, (2, 1))[1] == disc.grid[0]
@@ -601,12 +618,15 @@ class TestRefinement:
         with caplog.at_level(logging.INFO, logger="qespoly.oracle"):
             res = lowest_eigenvalues(config)
         assert [rec for rec in caplog.records if rec.name == "qespoly.oracle"] == []
-        counts = (config.count,) * 2 if config.spec.is_circle() else (
-            (config.count + 1) // 2, config.count // 2)
-        disc, (levels, reach, _) = _replay(config, counts)[0]
+        # a circle solves each block up to its share of the merged levels
+        circle = config.spec.is_circle()
+        counts = (config.count,) * 2 if circle else ((config.count + 1) // 2, config.count // 2)
+        (disc, (levels, reach, _)), _, counts = _replay(
+            config, counts, config.count if circle else None)
         assert res.eigenvalues == tuple(np.sort(np.concatenate(levels))[:config.count])
         # the refined levels are as close to the true ones as bisection's
-        # ulp * ||T||_1 of the kept rows, at most 4/h^2 + V at the cut
+        # ulp * ||T||_1 of the kept rows, at most 4/h^2 + V at the cut, each
+        # block at the count it solved
         kept = disc.grid if reach is None else reach
         norm = 4.0 / disc.h**2 + float(np.max(potential_eval(config.spec, kept)))
         for got, tight in zip(levels, _tight_block_levels(disc, counts)):
@@ -732,6 +752,78 @@ class TestGridLadder:
         monkeypatch.setattr(oracle, "discretize", counting)
         lowest_eigenvalues(config)
         assert sizes == [config.n // oracle.BASE_DIVISION, config.n // 2, config.n] * domains
+
+
+@pytest.fixture
+def refinements(monkeypatch):
+    """(rung points, seeds, LAPACK gtsv solves) of every _shift_invert call,
+    the rung being the grid of the _solve call that made it."""
+    import scipy.linalg.lapack as lapack
+    records, rung, solves = [], [0], [0]
+    solve, refine, gtsv = oracle._solve, oracle._shift_invert, lapack.dgtsv
+
+    def solving(disc, counts, seeds=None):
+        rung[0] = len(disc.grid)
+        return solve(disc, counts, seeds)
+
+    def refining(diag, offdiag, seeds):
+        before = solves[0]
+        levels = refine(diag, offdiag, seeds)
+        records.append((rung[0], len(seeds), solves[0] - before))
+        return levels
+
+    def counting(*args):
+        solves[0] += 1
+        return gtsv(*args)
+
+    monkeypatch.setattr(oracle, "_solve", solving)
+    monkeypatch.setattr(oracle, "_shift_invert", refining)
+    monkeypatch.setattr(lapack, "dgtsv", counting)
+    return records
+
+
+# merged circle solves across the split's boundary: dsg (5, 1) at 2048 points
+# and count 6 puts the 10.85633428 doublet's members, one per block, at the
+# merged ranks 5 and 6
+MERGED_CONFIGS = [
+    pytest.param(OracleConfig(dsg(m, 1.0), n=n, count=count), id=f"dsg-m{m}-n{n}-count{count}")
+    for m in (1, 5, 9) for n in (1024, 4096) for count in range(1, 13)
+] + [pytest.param(OracleConfig(dsg(5, 1.0), n=2048, count=6), id="dsg-m5-n2048-doublet")]
+
+
+class TestLadderSeeds:
+    """Where the base grid resolved the levels, the fine grid is seeded with
+    the rungs' h^2 prediction from the base and half levels; a merged circle
+    solve refines each block only up to its share of the coarsest rung's k
+    lowest levels, plus one spare."""
+
+    def test_the_predicted_seeds_save_fine_rung_solves(self, refinements):
+        # 27 gtsv solves on the fine rung when seeded with the half levels
+        config = oracle._default_config(dshg(9, 1.0), 9)
+        lowest_eigenvalues(config)
+        assert sum(solves for rung, _, solves in refinements if rung == config.n) == 18
+
+    def test_a_merged_circle_solve_refines_its_share_plus_a_spare(self, refinements):
+        # the base's 8 lowest are 4 even and 4 odd: 5 + 5 levels a rung, not 8 + 8
+        config = OracleConfig(dsg(9, 1.0), n=4096, count=8)
+        lowest_eigenvalues(config)
+        per_rung = {}
+        for rung, seeds, _ in refinements:
+            per_rung[rung] = per_rung.get(rung, 0) + seeds
+        assert per_rung == {2048: 10, 4096: 10}
+
+    @pytest.mark.parametrize("config", MERGED_CONFIGS)
+    def test_merged_levels_match_a_tight_whole_block_solve(self, config):
+        # no level is lost to the split: the merged k lowest of both rungs
+        # lie within bisection's ulp * ||T||_1 of the whole blocks' k lowest
+        res = lowest_eigenvalues(config)
+        for size, got in ((config.n, res.eigenvalues), (config.n // 2, res.richardson)):
+            disc = discretize(replace(config, n=size))
+            counts = (config.count, config.count)
+            want = np.sort(np.concatenate(_tight_block_levels(disc, counts)))[:config.count]
+            norm = 4.0 / disc.h**2 + float(np.max(potential_eval(config.spec, disc.grid)))
+            assert len(got) == config.count
+            assert np.max(np.abs(np.array(got) - want)) <= np.finfo(float).eps * norm
 
 
 class TestKinkWells:
