@@ -30,9 +30,12 @@ blocks, solves each block on the half and fine rungs only up to its share
 of the coarsest rung's k lowest plus one spare, at most k: about k + 2
 levels, not 2k.  Each seeded level is refined by one inverse-iteration step
 at its seed and Rayleigh-quotient steps (LAPACK gtsv solves) until its
-residual ||T x - rho x|| stops falling or reaches rounding.  A level then
-holds an eigenvalue within that residual plus a rounding allowance, and the
-block is accepted when those intervals are disjoint, one Sturm count puts
+Kato-Temple bound ||T x - rho x||^2 / m, m the nearer half gap to its
+neighbouring seeds, is within bisection's tolerance eps * ||T||_1, often
+at its first step; a block's lone level, which has no neighbour, until its
+residual stops falling or reaches rounding.  A level then holds an
+eigenvalue within that residual plus a rounding allowance, and the block
+is accepted when those intervals are disjoint, one Sturm count puts
 exactly as many eigenvalues at or below the top interval as there are
 levels, one in each, and each level's Kato-Temple bound, its squared
 residual over the gap to its neighbours' intervals, is within the rounding
@@ -119,8 +122,9 @@ _log = logging.getLogger("qespoly.oracle")
 REACH_DECAY = 40.0
 DOMAIN_DECAY = 5.5
 FIRST_WINDOW = 0.625
-# the cap on a refined level's shift-invert steps, and the multiple of
-# eps * ||T||_1 its radius adds to its residual for rounding (_shift_invert)
+# the cap on a refined level's shift-invert steps, which stop earlier at the
+# first one whose Kato-Temple bound is within eps * ||T||_1, and the multiple
+# of eps * ||T||_1 its radius adds to its residual for rounding (_shift_invert)
 REFINE_STEPS = 8
 ROUNDING = 16.0
 # the base grid has n // BASE_DIVISION points, and its bisected levels seed
@@ -225,7 +229,8 @@ def discretize(config: OracleConfig) -> Discretization:
     return Discretization(diag, offdiag, -coupling if spec.is_circle() else None, grid, h)
 
 
-def _solve(disc: Discretization, counts: tuple, seeds: tuple | None = None) -> tuple:
+def _solve(disc: Discretization, counts: tuple, seeds: tuple | None = None,
+           blocks: tuple | None = None) -> tuple:
     """The lowest counts[b] eigenvalues of reflection block b (0 even, 1 odd)
     on one rung of the grid ladder (see the module docstring), the x of the
     outermost row the levels reach (the cut; None on a circle) and the top
@@ -241,9 +246,10 @@ def _solve(disc: Discretization, counts: tuple, seeds: tuple | None = None) -> t
     level can be, reaches.  By the node theorem a line block's rank r level
     has 2r (even) or 2r + 1 (odd) nodes; the block whose top requested level
     has more nodes goes first, and the other block's levels lie lower, so
-    they reach no row beyond its cut.
+    they reach no row beyond its cut.  `blocks` are disc's _blocks where the
+    caller has split it already.
     """
-    blocks = _blocks(disc)
+    blocks = _blocks(disc) if blocks is None else blocks
     if disc.corner is not None:
         seeds = (None, None) if seeds is None else seeds
         return tuple(_refined_lowest(*block, k, s)
@@ -365,36 +371,37 @@ def _shift_invert(diag, offdiag, seeds):
     stays at the seed until that quotient lies nearer the seed than half the
     gap to a neighbouring seed, so that a start vector poor in the wanted
     level cannot lead to another one; from then on the quotient is the shift
-    (Rayleigh-quotient iteration).  1 / ||y|| is y's residual at the shift,
-    and the steps stop once it stops falling or reaches eps * ||T||_1, or
-    after REFINE_STEPS.  A level rho with unit vector x has an eigenvalue
-    within ||T x - rho x|| of it; that residual plus ROUNDING * eps * ||T||_1,
-    for the rounding of the residual and of the count, is its radius.  The
-    levels are certified when their intervals are disjoint, one Sturm count
-    finds exactly len(seeds) eigenvalues at or below a point t above the top
-    one's upper end, one in each interval and none below, and each level is
-    converged: its Kato-Temple bound ||r||^2 / gap, the gap running from it
-    to the nearer of its neighbours' intervals (to t above the top level),
-    is at most ROUNDING * eps * ||T||_1.  t lies ||r||^2 / (ROUNDING * eps *
-    ||T||_1) above the top interval, so the top level's gap above meets the
-    bound by construction and one count serves both tests.  T is first scaled
-    by the power of 2 that brings ||T||_1 into [1/2, 1), which rounds nothing.
+    (Rayleigh-quotient iteration).  Once captured, a level stops at the
+    first step, often its first, whose residual r = T x - rho x has
+    ||r||^2 / m within eps * ||T||_1, bisection's tolerance, m the nearer
+    half gap to a neighbouring seed; also once 1 / ||y||, y's residual at
+    the shift, stops falling or reaches eps * ||T||_1 (a lone seed's only
+    test), or after REFINE_STEPS.  A level rho with unit vector x has an
+    eigenvalue within ||r|| of it; that residual plus ROUNDING * eps *
+    ||T||_1, for the rounding of the residual and of the count, is its
+    radius.  The levels are certified when their intervals are disjoint,
+    one Sturm count finds exactly len(seeds) eigenvalues at or below a point
+    t above the top one's upper end, one in each interval and none below,
+    and each level is converged: its Kato-Temple bound ||r||^2 / gap, the
+    gap running from it to the nearer of its neighbours' intervals (to t
+    above the top level), is at most ROUNDING * eps * ||T||_1.  t lies
+    ||r||^2 / (ROUNDING * eps * ||T||_1) above the top interval, so the top
+    level's gap above meets the bound by construction and one count serves
+    both tests.  T is first scaled by the power of 2 that brings ||T||_1
+    into [1/2, 1), which rounds nothing.
     """
     from scipy.linalg.lapack import dgtsv, dstebz
     eps = np.finfo(float).eps
-    off = np.abs(offdiag)
-    norm = float(np.max(np.abs(diag) + np.append(off, 0.0) + np.append(0.0, off)))
+    norm = _norm1(diag, offdiag)
     scale = np.ldexp(1.0, -np.frexp(norm)[1])
     diag, offdiag, seeds, norm = diag * scale, offdiag * scale, np.asarray(seeds) * scale, norm * scale
     half_gap = np.diff(seeds) / 2.0
     margin = (np.concatenate([half_gap[:1], half_gap, half_gap[-1:]]) if half_gap.size
               else np.full(2, np.inf))
     lower, upper = seeds - margin[:-1], seeds + margin[1:]
-    rows = np.arange(len(diag))
-    # quadratic residues mod a prime spread over every mode; a constant or a
-    # ramp start is orthogonal to a circle block's higher cosines
-    start = (rows * rows % 65521) / 65521 - 0.5
-    start /= np.sqrt((start * start).sum())
+    # a lone level, whose margins are infinite, never meets the stop test
+    accepted = eps * norm * np.minimum(margin[:-1], margin[1:]) if half_gap.size else [-1.0]
+    start = _start_vector(len(diag))
 
     def shifted_solve(shift, x):
         y, info = dgtsv(offdiag, diag - shift, offdiag, x[:, None])[3:]
@@ -404,7 +411,7 @@ def _shift_invert(diag, offdiag, seeds):
 
     levels, residuals = [], []
     with np.errstate(all="ignore"):
-        for seed, low, high in zip(seeds, lower, upper):
+        for seed, low, high, accept in zip(seeds, lower, upper, accepted):
             shift, x, residual, captured = seed, start, np.inf, False
             for _ in range(REFINE_STEPS):
                 y, info = shifted_solve(shift, x)
@@ -415,16 +422,19 @@ def _shift_invert(diag, offdiag, seeds):
                 if captured and 1.0 / size >= residual:
                     break
                 level, x, residual = shift + (x * y).sum() / yy, y / size, 1.0 / size
+                r = diag * x - level * x
+                r[:-1] += offdiag * x[1:]
+                r[1:] += offdiag * x[:-1]
+                squared = (r * r).sum()
                 if residual <= eps * norm:
                     break
                 captured = captured or low < level < high
                 if captured:
+                    if squared <= accept:
+                        break
                     shift = level
-            r = diag * x - level * x
-            r[:-1] += offdiag * x[1:]
-            r[1:] += offdiag * x[:-1]
             levels.append(level)
-            residuals.append(np.sqrt((r * r).sum()))
+            residuals.append(np.sqrt(squared))
     levels, residuals = np.array(levels), np.array(residuals)
     rounding = ROUNDING * eps * norm
     radii = residuals + rounding
@@ -440,6 +450,31 @@ def _shift_invert(diag, offdiag, seeds):
     return levels / scale if found == len(levels) else None
 
 
+def _norm1(diag, offdiag) -> float:
+    """||T||_1 of a symmetric tridiagonal T, its largest absolute row sum."""
+    sums = np.abs(diag)
+    off = np.abs(offdiag)
+    sums[:-1] += off
+    sums[1:] += off
+    return float(sums.max())
+
+
+# the quadratic residues mod a prime, of which each start vector is a prefix
+_residues = np.empty(0)
+
+
+def _start_vector(rows: int) -> np.ndarray:
+    """The unit start vector of _shift_invert on a block of `rows` rows:
+    quadratic residues mod a prime spread over every mode, where a constant
+    or a ramp start is orthogonal to a circle block's higher cosines."""
+    global _residues
+    if len(_residues) < rows:
+        i = np.arange(rows)
+        _residues = (i * i % 65521) / 65521 - 0.5
+    start = _residues[:rows]
+    return start / np.sqrt((start * start).sum())
+
+
 def _reflection_blocks(diag, offdiag, variable: str):
     """Even and odd tridiagonal blocks of a chain symmetric under i -> n-1-i.
 
@@ -449,7 +484,7 @@ def _reflection_blocks(diag, offdiag, variable: str):
     centre with that coupling scaled by sqrt(2); the odd block stops before.
     """
     n, half = len(diag), (len(diag) + 1) // 2
-    if np.abs(diag - diag[::-1]).max() > 4.0 * np.finfo(float).eps * np.abs(diag).max():
+    if np.abs(diag - diag[::-1]).max() > 4.0 * np.finfo(float).eps * _norm1(diag, offdiag):
         raise OracleError(f"potential is not even in {variable}")
     even_diag, even_off = diag[:half].copy(), offdiag[:half - 1].copy()
     odd_diag, odd_off = diag[:n // 2].copy(), offdiag[:n // 2 - 1]
@@ -496,11 +531,12 @@ def _base_levels(config: OracleConfig, counts: tuple):
         return None
     resolved = disc.diag.min() - 2.0 / disc.h**2 + (BASE_RESOLUTION / disc.h) ** 2
     from scipy.linalg.lapack import dstebz
-    for (diag, offdiag), k in zip(_blocks(disc), counts):
+    blocks = _blocks(disc)
+    for (diag, offdiag), k in zip(blocks, counts):
         if k > 0 and (k >= len(diag) or dstebz(
                 diag, offdiag, 1, -np.inf, resolved, 0, 0, np.inf, "E")[0] < k):
             return None
-    return _solve(disc, counts)[0], disc.h
+    return _solve(disc, counts, blocks=blocks)[0], disc.h
 
 
 def _solve_on_domain(config: OracleConfig, counts: tuple, merged: int | None = None) -> tuple:

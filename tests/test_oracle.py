@@ -248,6 +248,13 @@ class TestReflectionSplit:
         assert res.richardson == pytest.approx(
             _dense_periodic_levels(coarse, 6), abs=1e-13 * 4.0 / coarse.h**2)
 
+    def test_a_coarse_even_grid_is_accepted(self, capsys):
+        # dsg (7, 1) at n = 256: its 16-point base grid's diagonal 2/h^2 + V
+        # is 15 where |V| reaches 64, and V's rounding is eps * |V|
+        code = main(["oracle", "--family", "dsg", "--m", "7", "--zeta", "1",
+                     "--grid-n", "256", "--count", "4"])
+        assert (code, capsys.readouterr().err) == (0, "")
+
     def test_uneven_potential_is_rejected(self):
         n = 64
         h = 2.0 * math.pi / n
@@ -420,9 +427,9 @@ def block_solves(monkeypatch):
         bisected.append(len(diag))
         return bisect(diag, offdiag, k)
 
-    def recording(disc, counts, seeds=None):
+    def recording(disc, counts, seeds=None, blocks=None):
         del bisected[:]
-        result = solve(disc, counts, seeds)
+        result = solve(disc, counts, seeds, blocks)
         solves.append((disc, counts, result, max(bisected, default=0)))
         return result
 
@@ -731,16 +738,20 @@ class TestBaseGrid:
 
 
 
+LADDERS = [
+    pytest.param(oracle._default_config(dshg(9, 1.0), 9), 1, id="dshg-m9-base-used"),
+    pytest.param(OracleConfig(dsg(5, 1.0), n=2048, count=8), 1, id="dsg-m5-base-declined"),
+    pytest.param(OracleConfig(dshg(3, 1.0), l=1.0, n=4000, count=6), 3,
+                 id="dshg-m3-enlarged-twice"),
+]
+
+
 class TestGridLadder:
     """Each rung of the grid ladder, base, half and fine, is discretized once
-    per domain, whether the base is used or declined."""
+    and split into its reflection blocks once per domain, whether the base
+    is used or declined."""
 
-    @pytest.mark.parametrize("config, domains", [
-        pytest.param(oracle._default_config(dshg(9, 1.0), 9), 1, id="dshg-m9-base-used"),
-        pytest.param(OracleConfig(dsg(5, 1.0), n=2048, count=8), 1, id="dsg-m5-base-declined"),
-        pytest.param(OracleConfig(dshg(3, 1.0), l=1.0, n=4000, count=6), 3,
-                     id="dshg-m3-enlarged-twice"),
-    ])
+    @pytest.mark.parametrize("config, domains", LADDERS)
     def test_one_discretization_per_rung(self, monkeypatch, config, domains):
         sizes = []
         assemble = oracle.discretize
@@ -753,6 +764,20 @@ class TestGridLadder:
         lowest_eigenvalues(config)
         assert sizes == [config.n // oracle.BASE_DIVISION, config.n // 2, config.n] * domains
 
+    @pytest.mark.parametrize("config, domains", LADDERS)
+    def test_one_split_per_rung(self, monkeypatch, config, domains):
+        # the base rung's blocks serve both its gate and its bisection
+        sizes = []
+        split = oracle._blocks
+
+        def counting(disc):
+            sizes.append(len(disc.grid))
+            return split(disc)
+
+        monkeypatch.setattr(oracle, "_blocks", counting)
+        lowest_eigenvalues(config)
+        assert sizes == [config.n // oracle.BASE_DIVISION, config.n // 2, config.n] * domains
+
 
 @pytest.fixture
 def refinements(monkeypatch):
@@ -762,9 +787,9 @@ def refinements(monkeypatch):
     records, rung, solves = [], [0], [0]
     solve, refine, gtsv = oracle._solve, oracle._shift_invert, lapack.dgtsv
 
-    def solving(disc, counts, seeds=None):
+    def solving(disc, counts, seeds=None, blocks=None):
         rung[0] = len(disc.grid)
-        return solve(disc, counts, seeds)
+        return solve(disc, counts, seeds, blocks)
 
     def refining(diag, offdiag, seeds):
         before = solves[0]
@@ -782,13 +807,41 @@ def refinements(monkeypatch):
     return records
 
 
+def _solves_per_level(disc, counts, seeds) -> tuple:
+    """The LAPACK gtsv solves of each refined level, a list per _shift_invert
+    call, in one seeded _solve, and that solve's result.  A level's first
+    solve is the one whose right-hand side is the start vector."""
+    import scipy.linalg.lapack as lapack
+    per_level, refine, gtsv = [], oracle._shift_invert, lapack.dgtsv
+
+    def refining(diag, offdiag, block_seeds):
+        per_level.append([])
+        return refine(diag, offdiag, block_seeds)
+
+    def counting(dl, d, du, b):
+        if np.array_equal(b[:, 0], oracle._start_vector(len(d))):
+            per_level[-1].append(0)
+        per_level[-1][-1] += 1
+        return gtsv(dl, d, du, b)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(oracle, "_shift_invert", refining)
+        patch.setattr(lapack, "dgtsv", counting)
+        result = oracle._solve(disc, counts, tuple(seeds))
+    return per_level, result
+
+
 # merged circle solves across the split's boundary: dsg (5, 1) at 2048 points
 # and count 6 puts the 10.85633428 doublet's members, one per block, at the
 # merged ranks 5 and 6
 MERGED_CONFIGS = [
     pytest.param(OracleConfig(dsg(m, 1.0), n=n, count=count), id=f"dsg-m{m}-n{n}-count{count}")
     for m in (1, 5, 9) for n in (1024, 4096) for count in range(1, 13)
-] + [pytest.param(OracleConfig(dsg(5, 1.0), n=2048, count=6), id="dsg-m5-n2048-doublet")]
+] + [pytest.param(OracleConfig(dsg(5, 1.0), n=2048, count=6), id="dsg-m5-n2048-doublet")] + [
+    # the 16-point base grid of dsg (7, 1) at n = 256, where 2/h^2 + V cancels
+    # most of V, so its evenness is judged against ||T||_1, not the diagonal
+    pytest.param(OracleConfig(dsg(7, 1.0), n=256, count=count), id=f"dsg-m7-n256-count{count}")
+    for count in range(1, 9)]
 
 
 class TestLadderSeeds:
@@ -798,10 +851,46 @@ class TestLadderSeeds:
     lowest levels, plus one spare."""
 
     def test_the_predicted_seeds_save_fine_rung_solves(self, refinements):
-        # 27 gtsv solves on the fine rung when seeded with the half levels
+        # 27 gtsv solves on the fine rung when seeded with the half levels,
+        # 18 when every level confirmed that its residual stopped falling
         config = oracle._default_config(dshg(9, 1.0), 9)
         lowest_eigenvalues(config)
-        assert sum(solves for rung, _, solves in refinements if rung == config.n) == 18
+        assert sum(solves for rung, _, solves in refinements if rung == config.n) == 12
+
+    def test_a_moved_seed_is_not_accepted_unconverged(self, monkeypatch):
+        # the predicted seed of the fine even block's rank 1 level stops at
+        # its first step; moved by 1e-3 of its gap, it leaves a residual far
+        # above the stop test and takes another step to the same accuracy
+        config = oracle._default_config(dshg(9, 1.0), 9)
+        counts, fine_seeds, solve = (5, 4), [], oracle._solve
+
+        def recording(disc, counts, seeds=None, blocks=None):
+            if len(disc.grid) == config.n:
+                fine_seeds.append(seeds)
+            return solve(disc, counts, seeds, blocks)
+
+        monkeypatch.setattr(oracle, "_solve", recording)
+        lowest_eigenvalues(config)
+        moved = [np.array(levels) for levels in fine_seeds[0]]
+        moved[0][1] += 1e-3 * (moved[0][2] - moved[0][1])
+        disc = discretize(config)
+        assert _solves_per_level(disc, counts, fine_seeds[0])[0][0][1] == 1
+        per_level, (levels, reach, _) = _solves_per_level(disc, counts, moved)
+        assert per_level[0][1] >= 2
+        norm = 4.0 / disc.h**2 + float(potential_eval(config.spec, reach))
+        for got, tight in zip(levels, _tight_block_levels(disc, counts)):
+            assert np.max(np.abs(got - tight)) <= np.finfo(float).eps * norm
+
+    @pytest.mark.parametrize("config, rungs", [
+        pytest.param(oracle._default_config(dshg(3, 1.0), 2), (4000, 8000), id="dshg-m3-count2"),
+        pytest.param(OracleConfig(dsg(3, 1.0), n=1024, count=1), (512, 1024), id="dsg-m3-count1"),
+    ])
+    def test_a_lone_level_stops_when_its_residual_stops_falling(self, refinements, config, rungs):
+        # one seed a block: 3 solves on the half rung and 2 on the fine, as
+        # before the stop test, which a lone level has no gap to apply
+        lowest_eigenvalues(config)
+        half, fine = rungs
+        assert refinements == [(half, 1, 3)] * 2 + [(fine, 1, 2)] * 2
 
     def test_a_merged_circle_solve_refines_its_share_plus_a_spare(self, refinements):
         # the base's 8 lowest are 4 even and 4 odd: 5 + 5 levels a rung, not 8 + 8
