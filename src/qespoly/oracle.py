@@ -69,17 +69,16 @@ further e^-45 for the prefactors the decay estimate ignores.  The kept
 block is also solved more tightly: the whole block's norm, and with it the
 rounding, is set by the potential at the line's end (4.8e8 for dshg(7, 2)
 at x = 5, a bisection tolerance near 1e-7), the kept block's by 4/h^2 plus
-the potential at the cut (near 6e-10 on the default dshg grid).  A
-bisected grid's levels come from a central window first: by interlacing its top
-requested level E_up lies at or above the whole block's, so the rows E_up
-reaches hold those of every requested level.  A window that misses some of
-them is grown once to all of them, since E_up only falls as the window
-grows; one that holds them is kept whole, so the bisected grid has the
-rounding of its window, which can reach past the cut it returns.  A refined
-grid keeps the rows its seeds' top level reaches, and is grown once if the
-refined top level reaches further.  A block in which even the potential's
-minimum decays by less than D, a bounded well or levels above the
-potential at the line's end, keeps every row, as do the circle blocks.
+the potential at the cut (near 6e-10 on the default dshg grid).  Both
+blocks of a line rung are solved on the rows a first estimate of their top
+level reaches, the seeds' top or on a bisected rung E*, and once more, from
+the same seeds, on the rows the solved top level reaches where those lie
+further out: by interlacing that level lies at or above the whole block's,
+so its rows hold every requested level's.  A gated base rung needs no
+regrowth, as its Sturm count puts each block's top level below E*.  A block
+in which even the potential's minimum decays by less than D, a bounded well
+or levels above the potential at the line's end, keeps every row, as do the
+circle blocks.
 
 The same walk is the one test of a line's width: it accepts the domain once
 the fine grid's top level decays by DOMAIN_DECAY e-folds from its outer
@@ -115,13 +114,9 @@ from .spectrum import qes_energies
 _log = logging.getLogger("qespoly.oracle")
 
 # e-folds of decay past which a line block's rows are dropped and that
-# accept a line's width (see above), and the share of a block's rows, centre
-# side, in the first window of a bisected line solve: the rows the levels of
-# the default dshg grids up to M = 9 and of the sextic grids reach, at the
-# base grid or the half, fit in it, so those need no regrowth
+# accept a line's width (see above)
 REACH_DECAY = 40.0
 DOMAIN_DECAY = 5.5
-FIRST_WINDOW = 0.625
 # the cap on a refined level's shift-invert steps, which stop earlier at the
 # first one whose Kato-Temple bound is within eps * ||T||_1, and the multiple
 # of eps * ||T||_1 its radius adds to its residual for rounding (_shift_invert)
@@ -233,84 +228,43 @@ def _solve(disc: Discretization, counts: tuple, seeds: tuple | None = None,
            blocks: tuple | None = None) -> tuple:
     """The lowest counts[b] eigenvalues of reflection block b (0 even, 1 odd)
     on one rung of the grid ladder (see the module docstring), the x of the
-    outermost row the levels reach (the cut; None on a circle) and the top
-    level's decay to the line's end (infinite on a circle, which has no
-    end).  A bisected solve can keep rows past the cut, and has their
-    rounding (_reached_lowest).
+    outermost row solved on (None on a circle) and the top level's decay to
+    the line's end (infinite on a circle, which has no end).
 
     With seeds, each block's levels on coarser rungs or their h^2
     prediction, every block is refined from them (_refined_lowest); without,
-    every block is bisected, a circle block whole.  A line solve's first
-    window then starts at the inner FIRST_WINDOW of the line, but never
-    inside the rows that a level at the potential's minimum, the lowest a
-    level can be, reaches.  By the node theorem a line block's rank r level
-    has 2r (even) or 2r + 1 (odd) nodes; the block whose top requested level
-    has more nodes goes first, and the other block's levels lie lower, so
-    they reach no row beyond its cut.  `blocks` are disc's _blocks where the
-    caller has split it already.
+    every block is bisected, a circle block whole, and a line block first on
+    the rows _resolved_energy reaches.  A line block keeps at least as many
+    rows as the most levels a block is asked for.  `blocks` are disc's
+    _blocks where the caller has split it already.
     """
     blocks = _blocks(disc) if blocks is None else blocks
+    seeds = (None, None) if seeds is None else seeds
     if disc.corner is not None:
-        seeds = (None, None) if seeds is None else seeds
         return tuple(_refined_lowest(*block, k, s)
                      for block, k, s in zip(blocks, counts, seeds)), None, np.inf
-    if seeds is not None:
-        levels, cut, decay = _refined_line(blocks, counts, seeds, disc.h)
-        return levels, float(disc.grid[cut]), decay
-    start = round(len(blocks[0][0]) * (1.0 - FIRST_WINDOW))
-    floor = disc.diag.min() - 2.0 / disc.h**2
-    start = min(start, _first_reached_row(blocks[0][0], disc.h, floor)[0])
-    first = 0 if counts[0] > counts[1] else 1
-    levels = [None, None]
-    levels[first], cut, decay = _reached_lowest(blocks[first], counts[first], disc.h, start)
-    levels[1 - first], rest_cut, _ = _reached_lowest(
-        blocks[1 - first], counts[1 - first], disc.h, cut)
-    return tuple(levels), float(disc.grid[min(cut, rest_cut)]), decay
 
-
-def _refined_line(blocks, counts, seeds, h: float) -> tuple:
-    """Both line blocks' levels refined from seeds on the rows the seeds' top
-    level reaches, the first of those rows and the refined top level's decay
-    to the line's end.  If the refined top reaches further out, both blocks
-    are refined once more on its rows, from the refined levels."""
-    diag = blocks[0][0]
+    def solved(cut):
+        return tuple(_refined_lowest(diag[cut:], off[cut:], k, s)
+                     for (diag, off), k, s in zip(blocks, counts, seeds))
 
     def reached(levels):
-        return _first_reached_row(diag, h, max(float(lv[-1]) for lv in levels if len(lv)))
+        return _first_reached_row(blocks[0][0], disc.h, max(float(lv[-1]) for lv in levels if len(lv)))
 
-    def refined(cut, seeds):
-        return tuple(_refined_lowest(block_diag[cut:], block_off[cut:], k, s)
-                     for (block_diag, block_off), k, s in zip(blocks, counts, seeds))
-
-    cut = reached(seeds)[0]
-    levels = refined(cut, seeds)
+    estimate = [[_resolved_energy(disc)]] if seeds[0] is None else seeds
+    cut = max(min(reached(estimate)[0], min(len(diag) for diag, _ in blocks) - max(counts)), 0)
+    levels = solved(cut)
     grown, decay = reached(levels)
     if grown < cut:
-        cut, levels = grown, refined(grown, levels)
+        cut, levels = grown, solved(grown)
         decay = reached(levels)[1]
-    return levels, cut, decay
+    return levels, float(disc.grid[cut]), decay
 
 
-def _reached_lowest(block, k: int, h: float, start: int) -> tuple:
-    """The k lowest eigenvalues of a line block, the first of the rows its
-    levels reach (the cut) and the decay to the line's end of the level that
-    placed it.
-
-    The rows from `start` to the centre are solved first; by interlacing the
-    window's top level bounds the block's from above, so the rows it reaches
-    hold every requested level's.  If the window misses some of them it is
-    grown once to all of them: the bound only falls as the window grows.
-    Else the window is kept whole, with the rounding of its rows past the cut.
-    """
-    diag, off = block
-    if k < 1:
-        return np.empty(0), start, np.inf
-    start = max(min(start, len(diag) - k), 0)
-    levels = _lowest_tridiagonal(diag[start:], off[start:], k)
-    cut, decay = _first_reached_row(diag, h, levels[-1])
-    if cut < start:
-        levels = _lowest_tridiagonal(diag[cut:], off[cut:], k)
-    return levels, cut, decay
+def _resolved_energy(disc: Discretization) -> float:
+    """E* = V_min + (BASE_RESOLUTION / h)^2, the energy whose largest local
+    wavenumber sqrt(E* - V_min) times disc's spacing is BASE_RESOLUTION."""
+    return disc.diag.min() - 2.0 / disc.h**2 + (BASE_RESOLUTION / disc.h) ** 2
 
 
 def _first_reached_row(diag, h: float, e_up: float) -> tuple:
@@ -390,7 +344,7 @@ def _shift_invert(diag, offdiag, seeds):
     both tests.  T is first scaled by the power of 2 that brings ||T||_1
     into [1/2, 1), which rounds nothing.
     """
-    from scipy.linalg.lapack import dgtsv, dstebz
+    from scipy.linalg.lapack import dgtsv
     eps = np.finfo(float).eps
     norm = _norm1(diag, offdiag)
     scale = np.ldexp(1.0, -np.frexp(norm)[1])
@@ -446,8 +400,13 @@ def _shift_invert(diag, offdiag, seeds):
     above = np.append(levels[1:] - radii[1:], top) - levels
     if np.any(residuals ** 2 > rounding * np.minimum(below, above)):
         return None
-    found = dstebz(diag, offdiag, 1, -np.inf, top, 0, 0, np.inf, "E")[0]
-    return levels / scale if found == len(levels) else None
+    return levels / scale if _sturm_count(diag, offdiag, top) == len(levels) else None
+
+
+def _sturm_count(diag, offdiag, e: float) -> int:
+    """How many eigenvalues of a symmetric tridiagonal block lie at or below e."""
+    from scipy.linalg.lapack import dstebz
+    return dstebz(diag, offdiag, 1, -np.inf, e, 0, 0, np.inf, "E")[0]
 
 
 def _norm1(diag, offdiag) -> float:
@@ -518,23 +477,19 @@ def _base_levels(config: OracleConfig, counts: tuple):
     """The block levels on the base grid of config.n // BASE_DIVISION points,
     bisected, and that grid's spacing, or None if it does not resolve them.
 
-    A level E is resolved where its largest local wavenumber, sqrt(E - V_min),
-    times the base grid's spacing is at most BASE_RESOLUTION: one Sturm count
-    per block at E* = V_min + (BASE_RESOLUTION / h)^2 must find at least the
-    levels asked of it, before any of them is bisected.  A block with no
-    more rows than levels resolves none of them.
+    A level is resolved at or below the base grid's E* (_resolved_energy):
+    one Sturm count per block at E* must find at least the levels asked of
+    it, before any of them is bisected.  A block with no more rows than
+    levels resolves none of them.
     """
     base = replace(config, n=config.n // BASE_DIVISION)
     try:
         disc = discretize(base)
     except OracleError:    # h_base^2 can overflow where the finer grids' does not
         return None
-    resolved = disc.diag.min() - 2.0 / disc.h**2 + (BASE_RESOLUTION / disc.h) ** 2
-    from scipy.linalg.lapack import dstebz
     blocks = _blocks(disc)
     for (diag, offdiag), k in zip(blocks, counts):
-        if k > 0 and (k >= len(diag) or dstebz(
-                diag, offdiag, 1, -np.inf, resolved, 0, 0, np.inf, "E")[0] < k):
+        if k > 0 and (k >= len(diag) or _sturm_count(diag, offdiag, _resolved_energy(disc)) < k):
             return None
     return _solve(disc, counts, blocks=blocks)[0], disc.h
 
@@ -568,8 +523,12 @@ def _solve_on_domain(config: OracleConfig, counts: tuple, merged: int | None = N
         _log.info("enlarging the line domain of %s from l = %r to l = %r",
                   cfg.spec.family, last, cfg.l)
     top = max(float(levels[-1]) for levels in fine if len(levels))
-    raise OracleError(f"domain too small: the top level {top:.6g} decays by {decay:.3g} "
-                      f"of {DOMAIN_DECAY} e-folds to the line's end at l = {last:.6g}")
+    edge = disc.diag[0] - 2.0 / disc.h**2    # the potential at the outermost point
+    bound = _sturm_count(disc.diag, disc.offdiag, edge)
+    short = f"; only {bound} of the {sum(counts)} levels asked lie below V = {edge:.6g} there"
+    raise OracleError(f"domain too small: the top level {top:.6g} decays by {decay:.3g} of "
+                      f"{DOMAIN_DECAY} e-folds to the line's end at l = {last:.6g}"
+                      + (short if bound < sum(counts) else ""))
 
 
 def lowest_eigenvalues(config: OracleConfig) -> OracleResult:

@@ -77,6 +77,47 @@ GOLDEN = [
     ("Q", 4, Fraction(0), Q4_TABLE),
 ]
 
+# the members' renderings at M = 3 and 4 (per-chain indicial root), frozen
+# from the recursions; Q at (3, 1/2) and (4, 0) is pinned nowhere else
+RENDERED = {
+    ("P", 3, Fraction(0)): [
+        "1",
+        "E + (2ζ)",
+        "E^2 + (12ζ+4)E + (20ζ^2+24ζ)",
+        "E^3 + (30ζ+20)E^2 + (236ζ^2+288ζ+64)E + (360ζ^3+752ζ^2+384ζ)",
+        "E^4 + (56ζ+56)E^3 + (1016ζ^2+1648ζ+784)E^2"
+        " + (6496ζ^3+13856ζ^2+11456ζ+2304)E"
+        " + (9360ζ^4+27712ζ^3+31296ζ^2+13824ζ)",
+    ],
+    ("Q", 3, HALF): [
+        "1",
+        "E + (6ζ+4)",
+        "E^2 + (20ζ+20)E + (84ζ^2+152ζ+64)",
+        "E^3 + (42ζ+56)E^2 + (524ζ^2+1152ζ+784)E"
+        " + (1848ζ^3+5408ζ^2+6240ζ+2304)",
+    ],
+    ("P", 4, HALF): [
+        "1",
+        "E + (2ζ+1)",
+        "E^2 + (12ζ+10)E + (20ζ^2+44ζ+9)",
+        "E^3 + (30ζ+35)E^2 + (236ζ^2+524ζ+259)E"
+        " + (360ζ^3+1292ζ^2+1262ζ+225)",
+        "E^4 + (56ζ+84)E^3 + (1016ζ^2+2664ζ+1974)E^2"
+        " + (6496ζ^3+23600ζ^2+31272ζ+12916)E"
+        " + (9360ζ^4+46432ζ^3+85560ζ^2+65528ζ+11025)",
+    ],
+    ("Q", 4, Fraction(0)): [
+        "1",
+        "E + (6ζ+1)",
+        "E^2 + (20ζ+10)E + (84ζ^2+116ζ+9)",
+        "E^3 + (42ζ+35)E^2 + (524ζ^2+836ζ+259)E"
+        " + (1848ζ^3+4652ζ^2+3098ζ+225)",
+        "E^4 + (72ζ+84)E^3 + (1784ζ^2+3608ζ+1974)E^2"
+        " + (17568ζ^3+48688ζ^2+48472ζ+12916)E"
+        " + (55440ζ^4+201888ζ^3+281912ζ^2+155528ζ+11025)",
+    ],
+}
+
 
 class TestGolden:
     @pytest.mark.parametrize("kind,m,s,table", GOLDEN)
@@ -84,6 +125,12 @@ class TestGolden:
         fam = gen_family(ChainSpec(kind, Fraction(m), s), max(table))
         for n, want in table.items():
             assert fam[n] == want, f"{kind}_{n} at M={m}"
+
+    @pytest.mark.parametrize("kind,m,s", RENDERED)
+    def test_renderings(self, kind, m, s):
+        want = RENDERED[kind, m, s]
+        fam = gen_family(ChainSpec(kind, Fraction(m), s), 6)
+        assert [fam[n].render() for n in range(len(want))] == want
 
     def test_generic_seeds(self):
         for s in (Fraction(0), HALF):

@@ -177,12 +177,23 @@ class TestLineDomain:
         assert oracle._first_reached_row(even[0], disc.h, e_box)[1] == 0.0
 
     def test_box_states_end_in_a_named_error(self, capsys):
-        # the kink well's levels from the fifth up lie at or above sup V = 1
+        # the kink well's levels from the fifth up lie at or above sup V = 1,
+        # and the error names the four below it
         assert main(["oracle", "--family", "phi6_kink"]) == 1
         err = capsys.readouterr().err
         assert err.count("\n") == 1
         assert re.fullmatch(r"error: domain too small: the top level 1\.00\d* decays by 0 of "
-                            r"5\.5 e-folds to the line's end at l = 85\.4297\n", err)
+                            r"5\.5 e-folds to the line's end at l = 85\.4297; only 4 of the 6 "
+                            r"levels asked lie below V = 1 there\n", err)
+
+    @pytest.mark.parametrize("spec, count, bound", [
+        pytest.param(phi6_kink(0.3, 2.0), 5, 4, id="kink-0.3-2"),
+        pytest.param(dshg(3, 0.0), 2, 0, id="constant-well"),
+    ])
+    def test_a_domain_error_counts_the_levels_below_the_ends_potential(self, spec, count, bound):
+        config = OracleConfig(spec, l=400.0 if spec.family == "dshg" else 18.0, n=2048, count=count)
+        with pytest.raises(OracleError, match=f"; only {bound} of the {count} levels asked"):
+            lowest_eigenvalues(config)
 
 
 class TestCircleOracle:
@@ -418,22 +429,14 @@ def _replay(config, counts, merged=None):
 
 @pytest.fixture
 def block_solves(monkeypatch):
-    """(discretization, counts, result, rows) of every oracle._solve call,
-    where rows is the most rows it bisected in one block (0 if none)."""
-    solves, bisected = [], []
-    solve, bisect = oracle._solve, oracle._lowest_tridiagonal
-
-    def bisecting(diag, offdiag, k):
-        bisected.append(len(diag))
-        return bisect(diag, offdiag, k)
+    """(discretization, counts, result) of every oracle._solve call."""
+    solves, solve = [], oracle._solve
 
     def recording(disc, counts, seeds=None, blocks=None):
-        del bisected[:]
         result = solve(disc, counts, seeds, blocks)
-        solves.append((disc, counts, result, max(bisected, default=0)))
+        solves.append((disc, counts, result))
         return result
 
-    monkeypatch.setattr(oracle, "_lowest_tridiagonal", bisecting)
     monkeypatch.setattr(oracle, "_solve", recording)
     return solves
 
@@ -489,10 +492,9 @@ class TestReachedRows:
     @pytest.mark.parametrize("config", CLI_CONFIGS)
     def test_half_grid_levels_are_within_the_bisected_windows_tolerance(
             self, solved_blocks, config):
-        # the half grid bisects its first window whole when the levels' cut
-        # lies inside it, so its rounding is that of the window: ulp * ||T||_1
-        # of the rows bisected, at most 4/h^2 + V at the outermost of them,
-        # which lies beyond the cut the solve returns
+        # the half grid is bisected on the rows E* reaches, so its rounding is
+        # that of those rows: ulp * ||T||_1 of the rows bisected, at most
+        # 4/h^2 + V at the outermost of them, the x the solve returns
         assert lowest_eigenvalues(config).config == config
         half = replace(config, n=config.n // 2)
         counts = ((config.count + 1) // 2, config.count // 2)
@@ -500,7 +502,7 @@ class TestReachedRows:
         disc = discretize(half)
         levels, reach, _ = oracle._solve(disc, counts)
         outermost = disc.grid[half.n // 2 - max(rows for rows, _ in solved_blocks)]
-        assert outermost <= reach
+        assert outermost == reach
         norm = 4.0 / disc.h**2 + float(potential_eval(config.spec, outermost))
         for got, tight in zip(levels, _tight_block_levels(disc, counts)):
             assert len(got) == len(tight)
@@ -512,60 +514,77 @@ class TestReachedRows:
         # each side's blocks are solved up to its top label, at the default
         # grid, its half and, where it resolves them, its base grid;
         # bisection stops at ulp * ||T||_1 of the kept rows, at most
-        # 4/h^2 + V at the highest kept row (every row on a circle).  The
-        # base grid only seeds the half grid's levels: it is held to the
-        # rows it bisected, which can reach past the cut it returns
+        # 4/h^2 + V at the outermost row solved on, the x each solve
+        # returns (every row on a circle)
         assert not verify_duality_pair(spec_a, spec_b).rejected
         # two sides, each at two or three resolutions, none enlarged
         sizes = []
         for spec in (spec_a, spec_b):
             n = oracle._default_config(spec, 1).n
-            sizes += ([(spec, n // oracle.BASE_DIVISION, True)] * based
-                      + [(spec, n // 2, False), (spec, n, False)])
-        assert [(len(disc.grid), asked) for disc, asked, _, _ in block_solves] == [
-            (n, counts) for _, n, _ in sizes]
-        for (disc, _, (levels, reach, _), rows), (spec, _, base) in zip(block_solves, sizes):
+            sizes += [(spec, n // oracle.BASE_DIVISION)] * based + [(spec, n // 2), (spec, n)]
+        assert [(len(disc.grid), asked) for disc, asked, _ in block_solves] == [
+            (n, counts) for _, n in sizes]
+        for (disc, _, (levels, reach, _)), (spec, _) in zip(block_solves, sizes):
             grid, h = disc.grid, disc.h
             kept = grid if reach is None else reach
-            if base and reach is not None:
-                kept = min(reach, grid[len(grid) // 2 - rows])
             v = float(np.max(potential_eval(spec, kept)))
             want = _tight_block_levels(disc, counts)
             for got, tight in zip(levels, want):
                 assert len(got) == len(tight)
                 assert np.max(np.abs(got - tight), initial=0.0) <= np.finfo(float).eps * (4.0 / h**2 + v)
 
-    def test_rows_past_the_reach_are_dropped(self, solved_blocks):
-        # dshg(7, 2) at x = 5 is 4.8e8, against levels up to about 130: the
-        # first block's window covers its reach, the second keeps only that
-        config = oracle._default_config(dshg(7, 2.0), 10)
+    @pytest.mark.parametrize("m", range(10, 21))
+    def test_a_line_solve_bisects_each_block_once(self, monkeypatch, m):
+        # the gate accepts the base rung at M = 10..14: its Sturm count at E*
+        # puts each block's top level below E*.  From M = 15 it declines it,
+        # and the half rung's E* lies far above the levels.  Either way the
+        # rows E* reaches hold the levels' and are not regrown
+        bisected, bisect = [], oracle._lowest_tridiagonal
+
+        def counting(diag, offdiag, k):
+            if k >= 1:
+                bisected.append(len(diag))
+            return bisect(diag, offdiag, k)
+
+        monkeypatch.setattr(oracle, "_lowest_tridiagonal", counting)
+        config = oracle._default_config(dshg(m, 0.5), m)
+        lowest_eigenvalues(config)
+        rung = config.n // (oracle.BASE_DIVISION if m < 15 else 2)
+        assert len(bisected) == 2 and bisected[0] == bisected[1] <= rung // 2
+
+    def test_a_bisected_rung_below_its_top_level_grows_once(self, solved_blocks):
+        # 40 levels of dshg (7, 1) on 512 points: E* = 237 lies below the top
+        # level, 912, whose rows reach further out than E*'s
+        config = OracleConfig(dshg(7, 1.0), l=5.0, n=512, count=40)
         disc = discretize(config)
-        _, reach, _ = oracle._solve(disc, (5, 5))
-        assert -0.5 * config.l < reach < 0.0
-        assert solved_blocks[0] == (config.n // 2 * 5 // 8, 5)
-        assert solved_blocks[1] == (round(-reach / disc.h + 0.5), 5)
+        levels, reach, _ = oracle._solve(disc, (20, 20))
+        top = max(lv[-1] for lv in levels)
+        assert oracle._resolved_energy(disc) < top
+        first, grown = solved_blocks[0][0], solved_blocks[2][0]
+        assert solved_blocks == [(first, 20)] * 2 + [(grown, 20)] * 2 and first < grown
+        even_diag = oracle._blocks(disc)[0][0]
+        assert reach == disc.grid[len(even_diag) - grown]
+        assert oracle._first_reached_row(even_diag, disc.h, top)[0] == len(even_diag) - grown
+        norm = 4.0 / disc.h**2 + float(potential_eval(config.spec, reach))
+        for got, tight in zip(levels, _tight_block_levels(disc, (20, 20))):
+            assert np.max(np.abs(got - tight)) <= np.finfo(float).eps * norm
 
-    def test_a_short_window_is_grown_once(self, solved_blocks):
-        disc = discretize(oracle._default_config(dshg(3, 1.0), 6))
-        even, _ = oracle._reflection_blocks(disc.diag, disc.offdiag, "x")
-        rows = len(even[0])
-        levels, cut, _ = oracle._reached_lowest(even, 3, disc.h, rows - 10)
-        assert solved_blocks == [(10, 3), (rows - cut, 3)]
-        assert 0 < cut < rows - 10
-        want = scipy.linalg.eigvalsh_tridiagonal(
-            *even, select="i", select_range=(0, 2), tol=1e-14)
-        assert np.max(np.abs(levels - want)) <= 1e-10 * np.max(np.abs(want))
-        # the grown window covers the rows its own top level reaches
-        assert oracle._first_reached_row(even[0], disc.h, levels[-1])[0] >= cut
-
-    def test_the_first_window_grows_on_a_slowly_rising_well(self, solved_blocks):
-        # x^2 rises too slowly for the rows its levels reach to fit the
-        # window that a level at V = 0 sets
-        res = lowest_eigenvalues(OracleConfig(harmonic(), l=10.0, n=2000, count=4))
-        first, grown = solved_blocks[:2]
-        assert first[0] < grown[0] < 1000
-        want = _tight_line_levels(res.config, 4)
-        assert np.max(np.abs(np.array(res.eigenvalues) - want)) <= 1e-10 * np.max(want)
+    def test_a_refined_block_whose_seeds_fall_short_grows_once(self, caplog, solved_blocks):
+        # the half grid's levels lie below the fine grid's, and the rows its
+        # top level reaches stop one short of those the fine top reaches
+        config = oracle._default_config(dshg(3, 1.0), 60)
+        seeds = oracle._solve(discretize(replace(config, n=config.n // 2)), (30, 30))[0]
+        del solved_blocks[:]
+        disc = discretize(config)
+        with caplog.at_level(logging.INFO, logger="qespoly.oracle"):
+            levels, reach, _ = oracle._solve(disc, (30, 30), seeds)
+        assert _fallbacks(caplog) == []
+        first, grown = solved_blocks[0][0], solved_blocks[2][0]
+        assert solved_blocks == [(first, 30)] * 2 + [(grown, 30)] * 2 and first < grown
+        assert reach == disc.grid[config.n // 2 - grown]
+        norm = 4.0 / disc.h**2 + float(potential_eval(config.spec, reach))
+        for got, tight in zip(levels, _tight_block_levels(disc, (30, 30))):
+            assert np.max(np.abs(got - tight)) <= np.finfo(float).eps * norm
 
     def test_a_bounded_well_keeps_every_row(self, solved_blocks):
         # the kink well is bounded by mu^2 = 1: even a level at its minimum

@@ -6,7 +6,8 @@ were solved on (after any enlargement) is compared exactly with the recorded
 one; so is the repr of `_labelled_deviation` on both sides of each duality
 pair.  The configs reach every rung: a resolved base grid (the default dshg
 and dsg grids), a declined one (dshg (40, 2), dsg (5, 1) at 2048 points), a
-line window that grows (harmonic at l = 10), two domain enlargements
+line whose half grid is bisected whole, its E* lying above the potential at
+the line's end (harmonic at l = 10), two domain enlargements
 (dshg (3, 1) at l = 1), a flat circle, and a circle whose fine blocks both
 fall back to bisection (dsg (3, 1) at 64 points, count 31).
 
@@ -42,7 +43,7 @@ CONFIGS = {
     "phi6_kink_dual": oracle._default_config(phi6_kink_dual(0.5, 1.0), 2),
     "dshg-m40-z2-base-declined": oracle._default_config(dshg(40, 2.0), 40),
     "dshg-m10-z0.5": oracle._default_config(dshg(10, 0.5), 13),
-    "harmonic-window-grows": OracleConfig(harmonic(), l=10.0, n=2000, count=4),
+    "harmonic-l10": OracleConfig(harmonic(), l=10.0, n=2000, count=4),
     "dsg-m5-n4096": OracleConfig(dsg(5, 1.0), n=4096, count=8),
     "dsg-m5-n2048-base-declined": OracleConfig(dsg(5, 1.0), n=2048, count=8),
     "dshg-m3-enlarged-twice": OracleConfig(dshg(3, 1.0), l=1.0, n=4000, count=6),
